@@ -1,19 +1,20 @@
 """Exact entropy computation for a channel under a product input distribution.
 
-All quantities come from full enumeration of the joint input pmf (cost is
-the product of the input alphabet sizes, comfortably small at the intended
-scale of K <= 4, |X| <= 8).  Entropies are in bits, double precision, with
-0*log(0) taken as 0.
+All quantities come from exact marginalization, at each receiver, of the
+joint pmf over its output table (cost is the table size, comfortably small
+at the intended scale of K <= 4, |X| <= 8).  Entropies are in bits, double
+precision, with 0*log(0) taken as 0.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelSpec, encode_v_tuple
+import numpy as np
+
+from .channel import ChannelSpec
 
 __all__ = [
     "InputDistribution",
@@ -86,18 +87,20 @@ class EntropyTable:
         return self.v_marginals[j - 1]
 
 
-def _entropy_bits(weights) -> float:
-    """Shannon entropy in bits of an unnormalized-but-normalized pmf given as
-    an iterable of probabilities; zero entries contribute nothing."""
-    acc = 0.0
-    for p in weights:
-        if p > 0.0:
-            acc -= p * math.log2(p)
-    return acc
+def _entropy(codes, weights) -> float:
+    """Entropy in bits of the pmf that `weights` puts on equal `codes`;
+    zero weights contribute nothing."""
+    _, inverse = np.unique(codes, return_inverse=True)
+    p = np.bincount(inverse.ravel(), weights=np.ravel(weights))
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTable:
-    """Enumerate the joint pmf and fill the complete conditional-entropy table.
+    """Fill the complete conditional-entropy table.
+
+    Receiver i's entries come from the joint pmf of (X_i, V_j for j != i),
+    which is a product of independent pmfs, over the cells of its output table.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -112,54 +115,39 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
 
     K = spec.K
     users = range(1, K + 1)
-
-    # One pass over the joint input pmf accumulates, per receiver, the pmf of
-    # (v_1..v_K, y_i) and of (x_i, y_i), plus each V marginal.
-    v_marginal = [dict() for _ in users]
-    joint_vy = [dict() for _ in users]
-    pair_xy = [dict() for _ in users]
-
-    for x_tuple in itertools.product(*(range(n) for n in spec.x_alphabet_sizes)):
-        p = 1.0
-        for j, x in enumerate(x_tuple):
-            p *= dist.probs[j][x]
-        if p == 0.0:
-            continue
-        v_full = tuple(spec.g_tables[j][x] for j, x in enumerate(x_tuple))
-        for j, v in enumerate(v_full):
-            v_marginal[j][v] = v_marginal[j].get(v, 0.0) + p
-        for i in users:
-            others = spec.other_users(i)
-            v_others = tuple(v_full[j - 1] for j in others)
-            r = encode_v_tuple(spec, i, v_others)
-            y = spec.f_tables[i - 1][x_tuple[i - 1]][r]
-            tbl = joint_vy[i - 1]
-            tbl[(v_full, y)] = tbl.get((v_full, y), 0.0) + p
-            pair = pair_xy[i - 1]
-            pair[(x_tuple[i - 1], y)] = pair.get((x_tuple[i - 1], y), 0.0) + p
-
-    # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
-    h_y_given_x = []
-    for i in users:
-        h_pair = _entropy_bits(pair_xy[i - 1].values())
-        h_x = _entropy_bits(dist.probs[i - 1])
-        h_y_given_x.append(max(h_pair - h_x, 0.0))
+    # v_rank[j-1][x]: position of g_j(x) in the image of g_j, the alphabet of V_j.
+    v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
+    v_pmf = [np.bincount(v_rank[j - 1], weights=dist.probs[j - 1]) for j in users]
 
     cond = {}
+    h_y_given_x = []
     for i in users:
+        others = spec.other_users(i)
+        shape = (spec.x_alphabet_sizes[i - 1],) + tuple(len(v_pmf[j - 1]) for j in others)
+        grid = np.indices(shape).reshape(len(shape), -1)  # flattened in table order
+        weights = np.asarray(dist.probs[i - 1])
+        for j in others:
+            weights = np.multiply.outer(weights, v_pmf[j - 1])
+        # Outputs compacted to 0..n_y-1, so that (key, y) codes stay small.
+        _, y = np.unique(spec.f_tables[i - 1], return_inverse=True)
+        y = y.ravel()
+        n_y = int(y.max()) + 1
+        v = dict(zip(others, grid[1:]))
+        v[i] = v_rank[i - 1][grid[0]]
+
+        # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
+        h = _entropy(grid[0] * n_y + y, weights) - _entropy(grid[0], weights)
+        h_y_given_x.append(max(h, 0.0))
         for bits in range(1 << K):
             T = frozenset(j for j in users if bits & (1 << (j - 1)))
-            # H(Y_i | V_T) = H(V_T, Y_i) - H(V_T), both by marginalization.
-            joint_ty = dict()
-            marg_t = dict()
-            for (v_full, y), p in joint_vy[i - 1].items():
-                v_t = tuple(v_full[j - 1] for j in sorted(T))
-                joint_ty[(v_t, y)] = joint_ty.get((v_t, y), 0.0) + p
-                marg_t[v_t] = marg_t.get(v_t, 0.0) + p
-            h = _entropy_bits(joint_ty.values()) - _entropy_bits(marg_t.values())
+            # H(Y_i | V_T) = H(V_T, Y_i) - H(V_T), V_T coded in mixed radix.
+            key = np.zeros_like(y)
+            for j in sorted(T):
+                key = key * len(v_pmf[j - 1]) + v[j]
+            h = _entropy(key * n_y + y, weights) - _entropy(key, weights)
             cond[(i, T)] = max(h, 0.0)
 
-    marginals = tuple(_entropy_bits(m.values()) for m in v_marginal)
+    marginals = tuple(_entropy(v_rank[j - 1], dist.probs[j - 1]) for j in users)
     return EntropyTable(
         K=K, cond=cond, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
     )

@@ -25,7 +25,8 @@ class UnboundedDirectionError(DicRegionError):
 
 
 class EnumerationOverflowError(DicRegionError):
-    """Facet enumeration exceeded the configured size guard."""
+    """Facet enumeration exceeded its size guard: DP states expanded by
+    `enumerate_facets`, facet choices listed by `enumerate_facet_specs`."""
 
 
 class SchemeReductionError(DicRegionError):

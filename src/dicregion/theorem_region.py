@@ -116,11 +116,12 @@ def facet_inequality(fs: FacetSpec, table: EntropyTable) -> LinearInequality:
     return LinearInequality(fs.a, rhs)
 
 
-class _FacetBudget:
-    """Counts complete facet choices visited before pruning."""
+class _SizeGuard:
+    """Counts units of search work and raises once there are too many."""
 
-    def __init__(self, limit: int):
+    def __init__(self, limit: int, unit: str):
         self.limit = limit
+        self.unit = unit
         self.used = 0
 
     def spend(self):
@@ -128,41 +129,26 @@ class _FacetBudget:
         if self.used > self.limit:
             raise EnumerationOverflowError(
                 f"facet enumeration exceeded the size guard of {self.limit} "
-                f"facets; raise the guard to continue"
+                f"{self.unit}; raise the guard to continue"
             )
 
 
-def _assignments(K, a, budget, term=None, best=None, min_term=None):
+def _assignments(K, a, budget):
     """Yield all subset assignments for weight vector `a`.
 
     Each assignment is a tuple of per-receiver subset tuples, canonical
     (non-decreasing rank within a receiver), satisfying the counting
-    constraint exactly.  When `term`/`best`/`min_term` are supplied the
-    search is branch-and-bound on the accumulated right-hand side: within a
-    receiver, subsets are visited cheapest entropy term first, so once the
-    optimistic bound crosses best[0] the rest of the loop is cut; only
-    improving assignments are yielded (best[0] is updated by the caller).
+    constraint exactly.
     """
-    masks = list(range(1 << K))
-    members = [tuple(m for m in range(1, K + 1) if mask & (1 << (m - 1))) for mask in masks]
-    # Any fixed per-receiver total order enumerates each multiset once; sort
-    # by cost when bounding, by rank otherwise.
-    if term is None:
-        order = [masks] * K
-    else:
-        order = [sorted(masks, key=lambda mask: (term[i][mask], mask)) for i in range(K)]
+    members = [tuple(m for m in range(1, K + 1) if mask & (1 << (m - 1))) for mask in range(1 << K)]
     slots_after = [0] * (K + 1)
     for i in range(K - 1, -1, -1):
         slots_after[i] = slots_after[i + 1] + a[i]
-    tail_min = [0.0] * (K + 1)
-    if min_term is not None:
-        for i in range(K - 1, -1, -1):
-            tail_min[i] = tail_min[i + 1] + a[i] * min_term[i]
 
     remaining = list(a)
     chosen: list[list[int]] = [[] for _ in range(K)]
 
-    def recurse(i, slot, min_pos, partial):
+    def recurse(i, slot, first):
         if i == K:
             if all(r == 0 for r in remaining):
                 budget.spend()
@@ -175,17 +161,9 @@ def _assignments(K, a, budget, term=None, best=None, min_term=None):
         if any(r > slots_left for r in remaining):
             return
         if slot == a[i]:
-            yield from recurse(i + 1, 0, 0, partial)
+            yield from recurse(i + 1, 0, 0)
             return
-        slots_left_here = a[i] - slot
-        for pos in range(min_pos, 1 << K):
-            mask = order[i][pos]
-            new_partial = partial
-            if term is not None:
-                new_partial = partial + term[i][mask]
-                bound = new_partial + (slots_left_here - 1) * min_term[i] + tail_min[i + 1]
-                if bound >= best[0] - 1e-15:
-                    break  # later positions only cost more
+        for mask in range(first, 1 << K):
             ok = True
             for m in members[mask]:
                 if remaining[m - 1] == 0:
@@ -196,12 +174,53 @@ def _assignments(K, a, budget, term=None, best=None, min_term=None):
             for m in members[mask]:
                 remaining[m - 1] -= 1
             chosen[i].append(mask)
-            yield from recurse(i, slot + 1, pos, new_partial)
+            yield from recurse(i, slot + 1, mask)
             chosen[i].pop()
             for m in members[mask]:
                 remaining[m - 1] += 1
 
-    yield from recurse(0, 0, 0, 0.0)
+    yield from recurse(0, 0, 0)
+
+
+def _min_rhs(a, term, budget) -> float:
+    """Smallest right-hand side over the facet choices with weight vector `a`.
+
+    Shortest path over the slots, receiver by receiver, whose state is the
+    coverage r still owed to each user (one mixed-radix integer).  A slot of
+    receiver i moves r to r - mask at cost term[i][mask], where mask holds
+    only users still owed and every user owed more than the slots after it.
+    """
+    K = len(a)
+    place = [math.prod(v + 1 for v in a[:m]) for m in range(K)]
+    delta = [sum(place[m] for m in range(K) if mask >> m & 1) for mask in range(1 << K)]
+    layer = {sum(v * p for v, p in zip(a, place)): 0.0}
+    slots_left = sum(a)
+    for i in range(K):
+        for _ in range(a[i]):
+            slots_left -= 1
+            nxt: dict = {}
+            for r, cost in layer.items():
+                budget.spend()
+                owed = must = 0
+                for m in range(K):
+                    r_m = r // place[m] % (a[m] + 1)
+                    if r_m:
+                        owed |= 1 << m
+                        if r_m > slots_left:
+                            must |= 1 << m
+                free = owed ^ must
+                sub = free
+                while True:  # every mask with must <= mask <= owed
+                    mask = sub | must
+                    r2 = r - delta[mask]
+                    c = cost + term[i][mask]
+                    if c < nxt.get(r2, math.inf):
+                        nxt[r2] = c
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+            layer = nxt
+    return layer[0]  # reached: user m can always take a_m distinct slots
 
 
 def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GUARD):
@@ -212,7 +231,7 @@ def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GU
     """
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
-    budget = _FacetBudget(max_facets)
+    budget = _SizeGuard(max_facets, "facets")
     for a in itertools.product(range(a_max + 1), repeat=K):
         if not any(a):
             continue
@@ -234,10 +253,11 @@ def enumerate_facets(
 ) -> Region:
     """Aggregate region from facet enumeration, pruned to an irredundant form.
 
-    For a fixed weight vector `a` every assignment shares the left-hand side
-    sum_i a_i R_i, so only the smallest right-hand side binds; the search
-    keeps that minimum per `a` (branch-and-bound on the partial sum) instead
-    of materializing dominated facets.
+    For a fixed weight vector `a` every facet choice shares the left-hand
+    side sum_i a_i R_i, so only the smallest right-hand side binds; a
+    shortest-path DP over the remaining coverage counts finds it without
+    listing the choices.  `max_facets` caps the number of DP states expanded
+    over all weight vectors; EnumerationOverflowError is raised beyond it.
     """
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
@@ -255,23 +275,13 @@ def enumerate_facets(
         ]
         for i in range(1, K + 1)
     ]
-    min_term = [min(row) for row in term]
 
-    budget = _FacetBudget(max_facets)
-    rows = []
-    for a in itertools.product(range(a_max + 1), repeat=K):
-        if not any(a):
-            continue
-        best = [math.inf]
-        for assignment in _assignments(K, a, budget, term=term, best=best, min_term=min_term):
-            rhs = math.fsum(
-                term[i][subset_rank(M)] for i in range(K) for M in assignment[i]
-            )
-            if rhs < best[0]:
-                best[0] = rhs
-        if best[0] < math.inf:
-            rows.append(LinearInequality(a, best[0]))
-
+    budget = _SizeGuard(max_facets, "DP states")
+    rows = [
+        LinearInequality(a, _min_rhs(a, term, budget))
+        for a in itertools.product(range(a_max + 1), repeat=K)
+        if any(a)
+    ]
     rows.extend(nonneg_inequalities(K))
     region = Region(K, tuple(rows), tuple(f"R{i}" for i in range(1, K + 1)))
     return canonicalize(prune_redundant(region, tol=tol), tol=tol)

@@ -21,7 +21,6 @@ from dicregion.coeff_scheme import (
     step2_reduce,
 )
 from dicregion.entropy import (
-    EntropyTable,
     InputDistribution,
     build_entropy_table,
     check_injectivity_identity,
@@ -52,6 +51,7 @@ from dicregion.theorem_region import (
 from conftest import (
     parity3_channel,
     product_channel,
+    random_entropy_table,
     random_full_support,
     random_injective_channel,
     random_scheme,
@@ -163,7 +163,7 @@ def test_criterion_4_projection_oracle():
         mins = de_of(scheme).min_projection()
         if not any(mins):
             continue  # vacuous projection (0 <= rhs); covered by unit tests
-        table = _random_table(rng, K)
+        table = random_entropy_table(rng, K)
         target = project_combined(scheme, table)
         projected = _eliminate_split_rates(scheme, table, K)
         assert any(
@@ -277,15 +277,6 @@ def _random_valid_facet(rng, K):
             chosen[slot].add(m)
     S = tuple(tuple(frozenset(chosen[(i, q)]) for q in range(a[i])) for i in range(K))
     return FacetSpec(a, S)
-
-
-def _random_table(rng, K):
-    cond = {}
-    for i in range(1, K + 1):
-        for bits in range(1 << K):
-            T = frozenset(j for j in range(1, K + 1) if bits & (1 << (j - 1)))
-            cond[(i, T)] = rng.uniform(0.0, 3.0)
-    return EntropyTable(K=K, cond=cond, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
 
 
 def _eliminate_split_rates(scheme: CoefficientScheme, table, K: int) -> Region:

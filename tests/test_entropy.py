@@ -95,6 +95,57 @@ def test_entropies_match_enumeration_oracle(xor):
         assert table.h_y_given_v(1, T) == pytest.approx(h_joint - h_T, abs=1e-12)
 
 
+def reference_table(spec, dist):
+    """Oracle: every table entry by dict marginalization of the joint pmf."""
+    pmf = joint_pmf(spec, dist)
+    users = range(1, spec.K + 1)
+    cond = {}
+    for i in users:
+        for bits in range(1 << spec.K):
+            T = sorted(j for j in users if bits & (1 << (j - 1)))
+            h_ty = entropy_of(((tuple(v[j - 1] for j in T), y[i - 1]), p) for _, v, y, p in pmf)
+            h_t = entropy_of((tuple(v[j - 1] for j in T), p) for _, v, _, p in pmf)
+            cond[(i, frozenset(T))] = h_ty - h_t
+    v_marginals = [entropy_of((v[j - 1], p) for _, v, _, p in pmf) for j in users]
+    y_given_x = [
+        entropy_of(((x[i - 1], y[i - 1]), p) for x, _, y, p in pmf)
+        - entropy_of((x[i - 1], p) for x, _, _, p in pmf)
+        for i in users
+    ]
+    return cond, v_marginals, y_given_x
+
+
+def with_zeros(rng, spec):
+    """A distribution with at least one zero entry per user, keeping one positive."""
+    rows = []
+    for n in spec.x_alphabet_sizes:
+        w = [rng.random() if rng.random() < 0.6 else 0.0 for _ in range(n)]
+        w[rng.randrange(n)] = 0.0
+        if not any(w):
+            w[rng.randrange(n)] = 1.0
+        s = sum(w)
+        rows.append(tuple(v / s for v in w))
+    return InputDistribution(tuple(rows))
+
+
+def test_table_matches_dict_enumeration_reference(parity3):
+    rng = random.Random(13)
+    cases = [(parity3, InputDistribution.uniform(parity3)), (parity3, with_zeros(rng, parity3))]
+    for K, max_x in ((2, 4), (3, 3), (3, 4), (4, 3)):
+        for _ in range(3):
+            spec = random_injective_channel(rng, K, max_x)
+            cases.append((spec, random_full_support(rng, spec)))
+            cases.append((spec, with_zeros(rng, spec)))
+    for spec, dist in cases:
+        table = build_entropy_table(spec, dist)
+        cond, v_marginals, y_given_x = reference_table(spec, dist)
+        assert table.cond.keys() == cond.keys()
+        for key, h in cond.items():
+            assert table.cond[key] == pytest.approx(h, abs=1e-12), key
+        assert table.v_marginals == pytest.approx(v_marginals, abs=1e-12)
+        assert table.y_given_own_input == pytest.approx(y_given_x, abs=1e-12)
+
+
 def test_conditioning_monotonicity():
     rng = random.Random(5)
     for _ in range(10):

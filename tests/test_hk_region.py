@@ -14,7 +14,7 @@ from dicregion.hk_region import (
 from dicregion.polytope import LinearInequality, contains_point, is_subset, regions_equal, vertices
 from dicregion.theorem_region import enumerate_facets
 
-from conftest import random_full_support, random_injective_channel
+from conftest import product_channel, random_full_support, random_injective_channel, xor_channel
 
 
 def table_for(spec, dist=None):
@@ -135,23 +135,32 @@ def test_downward_closure():
             assert contains_point(region, shrunk, 1e-9)
 
 
-def test_projection_equals_enumeration_k2():
-    # The repo's central equivalence at K=2: both routes, same region.
-    rng = random.Random(5)
-    from conftest import product_channel, xor_channel
-
+def _k2_cases(rng):
     channels = [xor_channel(), product_channel()] + [
         random_injective_channel(rng, 2, 4) for _ in range(3)
     ]
     for spec in channels:
         for dist in (InputDistribution.uniform(spec), random_full_support(rng, spec)):
-            table = build_entropy_table(spec, dist)
-            projected = project_to_aggregate(build_A1(spec, table))
-            enumerated = enumerate_facets(spec, table, a_max=2)
-            assert regions_equal(projected, enumerated, 1e-9), spec
-            # containment both ways is what equality certifies
-            assert is_subset(projected, enumerated, 1e-9)
-            assert is_subset(enumerated, projected, 1e-9)
+            yield spec, dist
+
+
+def _k4_case(rng):
+    spec = random_injective_channel(rng, 4, 3)
+    yield spec, random_full_support(rng, spec)
+
+
+@pytest.mark.parametrize("cases,a_max", [(_k2_cases, 2), (_k4_case, 3)], ids=["k2", "k4"])
+def test_projection_equals_enumeration(cases, a_max):
+    # The repo's central equivalence: both routes, same region.
+    rng = random.Random(5)
+    for spec, dist in cases(rng):
+        table = build_entropy_table(spec, dist)
+        projected = project_to_aggregate(build_A1(spec, table))
+        enumerated = enumerate_facets(spec, table, a_max=a_max)
+        assert regions_equal(projected, enumerated, 1e-9), spec
+        # containment both ways is what equality certifies
+        assert is_subset(projected, enumerated, 1e-9)
+        assert is_subset(enumerated, projected, 1e-9)
 
 
 def test_split_labels_fixed_order():

@@ -35,7 +35,12 @@ from dicregion.theorem_region import (
     scheme_to_facet,
 )
 
-from conftest import random_full_support, random_injective_channel, xor_channel
+from conftest import (
+    random_entropy_table,
+    random_full_support,
+    random_injective_channel,
+    xor_channel,
+)
 
 
 def xor_table():
@@ -102,6 +107,19 @@ def test_enumerate_equals_preset_region_on_random_channels():
             prune_redundant(Region(2, tuple(rows), ("R1", "R2")))
         )
         assert regions_equal(enumerated, preset_region, 1e-9)
+
+
+@pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (2, 3), (3, 2)])
+def test_dp_matches_exhaustive_facet_choices(K, a_max):
+    rng = random.Random(100 * K + a_max)
+    spec = random_injective_channel(rng, K, 2)
+    labels = tuple(f"R{i}" for i in range(1, K + 1))
+    for _ in range(3):
+        table = random_entropy_table(rng, K)
+        rows = [facet_inequality(fs, table) for fs in enumerate_facet_specs(K, a_max)]
+        rows += nonneg_inequalities(K)
+        reference = canonicalize(prune_redundant(Region(K, tuple(rows), labels)))
+        assert regions_equal(enumerate_facets(spec, table, a_max=a_max), reference, 1e-9)
 
 
 def test_spec_count_small_case():
