@@ -9,11 +9,11 @@ every receiver i and every user subset M (all 2^K of them) it contains
 plus nonnegativity for every coordinate.  Redundant subset choices are
 harmless; the projection pipeline prunes them.
 
-Aggregate rates are R_i = R_ip + R_ic.  Projection appends the aggregate
-variables, encodes each defining equality as an inequality pair, and
-eliminates the split variables (common rate then private rate, user by
-user) with redundancy pruning after every elimination so the intermediate
-systems stay small.
+Aggregate rates are R_i = R_ip + R_ic.  Projection substitutes
+R_ic = R_i - R_ip in exact integers (a unimodular change of coordinates, so
+-R_ic <= 0 becomes R_ip - R_i <= 0) and eliminates only the private rates,
+user by user, with redundancy pruning before every elimination so the
+intermediate systems stay small.
 """
 
 from __future__ import annotations
@@ -87,8 +87,8 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     """Project the rate-splitting region onto aggregate rates (R_1, ..., R_K).
 
-    Prunes after each variable elimination; the result is an irredundant
-    description over labels R1..RK with explicit nonnegativity.
+    Substitutes R_ic = R_i - R_ip, then eliminates R_1p..R_Kp with a prune
+    before each; the result is irredundant, with explicit nonnegativity.
     """
     if a1.dim % 2 != 0:
         raise ValueError(f"split region must have even dimension, got {a1.dim}")
@@ -97,24 +97,15 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     if a1.labels != expected:
         raise ValueError(f"split region labels {a1.labels} != expected {expected}")
 
-    labels = expected + aggregate_labels(K)
-    rows = [
-        LinearInequality(ineq.coeffs + (0,) * K, ineq.rhs) for ineq in a1.inequalities
-    ]
-    for i in range(K):
-        coeffs = [0] * (3 * K)
-        coeffs[2 * i] = 1
-        coeffs[2 * i + 1] = 1
-        coeffs[2 * K + i] = -1
-        rows.append(LinearInequality(tuple(coeffs), 0.0))  # R_ip + R_ic <= R_i
-        rows.append(LinearInequality(tuple(-c for c in coeffs), 0.0))  # and >=
-    work = Region(3 * K, tuple(rows), labels)
+    # c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user.
+    rows = []
+    for ineq in a1.inequalities:
+        private, common = ineq.coeffs[0::2], ineq.coeffs[1::2]
+        rows.append(LinearInequality(tuple(p - c for p, c in zip(private, common)) + common, ineq.rhs))
+    work = Region(2 * K, tuple(rows), expected[0::2] + aggregate_labels(K))
 
     for i in range(1, K + 1):
-        for name in (f"R{i}c", f"R{i}p"):
-            work = fm_eliminate(work, name, tol=tol)
-            work = prune_redundant(work, tol=tol)
+        work = fm_eliminate(prune_redundant(work, tol=tol), f"R{i}p", tol=tol)
 
-    rows = list(work.inequalities) + nonneg_inequalities(K)
-    work = Region(K, tuple(rows), aggregate_labels(K))
+    work = Region(K, work.inequalities + tuple(nonneg_inequalities(K)), work.labels)
     return canonicalize(prune_redundant(work, tol=tol), tol=tol)

@@ -16,7 +16,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -45,7 +45,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearInequality:
     """coeffs . x <= rhs with integer coefficients."""
 
@@ -194,10 +194,13 @@ def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
 def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     """Drop inequalities implied by the rest of the system.
 
-    Each removal is certified by an LP: the maximum of the candidate's
-    left-hand side over the remaining system is <= rhs + tol.  Unit
-    nonnegativity rows (-x_i <= 0) are always kept so rate regions retain
-    their explicit nonnegativity constraints.
+    Row k is dropped when the surviving other rows bound a_k.x by b_k + tol
+    or admit no point; unit nonnegativity rows (-x_i <= 0) are always kept.
+    Each LP is output-sensitive (Clarkson, FOCS 1994): it runs over a working
+    set, seeded with the nonnegativity rows, plus the cap a_k.x <= b_k + 1.
+    An optimum violating no other surviving row beyond tol witnesses that k
+    is needed (k joins the set); otherwise the five most violated rows join
+    and the LP runs again.  Decisions equal testing against all survivors.
     """
     ineqs = _dedup_min_rhs(region.inequalities)
     # Test busy combination rows first so that simple facets survive.
@@ -209,25 +212,30 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
             ineqs[k].coeffs,
         ),
     )
-    alive = [True] * len(ineqs)
+    A, b = Region(region.dim, ineqs, region.labels).matrix()
+    alive = np.ones(len(ineqs), dtype=bool)
+    working = np.array([_is_nonneg_row(q) for q in ineqs], dtype=bool)
     for k in test_order:
-        cand = ineqs[k]
-        if _is_nonneg_row(cand):
+        if _is_nonneg_row(ineqs[k]):
             continue
-        others = [ineqs[j] for j in range(len(ineqs)) if alive[j] and j != k]
-        A = [o.coeffs for o in others]
-        b = [o.rhs for o in others]
-        res = lp.maximize(cand.coeffs, A, b, tol=tol)
-        if res.status == lp.UNBOUNDED:
-            continue
-        if res.status == lp.INFEASIBLE:
-            logger.debug("prune_redundant: remaining system infeasible; dropping row")
-            alive[k] = False
-            continue
-        if res.value <= cand.rhs + tol:
-            alive[k] = False
-    kept = [ineqs[j] for j in range(len(ineqs)) if alive[j]]
-    return Region(region.dim, tuple(kept), region.labels)
+        alive[k] = False  # k is tested against the others
+        while True:
+            rows = np.append(np.flatnonzero(working & alive), k)
+            res = lp.maximize(A[k], A[rows], b[rows] + (rows == k), tol=tol)
+            if res.status == lp.INFEASIBLE:
+                # Others empty (drop k), or all violate row k by over 1 (keep).
+                alive[k] = lp.maximize(A[k], A[alive], b[alive], tol=tol).status != lp.INFEASIBLE
+                break
+            if res.value <= b[k] + tol:
+                break
+            # The LP enforced the working rows, so each pass adds a new row.
+            excess = A @ np.asarray(res.x) - b
+            violated = np.flatnonzero(alive & ~working & (excess > tol))
+            if violated.size == 0:
+                alive[k] = working[k] = True
+                break
+            working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
+    return Region(region.dim, tuple(compress(ineqs, alive)), region.labels)
 
 
 def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):

@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import dicregion.lp
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.hk_region import (
     aggregate_projection_matrix,
@@ -11,7 +14,14 @@ from dicregion.hk_region import (
     project_to_aggregate,
     split_labels,
 )
-from dicregion.polytope import LinearInequality, contains_point, is_subset, regions_equal, vertices
+from dicregion.polytope import (
+    LinearInequality,
+    contains_point,
+    is_subset,
+    regions_equal,
+    support_value,
+    vertices,
+)
 from dicregion.theorem_region import enumerate_facets
 
 from conftest import product_channel, random_full_support, random_injective_channel, xor_channel
@@ -172,9 +182,12 @@ def test_elimination_order_invariance_on_split_system():
     # give the same aggregate region.
     import dicregion.polytope as poly
 
+    # The reference route encodes R_ip + R_ic = R_i as an inequality pair
+    # and eliminates all 2K split rates, so it also checks the substitution.
     rng = random.Random(8)
-    for _ in range(3):
-        spec = random_injective_channel(rng, 2, 3)
+    specs = [random_injective_channel(rng, 2, 3) for _ in range(3)]
+    specs.append(random_injective_channel(rng, 4, 2))
+    for spec in specs:
         table = table_for(spec)
         a1 = build_A1(spec, table)
         standard = project_to_aggregate(a1)
@@ -199,6 +212,40 @@ def test_elimination_order_invariance_on_split_system():
                 work = poly.prune_redundant(work)
         reversed_route = poly.canonicalize(work)
         assert regions_equal(standard, reversed_route, 1e-9)
+
+
+def test_k4_support_values_match_highs_on_lifted_system():
+    # max d.R over the projection equals max d.(P z) over the split region.
+    rng = random.Random(12)
+    spec = random_injective_channel(rng, 4, 2)
+    a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    region = project_to_aggregate(a1)
+    A, b = a1.matrix()
+    P = np.array(aggregate_projection_matrix(4), dtype=float)
+    for _ in range(20):
+        d = np.array([rng.uniform(-1, 1) for _ in range(4)])
+        ref = linprog(-(d @ P), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        assert support_value(region, d) == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def test_k5_projection_lp_rows_stay_output_sensitive(monkeypatch):
+    # Pruning each row against all surviving others passed 34,432 constraint
+    # rows to the LP here; the working-set LPs pass under 15,000.
+    rng = random.Random(12)
+    spec = random_injective_channel(rng, 5, 2)
+    a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    maximize = dicregion.lp.maximize
+    rows = []
+
+    def counting(c, A, b, tol=1e-9):
+        rows.append(len(A))
+        return maximize(c, A, b, tol=tol)
+
+    monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    region = project_to_aggregate(a1)
+    assert len(region.inequalities) == 32
+    assert sum(rows) <= 20_000
 
 
 def test_vertex_hull_round_trip_on_computed_regions():

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dicregion import lp
 from dicregion.errors import InfeasibleRegionError, UnboundedDirectionError
 from dicregion.polytope import (
     LinearInequality,
@@ -87,6 +88,59 @@ def test_prune_preserves_feasible_set():
         pruned = prune_redundant(region)
         assert regions_equal(region, pruned, 1e-9)
         assert len(pruned.inequalities) <= len(region.inequalities)
+
+
+def _prune_against_all_others(region, tol=1e-9):
+    """The plain pruning rule: each row, in prune_redundant's order, is
+    dropped iff the other surviving rows bound it or admit no point."""
+    best = {}
+    for q in region.inequalities:
+        best[q.coeffs] = min(q.rhs, best.get(q.coeffs, q.rhs))
+    rows = list(best.items())
+    order = sorted(
+        range(len(rows)),
+        key=lambda k: (-sum(c != 0 for c in rows[k][0]), -sum(map(abs, rows[k][0])), rows[k][0]),
+    )
+    alive = [True] * len(rows)
+    for k in order:
+        coeffs, rhs = rows[k]
+        if rhs == 0.0 and sum(c != 0 for c in coeffs) == 1 and min(coeffs) == -1:
+            continue
+        others = [rows[j] for j in range(len(rows)) if alive[j] and j != k]
+        res = lp.maximize(coeffs, [o[0] for o in others], [o[1] for o in others], tol=tol)
+        if res.status == lp.INFEASIBLE or (res.status == lp.OPTIMAL and res.value <= rhs + tol):
+            alive[k] = False
+    return [rows[j] for j in range(len(rows)) if alive[j]]
+
+
+def test_prune_matches_testing_against_all_others():
+    fixed = [
+        R(1, [((1,), 1.0), ((2,), 2.0), ((-1,), 0.0)]),  # positive multiples of one row
+        R(2, [((1, 0), 1.0), ((1, 1), 3.0), ((-1, 0), 0.0)]),  # unbounded in x2
+        R(1, [((1,), -5.0), ((-1,), 0.0)]),  # others feasible, row k violated by more than 1
+        R(2, [((1, 1), -1.0), ((1, 0), 2.0), ((-1, 0), 0.0), ((0, -1), 0.0)]),  # empty
+    ]
+    rng = random.Random(17)
+    randoms = []
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        rows = [
+            (tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(-3, 6)))
+            for _ in range(rng.randint(2, 12))
+        ]
+        rows += [(tuple(m * c for c in coeffs), m * rhs) for coeffs, rhs in rows[:2] for m in (2, 3)]
+        if rng.random() < 0.6:
+            rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
+        rng.shuffle(rows)
+        randoms.append(R(dim, rows))
+    statuses = set()
+    for region in fixed + randoms:
+        A, b = region.matrix()
+        statuses.add(lp.maximize([1.0] * region.dim, A, b).status)
+        pruned = prune_redundant(region)
+        assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
+    # the random systems include empty, unbounded and bounded regions
+    assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
 
 
 def test_is_subset_examples():
