@@ -9,7 +9,7 @@ Commands:
 
 Exit codes: 0 success (valid / equal), 1 semantic negative (non-injective,
 unequal, refused, unbounded), 2 usage or parse error.  The DIC_SEED
-environment variable overrides any --seed flag.
+environment variable overrides the --seed flag of compare.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 import os
 import random
 import sys
-from dataclasses import dataclass
 
 from . import hk_region, theorem_region
 from .channel import load_channel, validate_injectivity
@@ -42,40 +41,21 @@ from .polytope import (
 )
 from .theorem_region import facet_to_dict, presets
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Knobs shared by the commands."""
-
-    tolerance: float = 1e-9
-    a_max: int | None = None
-    facet_guard: int = theorem_region.DEFAULT_FACET_GUARD
-    directions: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.directions < 1:
-            raise ValueError("direction count must be >= 1")
-        if self.facet_guard < 1:
-            raise ValueError("facet guard must be >= 1")
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
 
 
-def _config_from_args(args) -> RunConfig:
-    seed = getattr(args, "seed", 0)
-    env_seed = os.environ.get("DIC_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
-    return RunConfig(
-        tolerance=getattr(args, "tol", 1e-9),
-        a_max=getattr(args, "a_max", None),
-        facet_guard=getattr(args, "guard", theorem_region.DEFAULT_FACET_GUARD),
-        directions=getattr(args, "directions", 100),
-        seed=seed,
-    )
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
 
 
 def _fail_parse(what: str, exc: Exception) -> int:
@@ -110,7 +90,6 @@ def cmd_region(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_parse(f"distribution file {args.dist!r}", exc)
 
-    config = _config_from_args(args)
     report = validate_injectivity(spec)
     if not report.is_injective:
         if args.force and args.method == "hk-project":
@@ -138,26 +117,26 @@ def cmd_region(args) -> int:
     try:
         if args.method == "hk-project":
             region = hk_region.project_to_aggregate(
-                hk_region.build_A1(spec, table), tol=config.tolerance
+                hk_region.build_A1(spec, table), tol=args.tol
             )
         else:
-            a_max = config.a_max or theorem_region.default_a_max(spec.K)
+            a_max = args.a_max or theorem_region.default_a_max(spec.K)
             region = theorem_region.enumerate_facets(
                 spec,
                 table,
                 a_max=a_max,
-                max_facets=config.facet_guard,
-                tol=config.tolerance,
+                max_facets=args.guard,
+                tol=args.tol,
             )
             if args.check_a_max:
                 bumped = theorem_region.enumerate_facets(
                     spec,
                     table,
                     a_max=a_max + 1,
-                    max_facets=config.facet_guard,
-                    tol=config.tolerance,
+                    max_facets=args.guard,
+                    tol=args.tol,
                 )
-                if regions_equal(region, bumped, config.tolerance):
+                if regions_equal(region, bumped, args.tol):
                     print(f"a_max check: raising {a_max} -> {a_max + 1} left the region unchanged")
                 else:
                     print(
@@ -180,6 +159,14 @@ def cmd_region(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    seed = args.seed
+    env_seed = os.environ.get("DIC_SEED")
+    if env_seed is not None:
+        try:
+            seed = int(env_seed)
+        except ValueError:
+            print(f"error: DIC_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
+            return 2
     regions = []
     for path in (args.region_a, args.region_b):
         try:
@@ -190,8 +177,7 @@ def cmd_compare(args) -> int:
     if a.dim != b.dim:
         print(f"unequal: dimensions differ ({a.dim} vs {b.dim})")
         return 1
-    config = _config_from_args(args)
-    tol = config.tolerance
+    tol = args.tol
 
     for left, right, name in ((a, b, args.region_b), (b, a, args.region_a)):
         violation = find_subset_violation(left, right, tol)
@@ -204,8 +190,8 @@ def cmd_compare(args) -> int:
             )
             return 1
 
-    rng = random.Random(config.seed)
-    for _ in range(config.directions):
+    rng = random.Random(seed)
+    for _ in range(args.directions):
         direction = [rng.uniform(-1.0, 1.0) for _ in range(a.dim)]
         va = vb = None
         try:
@@ -221,7 +207,7 @@ def cmd_compare(args) -> int:
         ):
             print(f"unequal: support values differ in direction {direction}: {va} vs {vb}")
             return 1
-    print(f"equal within tol {tol} ({config.directions} direction spot checks)")
+    print(f"equal within tol {tol} ({args.directions} direction spot checks)")
     return 0
 
 
@@ -321,15 +307,15 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help="projection of the rate-splitting region, or direct facet enumeration",
     )
-    p.add_argument("--a-max", dest="a_max", type=int, default=None, help="facet weight cap")
+    p.add_argument("--a-max", dest="a_max", type=_positive_int, default=None, help="facet weight cap")
     p.add_argument(
         "--check-a-max",
         dest="check_a_max",
         action="store_true",
         help="with --method theorem: re-enumerate at a_max+1 and report whether the region changed",
     )
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--guard", type=int, default=theorem_region.DEFAULT_FACET_GUARD)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--guard", type=_positive_int, default=theorem_region.DEFAULT_FACET_GUARD)
     p.add_argument("--out", default=None, help="write region JSON here instead of stdout")
     p.add_argument(
         "--force",
@@ -341,8 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="certify that two region files describe the same set")
     p.add_argument("region_a")
     p.add_argument("region_b")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--directions", type=int, default=100, help="random support-value spot checks")
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument(
+        "--directions", type=_positive_int, default=100, help="random support-value spot checks"
+    )
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_compare)
 

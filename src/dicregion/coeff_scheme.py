@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .entropy import EntropyTable
+from .entropy import EntropyTable, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
 
@@ -45,14 +45,6 @@ __all__ = [
     "scheme_from_dict",
     "scheme_to_dict",
 ]
-
-
-def subset_rank(M) -> int:
-    """Binary encoding of a user subset (user m sets bit m-1)."""
-    r = 0
-    for m in M:
-        r |= 1 << (m - 1)
-    return r
 
 
 @dataclass(frozen=True)

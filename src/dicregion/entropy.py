@@ -19,6 +19,7 @@ from .channel import ChannelSpec
 __all__ = [
     "InputDistribution",
     "EntropyTable",
+    "subset_rank",
     "build_entropy_table",
     "check_injectivity_identity",
     "load_distribution",
@@ -65,23 +66,40 @@ class InputDistribution:
         return cls(tuple(rows))
 
 
-@dataclass(frozen=True)
+def subset_rank(M) -> int:
+    """Binary encoding of a user subset (user m sets bit m-1)."""
+    r = 0
+    for m in M:
+        r |= 1 << (m - 1)
+    return r
+
+
+@dataclass(frozen=True, eq=False)
 class EntropyTable:
     """All conditional entropies the region formulas need.
 
-    cond[(i, T)] = H(Y_i | V_T) for receiver i and any subset T of users
-    (T given as a frozenset of 1-based user indices, possibly containing i).
+    h is a read-only float array of shape (K, 2^K) with
+    h[i-1, mask] = H(Y_i | V_T) for receiver i and user subset T, where bit
+    m-1 of mask is user m (mask = subset_rank(T); T may contain i).  The
+    constructor copies h and raises ValueError for any other shape.
     v_marginals[j-1] = H(V_j).
     """
 
     K: int
-    cond: dict
+    h: np.ndarray = field(repr=False)
     v_marginals: tuple[float, ...]
     # H(Y_i | X_i), used by the injectivity identity check.
     y_given_own_input: tuple[float, ...] = field(repr=False)
 
+    def __post_init__(self):
+        h = np.array(self.h, dtype=float)
+        if h.shape != (self.K, 1 << self.K):
+            raise ValueError(f"entropy array has shape {h.shape}, expected ({self.K}, {1 << self.K})")
+        h.flags.writeable = False
+        object.__setattr__(self, "h", h)
+
     def h_y_given_v(self, i: int, T) -> float:
-        return self.cond[(i, frozenset(T))]
+        return float(self.h[i - 1, subset_rank(T)])
 
     def h_v(self, j: int) -> float:
         return self.v_marginals[j - 1]
@@ -99,8 +117,10 @@ def _entropy(codes, weights) -> float:
 def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTable:
     """Fill the complete conditional-entropy table.
 
-    Receiver i's entries come from the joint pmf of (X_i, V_j for j != i),
-    which is a product of independent pmfs, over the cells of its output table.
+    Row i-1 of the (K, 2^K) array holds H(Y_i | V_T) for every subset mask
+    (bit m-1 is user m).  Receiver i's entries come from the joint pmf of
+    (X_i, V_j for j != i), which is a product of independent pmfs, over the
+    cells of its output table.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -119,7 +139,7 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
     v_pmf = [np.bincount(v_rank[j - 1], weights=dist.probs[j - 1]) for j in users]
 
-    cond = {}
+    entropies = np.empty((K, 1 << K))
     h_y_given_x = []
     for i in users:
         others = spec.other_users(i)
@@ -138,18 +158,18 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
         # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
         h = _entropy(grid[0] * n_y + y, weights) - _entropy(grid[0], weights)
         h_y_given_x.append(max(h, 0.0))
-        for bits in range(1 << K):
-            T = frozenset(j for j in users if bits & (1 << (j - 1)))
+        for mask in range(1 << K):
             # H(Y_i | V_T) = H(V_T, Y_i) - H(V_T), V_T coded in mixed radix.
             key = np.zeros_like(y)
-            for j in sorted(T):
-                key = key * len(v_pmf[j - 1]) + v[j]
+            for j in users:
+                if mask >> (j - 1) & 1:
+                    key = key * len(v_pmf[j - 1]) + v[j]
             h = _entropy(key * n_y + y, weights) - _entropy(key, weights)
-            cond[(i, T)] = max(h, 0.0)
+            entropies[i - 1, mask] = max(h, 0.0)
 
     marginals = tuple(_entropy(v_rank[j - 1], dist.probs[j - 1]) for j in users)
     return EntropyTable(
-        K=K, cond=cond, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
+        K=K, h=entropies, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
     )
 
 

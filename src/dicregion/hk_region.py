@@ -70,16 +70,17 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
     K = spec.K
-    full = frozenset(range(1, K + 1))
+    full = (1 << K) - 1
+    h = table.h.tolist()
     rows = []
-    for i in range(1, K + 1):
-        for bits in range(1 << K):
-            M = frozenset(j for j in range(1, K + 1) if bits & (1 << (j - 1)))
+    for i in range(K):
+        for M in range(1 << K):
             coeffs = [0] * (2 * K)
-            coeffs[2 * (i - 1)] += 1  # receiver's private rate
-            for k in M:
-                coeffs[2 * (k - 1) + 1] += 1  # common rates decoded jointly
-            rows.append(LinearInequality(tuple(coeffs), table.h_y_given_v(i, full - M)))
+            coeffs[2 * i] = 1  # receiver's private rate
+            for k in range(K):
+                if M >> k & 1:
+                    coeffs[2 * k + 1] = 1  # common rates decoded jointly
+            rows.append(LinearInequality(tuple(coeffs), h[i][full ^ M]))
     rows.extend(nonneg_inequalities(2 * K))
     return Region(2 * K, tuple(rows), split_labels(K))
 

@@ -76,7 +76,7 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
             if basis[i] >= 2 * n + m:
                 T[m, :] -= T[i, :]
         _iterate(T, basis, tol, allow_unbounded=False)
-        if -T[m, -1] > 1e-7:  # leftover artificial mass
+        if -T[m, -1] > tol:  # leftover artificial mass
             return LPResult(INFEASIBLE, None, None)
         _evict_artificials(T, basis, 2 * n + m, tol)
 

@@ -24,8 +24,8 @@ import math
 from dataclasses import dataclass
 
 from .channel import ChannelSpec
-from .coeff_scheme import CoefficientScheme, de_of, subset_rank
-from .entropy import EntropyTable
+from .coeff_scheme import CoefficientScheme, de_of
+from .entropy import EntropyTable, subset_rank
 from .errors import EnumerationOverflowError
 from .polytope import (
     LinearInequality,
@@ -267,14 +267,9 @@ def enumerate_facets(
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
 
-    full = frozenset(range(1, K + 1))
-    term = [
-        [
-            table.h_y_given_v(i, full - frozenset(m for m in range(1, K + 1) if mask & (1 << (m - 1))))
-            for mask in range(1 << K)
-        ]
-        for i in range(1, K + 1)
-    ]
+    # term[i-1][M] = H(Y_i | V_{complement of M}); the complement of mask M
+    # is 2^K - 1 - M, so each row is read backwards.
+    term = table.h[:, ::-1].tolist()
 
     budget = _SizeGuard(max_facets, "DP states")
     rows = [

@@ -84,12 +84,8 @@ def random_full_support(rng: random.Random, spec: ChannelSpec) -> InputDistribut
 
 def random_entropy_table(rng: random.Random, K: int) -> EntropyTable:
     """Entropy table with independent random entries, tied to no channel."""
-    cond = {}
-    for i in range(1, K + 1):
-        for bits in range(1 << K):
-            T = frozenset(j for j in range(1, K + 1) if bits & (1 << (j - 1)))
-            cond[(i, T)] = rng.uniform(0.0, 3.0)
-    return EntropyTable(K=K, cond=cond, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
+    h = [[rng.uniform(0.0, 3.0) for _mask in range(1 << K)] for _i in range(K)]
+    return EntropyTable(K=K, h=h, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
 
 
 def random_scheme(rng: random.Random, K: int, wmax: int = 3, density: float = 0.35) -> CoefficientScheme:

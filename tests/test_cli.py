@@ -234,3 +234,49 @@ def test_seed_env_override(xor_file, uniform2_file, tmp_path, monkeypatch, capsy
     monkeypatch.setenv("DIC_SEED", "123")
     assert main(["compare", str(out), str(out), "--directions", "5"]) == 0
     assert "equal" in capsys.readouterr().out
+
+
+def exit_code(argv):
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["--tol", "-1"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--guard", "0"],
+        ["--a-max", "-3"],
+        ["--a-max", "0"],
+    ],
+    ids=["tol-negative", "tol-nan", "tol-inf", "guard-zero", "a-max-negative", "a-max-zero"],
+)
+def test_region_invalid_values_are_usage_errors(xor_file, uniform2_file, extra, capsys):
+    assert exit_code(["region", xor_file, uniform2_file, "--method", "theorem"] + extra) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "extra", [["--directions", "0"], ["--tol", "0"]], ids=["directions-zero", "tol-zero"]
+)
+def test_compare_invalid_values_are_usage_errors(tmp_path, extra, capsys):
+    path = tmp_path / "simplex.json"
+    save_region(UNIT_SIMPLEX, path)
+    assert exit_code(["compare", str(path), str(path)] + extra) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_invalid_seed_env_is_read_only_by_compare(xor_file, uniform2_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DIC_SEED", "abc")
+    out = tmp_path / "r.json"
+    assert main(["region", xor_file, uniform2_file, "--method", "theorem", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(out), str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "DIC_SEED" in captured.err

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from dicregion.coeff_scheme import (
     scheme_to_dict,
     step1_reduce,
     step2_reduce,
+    subset_rank,
 )
 from dicregion.entropy import EntropyTable, InputDistribution, build_entropy_table
 from dicregion.errors import SchemeReductionError
@@ -42,13 +44,11 @@ def xor_table():
 
 
 def synthetic_table(K, values):
-    """EntropyTable with hand-picked conditional values ((i, T) -> h)."""
-    cond = {}
-    for i in range(1, K + 1):
-        for bits in range(1 << K):
-            T = frozenset(j for j in range(1, K + 1) if bits & (1 << (j - 1)))
-            cond[(i, T)] = values.get((i, T), 0.0)
-    return EntropyTable(K=K, cond=cond, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
+    """EntropyTable with hand-picked conditional values ((i, T) -> h), zero elsewhere."""
+    h = np.zeros((K, 1 << K))
+    for (i, T), value in values.items():
+        h[i - 1, subset_rank(T)] = value
+    return EntropyTable(K=K, h=h, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
 
 
 def test_de_single_entry():

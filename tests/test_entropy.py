@@ -4,14 +4,17 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dicregion.entropy import (
+    EntropyTable,
     InputDistribution,
     build_entropy_table,
     check_injectivity_identity,
     load_distribution,
     save_distribution,
+    subset_rank,
 )
 
 from conftest import random_full_support, random_injective_channel
@@ -55,9 +58,27 @@ def test_xor_uniform_values(xor):
 
 def test_point_mass_all_zero(xor):
     table = build_entropy_table(xor, InputDistribution.point_mass(xor))
-    for (_, _), h in table.cond.items():
+    for h in table.h.ravel():
         assert h == pytest.approx(0.0, abs=1e-12)
     assert all(h == 0.0 for h in table.v_marginals)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4,), (2, 4, 1)])
+def test_table_rejects_wrong_array_shape(shape):
+    with pytest.raises(ValueError, match="shape"):
+        EntropyTable(K=2, h=np.zeros(shape), v_marginals=(0.0, 0.0), y_given_own_input=(0.0, 0.0))
+
+
+def test_table_array_is_a_read_only_copy(xor):
+    source = np.arange(8.0).reshape(2, 4)
+    table = EntropyTable(K=2, h=source, v_marginals=(0.0, 0.0), y_given_own_input=(0.0, 0.0))
+    source[0, 0] = 99.0
+    assert table.h_y_given_v(1, set()) == 0.0
+    assert table.h_y_given_v(2, {1, 2}) == 7.0  # row 2, mask 0b11
+    built = build_entropy_table(xor, InputDistribution.uniform(xor))
+    for t in (table, built):
+        with pytest.raises(ValueError):
+            t.h[0, 0] = 1.0
 
 
 def test_product_channel_values(product):
@@ -139,9 +160,9 @@ def test_table_matches_dict_enumeration_reference(parity3):
     for spec, dist in cases:
         table = build_entropy_table(spec, dist)
         cond, v_marginals, y_given_x = reference_table(spec, dist)
-        assert table.cond.keys() == cond.keys()
-        for key, h in cond.items():
-            assert table.cond[key] == pytest.approx(h, abs=1e-12), key
+        assert len(cond) == table.h.size  # every array entry is compared below
+        for (i, T), h in cond.items():
+            assert table.h[i - 1, subset_rank(T)] == pytest.approx(h, abs=1e-12), (i, T)
         assert table.v_marginals == pytest.approx(v_marginals, abs=1e-12)
         assert table.y_given_own_input == pytest.approx(y_given_x, abs=1e-12)
 

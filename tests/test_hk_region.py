@@ -24,7 +24,13 @@ from dicregion.polytope import (
 )
 from dicregion.theorem_region import enumerate_facets
 
-from conftest import product_channel, random_full_support, random_injective_channel, xor_channel
+from conftest import (
+    product_channel,
+    random_entropy_table,
+    random_full_support,
+    random_injective_channel,
+    xor_channel,
+)
 
 
 def table_for(spec, dist=None):
@@ -53,6 +59,24 @@ def test_a1_specific_rows_xor(xor):
     assert ((1, 1, 0, 1), 1.0) in rows
     # receiver 1, nothing decoded jointly: R1p <= H(Y1 | V1 V2) = 0
     assert ((1, 0, 0, 0), 0.0) in rows
+
+
+def test_a1_rows_read_the_complement_entry(parity3):
+    # Distinct random entries, so a complement or bit-order slip shows.
+    K = 3
+    table = random_entropy_table(random.Random(4), K)
+    region = build_A1(parity3, table)
+    rhs_of = {q.coeffs: q.rhs for q in region.inequalities}
+    assert len(region.inequalities) == K * (1 << K) + 2 * K
+    full = frozenset(range(1, K + 1))
+    for i in range(1, K + 1):
+        for mask in range(1 << K):
+            M = frozenset(m for m in range(1, K + 1) if mask >> (m - 1) & 1)
+            coeffs = [0] * (2 * K)
+            coeffs[2 * (i - 1)] = 1
+            for m in M:
+                coeffs[2 * (m - 1) + 1] = 1
+            assert rhs_of[tuple(coeffs)] == table.h_y_given_v(i, full - M), (i, sorted(M))
 
 
 def test_project_xor_gives_simplex(xor):

@@ -33,6 +33,15 @@ def test_infeasible():
     assert res.status == lp.INFEASIBLE
 
 
+def test_phase1_infeasibility_follows_tol():
+    # x <= 0 and x >= 5e-8: infeasible by 50 times the default tol.
+    assert lp.maximize([1.0], [[1], [-1]], [0.0, -5e-8]).status == lp.INFEASIBLE
+    # Infeasible by less than tol: accepted as feasible.
+    res = lp.maximize([1.0], [[1], [-1]], [0.0, -5e-10])
+    assert res.status == lp.OPTIMAL
+    assert res.value == pytest.approx(0.0, abs=1e-9)
+
+
 def test_no_constraints():
     assert lp.maximize([0.0, 0.0], [], []).value == 0.0
     assert lp.maximize([1.0, 0.0], [], []).status == lp.UNBOUNDED
