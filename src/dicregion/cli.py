@@ -44,10 +44,10 @@ from .theorem_region import facet_to_dict, presets
 __all__ = ["main"]
 
 
-def _positive_float(text: str) -> float:
+def _tolerance(text: str) -> float:
     value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive and below 1, got {text}")
     return value
 
 
@@ -314,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="with --method theorem: re-enumerate at a_max+1 and report whether the region changed",
     )
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--guard", type=_positive_int, default=theorem_region.DEFAULT_FACET_GUARD)
     p.add_argument("--out", default=None, help="write region JSON here instead of stdout")
     p.add_argument(
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="certify that two region files describe the same set")
     p.add_argument("region_a")
     p.add_argument("region_b")
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument(
         "--directions", type=_positive_int, default=100, help="random support-value spot checks"
     )

@@ -11,15 +11,21 @@ harmless; the projection pipeline prunes them.
 
 Aggregate rates are R_i = R_ip + R_ic.  Projection substitutes
 R_ic = R_i - R_ip in exact integers (a unimodular change of coordinates, so
--R_ic <= 0 becomes R_ip - R_i <= 0) and eliminates only the private rates,
-user by user, with redundancy pruning before every elimination so the
-intermediate systems stay small.
+-R_ic <= 0 becomes R_ip - R_i <= 0) and eliminates only the private rates.
+The (i, M = {}) row bounds R_ip by H(Y_i | V_1..V_K), which is exactly 0
+when user i's interference reveals its input (every binary user, for one);
+such a pinned rate is eliminated by dropping its column, an exact slice
+that needs no LP.  The others go user by user, with redundancy pruning
+before every elimination so the intermediate systems stay small.
 """
 
 from __future__ import annotations
 
+import functools
+
 from .channel import ChannelSpec
 from .entropy import EntropyTable
+from .errors import InfeasibleRegionError
 from .polytope import (
     LinearInequality,
     Region,
@@ -65,14 +71,12 @@ def aggregate_labels(K: int) -> tuple[str, ...]:
     return tuple(f"R{i}" for i in range(1, K + 1))
 
 
-def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
-    """Rate-splitting region over (R_1p, R_1c, ..., R_Kp, R_Kc)."""
-    if table.K != spec.K:
-        raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
-    K = spec.K
-    full = (1 << K) - 1
-    h = table.h.tolist()
-    rows = []
+@functools.cache
+def _a1_lhs(K: int) -> tuple[tuple[int, ...], ...]:
+    """Left-hand sides of `build_A1`, shared by every call with this K: the
+    (receiver i, subset M) rows in i-major, M-ascending order, then the
+    nonnegativity rows."""
+    lhs = []
     for i in range(K):
         for M in range(1 << K):
             coeffs = [0] * (2 * K)
@@ -80,16 +84,27 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
             for k in range(K):
                 if M >> k & 1:
                     coeffs[2 * k + 1] = 1  # common rates decoded jointly
-            rows.append(LinearInequality(tuple(coeffs), h[i][full ^ M]))
-    rows.extend(nonneg_inequalities(2 * K))
-    return Region(2 * K, tuple(rows), split_labels(K))
+            lhs.append(tuple(coeffs))
+    return tuple(lhs) + tuple(q.coeffs for q in nonneg_inequalities(2 * K))
+
+
+def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
+    """Rate-splitting region over (R_1p, R_1c, ..., R_Kp, R_Kc)."""
+    if table.K != spec.K:
+        raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
+    K = spec.K
+    # Row (i, M) reads h[i, full ^ M] = h[i, full - M]: row i of h reversed.
+    rhs = table.h[:, ::-1].ravel().tolist() + [0.0] * (2 * K)
+    return Region(2 * K, map(LinearInequality, _a1_lhs(K), rhs), split_labels(K))
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     """Project the rate-splitting region onto aggregate rates (R_1, ..., R_K).
 
-    Substitutes R_ic = R_i - R_ip, then eliminates R_1p..R_Kp with a prune
-    before each; the result is irredundant, with explicit nonnegativity.
+    Substitutes R_ic = R_i - R_ip, drops the column of every pinned private
+    rate (one with both unit rows R_ip <= 0 and -R_ip <= 0, right-hand side
+    exactly 0), then eliminates the others with a prune before each; the
+    result is irredundant, with explicit nonnegativity.
     """
     if a1.dim % 2 != 0:
         raise ValueError(f"split region must have even dimension, got {a1.dim}")
@@ -100,13 +115,29 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
 
     # c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user.
     rows = []
-    for ineq in a1.inequalities:
-        private, common = ineq.coeffs[0::2], ineq.coeffs[1::2]
-        rows.append(LinearInequality(tuple(p - c for p, c in zip(private, common)) + common, ineq.rhs))
-    work = Region(2 * K, tuple(rows), expected[0::2] + aggregate_labels(K))
+    zero_units = set()  # (column, sign) of the unit rows +-R_ip <= 0
+    for coeffs, rhs in zip(a1.lhs, a1.rhs.tolist()):
+        private, common = coeffs[0::2], coeffs[1::2]
+        coeffs = tuple(p - c for p, c in zip(private, common)) + common
+        rows.append((coeffs, rhs))
+        if rhs == 0.0 and sum(map(abs, coeffs)) == 1:
+            j = next(k for k, c in enumerate(coeffs) if c)
+            zero_units.add((j, coeffs[j]))
+    # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
+    # slice R_ip = 0: drop the column, with no prune and no cross rows.
+    keep = [k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units]
+    sliced = []
+    for coeffs, rhs in rows:
+        coeffs = tuple(coeffs[k] for k in keep)
+        if any(coeffs):
+            sliced.append(LinearInequality(coeffs, rhs))
+        elif rhs < -tol:
+            raise InfeasibleRegionError(f"pinning a private rate produced 0 <= {rhs}")
+    labels = expected[0::2] + aggregate_labels(K)
+    work = Region(len(keep), tuple(sliced), tuple(labels[k] for k in keep))
 
-    for i in range(1, K + 1):
-        work = fm_eliminate(prune_redundant(work, tol=tol), f"R{i}p", tol=tol)
+    for label in work.labels[:-K]:
+        work = fm_eliminate(prune_redundant(work, tol=tol), label, tol=tol)
 
     work = Region(K, work.inequalities + tuple(nonneg_inequalities(K)), work.labels)
     return canonicalize(prune_redundant(work, tol=tol), tol=tol)

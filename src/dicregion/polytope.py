@@ -53,13 +53,15 @@ class LinearInequality:
     rhs: float
 
     def __post_init__(self):
-        coerced = []
-        for c in self.coeffs:
-            ic = int(c)
-            if ic != c:
-                raise ValueError(f"coefficient {c!r} is not an exact integer")
-            coerced.append(ic)
-        object.__setattr__(self, "coeffs", tuple(coerced))
+        # A tuple of exact ints is kept as given, so callers can share it.
+        if type(self.coeffs) is not tuple or not set(map(type, self.coeffs)) <= {int}:
+            coerced = []
+            for c in self.coeffs:
+                ic = int(c)
+                if ic != c:
+                    raise ValueError(f"coefficient {c!r} is not an exact integer")
+                coerced.append(ic)
+            object.__setattr__(self, "coeffs", tuple(coerced))
         object.__setattr__(self, "rhs", float(self.rhs))
 
     def drop_var(self, var: int) -> "LinearInequality":
@@ -75,35 +77,55 @@ class LinearInequality:
         return LinearInequality(tuple(c // g for c in self.coeffs), self.rhs / g)
 
 
-@dataclass(frozen=True)
 class Region:
-    """Polyhedron {x : coeffs . x <= rhs for every inequality}."""
+    """Polyhedron {x : coeffs . x <= rhs for every inequality}.
 
-    dim: int
-    inequalities: tuple[LinearInequality, ...]
-    labels: tuple[str, ...] = ()
+    Stored compactly, since callers keep many regions: `lhs` holds each
+    row's coefficient tuple as given (regions built from shared tuples
+    share them) and `rhs` is one read-only float array.  `inequalities`
+    builds the row objects on each access.  Immutable.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "inequalities", tuple(self.inequalities))
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"x{i+1}" for i in range(self.dim)))
-        else:
-            object.__setattr__(self, "labels", tuple(self.labels))
-        if len(self.labels) != self.dim:
-            raise ValueError(f"{len(self.labels)} labels for dimension {self.dim}")
-        for ineq in self.inequalities:
-            if len(ineq.coeffs) != self.dim:
-                raise ValueError(
-                    f"inequality arity {len(ineq.coeffs)} does not match dim {self.dim}"
-                )
+    __slots__ = ("dim", "lhs", "rhs", "labels")
+
+    def __init__(self, dim: int, inequalities, labels=()):
+        rows = tuple(inequalities)
+        labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
+        if len(labels) != dim:
+            raise ValueError(f"{len(labels)} labels for dimension {dim}")
+        for ineq in rows:
+            if len(ineq.coeffs) != dim:
+                raise ValueError(f"inequality arity {len(ineq.coeffs)} does not match dim {dim}")
+        rhs = np.array([ineq.rhs for ineq in rows], dtype=float)
+        rhs.flags.writeable = False
+        for name, value in (("dim", dim), ("lhs", tuple(ineq.coeffs for ineq in rows)),
+                            ("rhs", rhs), ("labels", labels)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable Region")
+
+    @property
+    def inequalities(self) -> tuple[LinearInequality, ...]:
+        return tuple(map(LinearInequality, self.lhs, self.rhs.tolist()))
+
+    def _key(self):
+        return self.dim, self.labels, self.lhs, tuple(self.rhs.tolist())
+
+    def __eq__(self, other):
+        return self._key() == other._key() if isinstance(other, Region) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"Region(dim={self.dim}, inequalities={self.inequalities!r}, labels={self.labels!r})"
 
     def matrix(self):
         """(A, b) as float arrays."""
-        if not self.inequalities:
+        if not self.lhs:
             return np.zeros((0, self.dim)), np.zeros(0)
-        A = np.array([ineq.coeffs for ineq in self.inequalities], dtype=float)
-        b = np.array([ineq.rhs for ineq in self.inequalities], dtype=float)
-        return A, b
+        return np.array(self.lhs, dtype=float), self.rhs.copy()
 
     def var_index(self, var) -> int:
         if isinstance(var, str):
@@ -137,16 +159,12 @@ def _is_nonneg_row(ineq: LinearInequality) -> bool:
 
 def _dedup_min_rhs(ineqs) -> list[LinearInequality]:
     """Collapse identical left-hand sides, keeping the tightest rhs."""
-    best: dict[tuple[int, ...], float] = {}
-    order: list[tuple[int, ...]] = []
+    best: dict[tuple[int, ...], LinearInequality] = {}
     for ineq in ineqs:
-        key = ineq.coeffs
-        if key not in best:
-            best[key] = ineq.rhs
-            order.append(key)
-        elif ineq.rhs < best[key]:
-            best[key] = ineq.rhs
-    return [LinearInequality(key, best[key]) for key in order]
+        kept = best.get(ineq.coeffs)
+        if kept is None or ineq.rhs < kept.rhs:
+            best[ineq.coeffs] = ineq
+    return list(best.values())
 
 
 def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
@@ -201,7 +219,11 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     An optimum violating no other surviving row beyond tol witnesses that k
     is needed (k joins the set); otherwise the five most violated rows join
     and the LP runs again.  Decisions equal testing against all survivors.
+    `tol` must be below 1, the cap's slack: at tol >= 1 every capped value
+    is within tol of b_k, so every row would look redundant.
     """
+    if not tol < 1:
+        raise ValueError(f"prune tolerance must be below 1, got {tol}")
     ineqs = _dedup_min_rhs(region.inequalities)
     # Test busy combination rows first so that simple facets survive.
     test_order = sorted(

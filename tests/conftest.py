@@ -42,13 +42,18 @@ def parity3_channel() -> ChannelSpec:
 
 
 def random_injective_channel(rng: random.Random, K: int, max_x: int) -> ChannelSpec:
-    """Random channel that is injective by construction.
+    """Random channel with alphabets of 2..max_x symbols, injective by construction."""
+    return injective_channel_of_sizes(rng, [rng.randint(2, max_x) for _ in range(K)])
+
+
+def injective_channel_of_sizes(rng: random.Random, sizes) -> ChannelSpec:
+    """Random channel with the given alphabet sizes, injective by construction.
 
     Interference maps are arbitrary; each receiver's output row is a random
     permutation of the attainable interference-tuple indices, so the map is
     one-to-one for every own input.
     """
-    sizes = [rng.randint(2, max_x) for _ in range(K)]
+    K = len(sizes)
     g = []
     for n in sizes:
         vals = [rng.randrange(n) for _ in range(n)]

@@ -250,13 +250,17 @@ def exit_code(argv):
         ["--tol", "-1"],
         ["--tol", "nan"],
         ["--tol", "inf"],
+        ["--method", "hk-project", "--tol", "1"],
+        ["--method", "hk-project", "--tol", "1e300"],
         ["--guard", "0"],
         ["--a-max", "-3"],
         ["--a-max", "0"],
     ],
-    ids=["tol-negative", "tol-nan", "tol-inf", "guard-zero", "a-max-negative", "a-max-zero"],
+    ids=["tol-negative", "tol-nan", "tol-inf", "tol-one", "tol-huge", "guard-zero",
+         "a-max-negative", "a-max-zero"],
 )
 def test_region_invalid_values_are_usage_errors(xor_file, uniform2_file, extra, capsys):
+    # A later --method overrides the first one.
     assert exit_code(["region", xor_file, uniform2_file, "--method", "theorem"] + extra) == 2
     assert capsys.readouterr().out == ""
 

@@ -1,9 +1,12 @@
 """Rate-splitting region construction and aggregate projection."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import dicregion.lp
@@ -25,6 +28,7 @@ from dicregion.polytope import (
 from dicregion.theorem_region import enumerate_facets
 
 from conftest import (
+    injective_channel_of_sizes,
     product_channel,
     random_entropy_table,
     random_full_support,
@@ -238,26 +242,72 @@ def test_elimination_order_invariance_on_split_system():
         assert regions_equal(standard, reversed_route, 1e-9)
 
 
-def test_k4_support_values_match_highs_on_lifted_system():
+def assert_support_values_match_highs(a1, region, directions):
     # max d.R over the projection equals max d.(P z) over the split region.
-    rng = random.Random(12)
-    spec = random_injective_channel(rng, 4, 2)
-    a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-    region = project_to_aggregate(a1)
     A, b = a1.matrix()
-    P = np.array(aggregate_projection_matrix(4), dtype=float)
-    for _ in range(20):
-        d = np.array([rng.uniform(-1, 1) for _ in range(4)])
+    P = np.array(aggregate_projection_matrix(region.dim), dtype=float)
+    for d in directions:
+        d = np.asarray(d, dtype=float)
         ref = linprog(-(d @ P), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
         assert ref.status == 0
         assert support_value(region, d) == pytest.approx(-ref.fun, abs=1e-7)
 
 
-def test_k5_projection_lp_rows_stay_output_sensitive(monkeypatch):
-    # Pruning each row against all surviving others passed 34,432 constraint
-    # rows to the LP here; the working-set LPs pass under 15,000.
-    rng = random.Random(12)
-    spec = random_injective_channel(rng, 5, 2)
+# (seed, K, max_x): a binary channel, where every private rate is pinned to
+# 0, and alphabets (4, 3, 4, 3), where H(Y_i | V_1..V_4) > 0 for every user,
+# so every private rate goes through a prune and Fourier-Motzkin.
+PINNED_K4, UNPINNED_K4 = (12, 4, 2), (5, 4, 4)
+
+
+@pytest.mark.parametrize("seed, K, max_x", [PINNED_K4, UNPINNED_K4], ids=["binary", "unpinned"])
+def test_k4_support_values_match_highs_on_lifted_system(seed, K, max_x):
+    rng = random.Random(seed)
+    spec = random_injective_channel(rng, K, max_x)
+    a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    directions = [[rng.uniform(-1, 1) for _ in range(K)] for _ in range(20)]
+    assert_support_values_match_highs(a1, project_to_aggregate(a1), directions)
+
+
+@st.composite
+def channels_with_distributions(draw):
+    """Injective channel with K <= 4 and alphabets of 1-4 symbols, so that
+    pinned and unpinned users mix, a product distribution with zero entries,
+    and three directions."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    spec = injective_channel_of_sizes(draw(st.randoms(use_true_random=False)), sizes)
+    probs = []
+    for n in sizes:
+        w = draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=n, max_size=n))
+        if not any(w):
+            w[0] = 1.0
+        probs.append(tuple(v / math.fsum(w) for v in w))
+    # Eighths keep every reduced cost far above HiGHS's 1e-7 dual tolerance.
+    eighth = st.integers(-8, 8).map(lambda n: n / 8)
+    directions = draw(st.lists(st.lists(eighth, min_size=len(sizes), max_size=len(sizes)),
+                               min_size=3, max_size=3))
+    return spec, InputDistribution(tuple(probs)), directions
+
+
+@settings(max_examples=60, deadline=None)
+@given(channels_with_distributions())
+def test_support_values_match_highs_on_random_channels(case):
+    spec, dist, directions = case
+    a1 = build_A1(spec, table_for(spec, dist))
+    assert_support_values_match_highs(a1, project_to_aggregate(a1), directions)
+
+
+@pytest.mark.parametrize(
+    "seed, K, max_x, n_rows",
+    [(12, 5, 2, 32), UNPINNED_K4 + (19,)],
+    ids=["k5-binary", "k4-unpinned"],
+)
+def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n_rows):
+    # On k5-binary, pruning each row against all surviving others passed
+    # 34,432 constraint rows to the LP; the working-set LPs pass 14,546, and
+    # 1,180 once the pinned private rates are dropped by column.  k4-unpinned
+    # eliminates every private rate and passes 17,966.
+    rng = random.Random(seed)
+    spec = random_injective_channel(rng, K, max_x)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
     maximize = dicregion.lp.maximize
     rows = []
@@ -268,8 +318,42 @@ def test_k5_projection_lp_rows_stay_output_sensitive(monkeypatch):
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     region = project_to_aggregate(a1)
-    assert len(region.inequalities) == 32
+    assert len(region.inequalities) == n_rows
     assert sum(rows) <= 20_000
+
+
+def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
+    # Every binary user is pinned (H(Y_i | V_1..V_K) = 0), so no LP of the
+    # projection runs over the 2K-dimensional split system.
+    rng = random.Random(12)
+    spec = random_injective_channel(rng, 5, 2)
+    a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    maximize = dicregion.lp.maximize
+    widths = []
+
+    def counting(c, A, b, tol=1e-9):
+        widths.append(len(c))
+        return maximize(c, A, b, tol=tol)
+
+    monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    project_to_aggregate(a1)
+    assert widths and max(widths) == 5
+
+
+def test_a1_shares_its_coefficient_tuples_across_calls():
+    spec = random_injective_channel(random.Random(3), 3, 3)
+    rng = random.Random(4)
+    first = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    second = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+    assert first != second
+    assert all(a is b for a, b in zip(first.lhs, second.lhs, strict=True))
+
+
+def test_projection_rejects_tolerance_of_one_or_more(xor):
+    # The prune's LP cap sits 1 above each row; at tol >= 1 every row but
+    # nonnegativity would be dropped.
+    with pytest.raises(ValueError, match="below 1"):
+        project_to_aggregate(build_A1(xor, table_for(xor)), tol=1.0)
 
 
 def test_vertex_hull_round_trip_on_computed_regions():

@@ -1,8 +1,10 @@
 """Polyhedral kernel: elimination, pruning, containment, vertices."""
 
 import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 
 from dicregion import lp
@@ -294,7 +296,41 @@ def test_canonicalize_scales_and_sorts():
 def test_integer_coefficients_enforced():
     with pytest.raises(ValueError, match="integer"):
         LinearInequality((0.5, 1), 1.0)
+    with pytest.raises(ValueError, match="integer"):
+        LinearInequality((1.5,), 1.0)
     LinearInequality((2.0, 1), 1.0)  # exact integers in float form are fine
+
+
+def test_exact_int_coefficients_are_kept_and_others_coerced():
+    coeffs = (1, -2, 0)
+    assert LinearInequality(coeffs, 1).coeffs is coeffs
+    for given in ((True, 2), (np.int64(1), 2), [1.0, 2]):
+        q = LinearInequality(given, 1)
+        assert q.coeffs == (1, 2) and all(type(c) is int for c in q.coeffs)
+
+
+def test_region_is_immutable_and_compares_by_rows():
+    a = UNIT_SIMPLEX
+    b = R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
+    assert a == b and hash(a) == hash(b)
+    assert a != R(2, [((1, 1), 0.5), ((-1, 0), 0.0), ((0, -1), 0.0)])
+    with pytest.raises(AttributeError):
+        a.dim = 3
+    with pytest.raises(ValueError):
+        a.rhs[0] = 2.0
+    A, rhs = a.matrix()
+    A[0, 0] = rhs[0] = 9.0
+    assert a.inequalities[0] == LinearInequality((1, 1), 1.0)
+
+
+def test_prune_rejects_tolerance_of_one_or_more():
+    # Each LP caps its row 1 above b_k, so at tol 1 every capped value is
+    # within tol: x <= 1 would be dropped, leaving only x >= 0.
+    region = R(1, [((1,), 1.0), ((-1,), 0.0)])
+    for tol in (1.0, 1e300, math.inf, math.nan):
+        with pytest.raises(ValueError, match="below 1"):
+            prune_redundant(region, tol=tol)
+    assert prune_redundant(region, tol=0.5) == region
 
 
 def test_region_json_round_trip(tmp_path):
