@@ -1,9 +1,9 @@
 """Exact entropy computation for a channel under a product input distribution.
 
 All quantities come from exact marginalization, at each receiver, of the
-joint pmf over its output table (cost is the table size, comfortably small
-at the intended scale of K <= 4, |X| <= 8).  Entropies are in bits, double
-precision, with 0*log(0) taken as 0.
+joint pmf over its output table; the codes of all subset masks are sorted
+in blocks of at most _BLOCK_CODES, which bounds the transient memory.
+Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+_BLOCK_CODES = 1 << 12  # most codes sorted by one np.unique call
 
 
 @dataclass(frozen=True)
@@ -120,7 +121,8 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     Row i-1 of the (K, 2^K) array holds H(Y_i | V_T) for every subset mask
     (bit m-1 is user m).  Receiver i's entries come from the joint pmf of
     (X_i, V_j for j != i), which is a product of independent pmfs, over the
-    cells of its output table.
+    cells of its output table, as H(V_T, Y_i) - sum_{j in T} H(V_j); an entry
+    is exactly 0.0 when Y_i is a function of V_T on the positive-weight cells.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -138,36 +140,46 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     # v_rank[j-1][x]: position of g_j(x) in the image of g_j, the alphabet of V_j.
     v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
     v_pmf = [np.bincount(v_rank[j - 1], weights=dist.probs[j - 1]) for j in users]
+    marginals = tuple(_entropy(v_rank[j - 1], dist.probs[j - 1]) for j in users)
+    # V_T is coded as sum_{j in T} place[mask, j-1] * V_j, which is below n_v.
+    radix = [len(p) for p in v_pmf]
+    bits = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # bits[mask, j-1]: j in T
+    place, n_v = bits * np.cumprod([1] + radix[:-1]), math.prod(radix)
 
     entropies = np.empty((K, 1 << K))
     h_y_given_x = []
     for i in users:
         others = spec.other_users(i)
-        shape = (spec.x_alphabet_sizes[i - 1],) + tuple(len(v_pmf[j - 1]) for j in others)
+        shape = (spec.x_alphabet_sizes[i - 1],) + tuple(radix[j - 1] for j in others)
         grid = np.indices(shape).reshape(len(shape), -1)  # flattened in table order
         weights = np.asarray(dist.probs[i - 1])
         for j in others:
             weights = np.multiply.outer(weights, v_pmf[j - 1])
-        # Outputs compacted to 0..n_y-1, so that (key, y) codes stay small.
-        _, y = np.unique(spec.f_tables[i - 1], return_inverse=True)
-        y = y.ravel()
+        # Outputs compacted to 0..n_y-1, so that (V_T, y) codes stay small.
+        y = np.unique(spec.f_tables[i - 1], return_inverse=True)[1].ravel()
         n_y = int(y.max()) + 1
-        v = dict(zip(others, grid[1:]))
-        v[i] = v_rank[i - 1][grid[0]]
 
         # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
         h = _entropy(grid[0] * n_y + y, weights) - _entropy(grid[0], weights)
         h_y_given_x.append(max(h, 0.0))
-        for mask in range(1 << K):
-            # H(Y_i | V_T) = H(V_T, Y_i) - H(V_T), V_T coded in mixed radix.
-            key = np.zeros_like(y)
-            for j in users:
-                if mask >> (j - 1) & 1:
-                    key = key * len(v_pmf[j - 1]) + v[j]
-            h = _entropy(key * n_y + y, weights) - _entropy(key, weights)
-            entropies[i - 1, mask] = max(h, 0.0)
+        cells = weights.ravel() > 0.0  # the exact-zero test below must see only these
+        v = np.insert(grid[1:], i - 1, v_rank[i - 1][grid[0]], axis=0)[:, cells]  # row j-1: V_j
+        y, weights = y[cells], weights.ravel()[cells]
+        step = max(1, _BLOCK_CODES // len(y))
+        for lo in range(0, 1 << K, step):
+            masks = slice(lo, lo + step)
+            n = len(place[masks])
+            # (V_T, y) codes, y the lowest digit, each mask offset by n_v * n_y.
+            block = (place[masks] @ v + n_v * np.arange(n)[:, None]) * n_y + y
+            codes, inverse = np.unique(block.ravel(), return_inverse=True)
+            p = np.bincount(inverse, weights=np.tile(weights, n))
+            row, key = codes // (n_v * n_y), codes // n_y
+            # H(V_T) = sum_{j in T} H(V_j), as the V_j are independent.
+            h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - bits[masks] @ marginals
+            # Exactly 0.0, which pins a private rate, if no two codes share V_T.
+            mixed = np.bincount(row[1:][key[1:] == key[:-1]], minlength=n) > 0
+            entropies[i - 1, masks] = np.where(mixed, np.maximum(h, 0.0), 0.0)
 
-    marginals = tuple(_entropy(v_rank[j - 1], dist.probs[j - 1]) for j in users)
     return EntropyTable(
         K=K, h=entropies, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
     )

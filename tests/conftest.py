@@ -1,12 +1,18 @@
 """Shared channels, distributions, and random generators for the test suite."""
 
+import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from dicregion.channel import ChannelSpec
 from dicregion.coeff_scheme import CoefficientScheme
 from dicregion.entropy import EntropyTable, InputDistribution
+from dicregion.hk_region import aggregate_projection_matrix
+from dicregion.polytope import support_value
 
 
 def xor_channel() -> ChannelSpec:
@@ -101,6 +107,38 @@ def random_scheme(rng: random.Random, K: int, wmax: int = 3, density: float = 0.
                 M = frozenset(j for j in range(1, K + 1) if bits & (1 << (j - 1)))
                 entries.append((i, M, rng.randint(1, wmax)))
     return CoefficientScheme(K, tuple(entries))
+
+
+@st.composite
+def channels_with_distributions(draw, max_users=4):
+    """Injective channel with 2..max_users users and alphabets of 1-4 symbols,
+    so that pinned and unpinned users mix, a product distribution with zero
+    entries, and three directions."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=max_users))
+    spec = injective_channel_of_sizes(draw(st.randoms(use_true_random=False)), sizes)
+    probs = []
+    for n in sizes:
+        w = draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=n, max_size=n))
+        if not any(w):
+            w[0] = 1.0
+        probs.append(tuple(v / math.fsum(w) for v in w))
+    # Eighths keep every reduced cost far above HiGHS's 1e-7 dual tolerance.
+    eighth = st.integers(-8, 8).map(lambda n: n / 8)
+    directions = draw(st.lists(st.lists(eighth, min_size=len(sizes), max_size=len(sizes)),
+                               min_size=3, max_size=3))
+    return spec, InputDistribution(tuple(probs)), directions
+
+
+def assert_support_values_match_highs(a1, region, directions):
+    """max d.R over the aggregate `region` equals max d.(P z) over the split
+    region `a1`, solved by scipy/HiGHS."""
+    A, b = a1.matrix()
+    P = np.array(aggregate_projection_matrix(region.dim), dtype=float)
+    for d in directions:
+        d = np.asarray(d, dtype=float)
+        ref = linprog(-(d @ P), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+        assert ref.status == 0
+        assert support_value(region, d) == pytest.approx(-ref.fun, abs=1e-7)
 
 
 @pytest.fixture

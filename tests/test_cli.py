@@ -115,6 +115,26 @@ def test_compare_equal_and_unequal(tmp_path, capsys):
     assert "violated" in capsys.readouterr().out
 
 
+EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
+
+
+@pytest.mark.parametrize("left, right, stream, message", [
+    (EMPTY, EMPTY, "err", "error: support value of an empty region"),
+    (EMPTY, UNIT_SQUARE, "out", "unequal: inequality [1, 0] . R <= -1 of"),
+    (UNIT_SQUARE, EMPTY, "out", "unequal: inequality [1, 0] . R <= -1 of"),
+], ids=["empty-empty", "empty-box", "box-empty"])
+def test_compare_never_calls_an_empty_region_equal(tmp_path, capsys, left, right, stream, message):
+    # The library's containment test holds vacuously for an empty left region,
+    # but the CLI goes on to the reverse test and the support spot checks.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_region(left, a)
+    save_region(right, b)
+    assert main(["compare", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert "equal within" not in captured.out
+    assert getattr(captured, stream).startswith(message)
+
+
 def test_region_k3_methods_agree(tmp_path):
     import random
 

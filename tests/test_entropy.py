@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+from dicregion import entropy
 from dicregion.entropy import (
     EntropyTable,
     InputDistribution,
@@ -17,7 +18,7 @@ from dicregion.entropy import (
     subset_rank,
 )
 
-from conftest import random_full_support, random_injective_channel
+from conftest import injective_channel_of_sizes, random_full_support, random_injective_channel
 
 
 def joint_pmf(spec, dist):
@@ -149,7 +150,9 @@ def with_zeros(rng, spec):
     return InputDistribution(tuple(rows))
 
 
-def test_table_matches_dict_enumeration_reference(parity3):
+def reference_cases(parity3):
+    """Random injective channels K=2-4 and `parity3`, each under a full-support
+    and a zero-entry distribution."""
     rng = random.Random(13)
     cases = [(parity3, InputDistribution.uniform(parity3)), (parity3, with_zeros(rng, parity3))]
     for K, max_x in ((2, 4), (3, 3), (3, 4), (4, 3)):
@@ -157,14 +160,71 @@ def test_table_matches_dict_enumeration_reference(parity3):
             spec = random_injective_channel(rng, K, max_x)
             cases.append((spec, random_full_support(rng, spec)))
             cases.append((spec, with_zeros(rng, spec)))
-    for spec, dist in cases:
+    return cases
+
+
+def assert_matches_reference(table, spec, dist):
+    cond, v_marginals, y_given_x = reference_table(spec, dist)
+    assert len(cond) == table.h.size  # every array entry is compared below
+    for (i, T), h in cond.items():
+        assert table.h[i - 1, subset_rank(T)] == pytest.approx(h, abs=1e-12), (i, T)
+    assert table.v_marginals == pytest.approx(v_marginals, abs=1e-12)
+    assert table.y_given_own_input == pytest.approx(y_given_x, abs=1e-12)
+
+
+def test_table_matches_dict_enumeration_reference(parity3):
+    for spec, dist in reference_cases(parity3):
+        assert_matches_reference(build_entropy_table(spec, dist), spec, dist)
+
+
+def functional_on_support(spec, dist):
+    """Oracle: {(i, T): whether Y_i is a function of V_T on the positive-mass inputs}."""
+    pmf = joint_pmf(spec, dist)
+    users = range(1, spec.K + 1)
+    out = {}
+    for i in users:
+        for bits in range(1 << spec.K):
+            T = frozenset(j for j in users if bits & (1 << (j - 1)))
+            ys = {}
+            for _, v, y, _ in pmf:
+                ys.setdefault(tuple(v[j - 1] for j in sorted(T)), set()).add(y[i - 1])
+            out[(i, T)] = all(len(s) == 1 for s in ys.values())
+    return out
+
+
+def test_exact_zero_iff_output_is_a_function_of_the_conditioning(parity3):
+    # An exact 0.0 is what pins a private rate in the projection route, so a
+    # rounding residue of 1e-16 there would silently change the route taken.
+    rng = random.Random(17)
+    binary = []
+    for K in (5, 6):
+        spec = random_injective_channel(rng, K, 2)
+        binary += [(spec, random_full_support(rng, spec)), (spec, with_zeros(rng, spec))]
+    for spec, dist in reference_cases(parity3) + binary:
         table = build_entropy_table(spec, dist)
-        cond, v_marginals, y_given_x = reference_table(spec, dist)
-        assert len(cond) == table.h.size  # every array entry is compared below
-        for (i, T), h in cond.items():
-            assert table.h[i - 1, subset_rank(T)] == pytest.approx(h, abs=1e-12), (i, T)
-        assert table.v_marginals == pytest.approx(v_marginals, abs=1e-12)
-        assert table.y_given_own_input == pytest.approx(y_given_x, abs=1e-12)
+        for (i, T), functional in functional_on_support(spec, dist).items():
+            assert (table.h[i - 1, subset_rank(T)] == 0.0) == functional, (i, T)
+    for spec, dist in binary:
+        assert (build_entropy_table(spec, dist).h[:, -1] == 0.0).all()
+
+
+@pytest.mark.parametrize("zeros", [False, True], ids=["full-support", "zero-entries"])
+def test_table_spanning_several_blocks_matches_reference(zeros):
+    rng = random.Random(19)
+    spec = injective_channel_of_sizes(rng, [8] * 4)
+    dist = random_full_support(rng, spec)
+    if zeros:  # one zero entry per user keeps enough cells for several blocks
+        dist = InputDistribution(tuple(
+            tuple(0.0 if x == 0 else p / (1.0 - row[0]) for x, p in enumerate(row))
+            for row in dist.probs
+        ))
+    # Receiver i sorts one code per mask and positive-mass (x_i, V_j for j != i)
+    # cell, here more than two blocks' worth.
+    pmf = joint_pmf(spec, dist)
+    for i in range(spec.K):
+        cells = {(x[i], v[:i] + v[i + 1:]) for x, v, _, _ in pmf}
+        assert len(cells) << spec.K > 2 * entropy._BLOCK_CODES
+    assert_matches_reference(build_entropy_table(spec, dist), spec, dist)
 
 
 def test_conditioning_monotonicity():

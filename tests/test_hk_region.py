@@ -1,13 +1,9 @@
 """Rate-splitting region construction and aggregate projection."""
 
-import math
 import random
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import dicregion.lp
 from dicregion.entropy import InputDistribution, build_entropy_table
@@ -28,7 +24,8 @@ from dicregion.polytope import (
 from dicregion.theorem_region import enumerate_facets
 
 from conftest import (
-    injective_channel_of_sizes,
+    assert_support_values_match_highs,
+    channels_with_distributions,
     product_channel,
     random_entropy_table,
     random_full_support,
@@ -242,17 +239,6 @@ def test_elimination_order_invariance_on_split_system():
         assert regions_equal(standard, reversed_route, 1e-9)
 
 
-def assert_support_values_match_highs(a1, region, directions):
-    # max d.R over the projection equals max d.(P z) over the split region.
-    A, b = a1.matrix()
-    P = np.array(aggregate_projection_matrix(region.dim), dtype=float)
-    for d in directions:
-        d = np.asarray(d, dtype=float)
-        ref = linprog(-(d @ P), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
-        assert ref.status == 0
-        assert support_value(region, d) == pytest.approx(-ref.fun, abs=1e-7)
-
-
 # (seed, K, max_x): a binary channel, where every private rate is pinned to
 # 0, and alphabets (4, 3, 4, 3), where H(Y_i | V_1..V_4) > 0 for every user,
 # so every private rate goes through a prune and Fourier-Motzkin.
@@ -266,26 +252,6 @@ def test_k4_support_values_match_highs_on_lifted_system(seed, K, max_x):
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
     directions = [[rng.uniform(-1, 1) for _ in range(K)] for _ in range(20)]
     assert_support_values_match_highs(a1, project_to_aggregate(a1), directions)
-
-
-@st.composite
-def channels_with_distributions(draw):
-    """Injective channel with K <= 4 and alphabets of 1-4 symbols, so that
-    pinned and unpinned users mix, a product distribution with zero entries,
-    and three directions."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=2, max_size=4))
-    spec = injective_channel_of_sizes(draw(st.randoms(use_true_random=False)), sizes)
-    probs = []
-    for n in sizes:
-        w = draw(st.lists(st.just(0.0) | st.floats(0.05, 1.0), min_size=n, max_size=n))
-        if not any(w):
-            w[0] = 1.0
-        probs.append(tuple(v / math.fsum(w) for v in w))
-    # Eighths keep every reduced cost far above HiGHS's 1e-7 dual tolerance.
-    eighth = st.integers(-8, 8).map(lambda n: n / 8)
-    directions = draw(st.lists(st.lists(eighth, min_size=len(sizes), max_size=len(sizes)),
-                               min_size=3, max_size=3))
-    return spec, InputDistribution(tuple(probs)), directions
 
 
 @settings(max_examples=60, deadline=None)

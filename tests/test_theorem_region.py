@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dicregion.coeff_scheme import CoefficientScheme, de_of, project_combined
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.errors import EnumerationOverflowError
+from dicregion.hk_region import build_A1
 from dicregion.polytope import (
     Region,
     canonicalize,
@@ -36,6 +37,8 @@ from dicregion.theorem_region import (
 )
 
 from conftest import (
+    assert_support_values_match_highs,
+    channels_with_distributions,
     random_entropy_table,
     random_full_support,
     random_injective_channel,
@@ -289,6 +292,15 @@ def test_complement_check_on_random_valid_specs(data):
     fs = FacetSpec(a, S)
     assert fs.counting_ok()
     assert converse_complement_check(fs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels_with_distributions(max_users=3))
+def test_facet_support_values_match_highs_on_random_channels(case):
+    # The facet route, at its default weight cap, against the lifted system.
+    spec, dist, directions = case
+    table = build_entropy_table(spec, dist)
+    assert_support_values_match_highs(build_A1(spec, table), enumerate_facets(spec, table), directions)
 
 
 def test_facet_json_round_trip(tmp_path):
