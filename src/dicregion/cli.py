@@ -28,6 +28,7 @@ from .errors import (
     ChannelFormatError,
     DicRegionError,
     EnumerationOverflowError,
+    InfeasibleRegionError,
     UnboundedDirectionError,
 )
 from .polytope import (
@@ -180,7 +181,12 @@ def cmd_compare(args) -> int:
     tol = args.tol
 
     for left, right, name in ((a, b, args.region_b), (b, a, args.region_a)):
-        violation = find_subset_violation(left, right, tol)
+        try:
+            violation = find_subset_violation(left, right, tol)
+        except InfeasibleRegionError:
+            if left is a:
+                continue  # a is empty: the reverse test or the spot checks decide
+            raise
         if violation is not None:
             ineq, value = violation
             attained = "unbounded" if value is None else f"{value:.12g}"

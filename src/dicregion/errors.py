@@ -25,8 +25,9 @@ class UnboundedDirectionError(DicRegionError):
 
 
 class EnumerationOverflowError(DicRegionError):
-    """Facet enumeration exceeded its size guard: DP states expanded by
-    `enumerate_facets`, facet choices listed by `enumerate_facet_specs`."""
+    """Facet enumeration exceeded its size guard: the cells of the DP
+    lattice of `enumerate_facets`, (a_max + 1)^(2K), checked before it is
+    allocated, or the facet choices listed by `enumerate_facet_specs`."""
 
 
 class SchemeReductionError(DicRegionError):

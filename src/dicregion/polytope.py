@@ -13,7 +13,6 @@ rows by their gcd for presentation-quality output.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -41,8 +40,6 @@ __all__ = [
     "region_from_dict",
     "region_to_dict",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, slots=True)
@@ -260,34 +257,48 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     return Region(region.dim, tuple(compress(ineqs, alive)), region.labels)
 
 
+def _support(A, b, direction, tol: float):
+    """max direction . x over {x : A x <= b}, or None when unbounded.
+
+    Raises InfeasibleRegionError when the system admits no point.
+    """
+    res = lp.maximize(direction, A, b, tol=tol)
+    if res.status == lp.INFEASIBLE:
+        raise InfeasibleRegionError("support value of an empty region")
+    return None if res.status == lp.UNBOUNDED else res.value
+
+
 def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     """First inequality of `b` that `a` can exceed, or None if a is a subset.
 
     Returns (inequality, attained_value) where attained_value is None when
-    the direction is unbounded over `a`.
+    the direction is unbounded over `a`.  Raises InfeasibleRegionError when
+    `a` is empty rather than reporting a containment that holds vacuously.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     A, rhs = a.matrix()
     for ineq in b.inequalities:
-        res = lp.maximize(ineq.coeffs, A, rhs, tol=tol)
-        if res.status == lp.INFEASIBLE:
-            logger.warning("find_subset_violation: left region is infeasible; subset holds vacuously")
-            return None
-        if res.status == lp.UNBOUNDED:
-            return (ineq, None)
-        if res.value > ineq.rhs + tol:
-            return (ineq, res.value)
+        value = _support(A, rhs, ineq.coeffs, tol)
+        if value is None or value > ineq.rhs + tol:
+            return (ineq, value)
     return None
 
 
 def is_subset(a: Region, b: Region, tol: float = 1e-9) -> bool:
-    """True iff every point of `a` satisfies every inequality of `b`."""
+    """True iff every point of `a` satisfies every inequality of `b`.
+
+    Raises InfeasibleRegionError when `a` is empty.
+    """
     return find_subset_violation(a, b, tol) is None
 
 
 def regions_equal(a: Region, b: Region, tol: float = 1e-9) -> bool:
-    """Mutual containment under the shared tolerance."""
+    """Mutual containment under the shared tolerance.
+
+    Raises InfeasibleRegionError when `a` is empty; a non-empty `a` is never
+    equal to an empty `b`.
+    """
     return is_subset(a, b, tol) and is_subset(b, a, tol)
 
 
@@ -297,13 +308,10 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     Raises UnboundedDirectionError when the objective is unbounded and
     InfeasibleRegionError when the region is empty.
     """
-    A, b = region.matrix()
-    res = lp.maximize(np.asarray(direction, dtype=float), A, b, tol=tol)
-    if res.status == lp.UNBOUNDED:
+    value = _support(*region.matrix(), np.asarray(direction, dtype=float), tol)
+    if value is None:
         raise UnboundedDirectionError(direction)
-    if res.status == lp.INFEASIBLE:
-        raise InfeasibleRegionError("support value of an empty region")
-    return res.value
+    return value
 
 
 def contains_point(region: Region, point, tol: float = 1e-9) -> bool:

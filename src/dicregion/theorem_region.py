@@ -11,6 +11,10 @@ and the region is the intersection over all choices (plus nonnegativity).
 Enumerating weights up to a cap reproduces the region; built-in presets give
 the known irredundant facet families for K=2 (7 rows) and K=3 (28 rows).
 
+`enumerate_facets` lists no choices: one DP over the lattice of slot and
+coverage counts gives the smallest right-hand side of every weight vector,
+and rows implied by two others are skipped before the LP prune.
+
 Facet choices convert losslessly to and from coefficient schemes: the
 multiplicity of subset M at receiver i becomes the scheme weight, and a
 balanced scheme unrolls back into a facet choice with a_i = d_i.
@@ -22,6 +26,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .channel import ChannelSpec
 from .coeff_scheme import CoefficientScheme, de_of
@@ -53,7 +59,7 @@ __all__ = [
     "facet_to_dict",
 ]
 
-DEFAULT_FACET_GUARD = 10**6
+DEFAULT_FACET_GUARD = 2**21  # lattice cells: 16 MB of float64
 
 
 @dataclass(frozen=True)
@@ -116,24 +122,7 @@ def facet_inequality(fs: FacetSpec, table: EntropyTable) -> LinearInequality:
     return LinearInequality(fs.a, rhs)
 
 
-class _SizeGuard:
-    """Counts units of search work and raises once there are too many."""
-
-    def __init__(self, limit: int, unit: str):
-        self.limit = limit
-        self.unit = unit
-        self.used = 0
-
-    def spend(self):
-        self.used += 1
-        if self.used > self.limit:
-            raise EnumerationOverflowError(
-                f"facet enumeration exceeded the size guard of {self.limit} "
-                f"{self.unit}; raise the guard to continue"
-            )
-
-
-def _assignments(K, a, budget):
+def _assignments(K, a):
     """Yield all subset assignments for weight vector `a`.
 
     Each assignment is a tuple of per-receiver subset tuples, canonical
@@ -151,7 +140,6 @@ def _assignments(K, a, budget):
     def recurse(i, slot, first):
         if i == K:
             if all(r == 0 for r in remaining):
-                budget.spend()
                 yield tuple(
                     tuple(frozenset(members[mask]) for mask in chosen[j]) for j in range(K)
                 )
@@ -182,45 +170,35 @@ def _assignments(K, a, budget):
     yield from recurse(0, 0, 0)
 
 
-def _min_rhs(a, term, budget) -> float:
-    """Smallest right-hand side over the facet choices with weight vector `a`.
+def _smallest_rhs(h, a_max: int):
+    """f[a], the smallest right-hand side over the facet choices with weight
+    vector a, for every a in {0..a_max}^K at once.
 
-    Shortest path over the slots, receiver by receiver, whose state is the
-    coverage r still owed to each user (one mixed-radix integer).  A slot of
-    receiver i moves r to r - mask at cost term[i][mask], where mask holds
-    only users still owed and every user owed more than the slots after it.
+    One unbounded-knapsack DP on the lattice G[p, c]: p_i counts the slots
+    given to receiver i and c_m the slots covering user m.  Choosing subset
+    M at receiver i is the item that raises p_i and c_m for each m in M by
+    one at cost H(Y_i | V_{complement of M}); a_max passes per item apply it
+    up to a_max times.  While receiver i is processed, receivers after it
+    have no slots yet, so only the face p_{i+1..K} = 0 (a view) is touched.
+    Counts never decrease, so cutting the lattice at a_max is exact, and
+    f[a] is the diagonal G[p = a, c = a].
     """
-    K = len(a)
-    place = [math.prod(v + 1 for v in a[:m]) for m in range(K)]
-    delta = [sum(place[m] for m in range(K) if mask >> m & 1) for mask in range(1 << K)]
-    layer = {sum(v * p for v, p in zip(a, place)): 0.0}
-    slots_left = sum(a)
+    K = h.shape[0]
+    n = a_max + 1
+    full = (1 << K) - 1
+    G = np.full((n,) * (2 * K), np.inf)
+    G[(0,) * (2 * K)] = 0.0
     for i in range(K):
-        for _ in range(a[i]):
-            slots_left -= 1
-            nxt: dict = {}
-            for r, cost in layer.items():
-                budget.spend()
-                owed = must = 0
-                for m in range(K):
-                    r_m = r // place[m] % (a[m] + 1)
-                    if r_m:
-                        owed |= 1 << m
-                        if r_m > slots_left:
-                            must |= 1 << m
-                free = owed ^ must
-                sub = free
-                while True:  # every mask with must <= mask <= owed
-                    mask = sub | must
-                    r2 = r - delta[mask]
-                    c = cost + term[i][mask]
-                    if c < nxt.get(r2, math.inf):
-                        nxt[r2] = c
-                    if not sub:
-                        break
-                    sub = (sub - 1) & free
-            layer = nxt
-    return layer[0]  # reached: user m can always take a_m distinct slots
+        # Axes of the face: p of receivers 0..i, then c of users 0..K-1.
+        face = G[(slice(None),) * (i + 1) + (0,) * (K - 1 - i)]
+        for mask in range(1 << K):
+            up = {i} | {i + 1 + m for m in range(K) if mask >> m & 1}
+            dst = tuple(slice(1, None) if ax in up else slice(None) for ax in range(face.ndim))
+            src = tuple(slice(None, -1) if ax in up else slice(None) for ax in range(face.ndim))
+            cost = h[i, full ^ mask]
+            for _ in range(a_max):
+                np.minimum(face[dst], face[src] + cost, out=face[dst])
+    return G.reshape(n**K, n**K).diagonal().reshape((n,) * K).copy()
 
 
 def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GUARD):
@@ -231,12 +209,18 @@ def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GU
     """
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
-    budget = _SizeGuard(max_facets, "facets")
-    for a in itertools.product(range(a_max + 1), repeat=K):
-        if not any(a):
-            continue
-        for assignment in _assignments(K, a, budget):
-            yield FacetSpec(a, assignment)
+    choices = (
+        FacetSpec(a, assignment)
+        for a in itertools.product(range(a_max + 1), repeat=K) if any(a)
+        for assignment in _assignments(K, a)
+    )
+    for count, fs in enumerate(choices, start=1):
+        if count > max_facets:
+            raise EnumerationOverflowError(
+                f"facet enumeration exceeded the size guard of {max_facets} "
+                f"facets; raise the guard to continue"
+            )
+        yield fs
 
 
 def default_a_max(K: int) -> int:
@@ -254,10 +238,14 @@ def enumerate_facets(
     """Aggregate region from facet enumeration, pruned to an irredundant form.
 
     For a fixed weight vector `a` every facet choice shares the left-hand
-    side sum_i a_i R_i, so only the smallest right-hand side binds; a
-    shortest-path DP over the remaining coverage counts finds it without
-    listing the choices.  `max_facets` caps the number of DP states expanded
-    over all weight vectors; EnumerationOverflowError is raised beyond it.
+    side sum_i a_i R_i, so only the smallest right-hand side f(a) binds; one
+    lattice DP (`_smallest_rhs`) gives f for every weight vector without
+    listing the choices.  A facet choice for b followed by one for a - b is
+    a choice for a, so f(a) <= f(b) + f(a - b); when that holds with
+    equality within tol for some 0 < b < a, row a is implied by rows b and
+    a - b and is skipped without an LP.  The survivors go to
+    `prune_redundant`.  `max_facets` caps the lattice's (a_max + 1)^(2K)
+    cells; EnumerationOverflowError is raised before allocating beyond it.
     """
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
@@ -266,17 +254,23 @@ def enumerate_facets(
         a_max = default_a_max(K)
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
+    cells = (a_max + 1) ** (2 * K)
+    if cells > max_facets:
+        raise EnumerationOverflowError(
+            f"facet enumeration needs {cells} DP states (lattice cells), over the "
+            f"size guard of {max_facets}; raise the guard to continue"
+        )
 
-    # term[i-1][M] = H(Y_i | V_{complement of M}); the complement of mask M
-    # is 2^K - 1 - M, so each row is read backwards.
-    term = table.h[:, ::-1].tolist()
-
-    budget = _SizeGuard(max_facets, "DP states")
-    rows = [
-        LinearInequality(a, _min_rhs(a, term, budget))
-        for a in itertools.product(range(a_max + 1), repeat=K)
-        if any(a)
-    ]
+    f = _smallest_rhs(table.h, a_max)
+    rows = []
+    for a in itertools.product(range(a_max + 1), repeat=K):
+        if not any(a):
+            continue
+        box = f[tuple(slice(v + 1) for v in a)]  # f(b) for every b <= a
+        split = box + box[(slice(None, None, -1),) * K]  # f(b) + f(a - b)
+        split.flat[0] = split.flat[-1] = np.inf  # b = 0 and b = a
+        if f[a] < split.min() - tol:
+            rows.append(LinearInequality(a, f[a]))
     rows.extend(nonneg_inequalities(K))
     region = Region(K, tuple(rows), tuple(f"R{i}" for i in range(1, K + 1)))
     return canonicalize(prune_redundant(region, tol=tol), tol=tol)

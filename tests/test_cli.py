@@ -124,8 +124,8 @@ EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
     (UNIT_SQUARE, EMPTY, "out", "unequal: inequality [1, 0] . R <= -1 of"),
 ], ids=["empty-empty", "empty-box", "box-empty"])
 def test_compare_never_calls_an_empty_region_equal(tmp_path, capsys, left, right, stream, message):
-    # The library's containment test holds vacuously for an empty left region,
-    # but the CLI goes on to the reverse test and the support spot checks.
+    # The library's containment test raises for an empty left region; the
+    # CLI goes on to the reverse test and the support spot checks.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_region(left, a)
     save_region(right, b)

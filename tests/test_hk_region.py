@@ -184,7 +184,11 @@ def _k4_case(rng):
     yield spec, random_full_support(rng, spec)
 
 
-@pytest.mark.parametrize("cases,a_max", [(_k2_cases, 2), (_k4_case, 3)], ids=["k2", "k4"])
+@pytest.mark.parametrize(
+    "cases,a_max",
+    [(_k2_cases, 2), (_k4_case, 3), (_k4_case, None)],
+    ids=["k2", "k4", "k4-default"],
+)
 def test_projection_equals_enumeration(cases, a_max):
     # The repo's central equivalence: both routes, same region.
     rng = random.Random(5)

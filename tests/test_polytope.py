@@ -34,6 +34,7 @@ def R(dim, rows, labels=()):
 
 UNIT_SIMPLEX = R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
 UNIT_SQUARE = R(2, [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
+EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
 
 
 def test_eliminate_single_pair():
@@ -159,6 +160,20 @@ def test_regions_equal_examples():
     )
     assert regions_equal(UNIT_SIMPLEX, redundant)
     assert not regions_equal(UNIT_SIMPLEX, UNIT_SQUARE)
+
+
+def test_subset_test_with_an_empty_left_region_raises():
+    # Every row of the right region holds vacuously on an empty left region.
+    with pytest.raises(InfeasibleRegionError, match="empty region"):
+        is_subset(EMPTY, UNIT_SQUARE)
+    # A non-empty region is never inside an empty one.
+    assert not is_subset(UNIT_SQUARE, EMPTY)
+
+
+def test_equality_of_empty_regions_raises():
+    with pytest.raises(InfeasibleRegionError, match="empty region"):
+        regions_equal(EMPTY, EMPTY)
+    assert not regions_equal(UNIT_SQUARE, EMPTY)
 
 
 def test_support_values_on_simplex():

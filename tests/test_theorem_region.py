@@ -1,16 +1,21 @@
 """Facet enumeration, presets, and the scheme/facet conversions."""
 
+import itertools
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dicregion import theorem_region
 from dicregion.coeff_scheme import CoefficientScheme, de_of, project_combined
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.errors import EnumerationOverflowError
 from dicregion.hk_region import build_A1
 from dicregion.polytope import (
+    LinearInequality,
     Region,
     canonicalize,
     contains_point,
@@ -21,6 +26,7 @@ from dicregion.polytope import (
 )
 from dicregion.theorem_region import (
     FacetSpec,
+    _smallest_rhs,
     converse_complement_check,
     enumerate_facet_specs,
     enumerate_facets,
@@ -119,10 +125,76 @@ def test_dp_matches_exhaustive_facet_choices(K, a_max):
     labels = tuple(f"R{i}" for i in range(1, K + 1))
     for _ in range(3):
         table = random_entropy_table(rng, K)
-        rows = [facet_inequality(fs, table) for fs in enumerate_facet_specs(K, a_max)]
+        specs = list(enumerate_facet_specs(K, a_max))
+        rows = [facet_inequality(fs, table) for fs in specs]
+        # The lattice value of every weight vector, not only the pruned region.
+        best = {}
+        for fs, row in zip(specs, rows):
+            best[fs.a] = min(best.get(fs.a, math.inf), row.rhs)
+        assert len(best) == (a_max + 1) ** K - 1  # every weight vector has a choice
+        f = _smallest_rhs(table.h, a_max)
+        assert f.shape == (a_max + 1,) * K and f[(0,) * K] == 0.0
+        for a, rhs in best.items():
+            assert f[a] == pytest.approx(rhs, rel=0, abs=1e-12), a
         rows += nonneg_inequalities(K)
         reference = canonicalize(prune_redundant(Region(K, tuple(rows), labels)))
         assert regions_equal(enumerate_facets(spec, table, a_max=a_max), reference, 1e-9)
+
+
+def zero_entry_distribution(rng, spec):
+    """Full support except that each user's first symbol never occurs."""
+    rows = []
+    for n in spec.x_alphabet_sizes:
+        w = [0.0] + [rng.random() + 0.05 for _ in range(n - 1)]
+        rows.append(tuple(v / math.fsum(w) for v in w))
+    return InputDistribution(tuple(rows))
+
+
+@pytest.mark.parametrize("make_dist", [
+    random_full_support,
+    zero_entry_distribution,
+    lambda rng, spec: InputDistribution.point_mass(spec),
+], ids=["full-support", "zero-entries", "point-mass"])
+def test_subadditive_rows_never_reach_the_prune(monkeypatch, make_dist):
+    rng = random.Random(41)
+    spec = random_injective_channel(rng, 3, 3)
+    table = build_entropy_table(spec, make_dist(rng, spec))
+    given = []
+
+    def recording_prune(region, tol):
+        given.append(region)
+        return prune_redundant(region, tol=tol)
+
+    monkeypatch.setattr(theorem_region, "prune_redundant", recording_prune)
+    region = enumerate_facets(spec, table, a_max=4)
+    # 124 weight vectors and 3 nonnegativity rows without the filter
+    assert len(given) == 1 and len(given[0].lhs) <= 20
+
+    f = _smallest_rhs(table.h, 4)
+    rows = [LinearInequality(a, f[a]) for a in itertools.product(range(5), repeat=3) if any(a)]
+    rows += nonneg_inequalities(3)
+    reference = canonicalize(prune_redundant(Region(3, tuple(rows), region.labels)))
+    assert region.lhs == reference.lhs
+    np.testing.assert_allclose(region.rhs, reference.rhs, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("K,a_max", [(2, 2), (3, 1)])
+def test_guard_counts_lattice_cells(K, a_max):
+    rng = random.Random(K)
+    spec = random_injective_channel(rng, K, 2)
+    table = random_entropy_table(rng, K)
+    cells = (a_max + 1) ** (2 * K)
+    with pytest.raises(EnumerationOverflowError, match=f"{cells} DP states.*size guard of {cells - 1}"):
+        enumerate_facets(spec, table, a_max=a_max, max_facets=cells - 1)
+    enumerate_facets(spec, table, a_max=a_max, max_facets=cells)
+
+
+def test_guard_is_checked_before_allocating():
+    # 11^20 cells of float64 could never be allocated.
+    rng = random.Random(10)
+    spec = random_injective_channel(rng, 10, 2)
+    with pytest.raises(EnumerationOverflowError, match="size guard"):
+        enumerate_facets(spec, random_entropy_table(rng, 10), a_max=10)
 
 
 def test_spec_count_small_case():
