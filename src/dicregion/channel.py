@@ -215,9 +215,8 @@ def validate_injectivity(spec: ChannelSpec) -> InjectivityReport:
     for i in range(1, spec.K + 1):
         for x in range(spec.x_alphabet_sizes[i - 1]):
             seen: dict[int, tuple[int, ...]] = {}
-            for v_tuple in spec.v_tuples_for(i):
-                r = encode_v_tuple(spec, i, v_tuple)
-                y = spec.f_tables[i - 1][x][r]
+            # v_tuples_for yields the tuples in the index order of the f row.
+            for v_tuple, y in zip(spec.v_tuples_for(i), spec.f_tables[i - 1][x]):
                 if y in seen:
                     violations.append((i, x, seen[y], v_tuple))
                 else:

@@ -1,12 +1,15 @@
-"""Dense two-phase simplex for the small LPs the polytope kernel needs.
+"""Condensed-tableau two-phase simplex for the small LPs the polytope kernel needs.
 
 Solves  max c.x  subject to  A x <= b  with free variables, via the split
-x = u - w and slack/artificial variables.  Bland's rule is used for both
-pivot choices, so the method cannot cycle; everything is double precision
-with a single feasibility/optimality tolerance.
-
-The scale here is a few hundred rows and a handful of true variables, so a
-plain dense tableau is the simplest thing that is fast enough.
+x = u - w and one slack per row.  The tableau keeps only the nonbasic
+columns (u, w and one auxiliary t) and the right-hand side; the slacks start
+basic and are never stored as columns, and a pivot exchanges a basic and a
+nonbasic label.  When some b_i < 0, phase 1 pivots t into the most violated
+row, then minimizes t over A x - t <= b (V. Chvatal, *Linear Programming*,
+1983, ch. 3).  Bland's rule (smallest label, u and w before every slack)
+picks both pivots, so the method cannot cycle; everything is double
+precision with a single tolerance.  The LPs have up to a few thousand rows
+and a handful of variables, so a dense tableau is fast enough.
 """
 
 from __future__ import annotations
@@ -35,7 +38,9 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
     """Maximize c.x over {x : A x <= b}, x unrestricted in sign.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
-    point are filled in, for "unbounded"/"infeasible" they are None.
+    point are filled in, for "unbounded"/"infeasible" they are None.  The
+    system is infeasible when the smallest t with A x - t <= b exceeds tol,
+    so a system violated by at most tol everywhere counts as feasible.
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -49,106 +54,78 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
         raise ValueError(f"objective has {n} entries, constraint matrix has {A.shape[1]} columns")
     m = A.shape[0]
 
-    flip = b < 0
-    sign = np.where(flip, -1.0, 1.0)
-    # Equality system over z = [u, w, s, a]:  diag(sign) (A u - A w + s) = diag(sign) b
-    art_rows = np.flatnonzero(flip)
-    n_art = art_rows.size
-    ncols = 2 * n + m + n_art
-    T = np.zeros((m + 1, ncols + 1))
-    T[:m, :n] = sign[:, None] * A
-    T[:m, n : 2 * n] = -sign[:, None] * A
-    T[:m, 2 * n : 2 * n + m] = np.diag(sign)
-    for k, i in enumerate(art_rows):
-        T[i, 2 * n + m + k] = 1.0
-    T[:m, -1] = sign * b
+    # Labels: u = 0..n-1, w = n..2n-1, slacks 2n..2n+m-1, t = 2n+m.
+    # Row i reads  x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].
+    aux = 2 * n + m
+    T = np.zeros((m + 1, 2 * n + 2))
+    T[:m, :n] = A
+    T[:m, n : 2 * n] = -A
+    T[:m, -1] = b
+    basis = np.arange(2 * n, aux)
+    nonbasic = np.append(np.arange(2 * n), aux)
 
-    basis = np.empty(m, dtype=int)
-    basis[:] = 2 * n + np.arange(m)  # slacks
-    for k, i in enumerate(art_rows):
-        basis[i] = 2 * n + m + k
-
-    if n_art:
-        # Phase 1: minimize the sum of artificials.
-        T[m, :] = 0.0
-        T[m, 2 * n + m : 2 * n + m + n_art] = 1.0
-        for i in range(m):
-            if basis[i] >= 2 * n + m:
-                T[m, :] -= T[i, :]
-        _iterate(T, basis, tol, allow_unbounded=False)
-        if -T[m, -1] > tol:  # leftover artificial mass
+    if b.min() < 0:
+        T[:m, 2 * n] = -1.0
+        _pivot(T, basis, nonbasic, int(np.argmin(b)), 2 * n)
+        cost = np.zeros(aux + 1)
+        cost[aux] = 1.0
+        _price(T, basis, nonbasic, cost)
+        _iterate(T, basis, nonbasic, tol, allow_unbounded=False)
+        if -T[m, -1] > tol:  # smallest t
             return LPResult(INFEASIBLE, None, None)
-        _evict_artificials(T, basis, 2 * n + m, tol)
+        # t may stay basic at a level within tol.  Its row has nonbasic slack
+        # entries summing to -1 (raising every slack and t by one keeps
+        # A x + s - t = b), so a pivot entry of size >= 1/(2n+1) exists.
+        r = np.flatnonzero(basis == aux)
+        if r.size:
+            _pivot(T, basis, nonbasic, int(r[0]), int(np.argmax(np.abs(T[r[0], :-1]))))
+        T[:, np.flatnonzero(nonbasic == aux)] = 0.0  # t stays nonbasic at 0
 
-    # Phase 2: minimize -c.x = -c.u + c.w; artificial columns are frozen out
-    # by pricing them at +inf-like cost (simply exclude them from entering).
-    T[m, :] = 0.0
-    T[m, :n] = -c
-    T[m, n : 2 * n] = c
-    for i in range(m):
-        col = basis[i]
-        coef = T[m, col]
-        if coef != 0.0:
-            T[m, :] -= coef * T[i, :]
-    status = _iterate(T, basis, tol, allow_unbounded=True, n_real=2 * n + m)
-    if status == UNBOUNDED:
+    # Phase 2: minimize -c.x = -c.u + c.w.
+    cost = np.zeros(aux + 1)
+    cost[:n] = -c
+    cost[n : 2 * n] = c
+    _price(T, basis, nonbasic, cost)
+    if _iterate(T, basis, nonbasic, tol, allow_unbounded=True) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
-    x = np.zeros(n)
-    for i in range(m):
-        col = basis[i]
-        if col < n:
-            x[col] += T[i, -1]
-        elif col < 2 * n:
-            x[col - n] -= T[i, -1]
-    value = float(c @ x)
-    return LPResult(OPTIMAL, value, tuple(float(v) for v in x))
+    z = np.zeros(aux + 1)
+    z[basis] = T[:m, -1]
+    x = z[:n] - z[n : 2 * n]
+    return LPResult(OPTIMAL, float(c @ x), tuple(float(v) for v in x))
 
 
-def _iterate(T, basis, tol, allow_unbounded, n_real=None):
+def _price(T, basis, nonbasic, cost):
+    """Objective row of min cost.z: reduced costs, and minus the value at the rhs."""
+    T[-1] = np.append(cost[nonbasic], 0.0) - cost[basis] @ T[:-1]
+
+
+def _iterate(T, basis, nonbasic, tol, allow_unbounded):
     """Run simplex pivots until optimal (Bland's rule throughout)."""
-    m = T.shape[0] - 1
-    limit = n_real if n_real is not None else T.shape[1] - 1
     for _ in range(_MAX_PIVOTS):
-        reduced = T[m, :limit]
-        entering_candidates = np.flatnonzero(reduced < -tol)
-        if entering_candidates.size == 0:
+        candidates = np.flatnonzero(T[-1, :-1] < -tol)
+        if candidates.size == 0:
             return OPTIMAL
-        j = int(entering_candidates[0])
-        col = T[:m, j]
+        j = int(candidates[np.argmin(nonbasic[candidates])])
+        col = T[:-1, j]
         rows = np.flatnonzero(col > tol)
         if rows.size == 0:
             if allow_unbounded:
                 return UNBOUNDED
             raise RuntimeError("phase-1 objective unbounded; tableau corrupted")
         ratios = T[rows, -1] / col[rows]
-        best = np.min(ratios)
-        tied = rows[ratios <= best + tol]
-        r = int(tied[np.argmin(basis[tied])])
-        _pivot(T, basis, r, j)
+        tied = rows[ratios <= np.min(ratios) + tol]
+        _pivot(T, basis, nonbasic, int(tied[np.argmin(basis[tied])]), j)
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _pivot(T, basis, r, j):
-    T[r, :] /= T[r, j]
+def _pivot(T, basis, nonbasic, r, j):
+    """Exchange basic label basis[r] with nonbasic label nonbasic[j]."""
+    p = T[r, j]
     col = T[:, j].copy()
     col[r] = 0.0
-    T -= np.outer(col, T[r, :])
-    T[r, j] = 1.0  # wash out roundoff on the pivot column
-    basis[r] = j
-
-
-def _evict_artificials(T, basis, first_art, tol):
-    """Pivot any basic artificial out on a real column, or blank its row."""
-    m = T.shape[0] - 1
-    for i in range(m):
-        if basis[i] < first_art:
-            continue
-        row = T[i, :first_art]
-        cand = np.flatnonzero(np.abs(row) > tol)
-        if cand.size:
-            _pivot(T, basis, i, int(cand[0]))
-        else:
-            # Redundant constraint row; make it inert (basis keeps the
-            # artificial, whose phase-2 cost is zero and never enters).
-            T[i, :] = 0.0
+    T[:, j] = 0.0
+    T[r, j] = 1.0
+    T[r] /= p  # T[r, j] is now 1/p; the update sets column j to -col/p
+    T -= np.outer(col, T[r])
+    basis[r], nonbasic[j] = nonbasic[j], basis[r]

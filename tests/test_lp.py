@@ -1,6 +1,7 @@
 """Internal simplex solver, cross-checked against scipy's solver."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,12 +81,24 @@ def test_optimal_point_is_feasible():
 def test_against_scipy_on_random_problems():
     rng = random.Random(1)
     checked = 0
-    for _ in range(200):
+    # The first system pins x = -1.5 with two opposite rows (2x <= -3 and
+    # -2x <= 3); phase 1 ends with its auxiliary still basic at level 0.
+    problems = [([1], [[2], [-2]], [-3, 3])]
+    for trial in range(300):
         n = rng.randint(1, 5)
         m = rng.randint(1, 12)
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-2, 10) for _ in range(m)]
-        c = [rng.randint(-3, 3) for _ in range(n)]
+        if trial >= 200:
+            # Equalities: opposite-row pairs a.x <= -d and -a.x <= d, d > 0.
+            for _ in range(rng.randint(1, 3)):
+                a = [rng.randint(-3, 3) for _ in range(n)]
+                d = rng.randint(1, 5)
+                A += [a, [-v for v in a]]
+                b += [-d, d]
+        problems.append(([rng.randint(-3, 3) for _ in range(n)], A, b))
+    for c, A, b in problems:
+        n = len(c)
         ours = lp.maximize(c, A, b)
         ref = linprog(
             [-v for v in c], A_ub=A, b_ub=b, bounds=[(None, None)] * n, method="highs"
@@ -109,6 +122,7 @@ def test_against_scipy_on_random_problems():
             assert ours.status == lp.OPTIMAL
             assert ours.value == pytest.approx(-ref.fun, abs=1e-6)
             checked += 1
+    assert lp.maximize(*problems[0]).x == pytest.approx((-1.5,), abs=1e-12)
     assert checked > 30  # sanity: the sample hit plenty of bounded problems
 
 
@@ -130,3 +144,25 @@ def test_unbounded_case_scipy_presolve_misreports():
     assert lp.maximize(c, A, b).status == lp.UNBOUNDED
     feasible = linprog([0.0] * 6, A_ub=A, b_ub=b, bounds=[(None, None)] * 6, method="highs")
     assert feasible.status == 0
+
+
+def test_tableau_holds_no_column_per_row():
+    # 2,000 rows in 3 variables: a tableau with a column per row would
+    # take 2001 x 4007 doubles (64 MB); the condensed one takes 128 kB.
+    rng = np.random.default_rng(0)
+    A = rng.normal(size=(2000, 3))
+    c = [1.0, -2.0, 0.5]
+    for x0 in (np.zeros(3), np.array([5.0, -5.0, 5.0])):  # b >= 0, then some b < 0
+        b = 1.0 + A @ x0
+        tracemalloc.start()
+        try:
+            res = lp.maximize(c, A, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        ref = linprog([-v for v in c], A_ub=A, b_ub=b, bounds=[(None, None)] * 3, method="highs")
+        assert res.status == lp.OPTIMAL and ref.status == 0
+        assert res.value == pytest.approx(-ref.fun, abs=1e-7)
+        assert res.x == pytest.approx(tuple(ref.x), abs=1e-6)
+    assert (b < 0).any()
