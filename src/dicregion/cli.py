@@ -34,7 +34,7 @@ from .errors import (
 from .polytope import (
     load_region,
     region_to_dict,
-    regions_equal,
+    is_subset,
     find_subset_violation,
     support_value,
     save_region,
@@ -137,7 +137,8 @@ def cmd_region(args) -> int:
                     max_facets=args.guard,
                     tol=args.tol,
                 )
-                if regions_equal(region, bumped, args.tol):
+                # Every a_max row is an a_max+1 row, so only region <= bumped can fail.
+                if is_subset(region, bumped, args.tol):
                     print(f"a_max check: raising {a_max} -> {a_max + 1} left the region unchanged")
                 else:
                     print(
@@ -152,7 +153,7 @@ def cmd_region(args) -> int:
 
     if args.out:
         save_region(region, args.out)
-        print(f"wrote {len(region.inequalities)} inequalities to {args.out}")
+        print(f"wrote {len(region.lhs)} inequalities to {args.out}")
     else:
         json.dump(region_to_dict(region), sys.stdout, indent=1)
         print()

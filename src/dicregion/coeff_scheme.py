@@ -85,13 +85,6 @@ class CoefficientScheme:
     def weights(self) -> dict:
         return {(i, M): w for i, M, w in self.entries}
 
-    def weight(self, i: int, M) -> int:
-        M = frozenset(M)
-        for j, N, w in self.entries:
-            if j == i and N == M:
-                return w
-        return 0
-
 
 @dataclass(frozen=True)
 class DEVector:

@@ -12,8 +12,9 @@ class ChannelFormatError(DicRegionError):
 
 
 class InfeasibleRegionError(DicRegionError):
-    """An inequality system was proven infeasible (a variable elimination
-    produced 0 <= rhs with rhs < 0)."""
+    """An inequality system was proven infeasible: by a row 0 <= rhs < -tol in
+    `fm_eliminate`, `canonicalize` or the pinned slice of `project_to_aggregate`,
+    or by an empty region in a support value or a containment test."""
 
 
 class UnboundedDirectionError(DicRegionError):

@@ -25,13 +25,12 @@ import functools
 
 from .channel import ChannelSpec
 from .entropy import EntropyTable
-from .errors import InfeasibleRegionError
 from .polytope import (
-    LinearInequality,
     Region,
+    _nonneg_lhs,
+    _nonzero_rows,
     canonicalize,
     fm_eliminate,
-    nonneg_inequalities,
     prune_redundant,
 )
 
@@ -85,7 +84,7 @@ def _a1_lhs(K: int) -> tuple[tuple[int, ...], ...]:
                 if M >> k & 1:
                     coeffs[2 * k + 1] = 1  # common rates decoded jointly
             lhs.append(tuple(coeffs))
-    return tuple(lhs) + tuple(q.coeffs for q in nonneg_inequalities(2 * K))
+    return tuple(lhs) + _nonneg_lhs(2 * K)
 
 
 def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
@@ -95,7 +94,7 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     K = spec.K
     # Row (i, M) reads h[i, full ^ M] = h[i, full - M]: row i of h reversed.
     rhs = table.h[:, ::-1].ravel().tolist() + [0.0] * (2 * K)
-    return Region(2 * K, map(LinearInequality, _a1_lhs(K), rhs), split_labels(K))
+    return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
@@ -126,18 +125,14 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
     # slice R_ip = 0: drop the column, with no prune and no cross rows.
     keep = [k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units]
-    sliced = []
-    for coeffs, rhs in rows:
-        coeffs = tuple(coeffs[k] for k in keep)
-        if any(coeffs):
-            sliced.append(LinearInequality(coeffs, rhs))
-        elif rhs < -tol:
-            raise InfeasibleRegionError(f"pinning a private rate produced 0 <= {rhs}")
+    sliced = list(_nonzero_rows(((tuple(c[k] for k in keep), b) for c, b in rows), tol))
     labels = expected[0::2] + aggregate_labels(K)
-    work = Region(len(keep), tuple(sliced), tuple(labels[k] for k in keep))
+    lhs, rhs = [c for c, _ in sliced], [b for _, b in sliced]
+    work = Region._from_rows(len(keep), lhs, rhs, tuple(labels[k] for k in keep))
 
     for label in work.labels[:-K]:
         work = fm_eliminate(prune_redundant(work, tol=tol), label, tol=tol)
 
-    work = Region(K, work.inequalities + tuple(nonneg_inequalities(K)), work.labels)
+    lhs, rhs = work.lhs + _nonneg_lhs(K), work.rhs.tolist() + [0.0] * K
+    work = Region._from_rows(K, lhs, rhs, work.labels)
     return canonicalize(prune_redundant(work, tol=tol), tol=tol)

@@ -61,18 +61,6 @@ class LinearInequality:
             object.__setattr__(self, "coeffs", tuple(coerced))
         object.__setattr__(self, "rhs", float(self.rhs))
 
-    def drop_var(self, var: int) -> "LinearInequality":
-        return LinearInequality(self.coeffs[:var] + self.coeffs[var + 1 :], self.rhs)
-
-    def primitive(self) -> "LinearInequality":
-        """Divide through by the gcd of the coefficients (no-op on zero rows)."""
-        g = 0
-        for c in self.coeffs:
-            g = math.gcd(g, abs(c))
-        if g <= 1:
-            return self
-        return LinearInequality(tuple(c // g for c in self.coeffs), self.rhs / g)
-
 
 class Region:
     """Polyhedron {x : coeffs . x <= rhs for every inequality}.
@@ -80,23 +68,34 @@ class Region:
     Stored compactly, since callers keep many regions: `lhs` holds each
     row's coefficient tuple as given (regions built from shared tuples
     share them) and `rhs` is one read-only float array.  `inequalities`
-    builds the row objects on each access.  Immutable.
+    builds the row objects on each access; the package itself reads these
+    two fields and builds regions with `_from_rows`.  Immutable.
     """
 
     __slots__ = ("dim", "lhs", "rhs", "labels")
 
     def __init__(self, dim: int, inequalities, labels=()):
         rows = tuple(inequalities)
+        self._fill(dim, tuple(q.coeffs for q in rows), [q.rhs for q in rows], labels)
+
+    @classmethod
+    def _from_rows(cls, dim: int, lhs, rhs, labels=()) -> "Region":
+        """Package-private: build from coefficient tuples (kept as given, so a
+        shared tuple stays shared) and their right-hand sides."""
+        region = object.__new__(cls)
+        region._fill(dim, tuple(lhs), rhs, labels)
+        return region
+
+    def _fill(self, dim, lhs, rhs, labels):
         labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError(f"{len(labels)} labels for dimension {dim}")
-        for ineq in rows:
-            if len(ineq.coeffs) != dim:
-                raise ValueError(f"inequality arity {len(ineq.coeffs)} does not match dim {dim}")
-        rhs = np.array([ineq.rhs for ineq in rows], dtype=float)
+        for coeffs in lhs:
+            if len(coeffs) != dim:
+                raise ValueError(f"inequality arity {len(coeffs)} does not match dim {dim}")
+        rhs = np.array(rhs, dtype=float)
         rhs.flags.writeable = False
-        for name, value in (("dim", dim), ("lhs", tuple(ineq.coeffs for ineq in rows)),
-                            ("rhs", rhs), ("labels", labels)):
+        for name, value in (("dim", dim), ("lhs", lhs), ("rhs", rhs), ("labels", labels)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -136,32 +135,39 @@ class Region:
         return idx
 
 
+def _nonneg_lhs(dim: int) -> tuple[tuple[int, ...], ...]:
+    """Left-hand sides of -x_i <= 0 for every variable."""
+    return tuple(tuple(-1 if k == i else 0 for k in range(dim)) for i in range(dim))
+
+
 def nonneg_inequalities(dim: int) -> list[LinearInequality]:
     """-x_i <= 0 for every variable."""
-    rows = []
-    for i in range(dim):
-        coeffs = [0] * dim
-        coeffs[i] = -1
-        rows.append(LinearInequality(tuple(coeffs), 0.0))
-    return rows
+    return [LinearInequality(coeffs, 0.0) for coeffs in _nonneg_lhs(dim)]
 
 
-def _is_nonneg_row(ineq: LinearInequality) -> bool:
-    return (
-        ineq.rhs == 0.0
-        and sum(1 for c in ineq.coeffs if c != 0) == 1
-        and min(ineq.coeffs) == -1
-    )
+def _is_nonneg_row(coeffs, rhs) -> bool:
+    return rhs == 0.0 and sum(1 for c in coeffs if c != 0) == 1 and min(coeffs) == -1
 
 
-def _dedup_min_rhs(ineqs) -> list[LinearInequality]:
-    """Collapse identical left-hand sides, keeping the tightest rhs."""
-    best: dict[tuple[int, ...], LinearInequality] = {}
-    for ineq in ineqs:
-        kept = best.get(ineq.coeffs)
-        if kept is None or ineq.rhs < kept.rhs:
-            best[ineq.coeffs] = ineq
-    return list(best.values())
+def _tightest(rows) -> dict:
+    """{lhs: rhs} over (lhs, rhs) pairs: the tightest rhs of each left-hand
+    side, in first-seen order."""
+    best = {}
+    for coeffs, rhs in rows:
+        if coeffs not in best or rhs < best[coeffs]:
+            best[coeffs] = rhs
+    return best
+
+
+def _nonzero_rows(rows, tol: float):
+    """The (lhs, rhs) pairs with a nonzero left-hand side.  A zero row
+    0 <= rhs holds trivially when rhs >= -tol and is dropped; below that it
+    proves the region empty and raises InfeasibleRegionError."""
+    for coeffs, rhs in rows:
+        if any(coeffs):
+            yield coeffs, rhs
+        elif rhs < -tol:
+            raise InfeasibleRegionError(f"the system implies 0 <= {rhs}")
 
 
 def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
@@ -169,41 +175,29 @@ def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
 
     Every (positive, negative) coefficient pair is combined with exact
     integer cross-multiplication; rows not mentioning the variable carry
-    over.  Trivially true rows (zero left-hand side, rhs >= -tol) are
-    dropped; a zero row with rhs < -tol proves the region empty and raises
-    InfeasibleRegionError.
+    over.  Zero rows follow `_nonzero_rows`: dropped when trivially true,
+    InfeasibleRegionError when rhs < -tol.
 
     `var` may be a column index or a variable label.
     """
     idx = region.var_index(var)
-    pos, neg, zero = [], [], []
-    for ineq in region.inequalities:
-        c = ineq.coeffs[idx]
-        (pos if c > 0 else neg if c < 0 else zero).append(ineq)
+    pos, neg, out = [], [], []
+    for coeffs, rhs in zip(region.lhs, region.rhs.tolist()):
+        c = coeffs[idx]
+        if c:
+            (pos if c > 0 else neg).append((coeffs, rhs))
+        else:
+            out.append((coeffs[:idx] + coeffs[idx + 1 :], rhs))
+    for p, p_rhs in pos:
+        a = p[idx]
+        for q, q_rhs in neg:
+            bmul = -q[idx]
+            coeffs = tuple(bmul * pc + a * qc for k, (pc, qc) in enumerate(zip(p, q)) if k != idx)
+            out.append((coeffs, bmul * p_rhs + a * q_rhs))
 
-    out: list[LinearInequality] = []
-
-    def _emit(coeffs: tuple[int, ...], rhs: float):
-        if any(coeffs):
-            out.append(LinearInequality(coeffs, rhs))
-        elif rhs < -tol:
-            raise InfeasibleRegionError(f"elimination produced 0 <= {rhs}")
-
-    for ineq in zero:
-        _emit(ineq.drop_var(idx).coeffs, ineq.rhs)
-    for p in pos:
-        a = p.coeffs[idx]
-        for q in neg:
-            bmul = -q.coeffs[idx]
-            coeffs = tuple(
-                bmul * pc + a * qc
-                for k, (pc, qc) in enumerate(zip(p.coeffs, q.coeffs))
-                if k != idx
-            )
-            _emit(coeffs, bmul * p.rhs + a * q.rhs)
-
+    best = _tightest(_nonzero_rows(out, tol))
     labels = region.labels[:idx] + region.labels[idx + 1 :]
-    return Region(region.dim - 1, tuple(_dedup_min_rhs(out)), labels)
+    return Region._from_rows(region.dim - 1, best, list(best.values()), labels)
 
 
 def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
@@ -221,21 +215,20 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     """
     if not tol < 1:
         raise ValueError(f"prune tolerance must be below 1, got {tol}")
-    ineqs = _dedup_min_rhs(region.inequalities)
+    best = _tightest(zip(region.lhs, region.rhs.tolist()))
+    lhs = list(best)
+    A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
+    b = np.array(list(best.values()), dtype=float)
+    nonneg = [_is_nonneg_row(coeffs, rhs) for coeffs, rhs in best.items()]
     # Test busy combination rows first so that simple facets survive.
     test_order = sorted(
-        range(len(ineqs)),
-        key=lambda k: (
-            -sum(1 for c in ineqs[k].coeffs if c != 0),
-            -sum(abs(c) for c in ineqs[k].coeffs),
-            ineqs[k].coeffs,
-        ),
+        range(len(lhs)),
+        key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
     )
-    A, b = Region(region.dim, ineqs, region.labels).matrix()
-    alive = np.ones(len(ineqs), dtype=bool)
-    working = np.array([_is_nonneg_row(q) for q in ineqs], dtype=bool)
+    alive = np.ones(len(lhs), dtype=bool)
+    working = np.array(nonneg, dtype=bool)
     for k in test_order:
-        if _is_nonneg_row(ineqs[k]):
+        if nonneg[k]:
             continue
         alive[k] = False  # k is tested against the others
         while True:
@@ -254,7 +247,7 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
                 alive[k] = working[k] = True
                 break
             working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
-    return Region(region.dim, tuple(compress(ineqs, alive)), region.labels)
+    return Region._from_rows(region.dim, compress(lhs, alive), b[alive], region.labels)
 
 
 def _support(A, b, direction, tol: float):
@@ -278,10 +271,10 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     A, rhs = a.matrix()
-    for ineq in b.inequalities:
-        value = _support(A, rhs, ineq.coeffs, tol)
-        if value is None or value > ineq.rhs + tol:
-            return (ineq, value)
+    for coeffs, bound in zip(b.lhs, b.rhs.tolist()):
+        value = _support(A, rhs, coeffs, tol)
+        if value is None or value > bound + tol:
+            return (LinearInequality(coeffs, bound), value)
     return None
 
 
@@ -315,8 +308,8 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
 
 
 def contains_point(region: Region, point, tol: float = 1e-9) -> bool:
-    for ineq in region.inequalities:
-        if sum(c * x for c, x in zip(ineq.coeffs, point)) > ineq.rhs + tol:
+    for coeffs, bound in zip(region.lhs, region.rhs.tolist()):
+        if sum(c * x for c, x in zip(coeffs, point)) > bound + tol:
             return False
     return True
 
@@ -344,7 +337,7 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
 
     A, b = region.matrix()
     candidates: list[tuple[float, ...]] = []
-    for rows in combinations(range(len(region.inequalities)), region.dim):
+    for rows in combinations(range(len(region.lhs)), region.dim):
         sub = A[list(rows), :]
         rhs = b[list(rows)]
         try:
@@ -365,17 +358,16 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
 
 
 def canonicalize(region: Region, tol: float = 1e-9) -> Region:
-    """Presentation cleanup: primitive rows, tightest rhs per row, sorted."""
-    rows = []
-    for ineq in region.inequalities:
-        if not any(ineq.coeffs):
-            if ineq.rhs < -tol:
-                raise InfeasibleRegionError(f"region contains 0 <= {ineq.rhs}")
-            continue
-        rows.append(ineq.primitive())
-    rows = _dedup_min_rhs(rows)
-    rows.sort(key=lambda q: (q.coeffs, q.rhs))
-    return Region(region.dim, tuple(rows), region.labels)
+    """Presentation cleanup: zero rows dropped (`_nonzero_rows`), each row
+    divided by the gcd of its coefficients, tightest rhs per row, sorted."""
+    def primitive(coeffs, rhs):
+        g = math.gcd(*coeffs)
+        return (tuple(c // g for c in coeffs), rhs / g) if g > 1 else (coeffs, rhs)
+
+    rows = _nonzero_rows(zip(region.lhs, region.rhs.tolist()), tol)
+    best = _tightest(primitive(coeffs, rhs) for coeffs, rhs in rows)
+    lhs = sorted(best)
+    return Region._from_rows(region.dim, lhs, [best[coeffs] for coeffs in lhs], region.labels)
 
 
 def region_to_dict(region: Region) -> dict:
@@ -383,7 +375,8 @@ def region_to_dict(region: Region) -> dict:
         "dim": region.dim,
         "labels": list(region.labels),
         "inequalities": [
-            {"coeffs": list(ineq.coeffs), "rhs": ineq.rhs} for ineq in region.inequalities
+            {"coeffs": list(coeffs), "rhs": rhs}
+            for coeffs, rhs in zip(region.lhs, region.rhs.tolist())
         ],
     }
 

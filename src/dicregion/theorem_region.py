@@ -33,13 +33,7 @@ from .channel import ChannelSpec
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, subset_rank
 from .errors import EnumerationOverflowError
-from .polytope import (
-    LinearInequality,
-    Region,
-    canonicalize,
-    nonneg_inequalities,
-    prune_redundant,
-)
+from .polytope import LinearInequality, Region, _nonneg_lhs, canonicalize, prune_redundant
 
 __all__ = [
     "FacetSpec",
@@ -262,7 +256,7 @@ def enumerate_facets(
         )
 
     f = _smallest_rhs(table.h, a_max)
-    rows = []
+    lhs, rhs = [], []
     for a in itertools.product(range(a_max + 1), repeat=K):
         if not any(a):
             continue
@@ -270,9 +264,10 @@ def enumerate_facets(
         split = box + box[(slice(None, None, -1),) * K]  # f(b) + f(a - b)
         split.flat[0] = split.flat[-1] = np.inf  # b = 0 and b = a
         if f[a] < split.min() - tol:
-            rows.append(LinearInequality(a, f[a]))
-    rows.extend(nonneg_inequalities(K))
-    region = Region(K, tuple(rows), tuple(f"R{i}" for i in range(1, K + 1)))
+            lhs.append(a)
+            rhs.append(f[a])
+    lhs, rhs = lhs + list(_nonneg_lhs(K)), rhs + [0.0] * K
+    region = Region._from_rows(K, lhs, rhs, tuple(f"R{i}" for i in range(1, K + 1)))
     return canonicalize(prune_redundant(region, tol=tol), tol=tol)
 
 

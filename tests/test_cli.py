@@ -227,6 +227,28 @@ def test_region_check_a_max_stable(xor_file, uniform2_file, tmp_path, capsys):
     assert "left the region unchanged" in capsys.readouterr().out
 
 
+def test_region_check_a_max_reports_a_changed_region(tmp_path, capsys):
+    import random
+
+    from conftest import random_full_support, random_injective_channel
+    from dicregion.entropy import build_entropy_table
+    from dicregion.theorem_region import enumerate_facets
+
+    rng = random.Random(7)
+    spec = random_injective_channel(rng, 3, 3)
+    dist = random_full_support(rng, spec)
+    chan, dist_path, out = tmp_path / "chan.json", tmp_path / "dist.json", tmp_path / "r.json"
+    save_channel(spec, chan)
+    save_distribution(dist, dist_path)
+    rc = main(
+        ["region", str(chan), str(dist_path), "--method", "theorem", "--a-max", "1",
+         "--check-a-max", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "changed the region" in capsys.readouterr().err
+    assert load_region(out) == enumerate_facets(spec, build_entropy_table(spec, dist), a_max=1)
+
+
 def test_region_guard_overflow(xor_file, uniform2_file, capsys):
     rc = main(["region", xor_file, uniform2_file, "--method", "theorem", "--guard", "3"])
     assert rc == 1

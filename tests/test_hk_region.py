@@ -26,6 +26,7 @@ from dicregion.theorem_region import enumerate_facets
 from conftest import (
     assert_support_values_match_highs,
     channels_with_distributions,
+    injective_channel_of_sizes,
     product_channel,
     random_entropy_table,
     random_full_support,
@@ -78,6 +79,31 @@ def test_a1_rows_read_the_complement_entry(parity3):
             for m in M:
                 coeffs[2 * (m - 1) + 1] = 1
             assert rhs_of[tuple(coeffs)] == table.h_y_given_v(i, full - M), (i, sorted(M))
+
+
+@pytest.mark.parametrize("route,K,sizes", [
+    ("hk-project", 5, [2] * 5),  # every private rate pinned
+    ("hk-project", 3, [3, 4, 3]),  # Fourier-Motzkin steps as well
+    ("theorem", 3, [3, 2, 4]),
+])
+def test_routes_build_no_row_objects_but_nonnegativity(monkeypatch, route, K, sizes):
+    rng = random.Random(f"{route}/{K}")
+    spec = injective_channel_of_sizes(rng, sizes)
+    table = build_entropy_table(spec, random_full_support(rng, spec))
+    built = []
+    original = LinearInequality.__post_init__
+
+    def counting(self):
+        built.append(self.coeffs)
+        original(self)
+
+    monkeypatch.setattr(LinearInequality, "__post_init__", counting)
+    if route == "hk-project":
+        region = project_to_aggregate(build_A1(spec, table))
+    else:
+        region = enumerate_facets(spec, table)
+    assert len(region.lhs) > K
+    assert len(built) <= 3 * K, built
 
 
 def test_project_xor_gives_simplex(xor):

@@ -308,6 +308,34 @@ def test_canonicalize_scales_and_sorts():
     ]
 
 
+def _zero_row_through_fm(b):
+    # x <= 0 and -x <= b combine to 0 <= b.
+    return fm_eliminate(R(1, [((1,), 0.0), ((-1,), b)]), 0), ()
+
+
+def _zero_row_through_canonicalize(b):
+    return canonicalize(R(1, [((0,), b), ((1,), 1.0)])), ((1,),)
+
+
+def _zero_row_through_pinned_slice(b):
+    from dicregion.hk_region import project_to_aggregate, split_labels
+
+    # R1p <= 0 and -R1p <= 0 pin R1p, so dropping its column leaves R1p <= b as 0 <= b.
+    rows = [((1, 0), 0.0), ((-1, 0), 0.0), ((1, 0), b), ((0, 1), 1.0), ((0, -1), 0.0)]
+    return project_to_aggregate(R(2, rows, split_labels(1))), ((-1,), (1,))
+
+
+@pytest.mark.parametrize(
+    "through", [_zero_row_through_fm, _zero_row_through_canonicalize, _zero_row_through_pinned_slice]
+)
+def test_zero_rows_follow_one_rule(through):
+    tol = 1e-9  # the default of every path
+    with pytest.raises(InfeasibleRegionError, match=r"0 <= -1\.0"):
+        through(-1.0)
+    region, kept_lhs = through(-tol / 2)
+    assert region.lhs == kept_lhs
+
+
 def test_integer_coefficients_enforced():
     with pytest.raises(ValueError, match="integer"):
         LinearInequality((0.5, 1), 1.0)
