@@ -34,7 +34,7 @@ _BLOCK_CODES = 1 << 12  # most codes sorted by one np.unique call
 class InputDistribution:
     """Product input distribution: probs[i-1][x] = p_i(x).
 
-    Each per-user vector must be nonnegative and sum to 1 within 1e-12.
+    Each per-user vector must be finite, nonnegative and sum to 1 within 1e-12.
     """
 
     probs: tuple[tuple[float, ...], ...]
@@ -42,6 +42,8 @@ class InputDistribution:
     def __post_init__(self):
         object.__setattr__(self, "probs", tuple(tuple(map(float, row)) for row in self.probs))
         for i, row in enumerate(self.probs, start=1):
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"user {i}: non-finite probability entry")
             if any(p < 0 for p in row):
                 raise ValueError(f"user {i}: negative probability entry")
             total = math.fsum(row)

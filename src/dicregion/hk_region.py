@@ -130,8 +130,14 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     lhs, rhs = [c for c, _ in sliced], [b for _, b in sliced]
     work = Region._from_rows(len(keep), lhs, rhs, tuple(labels[k] for k in keep))
 
+    # A kept row free of the eliminated rate stays needed: its witness point meets every
+    # other kept row, hence each row of the next system (a kept row or a sum of two).
+    facets = set()
     for label in work.labels[:-K]:
-        work = fm_eliminate(prune_redundant(work, tol=tol), label, tol=tol)
+        work = prune_redundant(work, tol=tol, facets=facets)
+        j = work.var_index(label)
+        facets = {(c[:j] + c[j + 1 :], b) for c, b in zip(work.lhs, work.rhs.tolist()) if not c[j]}
+        work = fm_eliminate(work, label, tol=tol)
 
     lhs, rhs = work.lhs + _nonneg_lhs(K), work.rhs.tolist() + [0.0] * K
     work = Region._from_rows(K, lhs, rhs, work.labels)

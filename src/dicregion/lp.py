@@ -42,9 +42,7 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
     system is infeasible when the smallest t with A x - t <= b exceeds tol,
     so a system violated by at most tol everywhere counts as feasible.
     """
-    c = np.asarray(c, dtype=float)
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
+    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
     n = c.shape[0]
     if A.size == 0:
         if np.all(np.abs(c) <= tol):
@@ -62,11 +60,11 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
     T[:m, n : 2 * n] = -A
     T[:m, -1] = b
     basis = np.arange(2 * n, aux)
-    nonbasic = np.append(np.arange(2 * n), aux)
+    nonbasic = np.array([*range(2 * n), aux])
 
     if b.min() < 0:
         T[:m, 2 * n] = -1.0
-        _pivot(T, basis, nonbasic, int(np.argmin(b)), 2 * n)
+        _pivot(T, basis, nonbasic, int(b.argmin()), 2 * n)
         cost = np.zeros(aux + 1)
         cost[aux] = 1.0
         _price(T, basis, nonbasic, cost)
@@ -76,23 +74,25 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
         # t may stay basic at a level within tol.  Its row has nonbasic slack
         # entries summing to -1 (raising every slack and t by one keeps
         # A x + s - t = b), so a pivot entry of size >= 1/(2n+1) exists.
-        r = np.flatnonzero(basis == aux)
+        r = (basis == aux).nonzero()[0]
         if r.size:
-            _pivot(T, basis, nonbasic, int(r[0]), int(np.argmax(np.abs(T[r[0], :-1]))))
-        T[:, np.flatnonzero(nonbasic == aux)] = 0.0  # t stays nonbasic at 0
-
-    # Phase 2: minimize -c.x = -c.u + c.w.
-    cost = np.zeros(aux + 1)
-    cost[:n] = -c
-    cost[n : 2 * n] = c
-    _price(T, basis, nonbasic, cost)
+            _pivot(T, basis, nonbasic, int(r[0]), int(np.abs(T[r[0], :-1]).argmax()))
+        T[:, (nonbasic == aux).nonzero()[0]] = 0.0  # t stays nonbasic at 0
+        # Phase 2: minimize -c.x = -c.u + c.w.
+        cost = np.zeros(aux + 1)
+        cost[:n] = -c
+        cost[n : 2 * n] = c
+        _price(T, basis, nonbasic, cost)
+    else:  # phase 2 from the slack basis, whose costs are all 0: the row is the costs
+        T[m, :n] = -c
+        T[m, n : 2 * n] = c
     if _iterate(T, basis, nonbasic, tol, allow_unbounded=True) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
     z = np.zeros(aux + 1)
     z[basis] = T[:m, -1]
     x = z[:n] - z[n : 2 * n]
-    return LPResult(OPTIMAL, float(c @ x), tuple(float(v) for v in x))
+    return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 
 def _price(T, basis, nonbasic, cost):
@@ -102,20 +102,23 @@ def _price(T, basis, nonbasic, cost):
 
 def _iterate(T, basis, nonbasic, tol, allow_unbounded):
     """Run simplex pivots until optimal (Bland's rule throughout)."""
+    obj, rhs = T[-1, :-1], T[:-1, -1]  # views, updated in place by each pivot
+    unused = len(basis) + len(nonbasic)  # above every label
     for _ in range(_MAX_PIVOTS):
-        candidates = np.flatnonzero(T[-1, :-1] < -tol)
-        if candidates.size == 0:
+        neg = obj < -tol
+        if not neg.any():
             return OPTIMAL
-        j = int(candidates[np.argmin(nonbasic[candidates])])
+        j = int(np.where(neg, nonbasic, unused).argmin())
         col = T[:-1, j]
-        rows = np.flatnonzero(col > tol)
-        if rows.size == 0:
+        rows = (col > tol).nonzero()[0]
+        if not rows.size:
             if allow_unbounded:
                 return UNBOUNDED
             raise RuntimeError("phase-1 objective unbounded; tableau corrupted")
-        ratios = T[rows, -1] / col[rows]
-        tied = rows[ratios <= np.min(ratios) + tol]
-        _pivot(T, basis, nonbasic, int(tied[np.argmin(basis[tied])]), j)
+        ratios = rhs[rows] / col[rows]
+        tied = rows[ratios <= ratios.min() + tol]
+        r = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]
+        _pivot(T, basis, nonbasic, int(r), j)
     raise RuntimeError("simplex pivot limit exceeded")
 
 
@@ -127,5 +130,5 @@ def _pivot(T, basis, nonbasic, r, j):
     T[:, j] = 0.0
     T[r, j] = 1.0
     T[r] /= p  # T[r, j] is now 1/p; the update sets column j to -col/p
-    T -= np.outer(col, T[r])
+    T -= col[:, None] * T[r]
     basis[r], nonbasic[j] = nonbasic[j], basis[r]

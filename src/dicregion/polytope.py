@@ -101,6 +101,9 @@ class Region:
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Region")
 
+    def __reduce__(self):  # copy and pickle rebuild through _fill
+        return Region._from_rows, (self.dim, self.lhs, self.rhs.tolist(), self.labels)
+
     @property
     def inequalities(self) -> tuple[LinearInequality, ...]:
         return tuple(map(LinearInequality, self.lhs, self.rhs.tolist()))
@@ -200,11 +203,12 @@ def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
     return Region._from_rows(region.dim - 1, best, list(best.values()), labels)
 
 
-def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
+def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) -> Region:
     """Drop inequalities implied by the rest of the system.
 
     Row k is dropped when the surviving other rows bound a_k.x by b_k + tol
-    or admit no point; unit nonnegativity rows (-x_i <= 0) are always kept.
+    or admit no point.  Unit nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
+    pairs in `facets`, which the caller has proven irredundant, are kept with no LP.
     Each LP is output-sensitive (Clarkson, FOCS 1994): it runs over a working
     set, seeded with the nonnegativity rows, plus the cap a_k.x <= b_k + 1.
     An optimum violating no other surviving row beyond tol witnesses that k
@@ -228,7 +232,8 @@ def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     alive = np.ones(len(lhs), dtype=bool)
     working = np.array(nonneg, dtype=bool)
     for k in test_order:
-        if nonneg[k]:
+        if nonneg[k] or (lhs[k], b[k]) in facets:
+            working[k] = True  # kept, as a kept row leaves the LP path below
             continue
         alive[k] = False  # k is tested against the others
         while True:
@@ -387,6 +392,8 @@ def region_from_dict(data: dict) -> Region:
             LinearInequality(tuple(item["coeffs"]), item["rhs"])
             for item in data["inequalities"]
         )
+        if not all(math.isfinite(q.rhs) for q in ineqs):
+            raise ValueError("an inequality has a non-finite rhs")
         return Region(data["dim"], ineqs, tuple(data.get("labels") or ()))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed region document: {exc}") from exc

@@ -72,6 +72,29 @@ def test_region_point_mass(xor_file, tmp_path):
     assert regions_equal(region, zero, 1e-9)
 
 
+@pytest.mark.parametrize("method", ["hk-project", "theorem"])
+def test_region_rejects_a_nan_probability(xor_file, tmp_path, method, capsys):
+    # Before the check, both methods wrote the region R1 <= 0 and exited 0.
+    dist_path = tmp_path / "nan.json"
+    dist_path.write_text('{"p": [[NaN, 1.0], [0.5, 0.5]]}')
+    assert main(["region", xor_file, str(dist_path), "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+def test_region_files_with_non_finite_rhs_are_parse_errors(tmp_path, capsys):
+    good = tmp_path / "good.json"
+    save_region(UNIT_SIMPLEX, good)
+    bad = tmp_path / "bad.json"
+    bad.write_text(good.read_text().replace('"rhs": 1.0', '"rhs": NaN'))
+    assert main(["compare", str(bad), str(good)]) == 2
+    assert main(["plot", str(bad), "--out", str(tmp_path / "plot.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("non-finite") == 2
+
+
 def test_region_refuses_non_injective(tmp_path, capsys):
     chan = tmp_path / "parity.json"
     save_channel(parity3_channel(), chan)

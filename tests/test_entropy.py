@@ -278,6 +278,10 @@ def test_distribution_validation():
         InputDistribution(((0.5, 0.4), (1.0, 0.0)))
     with pytest.raises(ValueError, match="negative"):
         InputDistribution(((1.5, -0.5), (1.0, 0.0)))
+    # NaN passes both the sign and the sum test, so it is rejected first.
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="user 2: non-finite"):
+            InputDistribution(((0.5, 0.5), (bad, 1.0)))
 
 
 def test_distribution_json_round_trip(tmp_path):

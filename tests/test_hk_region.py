@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import dicregion.lp
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.hk_region import (
+    aggregate_labels,
     aggregate_projection_matrix,
     build_A1,
     project_to_aggregate,
@@ -15,8 +16,13 @@ from dicregion.hk_region import (
 )
 from dicregion.polytope import (
     LinearInequality,
+    Region,
+    canonicalize,
     contains_point,
+    fm_eliminate,
     is_subset,
+    nonneg_inequalities,
+    prune_redundant,
     regions_equal,
     support_value,
     vertices,
@@ -33,6 +39,7 @@ from conftest import (
     random_injective_channel,
     xor_channel,
 )
+from test_entropy import with_zeros
 
 
 def table_for(spec, dist=None):
@@ -334,6 +341,56 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     project_to_aggregate(a1)
     assert widths and max(widths) == 5
+
+
+def _plain_projection(a1):
+    """project_to_aggregate written as a plain prune/eliminate loop, with no
+    facets carried: substitute R_ic = R_i - R_ip, drop every pinned private
+    column, prune before each elimination, add nonnegativity, prune again."""
+    K = a1.dim // 2
+    rows = []
+    for coeffs, rhs in zip(a1.lhs, a1.rhs.tolist()):
+        private, common = coeffs[0::2], coeffs[1::2]
+        rows.append((tuple(p - c for p, c in zip(private, common)) + common, rhs))
+    unit = lambda k, s: tuple(s if j == k else 0 for j in range(2 * K))
+    keep = [k for k in range(2 * K) if k >= K or {(unit(k, 1), 0.0), (unit(k, -1), 0.0)} - set(rows)]
+    sliced = [(tuple(c[k] for k in keep), b) for c, b in rows]
+    labels = split_labels(K)[0::2] + aggregate_labels(K)
+    work = Region(len(keep), [LinearInequality(c, b) for c, b in sliced if any(c)],
+                  [labels[k] for k in keep])
+    for label in work.labels[:-K]:
+        work = fm_eliminate(prune_redundant(work), label)
+    work = Region(K, work.inequalities + tuple(nonneg_inequalities(K)), work.labels)
+    return canonicalize(prune_redundant(work))
+
+
+def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
+    maximize = dicregion.lp.maximize
+    calls = []
+
+    def counting(c, A, b, tol=1e-9):
+        calls.append(1)
+        return maximize(c, A, b, tol=tol)
+
+    monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    fewer = 0
+    for seed, K, max_x in [(3, 3, 3), (9, 3, 4), UNPINNED_K4, (6, 4, 3)]:
+        rng = random.Random(seed)
+        spec = random_injective_channel(rng, K, max_x)
+        dists = [random_full_support(rng, spec), with_zeros(rng, spec),
+                 InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes])]
+        for dist in dists:
+            a1 = build_A1(spec, table_for(spec, dist))
+            del calls[:]
+            route = project_to_aggregate(a1)
+            route_calls = len(calls)
+            del calls[:]
+            plain = _plain_projection(a1)
+            assert route.lhs == plain.lhs and route.labels == plain.labels
+            assert route.rhs.tobytes() == plain.rhs.tobytes()
+            assert route_calls <= len(calls)
+            fewer += route_calls < len(calls)
+    assert fewer  # carried facets skipped LPs on some channel
 
 
 def test_a1_shares_its_coefficient_tuples_across_calls():

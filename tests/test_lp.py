@@ -62,6 +62,42 @@ def test_degenerate_vertex():
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
 
+# Beale's cycling example (E. M. L. Beale, 1955): max 3/4 x1 - 20 x2 + 1/2 x3 - 6 x4
+# over x >= 0 with two degenerate rows at the origin; the largest-coefficient
+# rule cycles on it, Bland's rule does not.
+BEALE = (
+    [0.75, -20.0, 0.5, -6.0],
+    [[0.25, -8, -1, 9], [0.5, -12, -0.5, 3], [0, 0, 1, 0],
+     [-1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, -1]],
+    [0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+)
+
+
+@pytest.mark.parametrize(
+    "problem, pivots, x",
+    [
+        (([1.0, 1.0], [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 2.0]), 2, (1.0, 1.0)),
+        (BEALE, 8, (1.0000000000000002, 0.0, 1.0, 0.0)),
+    ],
+    ids=["degenerate-vertex", "beale"],
+)
+def test_blands_rule_pivots_are_pinned(monkeypatch, problem, pivots, x):
+    # Recorded from the pivot loop before it was rewritten with fewer numpy
+    # calls: the same pivots in the same order give these counts and points
+    # to the last bit.
+    pivot, made = lp._pivot, []
+
+    def counting(T, basis, nonbasic, r, j):
+        made.append((r, j))
+        pivot(T, basis, nonbasic, r, j)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    res = lp.maximize(*problem)
+    assert res.status == lp.OPTIMAL
+    assert len(made) == pivots
+    assert res.x == x
+
+
 def test_optimal_point_is_feasible():
     rng = random.Random(0)
     for _ in range(50):

@@ -1,7 +1,9 @@
 """Polyhedral kernel: elimination, pruning, containment, vertices."""
 
+import copy
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -70,6 +72,8 @@ def test_prune_dominated_single_bounds():
     pruned = prune_redundant(region)
     kept = {(q.coeffs, q.rhs) for q in pruned.inequalities}
     assert kept == {((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)}
+    # A facet pair matches only with its exact rhs: (1, 0) <= 1 is still tested.
+    assert prune_redundant(region, facets={((1, 0), 2.0)}) == pruned
 
 
 def test_prune_same_lhs_keeps_tightest():
@@ -78,8 +82,9 @@ def test_prune_same_lhs_keeps_tightest():
     assert {(q.coeffs, q.rhs) for q in pruned.inequalities} == {((1,), 1.0), ((-1,), 0.0)}
 
 
-def test_prune_preserves_feasible_set():
+def test_prune_preserves_feasible_set(monkeypatch):
     rng = random.Random(3)
+    pruned_regions = []
     for _ in range(20):
         dim = rng.randint(1, 3)
         rows = [
@@ -91,6 +96,14 @@ def test_prune_preserves_feasible_set():
         pruned = prune_redundant(region)
         assert regions_equal(region, pruned, 1e-9)
         assert len(pruned.inequalities) <= len(region.inequalities)
+        pruned_regions.append(pruned)
+    # Every other row of an irredundant region passed as a facet: no LP runs
+    # (maximize is unset, so one would raise) and the region comes back whole.
+    monkeypatch.setattr(lp, "maximize", None)
+    for pruned in pruned_regions:
+        nonneg = {(q.coeffs, q.rhs) for q in nonneg_inequalities(pruned.dim)}
+        facets = set(zip(pruned.lhs, pruned.rhs.tolist())) - nonneg
+        assert prune_redundant(pruned, facets=facets) == pruned
 
 
 def _prune_against_all_others(region, tol=1e-9):
@@ -366,6 +379,15 @@ def test_region_is_immutable_and_compares_by_rows():
     assert a.inequalities[0] == LinearInequality((1, 1), 1.0)
 
 
+def test_region_survives_copy_and_pickle():
+    region = R(2, [((1, 2), 0.1), ((-1, 0), 0.0), ((0, -1), -0.0)], labels=("u", "v"))
+    for clone in (copy.copy(region), copy.deepcopy(region), pickle.loads(pickle.dumps(region))):
+        assert clone == region and hash(clone) == hash(region)
+        assert clone.labels == ("u", "v") and clone.rhs.tobytes() == region.rhs.tobytes()
+        with pytest.raises(AttributeError):
+            clone.dim = 3
+
+
 def test_prune_rejects_tolerance_of_one_or_more():
     # Each LP caps its row 1 above b_k, so at tol 1 every capped value is
     # within tol: x <= 1 would be dropped, leaving only x >= 0.
@@ -382,3 +404,11 @@ def test_region_json_round_trip(tmp_path):
     again = load_region(path)
     assert again == UNIT_SIMPLEX
     assert region_from_dict(region_to_dict(UNIT_SQUARE)) == UNIT_SQUARE
+
+
+@pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_region_document_rejects_non_finite_rhs(rhs):
+    doc = region_to_dict(UNIT_SIMPLEX)
+    doc["inequalities"][0]["rhs"] = rhs
+    with pytest.raises(ValueError, match="non-finite"):
+        region_from_dict(doc)
