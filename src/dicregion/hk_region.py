@@ -49,21 +49,11 @@ def aggregate_projection_matrix(K: int) -> tuple[tuple[int, ...], ...]:
     Row i has ones exactly in the two columns of user i's private and
     common rate, so (matrix @ split_vector)_i = R_ip + R_ic.
     """
-    rows = []
-    for i in range(K):
-        row = [0] * (2 * K)
-        row[2 * i] = 1
-        row[2 * i + 1] = 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    return tuple(tuple(int(k // 2 == i) for k in range(2 * K)) for i in range(K))
 
 
 def split_labels(K: int) -> tuple[str, ...]:
-    out = []
-    for i in range(1, K + 1):
-        out.append(f"R{i}p")
-        out.append(f"R{i}c")
-    return tuple(out)
+    return tuple(f"R{i}{part}" for i in range(1, K + 1) for part in "pc")
 
 
 def aggregate_labels(K: int) -> tuple[str, ...]:

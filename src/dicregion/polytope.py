@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 
 import numpy as np
 
@@ -206,16 +206,24 @@ def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
 def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) -> Region:
     """Drop inequalities implied by the rest of the system.
 
-    Row k is dropped when the surviving other rows bound a_k.x by b_k + tol
-    or admit no point.  Unit nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
-    pairs in `facets`, which the caller has proven irredundant, are kept with no LP.
-    Each LP is output-sensitive (Clarkson, FOCS 1994): it runs over a working
-    set, seeded with the nonnegativity rows, plus the cap a_k.x <= b_k + 1.
-    An optimum violating no other surviving row beyond tol witnesses that k
-    is needed (k joins the set); otherwise the five most violated rows join
-    and the LP runs again.  Decisions equal testing against all survivors.
-    `tol` must be below 1, the cap's slack: at tol >= 1 every capped value
-    is within tol of b_k, so every row would look redundant.
+    Rows take turns busy combinations first, so that simple facets survive;
+    row k is dropped when the rows alive at its turn bound a_k.x by b_k + tol
+    or admit no point.  Nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
+    pairs in `facets`, which the caller has proven irredundant, are kept.
+    Each LP caps row k at b_k + 1, so `tol` must be below 1.
+
+    When every b_i >= 0, certificates decide most rows, each round of LPs
+    in one `lp.maximize_batch` call.  Kept rows (the above and certified
+    keeps) are alive at every turn and the alive rows are among all others,
+    so a value <= b_k + tol over kept rows drops k, and > b_k + tol over all
+    others keeps it.  Step A: over the kept rows, drop, or keep when the
+    optimum violates no other row by over tol.  Step B: the LP over all
+    others, output-sensitively (Clarkson, FOCS 1994): the working set gains
+    the rows its optimum violates most, doubling, until none is violated
+    (keep) or the value is <= b_k + tol.  Step C: those last rows over the
+    kept rows again, drop.  Rows left open (ties: scaled duplicates, two
+    rows on one face of a lower-dimensional region), and all rows when some
+    b_i < 0, take `_clarkson_keeps` against the rows alive at their turn.
     """
     if not tol < 1:
         raise ValueError(f"prune tolerance must be below 1, got {tol}")
@@ -223,36 +231,84 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     lhs = list(best)
     A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
     b = np.array(list(best.values()), dtype=float)
-    nonneg = [_is_nonneg_row(coeffs, rhs) for coeffs, rhs in best.items()]
-    # Test busy combination rows first so that simple facets survive.
+    nonneg = np.array([_is_nonneg_row(coeffs, rhs) for coeffs, rhs in best.items()], dtype=bool)
+    kept = nonneg | np.array([pair in facets for pair in best.items()], dtype=bool)
+    dropped = np.zeros(len(lhs), dtype=bool)
+    if not kept.all() and b.min() >= 0:
+        _certify(A, b, kept, dropped, tol)
     test_order = sorted(
         range(len(lhs)),
         key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
     )
     alive = np.ones(len(lhs), dtype=bool)
-    working = np.array(nonneg, dtype=bool)
+    working = nonneg.copy()
     for k in test_order:
-        if nonneg[k] or (lhs[k], b[k]) in facets:
-            working[k] = True  # kept, as a kept row leaves the LP path below
-            continue
-        alive[k] = False  # k is tested against the others
-        while True:
-            rows = np.append(np.flatnonzero(working & alive), k)
-            res = lp.maximize(A[k], A[rows], b[rows] + (rows == k), tol=tol)
-            if res.status == lp.INFEASIBLE:
-                # Others empty (drop k), or all violate row k by over 1 (keep).
-                alive[k] = lp.maximize(A[k], A[alive], b[alive], tol=tol).status != lp.INFEASIBLE
-                break
-            if res.value <= b[k] + tol:
-                break
-            # The LP enforced the working rows, so each pass adds a new row.
-            excess = A @ np.asarray(res.x) - b
-            violated = np.flatnonzero(alive & ~working & (excess > tol))
-            if violated.size == 0:
-                alive[k] = working[k] = True
-                break
-            working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
+        if kept[k]:
+            working[k] = True  # as a row the LP path keeps
+        elif dropped[k]:
+            alive[k] = False
+        else:
+            alive[k] = False  # k is tested against the others
+            alive[k] = _clarkson_keeps(A, b, k, alive, working, tol)
     return Region._from_rows(region.dim, compress(lhs, alive), b[alive], region.labels)
+
+
+def _capped(A, b, rows, tested, tol):
+    """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
+    one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k."""
+    others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
+    idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
+    return lp.maximize_batch(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)[1:]
+
+
+def _certify(A, b, kept, dropped, tol):
+    """Steps A-C of `prune_redundant` (every b_i >= 0): mark certified keeps
+    in `kept` and certified drops in `dropped`."""
+    tested = np.flatnonzero(~kept)
+    working = np.tile(kept, (len(tested), 1))  # step A: the kept rows
+    implied = [tested[:0]]
+    for step in count():
+        values, X = _capped(A, b, working, tested, tol)
+        bounded = values <= b[tested] + tol
+        if step == 0:
+            dropped[tested[bounded]] = True
+        else:
+            implied.append(tested[bounded])
+        excess = X @ A.T - b
+        excess[working] = -np.inf  # enforced by the LP: only new rows join
+        excess[np.arange(len(tested)), tested] = -np.inf
+        grow = ~bounded & (excess.max(1) > tol)
+        kept[tested[~bounded & ~grow]] = True
+        tested, working, excess = tested[grow], working[grow], excess[grow]
+        if not tested.size:
+            break
+        size = working[0].sum()  # step B: the most violated rows join
+        top = np.argsort(-excess, axis=1, kind="stable")[:, : min(max(5, size), len(b) - 1 - size)]
+        working[np.arange(len(tested))[:, None], top] = True
+    tested = np.concatenate(implied)
+    if tested.size:  # step C
+        dropped[tested[_capped(A, b, kept, tested, tol)[0] <= b[tested] + tol]] = True
+
+
+def _clarkson_keeps(A, b, k, alive, working, tol) -> bool:
+    """Whether the `alive` rows (k excluded) leave row k needed: an optimum of
+    the capped LP over the working set that violates no alive row beyond tol
+    says so (k joins the set); else the five most violated rows join."""
+    while True:
+        rows = np.append(np.flatnonzero(working & alive), k)
+        res = lp.maximize(A[k], A[rows], b[rows] + (rows == k), tol=tol)
+        if res.status == lp.INFEASIBLE:
+            # Others empty (drop k), or all violate row k by over 1 (keep).
+            return lp.maximize(A[k], A[alive], b[alive], tol=tol).status != lp.INFEASIBLE
+        if res.value <= b[k] + tol:
+            return False
+        # The LP enforced the working rows, so each pass adds a new row.
+        excess = A @ np.asarray(res.x) - b
+        violated = np.flatnonzero(alive & ~working & (excess > tol))
+        if violated.size == 0:
+            working[k] = True
+            return True
+        working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
 
 
 def _support(A, b, direction, tol: float):
@@ -306,17 +362,24 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     Raises UnboundedDirectionError when the objective is unbounded and
     InfeasibleRegionError when the region is empty.
     """
-    value = _support(*region.matrix(), np.asarray(direction, dtype=float), tol)
+    d = np.asarray(direction, dtype=float)
+    if d.shape != (region.dim,) or not np.isfinite(d).all():
+        raise ValueError(f"direction must be {region.dim} finite numbers, got {d.tolist()}")
+    value = _support(*region.matrix(), d, tol)
     if value is None:
         raise UnboundedDirectionError(direction)
     return value
 
 
 def contains_point(region: Region, point, tol: float = 1e-9) -> bool:
-    for coeffs, bound in zip(region.lhs, region.rhs.tolist()):
-        if sum(c * x for c, x in zip(coeffs, point)) > bound + tol:
-            return False
-    return True
+    """True iff the point satisfies every inequality within tol."""
+    point = tuple(point)
+    if len(point) != region.dim or not all(map(math.isfinite, point)):
+        raise ValueError(f"point {point} is not {region.dim} finite numbers (region dimension)")
+    return not any(
+        sum(c * x for c, x in zip(coeffs, point)) > bound + tol
+        for coeffs, bound in zip(region.lhs, region.rhs.tolist())
+    )
 
 
 def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,12 +94,8 @@ class FacetSpec:
 
     def counting_ok(self) -> bool:
         """Does user m appear exactly a_m times across all chosen subsets?"""
-        counts = [0] * self.K
-        for subsets in self.S:
-            for M in subsets:
-                for m in M:
-                    counts[m - 1] += 1
-        return tuple(counts) == self.a
+        counts = Counter(m for subsets in self.S for M in subsets for m in M)
+        return tuple(counts[m] for m in range(1, self.K + 1)) == self.a
 
 
 def facet_inequality(fs: FacetSpec, table: EntropyTable) -> LinearInequality:
@@ -124,9 +121,7 @@ def _assignments(K, a):
     constraint exactly.
     """
     members = [tuple(m for m in range(1, K + 1) if mask & (1 << (m - 1))) for mask in range(1 << K)]
-    slots_after = [0] * (K + 1)
-    for i in range(K - 1, -1, -1):
-        slots_after[i] = slots_after[i + 1] + a[i]
+    slots_after = [sum(a[i:]) for i in range(K + 1)]
 
     remaining = list(a)
     chosen: list[list[int]] = [[] for _ in range(K)]
@@ -146,12 +141,7 @@ def _assignments(K, a):
             yield from recurse(i + 1, 0, 0)
             return
         for mask in range(first, 1 << K):
-            ok = True
-            for m in members[mask]:
-                if remaining[m - 1] == 0:
-                    ok = False
-                    break
-            if not ok:
+            if any(remaining[m - 1] == 0 for m in members[mask]):
                 continue
             for m in members[mask]:
                 remaining[m - 1] -= 1
@@ -363,13 +353,8 @@ def scheme_to_facet(scheme: CoefficientScheme) -> FacetSpec:
     de = de_of(scheme)
     if not de.balanced():
         raise ValueError(f"scheme is not balanced: d={de.d}, e={de.e}")
-    S = []
-    for i in range(1, scheme.K + 1):
-        subsets = []
-        for j, M, w in scheme.entries:
-            if j == i:
-                subsets.extend([M] * w)
-        S.append(tuple(subsets))
+    S = (tuple(M for j, M, w in scheme.entries if j == i for _ in range(w))
+         for i in range(1, scheme.K + 1))
     return FacetSpec(de.d, tuple(S))
 
 

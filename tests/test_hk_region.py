@@ -308,18 +308,24 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     # On k5-binary, pruning each row against all surviving others passed
     # 34,432 constraint rows to the LP; the working-set LPs pass 14,546, and
     # 1,180 once the pinned private rates are dropped by column.  k4-unpinned
-    # eliminates every private rate and passes 17,966.
+    # eliminates every private rate and passes 17,966.  Batched certificates
+    # pass 1,313 and 11,977 (kernel members times their rows).
     rng = random.Random(seed)
     spec = random_injective_channel(rng, K, max_x)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-    maximize = dicregion.lp.maximize
+    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     rows = []
 
     def counting(c, A, b, tol=1e-9):
         rows.append(len(A))
         return maximize(c, A, b, tol=tol)
 
+    def counting_batch(C, A, b, tol=1e-9):
+        rows.append(len(C) * len(b[0]))  # each member's rows
+        return maximize_batch(C, A, b, tol=tol)
+
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
     region = project_to_aggregate(a1)
     assert len(region.inequalities) == n_rows
     assert sum(rows) <= 20_000
@@ -331,14 +337,19 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
     rng = random.Random(12)
     spec = random_injective_channel(rng, 5, 2)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-    maximize = dicregion.lp.maximize
+    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     widths = []
 
     def counting(c, A, b, tol=1e-9):
         widths.append(len(c))
         return maximize(c, A, b, tol=tol)
 
+    def counting_batch(C, A, b, tol=1e-9):
+        widths.extend(len(c) for c in C)
+        return maximize_batch(C, A, b, tol=tol)
+
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
     project_to_aggregate(a1)
     assert widths and max(widths) == 5
 
@@ -365,14 +376,19 @@ def _plain_projection(a1):
 
 
 def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
-    maximize = dicregion.lp.maximize
+    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     calls = []
 
     def counting(c, A, b, tol=1e-9):
         calls.append(1)
         return maximize(c, A, b, tol=tol)
 
+    def counting_batch(C, A, b, tol=1e-9):
+        calls.extend([1] * len(C))  # one LP per member
+        return maximize_batch(C, A, b, tol=tol)
+
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
+    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
     fewer = 0
     for seed, K, max_x in [(3, 3, 3), (9, 3, 4), UNPINNED_K4, (6, 4, 3)]:
         rng = random.Random(seed)

@@ -202,3 +202,68 @@ def test_tableau_holds_no_column_per_row():
         assert res.value == pytest.approx(-ref.fun, abs=1e-7)
         assert res.x == pytest.approx(tuple(ref.x), abs=1e-6)
     assert (b < 0).any()
+
+
+def test_right_hand_side_must_match_the_rows():
+    # One rhs for two rows used to broadcast and report an optimum of 0.5.
+    with pytest.raises(ValueError, match="right-hand side"):
+        lp.maximize([1.0], [[1], [2]], [1.0])
+
+
+def _assert_batch_matches_maximize(C, A, b):
+    unbounded, values, X = lp.maximize_batch(C, A, b)
+    for i in range(len(C)):
+        res = lp.maximize(C[i], A if np.ndim(A) == 2 else A[i], b[i])
+        assert unbounded[i] == (res.status == lp.UNBOUNDED)
+        if res.status == lp.OPTIMAL:
+            assert np.array(res.x).tobytes() == X[i].tobytes()  # bit for bit
+            assert values[i] == res.value
+        else:
+            assert values[i] == np.inf and np.isnan(X[i]).all()
+    return unbounded
+
+
+def test_batch_members_equal_maximize_on_their_own_systems():
+    rng = np.random.default_rng(5)
+    flags = []
+    for trial in range(120):
+        n, m, size = rng.integers(1, 6), rng.integers(1, 14), rng.integers(1, 12)
+        shape = (m, n) if trial % 2 else (size, m, n)  # shared, then stacked
+        A = rng.integers(-3, 4, shape) if trial % 3 else rng.normal(size=shape)
+        b = rng.integers(0, 6, (size, m)).astype(float) if trial % 4 else rng.random((size, m))
+        C = rng.integers(-3, 4, (size, n)).astype(float)
+        flags.extend(_assert_batch_matches_maximize(C, A, b))
+    assert any(flags) and not all(flags)
+
+
+def test_batch_members_finish_apart_and_one_is_unbounded():
+    # Beale's cycling LP (8 pivots), one member optimal at the slack basis,
+    # one unbounded along x1 once Beale's first row is replaced by 0 <= 0,
+    # and one optimal after a single pivot.
+    c, A, b = (np.array(v, dtype=float) for v in BEALE)
+    C = np.array([c, np.zeros(4), [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
+    A2 = np.stack([A, A, np.vstack([np.zeros(4), A[1:]]), A])
+    unbounded = _assert_batch_matches_maximize(C, A2, np.tile(b, (4, 1)))
+    assert unbounded.tolist() == [False, False, True, False]
+    assert lp.maximize_batch(C[:1], A, b[None])[2][0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
+
+
+def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
+    monkeypatch.setattr(lp, "_BATCH_CELLS", 3 * 5 * 2)  # two members of 3 x 5 cells
+    rng = np.random.default_rng(6)
+    A = rng.integers(-2, 3, (5, 2, 2)).astype(float)
+    b = rng.integers(0, 4, (5, 2)).astype(float)
+    sizes = []
+    solve = lp._solve_stack
+    monkeypatch.setattr(lp, "_solve_stack", lambda C, *a: sizes.append(len(C)) or solve(C, *a))
+    _assert_batch_matches_maximize(rng.integers(-2, 3, (5, 2)).astype(float), A, b)
+    assert sizes == [2, 2, 1]
+
+
+def test_batch_rejects_negative_rhs_and_mismatched_shapes():
+    with pytest.raises(ValueError, match=">= 0"):
+        lp.maximize_batch([[1.0]], [[1.0]], [[-1.0]])
+    with pytest.raises(ValueError, match="one batch"):
+        lp.maximize_batch([[1.0]], [[1.0], [2.0]], [[1.0]])  # two rows, one rhs
+    with pytest.raises(ValueError, match="one batch"):
+        lp.maximize_batch([[1.0], [1.0]], np.ones((3, 1, 1)), [[1.0], [1.0]])  # three stacked systems

@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from dicregion import lp
+from dicregion import lp, polytope
 from dicregion.errors import InfeasibleRegionError, UnboundedDirectionError
 from dicregion.polytope import (
     LinearInequality,
@@ -129,26 +129,41 @@ def _prune_against_all_others(region, tol=1e-9):
     return [rows[j] for j in range(len(rows)) if alive[j]]
 
 
-def test_prune_matches_testing_against_all_others():
+def test_prune_matches_testing_against_all_others(monkeypatch):
     fixed = [
         R(1, [((1,), 1.0), ((2,), 2.0), ((-1,), 0.0)]),  # positive multiples of one row
         R(2, [((1, 0), 1.0), ((1, 1), 3.0), ((-1, 0), 0.0)]),  # unbounded in x2
         R(1, [((1,), -5.0), ((-1,), 0.0)]),  # others feasible, row k violated by more than 1
         R(2, [((1, 1), -1.0), ((1, 0), 2.0), ((-1, 0), 0.0), ((0, -1), 0.0)]),  # empty
+        # x1 = 0 makes (0, 1) <= 1 and (1, 1) <= 1 one face: a tie.
+        R(2, [((1, 0), 0.0), ((0, 1), 1.0), ((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]),
     ]
     rng = random.Random(17)
     randoms = []
-    for _ in range(300):
+    for trial in range(500):
         dim = rng.randint(1, 4)
+        low = -3 if trial < 300 else 0  # then every b >= 0, so certificates decide rows
         rows = [
-            (tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(-3, 6)))
+            (tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(low, 6)))
             for _ in range(rng.randint(2, 12))
         ]
         rows += [(tuple(m * c for c in coeffs), m * rhs) for coeffs, rhs in rows[:2] for m in (2, 3)]
+        if trial >= 300 and rng.random() < 0.5:
+            # Lower-dimensional: a.x = 0 for a random a, and rows sharing one face.
+            a = tuple(rng.randint(-1, 1) for _ in range(dim))
+            rows += [(a, 0.0), (tuple(-c for c in a), 0.0)]
+            rows += [(tuple(c + m * ac for c, ac in zip(rows[0][0], a)), rows[0][1]) for m in (1, 2)]
         if rng.random() < 0.6:
             rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
         rng.shuffle(rows)
         randoms.append(R(dim, rows))
+    clarkson, tested = polytope._clarkson_keeps, []
+
+    def counting(A, b, *args):
+        tested.append(b.min() >= 0)
+        return clarkson(A, b, *args)
+
+    monkeypatch.setattr(polytope, "_clarkson_keeps", counting)
     statuses = set()
     for region in fixed + randoms:
         A, b = region.matrix()
@@ -157,6 +172,8 @@ def test_prune_matches_testing_against_all_others():
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
     # the random systems include empty, unbounded and bounded regions
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
+    # Certificates leave ties to the sequential test: some b >= 0 rows reach it.
+    assert any(tested) and not all(tested)
 
 
 def test_is_subset_examples():
@@ -412,3 +429,19 @@ def test_region_document_rejects_non_finite_rhs(rhs):
     doc["inequalities"][0]["rhs"] = rhs
     with pytest.raises(ValueError, match="non-finite"):
         region_from_dict(doc)
+
+
+def test_support_value_rejects_a_non_finite_or_misshaped_direction():
+    # A nan direction used to come back as a nan support value.
+    for direction in ([math.nan, 1.0], [math.inf, 0.0], [1.0], [1.0, 1.0, 1.0]):
+        with pytest.raises(ValueError, match="2 finite numbers"):
+            support_value(UNIT_SQUARE, direction)
+
+
+def test_contains_point_rejects_a_point_of_the_wrong_length_or_a_nan():
+    # zip used to truncate (1.0,) against two-column rows and answer True,
+    # and a nan coordinate compared false against every row: True again.
+    for point in ([1.0], [0.5, 0.5, 9.0], [math.nan, 0.5]):
+        with pytest.raises(ValueError, match="not 2 finite numbers"):
+            contains_point(UNIT_SQUARE, point)
+    assert contains_point(UNIT_SQUARE, [0.5, 0.5]) and not contains_point(UNIT_SQUARE, [2.0, 0.5])
