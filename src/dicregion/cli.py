@@ -122,21 +122,11 @@ def cmd_region(args) -> int:
             )
         else:
             a_max = args.a_max or theorem_region.default_a_max(spec.K)
-            region = theorem_region.enumerate_facets(
-                spec,
-                table,
-                a_max=a_max,
-                max_facets=args.guard,
-                tol=args.tol,
-            )
-            if args.check_a_max:
-                bumped = theorem_region.enumerate_facets(
-                    spec,
-                    table,
-                    a_max=a_max + 1,
-                    max_facets=args.guard,
-                    tol=args.tol,
-                )
+            limits = dict(a_max=a_max, max_facets=args.guard, tol=args.tol)
+            if not args.check_a_max:
+                region = theorem_region.enumerate_facets(spec, table, **limits)
+            else:
+                region, bumped = theorem_region.enumerate_facets_bumped(spec, table, **limits)
                 # Every a_max row is an a_max+1 row, so only region <= bumped can fail.
                 if is_subset(region, bumped, args.tol):
                     print(f"a_max check: raising {a_max} -> {a_max + 1} left the region unchanged")

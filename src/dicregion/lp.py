@@ -1,10 +1,11 @@
 """Condensed-tableau two-phase simplex for the small LPs the polytope kernel needs.
 
 Solves  max c.x  subject to  A x <= b  with free variables, via the split
-x = u - w and one slack per row.  The tableau keeps only the nonbasic
-columns (u, w and one auxiliary t) and the right-hand side; the slacks start
-basic and are never stored as columns, and a pivot exchanges a basic and a
-nonbasic label.  When some b_i < 0, phase 1 pivots t into the most violated
+x = u - w and one slack per row; a `System` may give x_j >= 0 as a bound,
+which drops w_j instead of adding a row.  The tableau keeps only the
+nonbasic columns (u, w and one auxiliary t) and the right-hand side; the
+slacks start basic and are never stored as columns, and a pivot exchanges a
+basic and a nonbasic label.  When some b_i < 0, phase 1 pivots t into the most violated
 row, then minimizes t over A x - t <= b (V. Chvatal, *Linear Programming*,
 1983, ch. 3).  Bland's rule (smallest label, u and w before every slack)
 picks both pivots, so the method cannot cycle; everything is double
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LPResult", "maximize", "maximize_batch", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
+__all__ = ["LPResult", "System", "maximize", "maximize_batch", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -37,43 +38,75 @@ class LPResult:
     x: tuple[float, ...] | None
 
 
-def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
-    """Maximize c.x over {x : A x <= b}, x unrestricted in sign.
+class System:
+    """A x <= b with x_j >= 0 for every j in `nonneg`, built once into its
+    starting tableau, so that `maximize` can solve it for many objectives.
+    A sign bound takes no row: x_j is u_j alone, with no w_j column.
+    len() is the number of rows.  Kept per region, so it holds only the
+    tableau and one label array."""
+
+    __slots__ = ("n", "T", "labels")
+
+    def __init__(self, A, b, nonneg=()):
+        A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
+        if A.ndim != 2:
+            raise ValueError(f"constraint matrix must be 2-D, got shape {A.shape}")
+        m, n = A.shape
+        self.n = n
+        if b.shape != (m,):
+            raise ValueError(f"constraint matrix has {m} rows, right-hand side has shape {b.shape}")
+        free = np.ones(n, dtype=bool)
+        free[list(nonneg)] = False
+        free = np.flatnonzero(free)
+        # Labels: u = 0..n-1, w_j = n+j for each free j, slacks 2n..2n+m-1,
+        # t = 2n+m; `labels` holds the basis, then the nonbasic labels.
+        # Columns: u, the w of the free variables, t, the rhs.  Row i reads
+        # x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].
+        self.T = np.zeros((m + 1, n + len(free) + 2))
+        self.T[:m, :n] = A
+        self.T[:m, n:-2] = -A[:, free]
+        self.T[:m, -1] = b
+        nonbasic = np.concatenate([np.arange(n), n + free, [2 * n + m]])
+        self.labels = np.concatenate([np.arange(2 * n, 2 * n + m), nonbasic])
+
+    def __len__(self):
+        return len(self.T) - 1
+
+
+def maximize(c, A, b=None, tol: float = 1e-9) -> LPResult:
+    """Maximize c.x over {x : A x <= b}, x unrestricted in sign, or over a
+    `System` passed as A (with b None), whose tableau is copied, not changed.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
     point are filled in, for "unbounded"/"infeasible" they are None.  The
     system is infeasible when the smallest t with A x - t <= b exceeds tol,
     so a system violated by at most tol everywhere counts as feasible.
     """
-    c, A, b = (np.asarray(v, dtype=float) for v in (c, A, b))
-    n = c.shape[0]
-    if A.size == 0:
-        if np.all(np.abs(c) <= tol):
-            return LPResult(OPTIMAL, 0.0, (0.0,) * n)
-        return LPResult(UNBOUNDED, None, None)
-    if A.shape[1] != n:
-        raise ValueError(f"objective has {n} entries, constraint matrix has {A.shape[1]} columns")
-    m = A.shape[0]
-    if b.shape != (m,):
-        raise ValueError(f"constraint matrix has {m} rows, right-hand side has shape {b.shape}")
+    c = np.asarray(c, dtype=float)
+    if not isinstance(A, System):
+        A = np.asarray(A, dtype=float)
+        A = System(A.reshape(0, len(c)) if A.size == 0 else A, b)
+        T, labels = A.T, A.labels
+    elif b is None:
+        T, labels = A.T.copy(), A.labels.copy()
+    else:
+        raise ValueError("a System carries its own right-hand side; pass b=None")
+    if len(c) != A.n:
+        raise ValueError(f"objective has {len(c)} entries, the system has {A.n} variables")
+    return _solve(c, T, labels[: len(A)], labels[len(A) :], tol)
 
-    # Labels: u = 0..n-1, w = n..2n-1, slacks 2n..2n+m-1, t = 2n+m.
-    # Row i reads  x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].
+
+def _solve(c, T, basis, nonbasic, tol) -> LPResult:
+    """Both phases on a starting tableau of a `System`, in place."""
+    m, n = len(basis), len(c)
     aux = 2 * n + m
-    T = np.zeros((m + 1, 2 * n + 2))
-    T[:m, :n] = A
-    T[:m, n : 2 * n] = -A
-    T[:m, -1] = b
-    basis = np.arange(2 * n, aux)
-    nonbasic = np.array([*range(2 * n), aux])
-
-    if b.min() < 0:
-        T[:m, 2 * n] = -1.0
-        _pivot(T, basis, nonbasic, int(b.argmin()), 2 * n)
+    if m and T[:m, -1].min() < 0:
+        T[:m, -2] = -1.0
+        _pivot(T, basis, nonbasic, int(T[:m, -1].argmin()), T.shape[1] - 2)
         cost = np.zeros(aux + 1)
         cost[aux] = 1.0
         _price(T, basis, nonbasic, cost)
-        _iterate(T, basis, nonbasic, tol, allow_unbounded=False)
+        _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=False)
         if -T[m, -1] > tol:  # smallest t
             return LPResult(INFEASIBLE, None, None)
         # t may stay basic at a level within tol.  Its row has nonbasic slack
@@ -90,8 +123,8 @@ def maximize(c, A, b, tol: float = 1e-9) -> LPResult:
         _price(T, basis, nonbasic, cost)
     else:  # phase 2 from the slack basis, whose costs are all 0: the row is the costs
         T[m, :n] = -c
-        T[m, n : 2 * n] = c
-    if _iterate(T, basis, nonbasic, tol, allow_unbounded=True) == UNBOUNDED:
+        T[m, n:-2] = c[nonbasic[n:-1] - n]  # the w of the free variables
+    if _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=True) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
 
     z = np.zeros(aux + 1)
@@ -172,10 +205,10 @@ def _price(T, basis, nonbasic, cost):
     T[-1] = np.append(cost[nonbasic], 0.0) - cost[basis] @ T[:-1]
 
 
-def _iterate(T, basis, nonbasic, tol, allow_unbounded):
-    """Run simplex pivots until optimal (Bland's rule throughout)."""
+def _iterate(T, basis, nonbasic, tol, unused, allow_unbounded):
+    """Run simplex pivots until optimal (Bland's rule throughout); `unused`
+    exceeds every label, including those of w columns a sign bound left out."""
     obj, rhs = T[-1, :-1], T[:-1, -1]  # views, updated in place by each pivot
-    unused = len(basis) + len(nonbasic)  # above every label
     for _ in range(_MAX_PIVOTS):
         neg = obj < -tol
         if not neg.any():

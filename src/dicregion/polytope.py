@@ -69,10 +69,12 @@ class Region:
     row's coefficient tuple as given (regions built from shared tuples
     share them) and `rhs` is one read-only float array.  `inequalities`
     builds the row objects on each access; the package itself reads these
-    two fields and builds regions with `_from_rows`.  Immutable.
+    two fields and builds regions with `_from_rows`.  Immutable; the LP form
+    that support and containment queries build on first use is a cache and
+    takes no part in equality, hashing, `copy` or `pickle`.
     """
 
-    __slots__ = ("dim", "lhs", "rhs", "labels")
+    __slots__ = ("dim", "lhs", "rhs", "labels", "_lp")
 
     def __init__(self, dim: int, inequalities, labels=()):
         rows = tuple(inequalities)
@@ -95,7 +97,8 @@ class Region:
                 raise ValueError(f"inequality arity {len(coeffs)} does not match dim {dim}")
         rhs = np.array(rhs, dtype=float)
         rhs.flags.writeable = False
-        for name, value in (("dim", dim), ("lhs", lhs), ("rhs", rhs), ("labels", labels)):
+        fields = ("dim", dim), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
+        for name, value in fields:
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -103,6 +106,17 @@ class Region:
 
     def __reduce__(self):  # copy and pickle rebuild through _fill
         return Region._from_rows, (self.dim, self.lhs, self.rhs.tolist(), self.labels)
+
+    def _lp_form(self) -> lp.System:
+        """The region as an `lp.System`, built once: each row -x_j <= 0
+        (`_is_nonneg_row`) becomes the sign bound x_j >= 0."""
+        if self._lp is None:
+            bound = [_is_nonneg_row(*row) for row in zip(self.lhs, self.rhs.tolist())]
+            A, b = self.matrix()
+            rows = ~np.array(bound, dtype=bool)
+            nonneg = [coeffs.index(-1) for coeffs in compress(self.lhs, bound)]
+            object.__setattr__(self, "_lp", lp.System(A[rows], b[rows], nonneg))
+        return self._lp
 
     @property
     def inequalities(self) -> tuple[LinearInequality, ...]:
@@ -311,12 +325,12 @@ def _clarkson_keeps(A, b, k, alive, working, tol) -> bool:
         working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
 
 
-def _support(A, b, direction, tol: float):
-    """max direction . x over {x : A x <= b}, or None when unbounded.
+def _support(region: Region, direction, tol: float):
+    """max direction . x over the region, or None when unbounded.
 
-    Raises InfeasibleRegionError when the system admits no point.
+    Raises InfeasibleRegionError when the region admits no point.
     """
-    res = lp.maximize(direction, A, b, tol=tol)
+    res = lp.maximize(direction, region._lp_form(), tol=tol)
     if res.status == lp.INFEASIBLE:
         raise InfeasibleRegionError("support value of an empty region")
     return None if res.status == lp.UNBOUNDED else res.value
@@ -331,9 +345,8 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    A, rhs = a.matrix()
     for coeffs, bound in zip(b.lhs, b.rhs.tolist()):
-        value = _support(A, rhs, coeffs, tol)
+        value = _support(a, coeffs, tol)
         if value is None or value > bound + tol:
             return (LinearInequality(coeffs, bound), value)
     return None
@@ -365,7 +378,7 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     d = np.asarray(direction, dtype=float)
     if d.shape != (region.dim,) or not np.isfinite(d).all():
         raise ValueError(f"direction must be {region.dim} finite numbers, got {d.tolist()}")
-    value = _support(*region.matrix(), d, tol)
+    value = _support(region, d, tol)
     if value is None:
         raise UnboundedDirectionError(direction)
     return value

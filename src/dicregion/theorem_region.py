@@ -41,6 +41,7 @@ __all__ = [
     "facet_inequality",
     "enumerate_facet_specs",
     "enumerate_facets",
+    "enumerate_facets_bumped",
     "default_a_max",
     "presets",
     "preset_closure",
@@ -231,6 +232,22 @@ def enumerate_facets(
     `prune_redundant`.  `max_facets` caps the lattice's (a_max + 1)^(2K)
     cells; EnumerationOverflowError is raised before allocating beyond it.
     """
+    return _facet_region(_lattice(spec, table, a_max, 0, max_facets), tol)
+
+
+def enumerate_facets_bumped(
+    spec, table, a_max=None, max_facets=DEFAULT_FACET_GUARD, tol=1e-9
+) -> tuple[Region, Region]:
+    """`enumerate_facets` at a_max and at a_max + 1, from one lattice built
+    at a_max + 1 (`max_facets` caps its cells): f for a_max is its sub-box,
+    where the DP's extra pass per item changes no value."""
+    f = _lattice(spec, table, a_max, 1, max_facets)
+    return _facet_region(f[(slice(f.shape[0] - 1),) * f.ndim], tol), _facet_region(f, tol)
+
+
+def _lattice(spec, table, a_max, bump, max_facets):
+    """f from `_smallest_rhs` at a_max + bump, once the arguments and the
+    size guard are checked."""
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
     K = spec.K
@@ -238,14 +255,19 @@ def enumerate_facets(
         a_max = default_a_max(K)
     if a_max < 1:
         raise ValueError(f"a_max must be >= 1, got {a_max}")
-    cells = (a_max + 1) ** (2 * K)
+    cells = (a_max + bump + 1) ** (2 * K)
     if cells > max_facets:
         raise EnumerationOverflowError(
             f"facet enumeration needs {cells} DP states (lattice cells), over the "
             f"size guard of {max_facets}; raise the guard to continue"
         )
+    return _smallest_rhs(table.h, a_max + bump)
 
-    f = _smallest_rhs(table.h, a_max)
+
+def _facet_region(f, tol):
+    """The region of the rows a.R <= f(a) over f's box that the subadditivity
+    filter of `enumerate_facets` keeps, plus nonnegativity, pruned."""
+    K, a_max = f.ndim, f.shape[0] - 1
     lhs, rhs = [], []
     for a in itertools.product(range(a_max + 1), repeat=K):
         if not any(a):

@@ -98,6 +98,41 @@ def test_blands_rule_pivots_are_pinned(monkeypatch, problem, pivots, x):
     assert res.x == x
 
 
+def test_beale_with_sign_bounds_pivots_are_pinned(monkeypatch):
+    # The x >= 0 rows as bounds: three rows, no w columns, 6 pivots instead
+    # of 8.  Labels then skip the w range, and a Bland sentinel taken from
+    # the column count (5) ranks below every slack label and cycles; the
+    # low pivot limit makes that fail at once.
+    c, A, b = BEALE
+    system = lp.System(A[:3], b[:3], nonneg=range(4))
+    assert len(system) == 3
+    pivot, made = lp._pivot, []
+
+    def counting(T, basis, nonbasic, r, j):
+        made.append((r, j))
+        pivot(T, basis, nonbasic, r, j)
+
+    monkeypatch.setattr(lp, "_pivot", counting)
+    monkeypatch.setattr(lp, "_MAX_PIVOTS", 50)
+    for _ in range(2):  # the system's own tableau is left as it was
+        made.clear()
+        res = lp.maximize(c, system)
+        assert res.status == lp.OPTIMAL
+        assert len(made) == 6
+        assert res.x == (1.0000000000000002, 0.0, 1.0, 0.0)
+
+
+def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
+    system = lp.System([[1.0, 1.0]], [1.0], nonneg=[1])  # x1 + x2 <= 1, x2 >= 0
+    with pytest.raises(ValueError, match="own right-hand side"):
+        lp.maximize([1.0, 0.0], system, [1.0])
+    with pytest.raises(ValueError, match="objective has 3 entries"):
+        lp.maximize([1.0, 0.0, 0.0], system)
+    assert lp.maximize([1.0, 0.0], system).value == 1.0
+    assert lp.maximize([0.0, -1.0], system).value == 0.0
+    assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED
+
+
 def test_optimal_point_is_feasible():
     rng = random.Random(0)
     for _ in range(50):
@@ -208,6 +243,9 @@ def test_right_hand_side_must_match_the_rows():
     # One rhs for two rows used to broadcast and report an optimum of 0.5.
     with pytest.raises(ValueError, match="right-hand side"):
         lp.maximize([1.0], [[1], [2]], [1.0])
+    # No rows and two right-hand sides used to report "unbounded".
+    with pytest.raises(ValueError, match="right-hand side"):
+        lp.maximize([1.0], [], [1.0, 2.0])
 
 
 def _assert_batch_matches_maximize(C, A, b):

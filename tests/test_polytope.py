@@ -8,6 +8,7 @@ import random
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from dicregion import lp, polytope
 from dicregion.errors import InfeasibleRegionError, UnboundedDirectionError
@@ -16,6 +17,7 @@ from dicregion.polytope import (
     Region,
     canonicalize,
     contains_point,
+    find_subset_violation,
     fm_eliminate,
     is_subset,
     load_region,
@@ -403,6 +405,82 @@ def test_region_survives_copy_and_pickle():
         assert clone.labels == ("u", "v") and clone.rhs.tobytes() == region.rhs.tobytes()
         with pytest.raises(AttributeError):
             clone.dim = 3
+
+
+def _highs_support(region, direction):
+    """max direction . x over the region by scipy/HiGHS: a value, None when
+    unbounded, "empty" when infeasible."""
+    A, b = region.matrix()
+    free = dict(A_ub=A, b_ub=b, bounds=(None, None), method="highs")
+    ref = linprog(-np.asarray(direction, dtype=float), **free)
+    if ref.status == 0:
+        return -ref.fun
+    if ref.status == 2:  # HiGHS says infeasible for some unbounded free-variable LPs
+        feasible = linprog(np.zeros(region.dim), **free)
+        return "empty" if feasible.status == 2 else None
+    assert ref.status == 3
+    return None
+
+
+def _answer(region, direction):
+    try:
+        return support_value(region, direction)
+    except UnboundedDirectionError:
+        return None
+    except InfeasibleRegionError:
+        return "empty"
+
+
+def test_region_lp_form_matches_highs_and_keeps_no_query_state():
+    # Random regions: -x_j <= 0 rows (some duplicated) become bounds, some
+    # rhs < 0 take phase 1, some directions are unbounded, some regions empty.
+    rng = random.Random(12)
+    seen = {"bounds": 0, "phase 1": 0, "unbounded": 0, "empty": 0, "subset": 0, "not subset": 0}
+    for _ in range(100):
+        dim = rng.randint(1, 4)
+        rows = [(tuple(rng.randint(-3, 3) for _ in range(dim)), float(rng.randint(-2, 8)))
+                for _ in range(rng.randint(0, 7))]
+        for j in rng.sample(range(dim), rng.randint(0, dim)):
+            rows += [(tuple(-1 if k == j else 0 for k in range(dim)), 0.0)] * rng.randint(1, 2)
+        rng.shuffle(rows)
+        region = R(dim, rows)
+        bounds = sum(polytope._is_nonneg_row(c, r) for c, r in rows)
+        assert len(region._lp_form()) == len(rows) - bounds  # bound rows are no rows
+        seen["bounds"] += bounds > 0
+        seen["phase 1"] += any(r < 0 for _, r in rows)
+        directions = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(6)]
+        answers = [_answer(region, d) for d in directions]
+        for d, ours in zip(directions, answers):
+            ref = _highs_support(region, d)
+            if ours is None or ours == "empty":
+                assert ours == ref
+            else:
+                assert ours == pytest.approx(ref, abs=1e-7)
+            seen["unbounded"] += ours is None
+        seen["empty"] += answers[0] == "empty"
+        # Shuffled, so queries follow unbounded ones: the cache holds no
+        # state of a query.
+        order = rng.sample(range(len(directions)), len(directions))
+        assert [_answer(region, directions[i]) for i in order] == [answers[i] for i in order]
+        clone = pickle.loads(pickle.dumps(region))
+        assert clone == region and hash(clone) == hash(region)
+        assert pickle.dumps(region) == pickle.dumps(R(dim, rows))  # the LP form is not pickled
+        for twin in (clone, copy.copy(region)):
+            assert [_answer(twin, d) for d in directions] == answers
+        # Containment of a region in its rows shifted by 0 or +-1/2.
+        other = R(dim, [(c, r + rng.choice([0.0, 0.5, -0.5])) for c, r in rows])
+        if answers[0] == "empty":
+            if other.lhs:
+                with pytest.raises(InfeasibleRegionError):
+                    find_subset_violation(region, other)
+            continue
+        refs = [_highs_support(region, c) for c in other.lhs]
+        if any(v is not None and abs(v - r) < 1e-6 for v, r in zip(refs, other.rhs)):
+            continue  # a tie decided by the tolerance
+        expected = all(v is not None and v <= r for v, r in zip(refs, other.rhs))
+        assert is_subset(region, other) == expected
+        seen["subset" if expected else "not subset"] += 1
+    assert min(seen.values()) >= 5, seen
 
 
 def test_prune_rejects_tolerance_of_one_or_more():

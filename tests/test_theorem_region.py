@@ -189,6 +189,31 @@ def test_guard_counts_lattice_cells(K, a_max):
     enumerate_facets(spec, table, a_max=a_max, max_facets=cells)
 
 
+@pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (3, 1), (3, 4)])
+def test_bumped_regions_come_from_one_lattice(monkeypatch, K, a_max):
+    # Both regions equal two separate enumerations byte for byte, while
+    # only the lattice at a_max + 1 is built (and guarded).
+    built = []
+    monkeypatch.setattr(
+        theorem_region, "_smallest_rhs", lambda h, n: built.append(n) or _smallest_rhs(h, n)
+    )
+    for seed in range(4):
+        rng = random.Random(f"bumped/{K}/{seed}")
+        spec = random_injective_channel(rng, K, 3)
+        dist = random_full_support(rng, spec) if seed % 2 else InputDistribution.uniform(spec)
+        table = build_entropy_table(spec, dist)
+        built.clear()
+        pair = theorem_region.enumerate_facets_bumped(spec, table, a_max=a_max)
+        assert built == [a_max + 1]
+        for region, cap in zip(pair, (a_max, a_max + 1)):
+            alone = enumerate_facets(spec, table, a_max=cap)
+            assert (region.dim, region.labels, region.lhs) == (alone.dim, alone.labels, alone.lhs)
+            assert region.rhs.tobytes() == alone.rhs.tobytes()
+    cells = (a_max + 2) ** (2 * K)
+    with pytest.raises(EnumerationOverflowError, match=f"{cells} DP states"):
+        theorem_region.enumerate_facets_bumped(spec, table, a_max=a_max, max_facets=cells - 1)
+
+
 def test_guard_is_checked_before_allocating():
     # 11^20 cells of float64 could never be allocated.
     rng = random.Random(10)
