@@ -137,23 +137,23 @@ def maximize_batch(C, A, b, tol: float = 1e-9):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
-    C is (B, n), b is (B, m) with every entry >= 0 (phase 2 starts from the
-    slack basis), and A is (m, n), shared, or (B, m, n).  Each member makes
-    `maximize`'s pivots with its arithmetic, so its x equals that of
+    C is (B, n), A is (B, m, n) and b is (B, m) with every entry >= 0
+    (phase 2 starts from the slack basis).  Each member makes `maximize`'s
+    pivots with its arithmetic, so its x equals that of
     `maximize(C[i], A[i], b[i], tol)` bit for bit and its value is C[i] @ x.
     Returns (unbounded flags, values, X), inf and nan for unbounded members.
     """
     C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
     m = b.shape[1] if b.ndim == 2 else -1
     n = C.shape[1] if C.ndim == 2 else -1
-    if n < 0 or b.shape != (len(C), m) or A.shape not in {(m, n), (len(C), m, n)}:
+    if n < 0 or b.shape != (len(C), m) or A.shape != (len(C), m, n):
         raise ValueError(f"C {C.shape}, A {A.shape} and b {b.shape} do not form one batch")
     if not (b >= 0).all():
         raise ValueError("maximize_batch needs every right-hand side >= 0")
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
     step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A if A.ndim == 2 else A[s], b[s], tol, unbounded[s], X[s])
+        _solve_stack(C[s], A[s], b[s], tol, unbounded[s], X[s])
     values = np.array([np.inf if u else c @ x for u, c, x in zip(unbounded, C, X)], dtype=float)
     return unbounded, values, X
 

@@ -224,7 +224,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     row k is dropped when the rows alive at its turn bound a_k.x by b_k + tol
     or admit no point.  Nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
     pairs in `facets`, which the caller has proven irredundant, are kept.
-    Each LP caps row k at b_k + 1, so `tol` must be below 1.
+    Each certificate LP caps row k at b_k + 1, so `tol` must be below 1.
 
     When every b_i >= 0, certificates decide most rows, each round of LPs
     in one `lp.maximize_batch` call.  Kept rows (the above and certified
@@ -237,7 +237,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     (keep) or the value is <= b_k + tol.  Step C: those last rows over the
     kept rows again, drop.  Rows left open (ties: scaled duplicates, two
     rows on one face of a lower-dimensional region), and all rows when some
-    b_i < 0, take `_clarkson_keeps` against the rows alive at their turn.
+    b_i < 0, take one LP over the rows alive at their turn (`_implied`).
     """
     if not tol < 1:
         raise ValueError(f"prune tolerance must be below 1, got {tol}")
@@ -245,8 +245,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     lhs = list(best)
     A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
     b = np.array(list(best.values()), dtype=float)
-    nonneg = np.array([_is_nonneg_row(coeffs, rhs) for coeffs, rhs in best.items()], dtype=bool)
-    kept = nonneg | np.array([pair in facets for pair in best.items()], dtype=bool)
+    kept = np.array([_is_nonneg_row(*pair) or pair in facets for pair in best.items()], dtype=bool)
     dropped = np.zeros(len(lhs), dtype=bool)
     if not kept.all() and b.min() >= 0:
         _certify(A, b, kept, dropped, tol)
@@ -255,15 +254,10 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
         key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
     )
     alive = np.ones(len(lhs), dtype=bool)
-    working = nonneg.copy()
     for k in test_order:
-        if kept[k]:
-            working[k] = True  # as a row the LP path keeps
-        elif dropped[k]:
-            alive[k] = False
-        else:
+        if not kept[k]:
             alive[k] = False  # k is tested against the others
-            alive[k] = _clarkson_keeps(A, b, k, alive, working, tol)
+            alive[k] = not dropped[k] and not _implied(A, b, k, alive, tol)
     return Region._from_rows(region.dim, compress(lhs, alive), b[alive], region.labels)
 
 
@@ -304,25 +298,10 @@ def _certify(A, b, kept, dropped, tol):
         dropped[tested[_capped(A, b, kept, tested, tol)[0] <= b[tested] + tol]] = True
 
 
-def _clarkson_keeps(A, b, k, alive, working, tol) -> bool:
-    """Whether the `alive` rows (k excluded) leave row k needed: an optimum of
-    the capped LP over the working set that violates no alive row beyond tol
-    says so (k joins the set); else the five most violated rows join."""
-    while True:
-        rows = np.append(np.flatnonzero(working & alive), k)
-        res = lp.maximize(A[k], A[rows], b[rows] + (rows == k), tol=tol)
-        if res.status == lp.INFEASIBLE:
-            # Others empty (drop k), or all violate row k by over 1 (keep).
-            return lp.maximize(A[k], A[alive], b[alive], tol=tol).status != lp.INFEASIBLE
-        if res.value <= b[k] + tol:
-            return False
-        # The LP enforced the working rows, so each pass adds a new row.
-        excess = A @ np.asarray(res.x) - b
-        violated = np.flatnonzero(alive & ~working & (excess > tol))
-        if violated.size == 0:
-            working[k] = True
-            return True
-        working[violated[np.argsort(-excess[violated], kind="stable")[:5]]] = True
+def _implied(A, b, k, others, tol) -> bool:
+    """Whether the rows in mask `others` bound a_k.x by b_k + tol or admit no point."""
+    res = lp.maximize(A[k], A[others], b[others], tol=tol)
+    return res.status == lp.INFEASIBLE or res.status == lp.OPTIMAL and res.value <= b[k] + tol
 
 
 def _support(region: Region, direction, tol: float):
@@ -345,6 +324,8 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    if not b.lhs:
+        _support(a, np.zeros(a.dim), tol)  # raises when `a` is empty
     for coeffs, bound in zip(b.lhs, b.rhs.tolist()):
         value = _support(a, coeffs, tol)
         if value is None or value > bound + tol:

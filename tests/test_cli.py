@@ -145,7 +145,9 @@ EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
     (EMPTY, EMPTY, "err", "error: support value of an empty region"),
     (EMPTY, UNIT_SQUARE, "out", "unequal: inequality [1, 0] . R <= -1 of"),
     (UNIT_SQUARE, EMPTY, "out", "unequal: inequality [1, 0] . R <= -1 of"),
-], ids=["empty-empty", "empty-box", "box-empty"])
+    (EMPTY, R(2, []), "out", "unequal: inequality [1, 0] . R <= -1 of"),
+    (R(2, []), EMPTY, "out", "unequal: inequality [1, 0] . R <= -1 of"),
+], ids=["empty-empty", "empty-box", "box-empty", "empty-rowless", "rowless-empty"])
 def test_compare_never_calls_an_empty_region_equal(tmp_path, capsys, left, right, stream, message):
     # The library's containment test raises for an empty left region; the
     # CLI goes on to the reverse test and the support spot checks.

@@ -1,6 +1,11 @@
 """Rate-splitting region construction and aggregate projection."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +116,26 @@ def test_routes_build_no_row_objects_but_nonnegativity(monkeypatch, route, K, si
         region = enumerate_facets(spec, table)
     assert len(region.lhs) > K
     assert len(built) <= 3 * K, built
+
+
+def test_routes_run_without_scipy():
+    # numpy is the one runtime dependency; scipy is only the tests' oracle.
+    code = textwrap.dedent("""
+        import sys
+        from dicregion import (ChannelSpec, InputDistribution, build_A1, build_entropy_table,
+                               enumerate_facets, project_to_aggregate, regions_equal)
+        flip = ((0, 1), (1, 0))
+        spec = ChannelSpec(K=2, x_alphabet_sizes=(2, 2), g_tables=((0, 1),) * 2,
+                           f_tables=(flip,) * 2)
+        table = build_entropy_table(spec, InputDistribution.uniform(spec))
+        hk = project_to_aggregate(build_A1(spec, table))
+        assert regions_equal(hk, enumerate_facets(spec, table))
+        print(sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(dicregion.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
 
 
 def test_project_xor_gives_simplex(xor):

@@ -251,7 +251,7 @@ def test_right_hand_side_must_match_the_rows():
 def _assert_batch_matches_maximize(C, A, b):
     unbounded, values, X = lp.maximize_batch(C, A, b)
     for i in range(len(C)):
-        res = lp.maximize(C[i], A if np.ndim(A) == 2 else A[i], b[i])
+        res = lp.maximize(C[i], A[i], b[i])
         assert unbounded[i] == (res.status == lp.UNBOUNDED)
         if res.status == lp.OPTIMAL:
             assert np.array(res.x).tobytes() == X[i].tobytes()  # bit for bit
@@ -268,6 +268,7 @@ def test_batch_members_equal_maximize_on_their_own_systems():
         n, m, size = rng.integers(1, 6), rng.integers(1, 14), rng.integers(1, 12)
         shape = (m, n) if trial % 2 else (size, m, n)  # shared, then stacked
         A = rng.integers(-3, 4, shape) if trial % 3 else rng.normal(size=shape)
+        A = np.broadcast_to(A, (size, m, n))  # a shared A is repeated per member
         b = rng.integers(0, 6, (size, m)).astype(float) if trial % 4 else rng.random((size, m))
         C = rng.integers(-3, 4, (size, n)).astype(float)
         flags.extend(_assert_batch_matches_maximize(C, A, b))
@@ -283,7 +284,8 @@ def test_batch_members_finish_apart_and_one_is_unbounded():
     A2 = np.stack([A, A, np.vstack([np.zeros(4), A[1:]]), A])
     unbounded = _assert_batch_matches_maximize(C, A2, np.tile(b, (4, 1)))
     assert unbounded.tolist() == [False, False, True, False]
-    assert lp.maximize_batch(C[:1], A, b[None])[2][0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
+    X = lp.maximize_batch(C[:1], A[None], b[None])[2]
+    assert X[0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
 
 
 def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
@@ -300,8 +302,10 @@ def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
 
 def test_batch_rejects_negative_rhs_and_mismatched_shapes():
     with pytest.raises(ValueError, match=">= 0"):
-        lp.maximize_batch([[1.0]], [[1.0]], [[-1.0]])
+        lp.maximize_batch([[1.0]], [[[1.0]]], [[-1.0]])
     with pytest.raises(ValueError, match="one batch"):
-        lp.maximize_batch([[1.0]], [[1.0], [2.0]], [[1.0]])  # two rows, one rhs
+        lp.maximize_batch([[1.0]], [[[1.0], [2.0]]], [[1.0]])  # two rows, one rhs
+    with pytest.raises(ValueError, match="one batch"):
+        lp.maximize_batch([[1.0]], [[1.0]], [[1.0]])  # a 2-D A, not one per member
     with pytest.raises(ValueError, match="one batch"):
         lp.maximize_batch([[1.0], [1.0]], np.ones((3, 1, 1)), [[1.0], [1.0]])  # three stacked systems

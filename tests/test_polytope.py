@@ -159,13 +159,13 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
             rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
         rng.shuffle(rows)
         randoms.append(R(dim, rows))
-    clarkson, tested = polytope._clarkson_keeps, []
+    implied, tested = polytope._implied, []
 
     def counting(A, b, *args):
         tested.append(b.min() >= 0)
-        return clarkson(A, b, *args)
+        return implied(A, b, *args)
 
-    monkeypatch.setattr(polytope, "_clarkson_keeps", counting)
+    monkeypatch.setattr(polytope, "_implied", counting)
     statuses = set()
     for region in fixed + randoms:
         A, b = region.matrix()
@@ -174,7 +174,7 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
     # the random systems include empty, unbounded and bounded regions
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
-    # Certificates leave ties to the sequential test: some b >= 0 rows reach it.
+    # Certificates leave ties to the plain test: some b >= 0 rows reach it.
     assert any(tested) and not all(tested)
 
 
@@ -198,6 +198,8 @@ def test_subset_test_with_an_empty_left_region_raises():
     # Every row of the right region holds vacuously on an empty left region.
     with pytest.raises(InfeasibleRegionError, match="empty region"):
         is_subset(EMPTY, UNIT_SQUARE)
+    with pytest.raises(InfeasibleRegionError, match="empty region"):
+        is_subset(EMPTY, Region(2, ()))  # a right region with no row to test
     # A non-empty region is never inside an empty one.
     assert not is_subset(UNIT_SQUARE, EMPTY)
 
