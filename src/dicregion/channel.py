@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ChannelFormatError
@@ -151,8 +152,12 @@ def encode_v_tuple(spec: ChannelSpec, i: int, v_tuple) -> int:
 
 
 def decode_v_index(spec: ChannelSpec, i: int, r: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_v_tuple`."""
+    """Inverse of :func:`encode_v_tuple`; r must index an attainable tuple."""
+    _check_user(spec.K, i)
     others = spec.other_users(i)
+    n_tuples = math.prod(len(spec.v_images[j - 1]) for j in others)
+    if not 0 <= r < n_tuples:
+        raise ValueError(f"receiver {i}: interference index {r} out of range 0..{n_tuples - 1}")
     ranks = []
     for j in reversed(others):
         size = len(spec.v_images[j - 1])
@@ -180,7 +185,7 @@ class InjectivityReport:
 
 def interference_of(spec: ChannelSpec, i: int, x: int) -> int:
     """Interference symbol g_i(x) caused by user i sending x."""
-    _check_user(spec, i)
+    _check_user(spec.K, i)
     if not 0 <= x < spec.x_alphabet_sizes[i - 1]:
         raise ValueError(
             f"input {x} out of range for user {i} "
@@ -191,7 +196,7 @@ def interference_of(spec: ChannelSpec, i: int, x: int) -> int:
 
 def output_of(spec: ChannelSpec, i: int, x_i: int, v_others) -> int:
     """Receiver output f_i(x_i, v_others) for an attainable interference tuple."""
-    _check_user(spec, i)
+    _check_user(spec.K, i)
     if not 0 <= x_i < spec.x_alphabet_sizes[i - 1]:
         raise ValueError(
             f"input {x_i} out of range for receiver {i} "
@@ -224,9 +229,9 @@ def validate_injectivity(spec: ChannelSpec) -> InjectivityReport:
     return InjectivityReport(is_injective=not violations, violations=tuple(violations))
 
 
-def _check_user(spec: ChannelSpec, i: int):
-    if not 1 <= i <= spec.K:
-        raise ValueError(f"user index {i} out of range 1..{spec.K}")
+def _check_user(K: int, i: int):
+    if not 1 <= i <= K:
+        raise ValueError(f"user index {i} out of range 1..{K}")
 
 
 def channel_to_dict(spec: ChannelSpec) -> dict:

@@ -3,6 +3,9 @@
 All quantities come from exact marginalization, at each receiver, of the
 joint pmf over its output table; the codes of all subset masks are sorted
 in blocks of at most _BLOCK_CODES, which bounds the transient memory.
+The sorted grouping depends only on the channel: the layout of the last
+ChannelSpec object seen is kept, if it has at most _LAYOUT_ENTRIES entries,
+and a table for the same object only re-weights it.
 Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
@@ -10,11 +13,13 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, _check_user
 
 __all__ = [
     "InputDistribution",
@@ -28,6 +33,7 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _BLOCK_CODES = 1 << 12  # most codes sorted by one np.unique call
+_LAYOUT_ENTRIES = 1 << 18  # most (mask, cell) entries of a channel layout kept for reuse
 
 
 @dataclass(frozen=True)
@@ -102,17 +108,16 @@ class EntropyTable:
         object.__setattr__(self, "h", h)
 
     def h_y_given_v(self, i: int, T) -> float:
+        _check_user(self.K, i)
         return float(self.h[i - 1, subset_rank(T)])
 
     def h_v(self, j: int) -> float:
+        _check_user(self.K, j)
         return self.v_marginals[j - 1]
 
 
-def _entropy(codes, weights) -> float:
-    """Entropy in bits of the pmf that `weights` puts on equal `codes`;
-    zero weights contribute nothing."""
-    _, inverse = np.unique(codes, return_inverse=True)
-    p = np.bincount(inverse.ravel(), weights=np.ravel(weights))
+def _entropy(p) -> float:
+    """Entropy in bits of the pmf p; zero entries contribute nothing."""
     p = p[p > 0.0]
     return float(-np.sum(p * np.log2(p)))
 
@@ -125,6 +130,9 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     (X_i, V_j for j != i), which is a product of independent pmfs, over the
     cells of its output table, as H(V_T, Y_i) - sum_{j in T} H(V_j); an entry
     is exactly 0.0 when Y_i is a function of V_T on the positive-weight cells.
+    The cells' grouping by code depends only on the channel, so the layout
+    of the last ChannelSpec object seen is reused for that same object when
+    it is small enough to keep.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -138,53 +146,142 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
             )
 
     K = spec.K
-    users = range(1, K + 1)
-    # v_rank[j-1][x]: position of g_j(x) in the image of g_j, the alphabet of V_j.
-    v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
-    v_pmf = [np.bincount(v_rank[j - 1], weights=dist.probs[j - 1]) for j in users]
-    marginals = tuple(_entropy(v_rank[j - 1], dist.probs[j - 1]) for j in users)
-    # V_T is coded as sum_{j in T} place[mask, j-1] * V_j, which is below n_v.
-    radix = [len(p) for p in v_pmf]
-    bits = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # bits[mask, j-1]: j in T
-    place, n_v = bits * np.cumprod([1] + radix[:-1]), math.prod(radix)
-
+    layout = _layout_of(spec)
+    v_pmf = [np.bincount(rank, weights=p) for rank, p in zip(layout.v_rank, dist.probs)]
+    marginals = tuple(_entropy(p) for p in v_pmf)
     entropies = np.empty((K, 1 << K))
     h_y_given_x = []
-    for i in users:
-        others = spec.other_users(i)
-        shape = (spec.x_alphabet_sizes[i - 1],) + tuple(radix[j - 1] for j in others)
-        grid = np.indices(shape).reshape(len(shape), -1)  # flattened in table order
+    for i, (x, xy, groups) in enumerate(layout.receivers, start=1):
         weights = np.asarray(dist.probs[i - 1])
-        for j in others:
+        for j in spec.other_users(i):
             weights = np.multiply.outer(weights, v_pmf[j - 1])
-        # Outputs compacted to 0..n_y-1, so that (V_T, y) codes stay small.
-        y = np.unique(spec.f_tables[i - 1], return_inverse=True)[1].ravel()
-        n_y = int(y.max()) + 1
-
+        weights = weights.ravel()  # in table order, as the layout's cells
         # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
-        h = _entropy(grid[0] * n_y + y, weights) - _entropy(grid[0], weights)
+        h = _entropy(np.bincount(xy, weights=weights)) - _entropy(np.bincount(x, weights=weights))
         h_y_given_x.append(max(h, 0.0))
-        cells = weights.ravel() > 0.0  # the exact-zero test below must see only these
-        v = np.insert(grid[1:], i - 1, v_rank[i - 1][grid[0]], axis=0)[:, cells]  # row j-1: V_j
-        y, weights = y[cells], weights.ravel()[cells]
-        step = max(1, _BLOCK_CODES // len(y))
-        for lo in range(0, 1 << K, step):
-            masks = slice(lo, lo + step)
-            n = len(place[masks])
-            # (V_T, y) codes, y the lowest digit, each mask offset by n_v * n_y.
-            block = (place[masks] @ v + n_v * np.arange(n)[:, None]) * n_y + y
-            codes, inverse = np.unique(block.ravel(), return_inverse=True)
+        # H(V_T) = sum_{j in T} H(V_j), as the V_j are independent.  A matrix
+        # product's last bit depends on its shape, so the sums are taken in
+        # fixed blocks: as many masks as fill _BLOCK_CODES codes of the
+        # positive-weight cells.
+        step = max(1, _BLOCK_CODES // np.count_nonzero(weights))
+        h_v = np.concatenate(
+            [layout.bits[lo : lo + step] @ marginals for lo in range(0, 1 << K, step)]
+        )
+        for lo, inverse, key in groups:
+            n = len(inverse) // len(weights)
             p = np.bincount(inverse, weights=np.tile(weights, n))
-            row, key = codes // (n_v * n_y), codes // n_y
-            # H(V_T) = sum_{j in T} H(V_j), as the V_j are independent.
-            h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - bits[masks] @ marginals
+            # Only codes of positive weight, so that the exact-zero test sees
+            # only the positive-weight cells; zero weights add exact zeros.
+            positive = p > 0.0
+            p, key = p[positive], key[positive]
+            row, masks = key // layout.n_v, slice(lo, lo + n)
+            h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - h_v[masks]
             # Exactly 0.0, which pins a private rate, if no two codes share V_T.
-            mixed = np.bincount(row[1:][key[1:] == key[:-1]], minlength=n) > 0
+            mixed = np.bincount(row[1:], weights=key[1:] == key[:-1], minlength=n) > 0
             entropies[i - 1, masks] = np.where(mixed, np.maximum(h, 0.0), 0.0)
 
     return EntropyTable(
         K=K, h=entropies, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
     )
+
+
+class _Layout(NamedTuple):
+    """What the table needs of a channel: v_rank[j-1][x] is the position of
+    g_j(x) in the image of g_j (the alphabet of V_j), bits[mask, j-1] is 1
+    iff user j is in the subset, V_T codes lie below n_v, and receivers[i-1]
+    is (x, xy, groups) for the cells c of receiver i's output grid in table
+    order: x[c] = X_i, xy[c] the index of the cell's (X_i, Y_i) code, and
+    the (lo, inverse, key) grouping of each block of masks from `_groups`."""
+
+    v_rank: list
+    bits: np.ndarray
+    n_v: int
+    receivers: list
+
+
+_NO_LAYOUT = (lambda: None, None)
+# Weak reference to the last channel whose layout is kept, and that layout.
+_kept = _NO_LAYOUT
+
+
+def _layout_of(spec: ChannelSpec) -> _Layout:
+    """The layout of the last channel if `spec` is that object, else a new one.
+
+    Matched by identity, as hashing a channel walks all its tables; the weak
+    reference keeps no channel alive.  A kept layout is never written, so
+    concurrent callers at worst build one twice.
+    """
+    global _kept
+    ref, layout = _kept
+    if ref() is spec:
+        return layout
+    layout, keep = _build_layout(spec)
+    _kept = (weakref.ref(spec), layout) if keep else _NO_LAYOUT
+    return layout
+
+
+def _build_layout(spec: ChannelSpec) -> tuple[_Layout, bool]:
+    """The channel's layout, and whether it fits _LAYOUT_ENTRIES to be kept.
+
+    A kept layout holds each receiver's groups merged into one over all
+    masks, indices stored compactly; otherwise each block is grouped only
+    when the table is filled, so that the transient memory stays one block.
+    """
+    K = spec.K
+    users = range(1, K + 1)
+    v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
+    # V_T is coded as sum_{j in T} place[mask, j-1] * V_j, which is below n_v.
+    radix = [len(image) for image in spec.v_images]
+    bits = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # bits[mask, j-1]: j in T
+    place, n_v = bits * np.cumprod([1] + radix[:-1]), math.prod(radix)
+    cells = [n * n_v // r for n, r in zip(spec.x_alphabet_sizes, radix)]
+    keep = sum(cells) << K <= _LAYOUT_ENTRIES
+
+    receivers = []
+    for i in users:
+        shape = (spec.x_alphabet_sizes[i - 1],) + tuple(radix[j - 1] for j in spec.other_users(i))
+        grid = np.indices(shape).reshape(len(shape), -1)  # flattened in table order
+        # Outputs compacted to 0..n_y-1, so that (V_T, y) codes stay small.
+        y = np.unique(spec.f_tables[i - 1], return_inverse=True)[1].ravel()
+        n_y = int(y.max()) + 1
+        xy = np.unique(grid[0] * n_y + y, return_inverse=True)[1]
+        v = grid[[*range(1, i), 0, *range(i, K)]]  # row j-1: V_j, once X_i is mapped
+        v[i - 1] = v_rank[i - 1][v[i - 1]]
+        groups = _groups(v, y, n_y, place, n_v)
+        if keep:
+            groups = [_merged(groups, n_v)]
+        receivers.append((_compact(grid[0]), _compact(xy), groups))
+    return _Layout(v_rank, bits, n_v, receivers), keep
+
+
+def _groups(v, y, n_y, place, n_v):
+    """Group the cells by (V_T, Y_i) code, one block of masks at a time.
+
+    Yields the block's first mask lo, the code index of each (mask, cell)
+    entry in mask-major order, and each code's key (mask - lo) * n_v + V_T.
+    Codes are sorted, y the lowest digit, so equal keys are adjacent.
+    """
+    step = max(1, _BLOCK_CODES // len(y))
+    for lo in range(0, len(place), step):
+        masks = place[lo : lo + step]
+        block = (masks @ v + n_v * np.arange(len(masks))[:, None]) * n_y + y
+        codes, inverse = np.unique(block.ravel(), return_inverse=True)
+        yield lo, inverse, codes // n_y
+
+
+def _merged(groups, n_v):
+    """One compact group over all masks from the groups of consecutive blocks."""
+    inverse, key, offset = [], [], 0
+    for lo, block_inverse, block_key in groups:
+        inverse.append(block_inverse + offset)
+        key.append(block_key + lo * n_v)
+        offset += len(block_key)
+    return 0, _compact(np.concatenate(inverse)), _compact(np.concatenate(key))
+
+
+def _compact(indices):
+    """The nonnegative indices in the smallest unsigned integer type."""
+    return indices.astype(np.min_scalar_type(indices.max()))
 
 
 def check_injectivity_identity(spec: ChannelSpec, dist: InputDistribution, tol: float = 1e-9) -> bool:

@@ -154,7 +154,7 @@ def maximize_batch(C, A, b, tol: float = 1e-9):
     step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
         _solve_stack(C[s], A[s], b[s], tol, unbounded[s], X[s])
-    values = np.array([np.inf if u else c @ x for u, c, x in zip(unbounded, C, X)], dtype=float)
+    values = np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0])
     return unbounded, values, X
 
 

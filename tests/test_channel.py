@@ -136,6 +136,18 @@ def test_v_index_encoding_round_trip():
                 assert decode_v_index(spec, i, r) == tup
 
 
+def test_v_index_decoding_rejects_out_of_range_users_and_indices(xor):
+    # On XOR each receiver has two tuples: r = 2 used to decode as r = 0,
+    # r = -1 as (1,), and receiver 0 gave a 2-tuple.
+    assert [decode_v_index(xor, 1, r) for r in (0, 1)] == [(0,), (1,)]
+    for r in (2, -1):
+        with pytest.raises(ValueError, match=r"index -?\d out of range 0..1"):
+            decode_v_index(xor, 1, r)
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="user index"):
+            decode_v_index(xor, i, 0)
+
+
 def test_injectivity_matches_definition_by_exhaustion():
     rng = random.Random(1)
     from conftest import random_injective_channel

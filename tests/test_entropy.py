@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dicregion import entropy
+from dicregion.channel import ChannelSpec, channel_from_dict, channel_to_dict
 from dicregion.entropy import (
     EntropyTable,
     InputDistribution,
@@ -225,6 +226,93 @@ def test_table_spanning_several_blocks_matches_reference(zeros):
         cells = {(x[i], v[:i] + v[i + 1:]) for x, v, _, _ in pmf}
         assert len(cells) << spec.K > 2 * entropy._BLOCK_CODES
     assert_matches_reference(build_entropy_table(spec, dist), spec, dist)
+
+
+def test_table_accessors_reject_users_outside_1_to_K(xor):
+    # Index 0 used to read user K's entry through numpy's negative indexing.
+    table = build_entropy_table(xor, InputDistribution.uniform(xor))
+    for user in (0, -1, 3):
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            table.h_y_given_v(user, {1})
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            table.h_v(user)
+
+
+def table_bytes(table):
+    return table.h.tobytes(), table.v_marginals, table.y_given_own_input
+
+
+def fresh_copy(spec):
+    return channel_from_dict(channel_to_dict(spec))
+
+
+def layout_cases():
+    """Two channels, each with a full-support, a zero-entry and a point-mass
+    distribution; channel A spans several sort blocks per receiver."""
+    rng = random.Random(23)
+    a = injective_channel_of_sizes(rng, [8, 6, 7, 5])
+    b = random_injective_channel(rng, 3, 4)
+    return [
+        (spec, dist)
+        for spec in (a, b)
+        for dist in (random_full_support(rng, spec), with_zeros(rng, spec),
+                     InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes]))
+    ]
+
+
+def test_tables_on_revisited_channels_equal_tables_of_fresh_copies():
+    cases = layout_cases()
+    expected = [table_bytes(build_entropy_table(fresh_copy(spec), dist)) for spec, dist in cases]
+    a, b = cases[:3], cases[3:]
+    order = [a[0], a[1], b[0], b[1], a[2], a[0], b[2], a[1]]  # A, B, A, with revisits
+    for spec, dist in order:
+        assert table_bytes(build_entropy_table(spec, dist)) == expected[cases.index((spec, dist))]
+
+
+def counted_layout_builds(monkeypatch):
+    builds = []
+    build = entropy._build_layout
+    monkeypatch.setattr(entropy, "_build_layout", lambda spec: builds.append(spec) or build(spec))
+    monkeypatch.setattr(entropy, "_kept", entropy._NO_LAYOUT)
+    return builds
+
+
+def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
+    builds = counted_layout_builds(monkeypatch)
+    rng = random.Random(29)
+    a, b = random_injective_channel(rng, 4, 3), random_injective_channel(rng, 3, 3)
+    for _ in range(5):
+        build_entropy_table(a, random_full_support(rng, a))
+    assert builds == [a]
+    build_entropy_table(b, InputDistribution.uniform(b))
+    build_entropy_table(a, InputDistribution.uniform(a))
+    assert builds == [a, b, a]
+    build_entropy_table(fresh_copy(a), InputDistribution.uniform(a))  # equal, not the same
+    assert len(builds) == 4
+
+
+def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypatch):
+    cases = layout_cases()
+    expected = [table_bytes(build_entropy_table(spec, dist)) for spec, dist in cases]
+    builds = counted_layout_builds(monkeypatch)
+    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 0)
+    for (spec, dist), want in zip(cases, expected):
+        assert table_bytes(build_entropy_table(spec, dist)) == want
+        assert entropy._kept == entropy._NO_LAYOUT
+    assert len(builds) == len(cases)
+
+
+def test_layout_of_four_users_with_alphabets_of_eight_is_kept(monkeypatch):
+    # 4 receivers x 16 masks x 8 * 8^3 cells: the largest K=4, alphabet-8 layout.
+    rows = tuple(tuple(range(8**3)) for _ in range(8))
+    spec = ChannelSpec(K=4, x_alphabet_sizes=(8,) * 4, g_tables=(tuple(range(8)),) * 4,
+                       f_tables=(rows,) * 4)
+    counted_layout_builds(monkeypatch)
+    build_entropy_table(spec, InputDistribution.uniform(spec))
+    assert entropy._kept[0]() is spec
+    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", entropy._LAYOUT_ENTRIES - 1)
+    build_entropy_table(fresh_copy(spec), InputDistribution.uniform(spec))
+    assert entropy._kept == entropy._NO_LAYOUT
 
 
 def test_conditioning_monotonicity():
