@@ -123,6 +123,7 @@ class ChannelSpec:
 
     def v_tuples_for(self, i: int):
         """All attainable interference tuples at receiver i, in index order."""
+        _check_user(self.K, i)
         return itertools.product(*(self.v_images[j - 1] for j in self.other_users(i)))
 
 
@@ -132,6 +133,7 @@ def encode_v_tuple(spec: ChannelSpec, i: int, v_tuple) -> int:
     The tuple lists users j != i in increasing j; the last position varies
     fastest.  Each v value must be attainable (in the image of its g map).
     """
+    _check_user(spec.K, i)
     others = spec.other_users(i)
     if len(v_tuple) != len(others):
         raise ValueError(

@@ -1,19 +1,20 @@
 """Exact entropy computation for a channel under a product input distribution.
 
 All quantities come from exact marginalization, at each receiver, of the
-joint pmf over its output table; the codes of all subset masks are sorted
-in blocks of at most _BLOCK_CODES, which bounds the transient memory.
-The sorted grouping depends only on the channel: the layout of the last
-ChannelSpec object seen is kept, if it has at most _LAYOUT_ENTRIES entries,
-and a table for the same object only re-weights it.
+joint pmf over its output table.  The grouping of the cells by code depends
+only on the channel: the layout of the last channel with at most
+_LAYOUT_ENTRIES (mask, cell) entries is cached, so a table for that channel,
+or an equal one, only re-weights it; a larger channel's codes are sorted in
+blocks of at most _BLOCK_CODES, which bounds the transient memory.  No entry
+depends on either bound.
 Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,11 +67,14 @@ class InputDistribution:
 
     @classmethod
     def point_mass(cls, spec: ChannelSpec, symbols=None) -> "InputDistribution":
-        """All mass on one input tuple (defaults to the all-zero tuple)."""
-        if symbols is None:
-            symbols = (0,) * spec.K
+        """All mass on one input tuple, one symbol per user (all zero by default)."""
+        symbols = (0,) * spec.K if symbols is None else tuple(symbols)
+        if len(symbols) != spec.K:
+            raise ValueError(f"{len(symbols)} symbols for {spec.K} users")
         rows = []
-        for n, s in zip(spec.x_alphabet_sizes, symbols):
+        for i, (n, s) in enumerate(zip(spec.x_alphabet_sizes, symbols), start=1):
+            if not 0 <= s < n:
+                raise ValueError(f"user {i}: symbol {s} out of range 0..{n - 1}")
             rows.append(tuple(1.0 if x == s else 0.0 for x in range(n)))
         return cls(tuple(rows))
 
@@ -108,7 +112,8 @@ class EntropyTable:
         object.__setattr__(self, "h", h)
 
     def h_y_given_v(self, i: int, T) -> float:
-        _check_user(self.K, i)
+        for user in (i, *T):
+            _check_user(self.K, user)
         return float(self.h[i - 1, subset_rank(T)])
 
     def h_v(self, j: int) -> float:
@@ -130,9 +135,9 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     (X_i, V_j for j != i), which is a product of independent pmfs, over the
     cells of its output table, as H(V_T, Y_i) - sum_{j in T} H(V_j); an entry
     is exactly 0.0 when Y_i is a function of V_T on the positive-weight cells.
-    The cells' grouping by code depends only on the channel, so the layout
-    of the last ChannelSpec object seen is reused for that same object when
-    it is small enough to keep.
+    H(V_T) is summed in increasing j.  The cells' grouping by code depends
+    only on the channel, so the layout of the last channel small enough to
+    cache is reused for that channel or an equal one.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -149,24 +154,21 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     layout = _layout_of(spec)
     v_pmf = [np.bincount(rank, weights=p) for rank, p in zip(layout.v_rank, dist.probs)]
     marginals = tuple(_entropy(p) for p in v_pmf)
+    # h_v[mask] = H(V_T) = sum_{j in T} H(V_j), as the V_j are independent,
+    # summed in increasing j so that no entry depends on a block shape.
+    h_v = np.zeros(1)
+    for h_j in marginals:
+        h_v = np.concatenate([h_v, h_v + h_j])
     entropies = np.empty((K, 1 << K))
     h_y_given_x = []
-    for i, (x, xy, groups) in enumerate(layout.receivers, start=1):
-        weights = np.asarray(dist.probs[i - 1])
+    for i, (xy, groups) in enumerate(layout.receivers, start=1):
+        weights = p_i = np.asarray(dist.probs[i - 1])
         for j in spec.other_users(i):
             weights = np.multiply.outer(weights, v_pmf[j - 1])
         weights = weights.ravel()  # in table order, as the layout's cells
         # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
-        h = _entropy(np.bincount(xy, weights=weights)) - _entropy(np.bincount(x, weights=weights))
+        h = _entropy(np.bincount(xy, weights=weights)) - _entropy(p_i)
         h_y_given_x.append(max(h, 0.0))
-        # H(V_T) = sum_{j in T} H(V_j), as the V_j are independent.  A matrix
-        # product's last bit depends on its shape, so the sums are taken in
-        # fixed blocks: as many masks as fill _BLOCK_CODES codes of the
-        # positive-weight cells.
-        step = max(1, _BLOCK_CODES // np.count_nonzero(weights))
-        h_v = np.concatenate(
-            [layout.bits[lo : lo + step] @ marginals for lo in range(0, 1 << K, step)]
-        )
         for lo, inverse, key in groups:
             n = len(inverse) // len(weights)
             p = np.bincount(inverse, weights=np.tile(weights, n))
@@ -187,46 +189,39 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
 
 class _Layout(NamedTuple):
     """What the table needs of a channel: v_rank[j-1][x] is the position of
-    g_j(x) in the image of g_j (the alphabet of V_j), bits[mask, j-1] is 1
-    iff user j is in the subset, V_T codes lie below n_v, and receivers[i-1]
-    is (x, xy, groups) for the cells c of receiver i's output grid in table
-    order: x[c] = X_i, xy[c] the index of the cell's (X_i, Y_i) code, and
-    the (lo, inverse, key) grouping of each block of masks from `_groups`."""
+    g_j(x) in the image of g_j (the alphabet of V_j), V_T codes lie below
+    n_v, and receivers[i-1] is (xy, groups) for the cells c of receiver i's
+    output grid in table order: xy[c] is the index of the cell's (X_i, Y_i)
+    code, and groups the (lo, inverse, key) grouping of each block of masks
+    from `_groups`."""
 
     v_rank: list
-    bits: np.ndarray
     n_v: int
     receivers: list
 
 
-_NO_LAYOUT = (lambda: None, None)
-# Weak reference to the last channel whose layout is kept, and that layout.
-_kept = _NO_LAYOUT
-
-
 def _layout_of(spec: ChannelSpec) -> _Layout:
-    """The layout of the last channel if `spec` is that object, else a new one.
-
-    Matched by identity, as hashing a channel walks all its tables; the weak
-    reference keeps no channel alive.  A kept layout is never written, so
-    concurrent callers at worst build one twice.
-    """
-    global _kept
-    ref, layout = _kept
-    if ref() is spec:
-        return layout
-    layout, keep = _build_layout(spec)
-    _kept = (weakref.ref(spec), layout) if keep else _NO_LAYOUT
-    return layout
+    """The channel's layout, from the cache if its (mask, cell) entries fit
+    _LAYOUT_ENTRIES."""
+    n_v = math.prod(len(image) for image in spec.v_images)
+    cells = (n * n_v // len(image) for n, image in zip(spec.x_alphabet_sizes, spec.v_images))
+    if sum(cells) << spec.K <= _LAYOUT_ENTRIES:
+        return _kept_layout(spec)
+    return _build_layout(spec, keep=False)
 
 
-def _build_layout(spec: ChannelSpec) -> tuple[_Layout, bool]:
-    """The channel's layout, and whether it fits _LAYOUT_ENTRIES to be kept.
+@functools.lru_cache(maxsize=1)
+def _kept_layout(spec: ChannelSpec) -> _Layout:
+    """Shared by every caller, as a layout is never written; concurrent
+    callers at worst build one twice."""
+    return _build_layout(spec, keep=True)
 
-    A kept layout holds each receiver's groups merged into one over all
-    masks, indices stored compactly; otherwise each block is grouped only
-    when the table is filled, so that the transient memory stays one block.
-    """
+
+def _build_layout(spec: ChannelSpec, keep: bool) -> _Layout:
+    """The channel's layout.  A kept one groups each receiver's cells in one
+    block of all masks, as it has at most _LAYOUT_ENTRIES entries, with
+    compact indices; otherwise each block of _BLOCK_CODES codes is grouped
+    only while the table is filled, so the transient memory stays one block."""
     K = spec.K
     users = range(1, K + 1)
     v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
@@ -234,8 +229,6 @@ def _build_layout(spec: ChannelSpec) -> tuple[_Layout, bool]:
     radix = [len(image) for image in spec.v_images]
     bits = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # bits[mask, j-1]: j in T
     place, n_v = bits * np.cumprod([1] + radix[:-1]), math.prod(radix)
-    cells = [n * n_v // r for n, r in zip(spec.x_alphabet_sizes, radix)]
-    keep = sum(cells) << K <= _LAYOUT_ENTRIES
 
     receivers = []
     for i in users:
@@ -247,36 +240,27 @@ def _build_layout(spec: ChannelSpec) -> tuple[_Layout, bool]:
         xy = np.unique(grid[0] * n_y + y, return_inverse=True)[1]
         v = grid[[*range(1, i), 0, *range(i, K)]]  # row j-1: V_j, once X_i is mapped
         v[i - 1] = v_rank[i - 1][v[i - 1]]
-        groups = _groups(v, y, n_y, place, n_v)
+        groups = _groups(v, y, n_y, place, n_v, _LAYOUT_ENTRIES if keep else _BLOCK_CODES)
         if keep:
-            groups = [_merged(groups, n_v)]
-        receivers.append((_compact(grid[0]), _compact(xy), groups))
-    return _Layout(v_rank, bits, n_v, receivers), keep
+            groups = [(lo, _compact(inverse), _compact(key)) for lo, inverse, key in groups]
+        receivers.append((_compact(xy), groups))
+    return _Layout(v_rank, n_v, receivers)
 
 
-def _groups(v, y, n_y, place, n_v):
-    """Group the cells by (V_T, Y_i) code, one block of masks at a time.
+def _groups(v, y, n_y, place, n_v, block_codes):
+    """Group the cells by (V_T, Y_i) code, in blocks of `block_codes` codes.
 
-    Yields the block's first mask lo, the code index of each (mask, cell)
-    entry in mask-major order, and each code's key (mask - lo) * n_v + V_T.
-    Codes are sorted, y the lowest digit, so equal keys are adjacent.
+    A block holds at least one mask.  Yields the block's first mask lo, the
+    code index of each (mask, cell) entry in mask-major order, and each
+    code's key (mask - lo) * n_v + V_T.  Codes are sorted, y the lowest
+    digit, so equal keys are adjacent.
     """
-    step = max(1, _BLOCK_CODES // len(y))
+    step = max(1, block_codes // len(y))
     for lo in range(0, len(place), step):
         masks = place[lo : lo + step]
         block = (masks @ v + n_v * np.arange(len(masks))[:, None]) * n_y + y
         codes, inverse = np.unique(block.ravel(), return_inverse=True)
         yield lo, inverse, codes // n_y
-
-
-def _merged(groups, n_v):
-    """One compact group over all masks from the groups of consecutive blocks."""
-    inverse, key, offset = [], [], 0
-    for lo, block_inverse, block_key in groups:
-        inverse.append(block_inverse + offset)
-        key.append(block_key + lo * n_v)
-        offset += len(block_key)
-    return 0, _compact(np.concatenate(inverse)), _compact(np.concatenate(key))
 
 
 def _compact(indices):

@@ -92,6 +92,8 @@ class Region:
         labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError(f"{len(labels)} labels for dimension {dim}")
+        if len(set(labels)) != dim:
+            raise ValueError(f"duplicate labels in {list(labels)}")
         for coeffs in lhs:
             if len(coeffs) != dim:
                 raise ValueError(f"inequality arity {len(coeffs)} does not match dim {dim}")

@@ -148,6 +148,15 @@ def test_v_index_decoding_rejects_out_of_range_users_and_indices(xor):
             decode_v_index(xor, i, 0)
 
 
+def test_v_index_encoding_and_tuples_reject_out_of_range_users(xor):
+    # Receiver 3 of XOR used to encode (0, 0) as 0, and receiver 5 had 4 tuples.
+    for i in (0, 3, 5):
+        with pytest.raises(ValueError, match="user index"):
+            encode_v_tuple(xor, i, (0, 0))
+        with pytest.raises(ValueError, match="user index"):
+            xor.v_tuples_for(i)
+
+
 def test_injectivity_matches_definition_by_exhaustion():
     rng = random.Random(1)
     from conftest import random_injective_channel

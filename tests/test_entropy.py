@@ -229,11 +229,14 @@ def test_table_spanning_several_blocks_matches_reference(zeros):
 
 
 def test_table_accessors_reject_users_outside_1_to_K(xor):
-    # Index 0 used to read user K's entry through numpy's negative indexing.
+    # Index 0 used to read user K's entry through numpy's negative indexing;
+    # T = {3} raised IndexError and T = {0} "negative shift count".
     table = build_entropy_table(xor, InputDistribution.uniform(xor))
     for user in (0, -1, 3):
         with pytest.raises(ValueError, match="out of range 1..2"):
             table.h_y_given_v(user, {1})
+        with pytest.raises(ValueError, match="out of range 1..2"):
+            table.h_y_given_v(1, {2, user})
         with pytest.raises(ValueError, match="out of range 1..2"):
             table.h_v(user)
 
@@ -272,8 +275,10 @@ def test_tables_on_revisited_channels_equal_tables_of_fresh_copies():
 def counted_layout_builds(monkeypatch):
     builds = []
     build = entropy._build_layout
-    monkeypatch.setattr(entropy, "_build_layout", lambda spec: builds.append(spec) or build(spec))
-    monkeypatch.setattr(entropy, "_kept", entropy._NO_LAYOUT)
+    monkeypatch.setattr(
+        entropy, "_build_layout", lambda spec, keep: builds.append(spec) or build(spec, keep)
+    )
+    entropy._kept_layout.cache_clear()
     return builds
 
 
@@ -284,11 +289,12 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     for _ in range(5):
         build_entropy_table(a, random_full_support(rng, a))
     assert builds == [a]
+    assert entropy._kept_layout.cache_info()[:2] == (4, 1)  # hits, misses
     build_entropy_table(b, InputDistribution.uniform(b))
     build_entropy_table(a, InputDistribution.uniform(a))
     assert builds == [a, b, a]
     build_entropy_table(fresh_copy(a), InputDistribution.uniform(a))  # equal, not the same
-    assert len(builds) == 4
+    assert len(builds) == 3
 
 
 def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypatch):
@@ -298,8 +304,25 @@ def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypa
     monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 0)
     for (spec, dist), want in zip(cases, expected):
         assert table_bytes(build_entropy_table(spec, dist)) == want
-        assert entropy._kept == entropy._NO_LAYOUT
     assert len(builds) == len(cases)
+    assert entropy._kept_layout.cache_info()[:4] == (0, 0, 1, 0)  # hits, misses, max, size
+
+
+@pytest.mark.parametrize("block_codes", [1, 64, None])
+def test_table_bytes_do_not_depend_on_block_sizes(monkeypatch, block_codes):
+    # A kept layout groups all masks in one block; an uncached one groups
+    # one mask per block, a few, or as many as the default _BLOCK_CODES fits.
+    rng = random.Random(31)
+    cases = []
+    for K, max_x in ((2, 5), (3, 4), (4, 3), (5, 2), (6, 2)):
+        spec = random_injective_channel(rng, K, max_x)
+        cases += [(spec, random_full_support(rng, spec)), (spec, with_zeros(rng, spec))]
+    expected = [table_bytes(build_entropy_table(spec, dist)) for spec, dist in cases]
+    if block_codes is not None:
+        monkeypatch.setattr(entropy, "_BLOCK_CODES", block_codes)
+    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 0)
+    for (spec, dist), want in zip(cases, expected):
+        assert table_bytes(build_entropy_table(spec, dist)) == want, spec.K
 
 
 def test_layout_of_four_users_with_alphabets_of_eight_is_kept(monkeypatch):
@@ -307,12 +330,13 @@ def test_layout_of_four_users_with_alphabets_of_eight_is_kept(monkeypatch):
     rows = tuple(tuple(range(8**3)) for _ in range(8))
     spec = ChannelSpec(K=4, x_alphabet_sizes=(8,) * 4, g_tables=(tuple(range(8)),) * 4,
                        f_tables=(rows,) * 4)
-    counted_layout_builds(monkeypatch)
+    builds = counted_layout_builds(monkeypatch)
     build_entropy_table(spec, InputDistribution.uniform(spec))
-    assert entropy._kept[0]() is spec
+    assert entropy._kept_layout.cache_info()[1:] == (1, 1, 1)  # misses, max, size
     monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", entropy._LAYOUT_ENTRIES - 1)
     build_entropy_table(fresh_copy(spec), InputDistribution.uniform(spec))
-    assert entropy._kept == entropy._NO_LAYOUT
+    assert entropy._kept_layout.cache_info()[:2] == (0, 1)  # the equal copy missed the cache
+    assert len(builds) == 2
 
 
 def test_conditioning_monotonicity():
@@ -370,6 +394,17 @@ def test_distribution_validation():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="user 2: non-finite"):
             InputDistribution(((0.5, 0.5), (bad, 1.0)))
+
+
+def test_point_mass_takes_one_symbol_per_user_from_its_alphabet(xor):
+    # A one-symbol list used to give a one-user distribution.
+    assert InputDistribution.point_mass(xor, [1, 0]).probs == ((0.0, 1.0), (1.0, 0.0))
+    for symbols in ([0], [0, 0, 0]):
+        with pytest.raises(ValueError, match=f"{len(symbols)} symbols for 2 users"):
+            InputDistribution.point_mass(xor, symbols)
+    for symbols in ([2, 0], [0, -1]):
+        with pytest.raises(ValueError, match="out of range 0..1"):
+            InputDistribution.point_mass(xor, symbols)
 
 
 def test_distribution_json_round_trip(tmp_path):

@@ -511,6 +511,17 @@ def test_region_document_rejects_non_finite_rhs(rhs):
         region_from_dict(doc)
 
 
+def test_region_rejects_duplicate_labels():
+    # A region file labelled R1, R1 used to load, and eliminating "R1" then
+    # silently took the first column.
+    doc = region_to_dict(R(2, [((1, 1), 1.0)], labels=("R1", "R2")))
+    doc["labels"] = ["R1", "R1"]
+    with pytest.raises(ValueError, match="duplicate labels"):
+        region_from_dict(doc)
+    with pytest.raises(ValueError, match="duplicate labels"):
+        Region._from_rows(3, [(1, 0, 0)], [1.0], ("u", "v", "u"))
+
+
 def test_support_value_rejects_a_non_finite_or_misshaped_direction():
     # A nan direction used to come back as a nan support value.
     for direction in ([math.nan, 1.0], [math.inf, 0.0], [1.0], [1.0, 1.0, 1.0]):
