@@ -213,8 +213,8 @@ def cmd_plot(args) -> int:
         region = load_region(args.region)
     except (OSError, json.JSONDecodeError, ValueError) as exc:
         return _fail_parse(f"region file {args.region!r}", exc)
-    if region.dim > 3:
-        print(f"error: plotting supports dim <= 3, region has dim {region.dim}", file=sys.stderr)
+    if not 2 <= region.dim <= 3:
+        print(f"error: plotting supports 2 <= dim <= 3, region has dim {region.dim}", file=sys.stderr)
         return 2
     try:
         points = vertices(region)

@@ -91,10 +91,10 @@ def subset_rank(M) -> int:
 class EntropyTable:
     """All conditional entropies the region formulas need.
 
-    h is a read-only float array of shape (K, 2^K) with
+    h is a read-only array of finite floats >= 0, of shape (K, 2^K), with
     h[i-1, mask] = H(Y_i | V_T) for receiver i and user subset T, where bit
     m-1 of mask is user m (mask = subset_rank(T); T may contain i).  The
-    constructor copies h and raises ValueError for any other shape.
+    constructor copies h and raises ValueError for anything else.
     v_marginals[j-1] = H(V_j).
     """
 
@@ -108,6 +108,10 @@ class EntropyTable:
         h = np.array(self.h, dtype=float)
         if h.shape != (self.K, 1 << self.K):
             raise ValueError(f"entropy array has shape {h.shape}, expected ({self.K}, {1 << self.K})")
+        bad = np.argwhere(~(h >= 0) | (h == np.inf))
+        if bad.size:
+            i, mask = bad[0].tolist()
+            raise ValueError(f"entropy of receiver {i + 1} at mask {mask:#b} is {h[i, mask]}")
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
 

@@ -3,14 +3,15 @@
 Solves  max c.x  subject to  A x <= b  with free variables, via the split
 x = u - w and one slack per row; a `System` may give x_j >= 0 as a bound,
 which drops w_j instead of adding a row.  The tableau keeps only the
-nonbasic columns (u, w and one auxiliary t) and the right-hand side; the
-slacks start basic and are never stored as columns, and a pivot exchanges a
-basic and a nonbasic label.  When some b_i < 0, phase 1 pivots t into the most violated
-row, then minimizes t over A x - t <= b (V. Chvatal, *Linear Programming*,
-1983, ch. 3).  Bland's rule (smallest label, u and w before every slack)
-picks both pivots, so the method cannot cycle; everything is double
-precision with a single tolerance.  The LPs have up to a few thousand rows
-and a handful of variables, so a dense tableau is fast enough.
+nonbasic columns (u and w) and the right-hand side; the slacks start basic
+and are never stored as columns.  A `System` is built once into a feasible
+tableau: when some b_i < 0, phase 1 pivots an auxiliary t into the most
+violated row and minimizes t over A x - t <= b (V. Chvatal, *Linear
+Programming*, 1983, ch. 3).  Each query is phase 2 from there.  Bland's
+rule (smallest label, u and w before every slack) picks every pivot, so
+the method cannot cycle; everything is double precision with a single
+tolerance.  The LPs have up to a few thousand rows and a handful of
+variables, so a dense tableau is fast enough.
 """
 
 from __future__ import annotations
@@ -39,96 +40,97 @@ class LPResult:
 
 
 class System:
-    """A x <= b with x_j >= 0 for every j in `nonneg`, built once into its
-    starting tableau, so that `maximize` can solve it for many objectives.
-    A sign bound takes no row: x_j is u_j alone, with no w_j column.
-    len() is the number of rows.  Kept per region, so it holds only the
-    tableau and one label array."""
+    """A x <= b with x_j >= 0 for every j in `nonneg`, built once at `tol`
+    into a feasible starting tableau that `maximize` solves for any number
+    of objectives.  A sign bound takes no row: x_j is u_j alone, with no w_j
+    column.  `feasible` is False when the smallest t with A x - t <= b
+    exceeds tol; c @ P is the objective row of c.  len() counts the rows."""
 
-    __slots__ = ("n", "T", "labels")
+    __slots__ = ("n", "tol", "feasible", "T", "labels", "P")
 
-    def __init__(self, A, b, nonneg=()):
+    def __init__(self, A, b, nonneg=(), tol: float = 1e-9):
         A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"constraint matrix must be 2-D, got shape {A.shape}")
         m, n = A.shape
-        self.n = n
         if b.shape != (m,):
             raise ValueError(f"constraint matrix has {m} rows, right-hand side has shape {b.shape}")
         free = np.ones(n, dtype=bool)
         free[list(nonneg)] = False
         free = np.flatnonzero(free)
-        # Labels: u = 0..n-1, w_j = n+j for each free j, slacks 2n..2n+m-1,
-        # t = 2n+m; `labels` holds the basis, then the nonbasic labels.
-        # Columns: u, the w of the free variables, t, the rhs.  Row i reads
+        # Labels: u = 0..n-1, w_j = n+j for each free j, slacks 2n..2n+m-1;
+        # `labels` holds the basis, then the nonbasic labels.  Columns: u,
+        # the w of the free variables, the rhs.  Row i reads
         # x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].
-        self.T = np.zeros((m + 1, n + len(free) + 2))
-        self.T[:m, :n] = A
-        self.T[:m, n:-2] = -A[:, free]
-        self.T[:m, -1] = b
-        nonbasic = np.concatenate([np.arange(n), n + free, [2 * n + m]])
-        self.labels = np.concatenate([np.arange(2 * n, 2 * n + m), nonbasic])
+        T = np.zeros((m + 1, n + len(free) + 1))
+        T[:m, :n] = A
+        T[:m, n:-1] = -A[:, free]
+        T[:m, -1] = b
+        labels = np.concatenate([np.arange(2 * n, 2 * n + m), np.arange(n), n + free])
+        phase1 = _phase1(T, labels, n, tol) if m and b.min() < 0 else (T, labels)
+        self.n, self.tol, self.feasible = n, tol, phase1 is not None
+        self.T, self.labels = T, labels = phase1 or (T, labels)
+        # Phase 2 minimizes -c.u + c.w.  Its row is each column's cost less
+        # the basic costs times the column; on the slack basis, the costs.
+        cost = np.eye(n, 2 * n + 1, n) - np.eye(n, 2 * n + 1)  # [j, label] for c = e_j
+        uw = np.minimum(np.append(labels, 2 * n), 2 * n)  # slacks and the rhs cost 0
+        rows = np.flatnonzero(uw[:m] < 2 * n)
+        self.P = cost[:, uw[m:]] - cost[:, uw[rows]] @ T[rows]
 
     def __len__(self):
         return len(self.T) - 1
 
 
-def maximize(c, A, b=None, tol: float = 1e-9) -> LPResult:
+def _phase1(T, labels, n, tol):
+    """Pivot t (label 2n+m, a column of -1s) into the most violated row and
+    minimize it.  Returns the tableau and labels of a feasible basis with
+    t's column dropped, or None when the smallest t exceeds tol."""
+    m = len(T) - 1
+    aux = 2 * n + m
+    T, labels = np.insert(T, -1, -1.0, axis=1), np.append(labels, aux)
+    T[m, -2] = 1.0  # min t: pivoting t in prices the objective row
+    basis, nonbasic = labels[:m], labels[m:]
+    _pivot(T, basis, nonbasic, int(T[:m, -1].argmin()), T.shape[1] - 2)
+    _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=False)
+    if -T[m, -1] > tol:  # smallest t
+        return None
+    # t may stay basic at a level within tol.  Its row has nonbasic slack
+    # entries summing to -1 (raising every slack and t by one keeps
+    # A x + s - t = b), so a pivot entry of size >= 1/(2n+1) exists.
+    r = (basis == aux).nonzero()[0]
+    if r.size:
+        _pivot(T, basis, nonbasic, int(r[0]), int(np.abs(T[r[0], :-1]).argmax()))
+    j = int((nonbasic == aux).nonzero()[0][0])  # t, nonbasic at 0
+    return np.delete(T, j, axis=1), np.delete(labels, m + j)
+
+
+def maximize(c, A, b=None, tol: float | None = None) -> LPResult:
     """Maximize c.x over {x : A x <= b}, x unrestricted in sign, or over a
     `System` passed as A (with b None), whose tableau is copied, not changed.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
-    point are filled in, for "unbounded"/"infeasible" they are None.  The
-    system is infeasible when the smallest t with A x - t <= b exceeds tol,
-    so a system violated by at most tol everywhere counts as feasible.
+    point are filled in, for "unbounded"/"infeasible" they are None.  A
+    system violated by at most tol everywhere counts as feasible.  A System
+    carries its tol (else 1e-9); another `tol` raises ValueError.
     """
     c = np.asarray(c, dtype=float)
     if not isinstance(A, System):
         A = np.asarray(A, dtype=float)
-        A = System(A.reshape(0, len(c)) if A.size == 0 else A, b)
-        T, labels = A.T, A.labels
-    elif b is None:
-        T, labels = A.T.copy(), A.labels.copy()
-    else:
+        A = System(A.reshape(0, len(c)) if A.size == 0 else A, b, tol=1e-9 if tol is None else tol)
+    elif b is not None:
         raise ValueError("a System carries its own right-hand side; pass b=None")
+    elif tol not in (None, A.tol):
+        raise ValueError(f"the System was built at tol={A.tol}, not tol={tol}")
     if len(c) != A.n:
         raise ValueError(f"objective has {len(c)} entries, the system has {A.n} variables")
-    return _solve(c, T, labels[: len(A)], labels[len(A) :], tol)
-
-
-def _solve(c, T, basis, nonbasic, tol) -> LPResult:
-    """Both phases on a starting tableau of a `System`, in place."""
-    m, n = len(basis), len(c)
-    aux = 2 * n + m
-    if m and T[:m, -1].min() < 0:
-        T[:m, -2] = -1.0
-        _pivot(T, basis, nonbasic, int(T[:m, -1].argmin()), T.shape[1] - 2)
-        cost = np.zeros(aux + 1)
-        cost[aux] = 1.0
-        _price(T, basis, nonbasic, cost)
-        _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=False)
-        if -T[m, -1] > tol:  # smallest t
-            return LPResult(INFEASIBLE, None, None)
-        # t may stay basic at a level within tol.  Its row has nonbasic slack
-        # entries summing to -1 (raising every slack and t by one keeps
-        # A x + s - t = b), so a pivot entry of size >= 1/(2n+1) exists.
-        r = (basis == aux).nonzero()[0]
-        if r.size:
-            _pivot(T, basis, nonbasic, int(r[0]), int(np.abs(T[r[0], :-1]).argmax()))
-        T[:, (nonbasic == aux).nonzero()[0]] = 0.0  # t stays nonbasic at 0
-        # Phase 2: minimize -c.x = -c.u + c.w.
-        cost = np.zeros(aux + 1)
-        cost[:n] = -c
-        cost[n : 2 * n] = c
-        _price(T, basis, nonbasic, cost)
-    else:  # phase 2 from the slack basis, whose costs are all 0: the row is the costs
-        T[m, :n] = -c
-        T[m, n:-2] = c[nonbasic[n:-1] - n]  # the w of the free variables
-    if _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=True) == UNBOUNDED:
+    if not A.feasible:
+        return LPResult(INFEASIBLE, None, None)
+    (m, n), T, labels = (len(A), A.n), A.T.copy(), A.labels.copy()
+    T[m] = c @ A.P
+    if _iterate(T, labels[:m], labels[m:], A.tol, 2 * n + m, allow_unbounded=True) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
-
-    z = np.zeros(aux + 1)
-    z[basis] = T[:m, -1]
+    z = np.zeros(2 * n + m)
+    z[labels[:m]] = T[:m, -1]
     x = z[:n] - z[n : 2 * n]
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
@@ -198,11 +200,6 @@ def _solve_stack(C, A, b, tol, unbounded, X):
         T -= pcol[:, :, None] * row[:, None, :]
         basis[at, r], nonbasic[at, j] = nonbasic[at, j], basis[at, r]
     raise RuntimeError("simplex pivot limit exceeded")
-
-
-def _price(T, basis, nonbasic, cost):
-    """Objective row of min cost.z: reduced costs, and minus the value at the rhs."""
-    T[-1] = np.append(cost[nonbasic], 0.0) - cost[basis] @ T[:-1]
 
 
 def _iterate(T, basis, nonbasic, tol, unused, allow_unbounded):

@@ -109,15 +109,15 @@ class Region:
     def __reduce__(self):  # copy and pickle rebuild through _fill
         return Region._from_rows, (self.dim, self.lhs, self.rhs.tolist(), self.labels)
 
-    def _lp_form(self) -> lp.System:
-        """The region as an `lp.System`, built once: each row -x_j <= 0
-        (`_is_nonneg_row`) becomes the sign bound x_j >= 0."""
-        if self._lp is None:
+    def _lp_form(self, tol: float = 1e-9) -> lp.System:
+        """The region as an `lp.System` at `tol`, kept until another tol is
+        asked for: each row -x_j <= 0 (`_is_nonneg_row`) is the bound x_j >= 0."""
+        if self._lp is None or self._lp.tol != tol:
             bound = [_is_nonneg_row(*row) for row in zip(self.lhs, self.rhs.tolist())]
             A, b = self.matrix()
             rows = ~np.array(bound, dtype=bool)
             nonneg = [coeffs.index(-1) for coeffs in compress(self.lhs, bound)]
-            object.__setattr__(self, "_lp", lp.System(A[rows], b[rows], nonneg))
+            object.__setattr__(self, "_lp", lp.System(A[rows], b[rows], nonneg, tol))
         return self._lp
 
     @property
@@ -307,13 +307,12 @@ def _implied(A, b, k, others, tol) -> bool:
 
 
 def _support(region: Region, direction, tol: float):
-    """max direction . x over the region, or None when unbounded.
-
-    Raises InfeasibleRegionError when the region admits no point.
-    """
-    res = lp.maximize(direction, region._lp_form(), tol=tol)
-    if res.status == lp.INFEASIBLE:
+    """max direction . x over the region, or None when unbounded; raises
+    InfeasibleRegionError when the region admits no point."""
+    form = region._lp_form(tol)
+    if not form.feasible:
         raise InfeasibleRegionError("support value of an empty region")
+    res = lp.maximize(direction, form, tol=tol)
     return None if res.status == lp.UNBOUNDED else res.value
 
 
@@ -326,8 +325,8 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not b.lhs:
-        _support(a, np.zeros(a.dim), tol)  # raises when `a` is empty
+    if not a._lp_form(tol).feasible:  # also when `b` has no row to test
+        raise InfeasibleRegionError("support value of an empty region")
     for coeffs, bound in zip(b.lhs, b.rhs.tolist()):
         value = _support(a, coeffs, tol)
         if value is None or value > bound + tol:

@@ -210,7 +210,7 @@ def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GU
 
 def default_a_max(K: int) -> int:
     """Weight cap that reproduces the projection region on the tested sizes."""
-    return {2: 2, 3: 4}.get(K, K + 1)
+    return {2: 2, 3: 4, 5: 7}.get(K, K + 1)
 
 
 def enumerate_facets(

@@ -243,6 +243,16 @@ def test_plot_dim_guard(tmp_path, capsys):
     assert "dim <= 3" in capsys.readouterr().err
 
 
+def test_plot_rejects_a_one_dimensional_region(tmp_path, capsys):
+    # The SVG writer reads two coordinates per vertex.
+    region_path = tmp_path / "r1.json"
+    save_region(R(1, [((1,), 2.0), ((-1,), 0.0)]), region_path)
+    out = tmp_path / "x.svg"
+    assert main(["plot", str(region_path), "--out", str(out)]) == 2
+    assert "plotting supports 2 <= dim <= 3, region has dim 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_region_check_a_max_stable(xor_file, uniform2_file, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(

@@ -7,7 +7,7 @@ import random
 import numpy as np
 import pytest
 
-from dicregion import entropy
+from dicregion import entropy, enumerate_facets
 from dicregion.channel import ChannelSpec, channel_from_dict, channel_to_dict
 from dicregion.entropy import (
     EntropyTable,
@@ -18,6 +18,7 @@ from dicregion.entropy import (
     save_distribution,
     subset_rank,
 )
+from dicregion.hk_region import build_A1, project_to_aggregate
 
 from conftest import injective_channel_of_sizes, random_full_support, random_injective_channel
 
@@ -69,6 +70,25 @@ def test_point_mass_all_zero(xor):
 def test_table_rejects_wrong_array_shape(shape):
     with pytest.raises(ValueError, match="shape"):
         EntropyTable(K=2, h=np.zeros(shape), v_marginals=(0.0, 0.0), y_given_own_input=(0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "value, route",
+    [(math.nan, "theorem"), (math.nan, "hk-project"), (-0.5, "hk-project"), (math.inf, "theorem")],
+)
+def test_table_rejects_a_bad_entry_before_either_route(xor, value, route):
+    # Unchecked, a NaN at h[0, 1] gives enumerate_facets a 4-row region and
+    # stops the projection at "argmin of an empty sequence"; -0.5 gives an
+    # empty projection (R2 <= -0.5 with R2 >= 0).
+    built = build_entropy_table(xor, InputDistribution.uniform(xor))
+    h = built.h.copy()
+    h[0, 1] = value
+    routes = {
+        "theorem": lambda table: enumerate_facets(xor, table),
+        "hk-project": lambda table: project_to_aggregate(build_A1(xor, table)),
+    }
+    with pytest.raises(ValueError, match=rf"receiver 1 at mask 0b1 is {value}$"):
+        routes[route](EntropyTable(2, h, built.v_marginals, built.y_given_own_input))
 
 
 def test_table_array_is_a_read_only_copy(xor):

@@ -128,9 +128,43 @@ def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
         lp.maximize([1.0, 0.0], system, [1.0])
     with pytest.raises(ValueError, match="objective has 3 entries"):
         lp.maximize([1.0, 0.0, 0.0], system)
+    # A System carries its tol as it carries its rhs: only that one is accepted.
+    with pytest.raises(ValueError, match="built at tol=1e-09, not tol=1e-06"):
+        lp.maximize([1.0, 0.0], system, tol=1e-6)
+    assert lp.maximize([1.0, 0.0], system, tol=1e-9).value == 1.0
     assert lp.maximize([1.0, 0.0], system).value == 1.0
     assert lp.maximize([0.0, -1.0], system).value == 0.0
     assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED
+
+
+def _count_pivots(monkeypatch):
+    pivot, made = lp._pivot, []
+    monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
+    return made
+
+
+def test_phase1_runs_once_in_the_system_and_leaves_no_t_column(monkeypatch):
+    # x1 + x2 >= 1, x1 <= 3, x2 <= 3: the slack basis violates the first row.
+    made = _count_pivots(monkeypatch)
+    system = lp.System([[-1, -1], [1, 0], [0, 1]], [-1.0, 3.0, 3.0], tol=1e-9)
+    assert system.feasible and len(made) == 2
+    assert system.T.shape == (4, 5)  # columns u1, u2, w1, w2 and the rhs
+    assert sorted(system.labels) == list(range(7))  # u, w and slack labels; no t
+    values, pivots = [], []
+    for c in ([1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]):
+        made.clear()
+        values.append(lp.maximize(c, system).value)
+        pivots.append(len(made))
+    assert values == [3.0, 6.0, 2.0] and pivots == [1, 2, 2]
+
+
+def test_an_infeasible_system_answers_infeasible_without_a_pivot(monkeypatch):
+    system = lp.System([[1.0], [-1.0]], [-2.0, 1.0])  # x <= -2 and x >= -1
+    assert not system.feasible and system.T.shape == (3, 3)
+    made = _count_pivots(monkeypatch)
+    for c in ([1.0], [-1.0], [0.0]):
+        assert lp.maximize(c, system).status == lp.INFEASIBLE
+    assert made == []
 
 
 def test_optimal_point_is_feasible():

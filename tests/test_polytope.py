@@ -210,6 +210,32 @@ def test_equality_of_empty_regions_raises():
     assert not regions_equal(UNIT_SQUARE, EMPTY)
 
 
+def test_phase1_pivots_happen_once_per_region_form(monkeypatch):
+    # The slack basis violates -x1-x2 <= -1.  Phase 1 (two pivots) runs with
+    # the first query only; the later queries pay phase 2 alone.
+    region = R(2, [((-1, -1), -1.0), ((1, 0), 3.0), ((0, 1), 3.0)])
+    pivot, made = lp._pivot, []
+    monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(1) or pivot(*a))
+    pivots = []
+    for direction, value in (((1.0, 0.0), 3.0), ((1.0, 1.0), 6.0), ((-1.0, 0.0), 2.0)):
+        made.clear()
+        assert support_value(region, direction) == value
+        pivots.append(len(made))
+    assert pivots == [3, 2, 2]
+
+
+def test_one_region_gives_each_tol_its_own_phase1_verdict():
+    # x <= 0 and x >= 5e-8: empty at tol 1e-9, a point within tol 1e-6.
+    region = R(1, [((1,), 0.0), ((-1,), -5e-8)])
+    for tol in (1e-9, 1e-6, 1e-9, 1e-6):
+        if tol == 1e-9:
+            with pytest.raises(InfeasibleRegionError, match="empty region"):
+                support_value(region, (1.0,), tol=tol)
+        else:
+            assert support_value(region, (1.0,), tol=tol) == pytest.approx(0.0, abs=1e-6)
+        assert region._lp_form(tol).tol == tol
+
+
 def test_support_values_on_simplex():
     assert support_value(UNIT_SIMPLEX, (1.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
     assert support_value(UNIT_SIMPLEX, (1.0, 0.0)) == pytest.approx(1.0, abs=1e-9)

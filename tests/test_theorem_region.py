@@ -13,7 +13,7 @@ from dicregion import theorem_region
 from dicregion.coeff_scheme import CoefficientScheme, de_of, project_combined
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.errors import EnumerationOverflowError
-from dicregion.hk_region import build_A1
+from dicregion.hk_region import build_A1, project_to_aggregate
 from dicregion.polytope import (
     LinearInequality,
     Region,
@@ -28,6 +28,7 @@ from dicregion.theorem_region import (
     FacetSpec,
     _smallest_rhs,
     converse_complement_check,
+    default_a_max,
     enumerate_facet_specs,
     enumerate_facets,
     facet_from_dict,
@@ -220,6 +221,18 @@ def test_guard_is_checked_before_allocating():
     spec = random_injective_channel(rng, 10, 2)
     with pytest.raises(EnumerationOverflowError, match="size guard"):
         enumerate_facets(spec, random_entropy_table(rng, 10), a_max=10)
+
+
+def test_default_a_max_covers_the_largest_k5_projection_coefficient():
+    # A seeded K=5 channel (alphabets 2,3,3,2,3) whose 109-row projection has
+    # a coefficient of 7: at a_max=6 the facet route gives a larger region.
+    rng = random.Random("mc5/3/50")
+    spec = random_injective_channel(rng, 5, 3)
+    assert spec.x_alphabet_sizes == (2, 3, 3, 2, 3)
+    table = build_entropy_table(spec, random_full_support(rng, spec))
+    region = project_to_aggregate(build_A1(spec, table))
+    assert len(region.lhs) == 109
+    assert max(abs(c) for coeffs in region.lhs for c in coeffs) == 7 <= default_a_max(5)
 
 
 def test_spec_count_small_case():
