@@ -7,11 +7,13 @@ nonbasic columns (u and w) and the right-hand side; the slacks start basic
 and are never stored as columns.  A `System` is built once into a feasible
 tableau: when some b_i < 0, phase 1 pivots an auxiliary t into the most
 violated row and minimizes t over A x - t <= b (V. Chvatal, *Linear
-Programming*, 1983, ch. 3).  Each query is phase 2 from there.  Bland's
-rule (smallest label, u and w before every slack) picks every pivot, so
-the method cannot cycle; everything is double precision with a single
-tolerance.  The LPs have up to a few thousand rows and a handful of
-variables, so a dense tableau is fast enough.
+Programming*, 1983, ch. 3).  A query is answered by the first basis its
+System recorded whose phase-2 row for c has no entry below -tol (phase 2's
+own stopping test), else by phase 2 from the starting tableau, whose final
+basis is then recorded.  Bland's rule (smallest label, u and w before
+every slack) picks every pivot, so the method cannot cycle; everything is
+double precision with a single tolerance.  The LPs have up to a few
+thousand rows and a handful of variables, so a dense tableau is fast enough.
 """
 
 from __future__ import annotations
@@ -44,9 +46,11 @@ class System:
     into a feasible starting tableau that `maximize` solves for any number
     of objectives.  A sign bound takes no row: x_j is u_j alone, with no w_j
     column.  `feasible` is False when the smallest t with A x - t <= b
-    exceeds tol; c @ P is the objective row of c.  len() counts the rows."""
+    exceeds tol; c @ P is the objective row of c.  `bases` stacks, for each
+    optimal basis a query ended at, that basis's P transposed with its point
+    x in place of the rhs row.  len() counts the rows."""
 
-    __slots__ = ("n", "tol", "feasible", "T", "labels", "P")
+    __slots__ = ("n", "tol", "feasible", "T", "labels", "P", "bases")
 
     def __init__(self, A, b, nonneg=(), tol: float = 1e-9):
         A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
@@ -69,16 +73,22 @@ class System:
         labels = np.concatenate([np.arange(2 * n, 2 * n + m), np.arange(n), n + free])
         phase1 = _phase1(T, labels, n, tol) if m and b.min() < 0 else (T, labels)
         self.n, self.tol, self.feasible = n, tol, phase1 is not None
-        self.T, self.labels = T, labels = phase1 or (T, labels)
-        # Phase 2 minimizes -c.u + c.w.  Its row is each column's cost less
-        # the basic costs times the column; on the slack basis, the costs.
-        cost = np.eye(n, 2 * n + 1, n) - np.eye(n, 2 * n + 1)  # [j, label] for c = e_j
-        uw = np.minimum(np.append(labels, 2 * n), 2 * n)  # slacks and the rhs cost 0
-        rows = np.flatnonzero(uw[:m] < 2 * n)
-        self.P = cost[:, uw[m:]] - cost[:, uw[rows]] @ T[rows]
+        self.T, self.labels = phase1 or (T, labels)
+        self.P = _objective_map(self.T, self.labels, n)
+        self.bases = np.empty((0, self.T.shape[1], n))
 
     def __len__(self):
         return len(self.T) - 1
+
+
+def _objective_map(T, labels, n):
+    """P with c @ P the phase-2 row (min -c.u + c.w) of c at basis `labels`:
+    each column's cost less the basic costs times it; on the slack basis, the costs."""
+    m = len(T) - 1
+    cost = np.eye(n, 2 * n + 1, n) - np.eye(n, 2 * n + 1)  # [j, label] for c = e_j
+    uw = np.minimum(np.append(labels, 2 * n), 2 * n)  # slacks and the rhs cost 0
+    rows, P = np.flatnonzero(uw[:m] < 2 * n), cost[:, uw[m:]]
+    return P - cost[:, uw[rows]] @ T[rows] if rows.size else P
 
 
 def _phase1(T, labels, n, tol):
@@ -107,6 +117,8 @@ def _phase1(T, labels, n, tol):
 def maximize(c, A, b=None, tol: float | None = None) -> LPResult:
     """Maximize c.x over {x : A x <= b}, x unrestricted in sign, or over a
     `System` passed as A (with b None), whose tableau is copied, not changed.
+    It answers from the first recorded basis optimal for c, so which of tied
+    optima returns depends on earlier queries; one built here records nothing.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
     point are filled in, for "unbounded"/"infeasible" they are None.  A
@@ -114,7 +126,8 @@ def maximize(c, A, b=None, tol: float | None = None) -> LPResult:
     carries its tol (else 1e-9); another `tol` raises ValueError.
     """
     c = np.asarray(c, dtype=float)
-    if not isinstance(A, System):
+    memo = isinstance(A, System)
+    if not memo:
         A = np.asarray(A, dtype=float)
         A = System(A.reshape(0, len(c)) if A.size == 0 else A, b, tol=1e-9 if tol is None else tol)
     elif b is not None:
@@ -125,13 +138,24 @@ def maximize(c, A, b=None, tol: float | None = None) -> LPResult:
         raise ValueError(f"objective has {len(c)} entries, the system has {A.n} variables")
     if not A.feasible:
         return LPResult(INFEASIBLE, None, None)
-    (m, n), T, labels = (len(A), A.n), A.T.copy(), A.labels.copy()
+    if memo:  # the first recorded basis whose phase-2 row for c is optimal
+        bases = A.bases  # read once: a miss replaces the array whole
+        hit = ((bases[:, :-1] @ c) >= -A.tol).all(1)
+        if hit.any():
+            x = bases[hit.argmax(), -1]
+            return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
+    m, n = len(A), A.n
+    T, labels = (A.T.copy(), A.labels.copy()) if memo else (A.T, A.labels)  # ours: used once
     T[m] = c @ A.P
     if _iterate(T, labels[:m], labels[m:], A.tol, 2 * n + m, allow_unbounded=True) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     z = np.zeros(2 * n + m)
     z[labels[:m]] = T[:m, -1]
     x = z[:n] - z[n : 2 * n]
+    if memo:  # the basis's map, transposed, with x in place of the rhs row
+        entry = _objective_map(T, labels, n).T
+        entry[-1] = x
+        A.bases = np.concatenate([bases, entry[None]])
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 

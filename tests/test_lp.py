@@ -1,5 +1,7 @@
 """Internal simplex solver, cross-checked against scipy's solver."""
 
+import copy
+import pickle
 import random
 import tracemalloc
 
@@ -8,6 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from dicregion import lp
+from dicregion.polytope import LinearInequality, Region, support_value
 
 
 def test_box_maximum():
@@ -114,12 +117,24 @@ def test_beale_with_sign_bounds_pivots_are_pinned(monkeypatch):
 
     monkeypatch.setattr(lp, "_pivot", counting)
     monkeypatch.setattr(lp, "_MAX_PIVOTS", 50)
-    for _ in range(2):  # the system's own tableau is left as it was
-        made.clear()
-        res = lp.maximize(c, system)
-        assert res.status == lp.OPTIMAL
-        assert len(made) == 6
-        assert res.x == (1.0000000000000002, 0.0, 1.0, 0.0)
+    res = lp.maximize(c, system)
+    assert res.status == lp.OPTIMAL
+    assert len(made) == 6
+    assert res.x == (1.0000000000000002, 0.0, 1.0, 0.0)
+    # The same objective again is answered by the recorded basis.
+    made.clear()
+    again = lp.maximize(c, system)
+    assert made == [] and again == res
+    assert np.array(again.x).tobytes() == np.array(res.x).tobytes()
+    # Another objective (optimum x = (0, 0, 1, 1/9)) starts from the
+    # System's own tableau, left as it was: a fresh System pivots alike.
+    other = [-1.0, -30.0, 0.0, 1.0]
+    made.clear()
+    fresh = lp.maximize(other, lp.System(A[:3], b[:3], nonneg=range(4)))
+    fresh_pivots = made[:]
+    made.clear()
+    assert lp.maximize(other, system) == fresh
+    assert made == fresh_pivots == [(0, 3), (2, 2)]
 
 
 def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
@@ -165,6 +180,90 @@ def test_an_infeasible_system_answers_infeasible_without_a_pivot(monkeypatch):
     for c in ([1.0], [-1.0], [0.0]):
         assert lp.maximize(c, system).status == lp.INFEASIBLE
     assert made == []
+
+
+def _record_final_bases(monkeypatch):
+    """Patch `_iterate` to list the basis each phase-2 run ends optimal at."""
+    iterate, ended = lp._iterate, []
+
+    def recording(T, basis, nonbasic, tol, unused, allow_unbounded):
+        status = iterate(T, basis, nonbasic, tol, unused, allow_unbounded)
+        if allow_unbounded and status == lp.OPTIMAL:
+            ended.append(frozenset(basis.tolist()))
+        return status
+
+    monkeypatch.setattr(lp, "_iterate", recording)
+    return ended
+
+
+def test_recorded_bases_answer_as_a_fresh_system_does(monkeypatch):
+    # Integer systems, some with sign bounds, negative rhs (phase 1),
+    # duplicated rows or many rows through the origin (degenerate), each
+    # queried with 50 Gaussian directions, so optima are unique points.
+    # Every answer equals that of a fresh System, which has no memo; a miss
+    # records the one basis it ends at, never one already recorded, and an
+    # unbounded or infeasible answer records nothing.
+    rng = np.random.default_rng(31)
+    ended = _record_final_bases(monkeypatch)
+    seen = {"bounds": 0, "phase 1": 0, "degenerate": 0, "infeasible": 0,
+            "unbounded": 0, "hit": 0, "miss": 0}
+    for trial in range(110):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(-2, 8, size=m).astype(float)
+        if trial % 3 == 1:
+            A, b = np.vstack([A, A[:2]]), np.append(b, b[:2])
+            b[rng.random(len(b)) < 0.6] = 0.0
+        if trial == 0:  # x1 <= -2 and x1 >= -1
+            A, b = np.vstack([A, np.eye(1, n), -np.eye(1, n)]), np.append(b, [-2.0, 1.0])
+        nonneg = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        system = lp.System(A, b, nonneg)
+        seen["bounds"] += len(nonneg) > 0
+        seen["phase 1"] += bool((b < 0).any())
+        seen["degenerate"] += trial % 3 == 1
+        seen["infeasible"] += not system.feasible
+        recorded = []
+        for c in rng.normal(size=(50, n)):
+            ref = lp.maximize(c, lp.System(A, b, nonneg))
+            before = len(system.bases)
+            ended.clear()
+            ours = lp.maximize(c, system)
+            assert ours.status == ref.status
+            assert len(system.bases) - before == len(ended) <= (ours.status == lp.OPTIMAL)
+            recorded += ended
+            if ours.status == lp.UNBOUNDED:
+                seen["unbounded"] += 1
+            elif ours.status == lp.OPTIMAL:
+                assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
+                assert ours.x == pytest.approx(ref.x, rel=1e-9, abs=1e-12)
+                seen["miss" if ended else "hit"] += 1
+        assert len(set(recorded)) == len(recorded) == len(system.bases)
+        if not system.feasible:
+            assert len(system.bases) == 0
+    assert seen["infeasible"] >= 1 and seen["hit"] > 5 * seen["miss"]
+    assert min(seen.values()) >= 1, seen
+
+
+def test_a_region_gives_each_tol_a_fresh_memo_and_copies_carry_none(monkeypatch):
+    # x1 + x2 >= 1, x1 <= 3, x2 <= 3, x >= 0 (bounds): phase 1, then phase 2.
+    rows = (((-1, -1), -1.0), ((1, 0), 3.0), ((0, 1), 3.0), ((-1, 0), 0.0), ((0, -1), 0.0))
+    region = Region(2, tuple(LinearInequality(c, r) for c, r in rows))
+    made = _count_pivots(monkeypatch)
+
+    def pivots(region, tol):
+        made.clear()
+        assert support_value(region, (1.0, 2.0), tol=tol) == 9.0
+        return len(made)
+
+    cold = pivots(copy.copy(region), 1e-9)
+    assert cold > 0 and pivots(region, 1e-9) == cold and pivots(region, 1e-9) == 0
+    assert len(region._lp_form(1e-9).bases) == 1
+    # Another tol rebuilds the form: phase 1 and phase 2 again, one entry.
+    assert pivots(region, 1e-6) == cold and pivots(region, 1e-6) == 0
+    assert len(region._lp_form(1e-6).bases) == 1
+    for clone in (copy.copy(region), copy.deepcopy(region), pickle.loads(pickle.dumps(region))):
+        assert clone._lp is None and pivots(clone, 1e-6) == cold
+    assert pickle.dumps(region) == pickle.dumps(Region(2, region.inequalities))
 
 
 def test_optimal_point_is_feasible():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dicregion import lp, polytope
+from dicregion import build_A1, build_entropy_table, lp, polytope, project_to_aggregate
 from dicregion.errors import InfeasibleRegionError, UnboundedDirectionError
 from dicregion.polytope import (
     LinearInequality,
@@ -30,6 +30,8 @@ from dicregion.polytope import (
     support_value,
     vertices,
 )
+
+from conftest import random_full_support, random_injective_channel
 
 
 def R(dim, rows, labels=()):
@@ -234,6 +236,31 @@ def test_one_region_gives_each_tol_its_own_phase1_verdict():
         else:
             assert support_value(region, (1.0,), tol=tol) == pytest.approx(0.0, abs=1e-6)
         assert region._lp_form(tol).tol == tol
+
+
+def test_repeated_support_queries_reuse_recorded_bases(monkeypatch):
+    # A 3-D aggregate region of a seeded K=3 channel, as `compare` queries
+    # it: 100 random directions on one region take at most half the pivots
+    # of a fresh region per direction, with the same values.
+    rng = random.Random(0)
+    spec = random_injective_channel(rng, 3, 4)
+    table = build_entropy_table(spec, random_full_support(rng, spec))
+    region = project_to_aggregate(build_A1(spec, table))
+    assert region.dim == 3
+    directions = [[rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(100)]
+    pivot, made = lp._pivot, []
+    monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(1) or pivot(*a))
+    fresh = [support_value(copy.copy(region), d) for d in directions]
+    cold = len(made)
+    made.clear()
+    assert [support_value(region, d) for d in directions] == pytest.approx(fresh, rel=1e-12)
+    assert 2 * len(made) <= cold
+    # The first row of a tighter region that the queried region exceeds is
+    # the one an unqueried copy reports.
+    tighter = R(3, [(c, r * 0.9 if i % 2 else r) for i, (c, r) in enumerate(zip(region.lhs, region.rhs))])
+    ineq, value = find_subset_violation(region, tighter)
+    expected = find_subset_violation(copy.copy(region), tighter)
+    assert ineq == expected[0] and value == pytest.approx(expected[1], rel=1e-12)
 
 
 def test_support_values_on_simplex():
@@ -486,8 +513,8 @@ def test_region_lp_form_matches_highs_and_keeps_no_query_state():
                 assert ours == pytest.approx(ref, abs=1e-7)
             seen["unbounded"] += ours is None
         seen["empty"] += answers[0] == "empty"
-        # Shuffled, so queries follow unbounded ones: the cache holds no
-        # state of a query.
+        # Shuffled, so queries follow unbounded ones and other optima: the
+        # bases the form recorded change no answer.
         order = rng.sample(range(len(directions)), len(directions))
         assert [_answer(region, directions[i]) for i in order] == [answers[i] for i in order]
         clone = pickle.loads(pickle.dumps(region))
