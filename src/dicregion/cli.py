@@ -8,18 +8,20 @@ Commands:
     presets  --k {2,3}                          dump the built-in facet families
 
 Exit codes: 0 success (valid / equal), 1 semantic negative (non-injective,
-unequal, refused, unbounded), 2 usage or parse error.  The DIC_SEED
+unequal, refused, unbounded), 2 usage, parse or output-file error.  The DIC_SEED
 environment variable overrides the --seed flag of compare.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
 import random
 import sys
+from xml.sax.saxutils import escape
 
 from . import hk_region, theorem_region
 from .channel import load_channel, validate_injectivity
@@ -223,9 +225,9 @@ def cmd_plot(args) -> int:
         return 1
     if region.dim == 3:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(",".join(region.labels) + "\n")
-            for p in points:
-                fh.write(",".join(f"{v:.12g}" for v in p) + "\n")
+            rows = csv.writer(fh, lineterminator="\n")
+            rows.writerow(region.labels)
+            rows.writerows([f"{v:.12g}" for v in p] for p in points)
         print(f"wrote {len(points)} vertices to {args.out} (CSV; 3-D regions are not drawn)")
         return 0
     svg = _polygon_svg(points, region.labels)
@@ -267,8 +269,9 @@ def _polygon_svg(points, labels, size: int = 420, margin: int = 50) -> str:
         f'y2="{size - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{size - margin}" x2="{margin}" y2="{margin}" '
         f'stroke="black"/>',
-        f'<text x="{size - margin + 6}" y="{size - margin + 4}" font-size="14">{labels[0]}</text>',
-        f'<text x="{margin - 10}" y="{margin - 10}" font-size="14">{labels[1]}</text>',
+        f'<text x="{size - margin + 6}" y="{size - margin + 4}" font-size="14">'
+        f"{escape(labels[0])}</text>",
+        f'<text x="{margin - 10}" y="{margin - 10}" font-size="14">{escape(labels[1])}</text>',
     ]
     if pts:
         lines.append(
@@ -351,6 +354,9 @@ def main(argv=None) -> int:
     except DicRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # an output file that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -113,10 +113,10 @@ def de_of(scheme: CoefficientScheme) -> DEVector:
 
 def scheme_rhs(scheme: CoefficientScheme, table: EntropyTable) -> float:
     """Right-hand side of the combined inequality on the given entropy table."""
-    full = frozenset(range(1, scheme.K + 1))
-    return math.fsum(
-        w * table.h_y_given_v(i, full - M) for i, M, w in scheme.entries
-    )
+    if table.K != scheme.K:
+        raise ValueError(f"entropy table is for {table.K} users, scheme has {scheme.K}")
+    rhs = table.split_rhs
+    return math.fsum(w * float(rhs[i - 1, subset_rank(M)]) for i, M, w in scheme.entries)
 
 
 def combined_inequality(scheme: CoefficientScheme, table: EntropyTable) -> LinearInequality:

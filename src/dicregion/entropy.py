@@ -1,12 +1,12 @@
 """Exact entropy computation for a channel under a product input distribution.
 
-All quantities come from exact marginalization, at each receiver, of the
-joint pmf over its output table.  The grouping of the cells by code depends
-only on the channel: the layout of the last channel with at most
-_LAYOUT_ENTRIES (mask, cell) entries is cached, so a table for that channel,
-or an equal one, only re-weights it; a larger channel's codes are sorted in
-blocks of at most _BLOCK_CODES, which bounds the transient memory.  No entry
-depends on either bound.
+An `EntropyTable` is the (K, 2^K) array of the H(Y_i | V_T), which come from
+exact marginalization, at each receiver, of the joint pmf over its output
+table.  The grouping of the cells by code depends only on the channel: the
+layout of the last channel with at most _LAYOUT_ENTRIES (mask, cell) entries
+is cached, so a table for that channel, or an equal one, only re-weights it;
+a larger channel's codes are sorted in blocks of at most _BLOCK_CODES, which
+bounds the transient memory.  No entry depends on either bound.
 Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -89,25 +88,21 @@ def subset_rank(M) -> int:
 
 @dataclass(frozen=True, eq=False)
 class EntropyTable:
-    """All conditional entropies the region formulas need.
+    """Every conditional entropy the region formulas need, as one array.
 
     h is a read-only array of finite floats >= 0, of shape (K, 2^K), with
     h[i-1, mask] = H(Y_i | V_T) for receiver i and user subset T, where bit
-    m-1 of mask is user m (mask = subset_rank(T); T may contain i).  The
-    constructor copies h and raises ValueError for anything else.
-    v_marginals[j-1] = H(V_j).
+    m-1 of mask is user m (mask = subset_rank(T); T may contain i).  K is
+    read from h's shape.  The constructor copies h and raises ValueError for
+    anything else.
     """
 
-    K: int
-    h: np.ndarray = field(repr=False)
-    v_marginals: tuple[float, ...]
-    # H(Y_i | X_i), used by the injectivity identity check.
-    y_given_own_input: tuple[float, ...] = field(repr=False)
+    h: np.ndarray
 
     def __post_init__(self):
         h = np.array(self.h, dtype=float)
-        if h.shape != (self.K, 1 << self.K):
-            raise ValueError(f"entropy array has shape {h.shape}, expected ({self.K}, {1 << self.K})")
+        if h.ndim != 2 or h.shape[1] != 1 << len(h):
+            raise ValueError(f"entropy array has shape {h.shape}, expected (K, 2^K)")
         bad = np.argwhere(~(h >= 0) | (h == np.inf))
         if bad.size:
             i, mask = bad[0].tolist()
@@ -115,14 +110,20 @@ class EntropyTable:
         h.flags.writeable = False
         object.__setattr__(self, "h", h)
 
+    @property
+    def K(self) -> int:
+        return len(self.h)
+
+    @property
+    def split_rhs(self) -> np.ndarray:
+        """split_rhs[i-1, subset_rank(M)] = H(Y_i | V_{complement of M}), the
+        rhs of split row (i, M): h with each row reversed, a read-only view."""
+        return self.h[:, ::-1]
+
     def h_y_given_v(self, i: int, T) -> float:
         for user in (i, *T):
             _check_user(self.K, user)
         return float(self.h[i - 1, subset_rank(T)])
-
-    def h_v(self, j: int) -> float:
-        _check_user(self.K, j)
-        return self.v_marginals[j - 1]
 
 
 def _entropy(p) -> float:
@@ -132,7 +133,7 @@ def _entropy(p) -> float:
 
 
 def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTable:
-    """Fill the complete conditional-entropy table.
+    """Fill the complete conditional-entropy table; it holds nothing else.
 
     Row i-1 of the (K, 2^K) array holds H(Y_i | V_T) for every subset mask
     (bit m-1 is user m).  Receiver i's entries come from the joint pmf of
@@ -146,33 +147,15 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
     """
-    if dist.K != spec.K:
-        raise ValueError(f"distribution has {dist.K} users, channel has {spec.K}")
-    for i, (n, row) in enumerate(zip(spec.x_alphabet_sizes, dist.probs), start=1):
-        if len(row) != n:
-            raise ValueError(
-                f"user {i}: distribution over {len(row)} symbols, alphabet size {n}"
-            )
-
-    K = spec.K
-    layout = _layout_of(spec)
-    v_pmf = [np.bincount(rank, weights=p) for rank, p in zip(layout.v_rank, dist.probs)]
-    marginals = tuple(_entropy(p) for p in v_pmf)
-    # h_v[mask] = H(V_T) = sum_{j in T} H(V_j), as the V_j are independent,
+    v_pmf, cell_weights = _cell_weights(spec, dist)
+    n_v, receivers = _layout_of(spec)
+    # joint_v[mask] = H(V_T) = sum_{j in T} H(V_j), as the V_j are independent,
     # summed in increasing j so that no entry depends on a block shape.
-    h_v = np.zeros(1)
-    for h_j in marginals:
-        h_v = np.concatenate([h_v, h_v + h_j])
-    entropies = np.empty((K, 1 << K))
-    h_y_given_x = []
-    for i, (xy, groups) in enumerate(layout.receivers, start=1):
-        weights = p_i = np.asarray(dist.probs[i - 1])
-        for j in spec.other_users(i):
-            weights = np.multiply.outer(weights, v_pmf[j - 1])
-        weights = weights.ravel()  # in table order, as the layout's cells
-        # H(Y_i | X_i) = H(X_i, Y_i) - H(X_i)
-        h = _entropy(np.bincount(xy, weights=weights)) - _entropy(p_i)
-        h_y_given_x.append(max(h, 0.0))
+    joint_v = np.zeros(1)
+    for p in v_pmf:
+        joint_v = np.concatenate([joint_v, joint_v + _entropy(p)])
+    entropies = np.empty((spec.K, 1 << spec.K))
+    for i, (weights, groups) in enumerate(zip(cell_weights, receivers)):
         for lo, inverse, key in groups:
             n = len(inverse) // len(weights)
             p = np.bincount(inverse, weights=np.tile(weights, n))
@@ -180,31 +163,35 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
             # only the positive-weight cells; zero weights add exact zeros.
             positive = p > 0.0
             p, key = p[positive], key[positive]
-            row, masks = key // layout.n_v, slice(lo, lo + n)
-            h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - h_v[masks]
+            row, masks = key // n_v, slice(lo, lo + n)
+            h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - joint_v[masks]
             # Exactly 0.0, which pins a private rate, if no two codes share V_T.
             mixed = np.bincount(row[1:], weights=key[1:] == key[:-1], minlength=n) > 0
-            entropies[i - 1, masks] = np.where(mixed, np.maximum(h, 0.0), 0.0)
-
-    return EntropyTable(
-        K=K, h=entropies, v_marginals=marginals, y_given_own_input=tuple(h_y_given_x)
-    )
+            entropies[i, masks] = np.where(mixed, np.maximum(h, 0.0), 0.0)
+    return EntropyTable(entropies)
 
 
-class _Layout(NamedTuple):
-    """What the table needs of a channel: v_rank[j-1][x] is the position of
-    g_j(x) in the image of g_j (the alphabet of V_j), V_T codes lie below
-    n_v, and receivers[i-1] is (xy, groups) for the cells c of receiver i's
-    output grid in table order: xy[c] is the index of the cell's (X_i, Y_i)
-    code, and groups the (lo, inverse, key) grouping of each block of masks
-    from `_groups`."""
+def _cell_weights(spec: ChannelSpec, dist: InputDistribution):
+    """Check dist against the alphabets; return v_pmf[j-1], the pmf of V_j
+    over the image of g_j, and per receiver i the pmf of (X_i, V_j for j != i)
+    over the cells of its output table, in table order."""
+    if dist.K != spec.K:
+        raise ValueError(f"distribution has {dist.K} users, channel has {spec.K}")
+    for i, (n, row) in enumerate(zip(spec.x_alphabet_sizes, dist.probs), start=1):
+        if len(row) != n:
+            raise ValueError(f"user {i}: distribution over {len(row)} symbols, alphabet size {n}")
+    v_pmf = [np.bincount(np.searchsorted(image, g), weights=p)
+             for image, g, p in zip(spec.v_images, spec.g_tables, dist.probs)]
+    cell_weights = []
+    for i in range(1, spec.K + 1):
+        weights = np.asarray(dist.probs[i - 1])
+        for j in spec.other_users(i):
+            weights = np.multiply.outer(weights, v_pmf[j - 1])
+        cell_weights.append(weights.ravel())
+    return v_pmf, cell_weights
 
-    v_rank: list
-    n_v: int
-    receivers: list
 
-
-def _layout_of(spec: ChannelSpec) -> _Layout:
+def _layout_of(spec: ChannelSpec):
     """The channel's layout, from the cache if its (mask, cell) entries fit
     _LAYOUT_ENTRIES."""
     n_v = math.prod(len(image) for image in spec.v_images)
@@ -215,43 +202,42 @@ def _layout_of(spec: ChannelSpec) -> _Layout:
 
 
 @functools.lru_cache(maxsize=1)
-def _kept_layout(spec: ChannelSpec) -> _Layout:
+def _kept_layout(spec: ChannelSpec):
     """Shared by every caller, as a layout is never written; concurrent
     callers at worst build one twice."""
     return _build_layout(spec, keep=True)
 
 
-def _build_layout(spec: ChannelSpec, keep: bool) -> _Layout:
-    """The channel's layout.  A kept one groups each receiver's cells in one
-    block of all masks, as it has at most _LAYOUT_ENTRIES entries, with
-    compact indices; otherwise each block of _BLOCK_CODES codes is grouped
-    only while the table is filled, so the transient memory stays one block."""
+def _build_layout(spec: ChannelSpec, keep: bool):
+    """The channel's layout (n_v, receivers): V_T codes lie below n_v, and
+    receivers[i-1] is the (lo, inverse, key) grouping from `_groups` of each
+    block of masks, for receiver i's cells in table order.  A kept layout
+    groups each receiver's cells in one block of all masks, as it has at most
+    _LAYOUT_ENTRIES entries, with compact indices; otherwise each block of
+    _BLOCK_CODES codes is grouped only while the table is filled, so the
+    transient memory stays one block."""
     K = spec.K
-    users = range(1, K + 1)
-    v_rank = [np.searchsorted(spec.v_images[j - 1], spec.g_tables[j - 1]) for j in users]
     # V_T is coded as sum_{j in T} place[mask, j-1] * V_j, which is below n_v.
     radix = [len(image) for image in spec.v_images]
     bits = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # bits[mask, j-1]: j in T
     place, n_v = bits * np.cumprod([1] + radix[:-1]), math.prod(radix)
 
     receivers = []
-    for i in users:
+    for i in range(1, K + 1):
         shape = (spec.x_alphabet_sizes[i - 1],) + tuple(radix[j - 1] for j in spec.other_users(i))
         grid = np.indices(shape).reshape(len(shape), -1)  # flattened in table order
         # Outputs compacted to 0..n_y-1, so that (V_T, y) codes stay small.
         y = np.unique(spec.f_tables[i - 1], return_inverse=True)[1].ravel()
-        n_y = int(y.max()) + 1
-        xy = np.unique(grid[0] * n_y + y, return_inverse=True)[1]
         v = grid[[*range(1, i), 0, *range(i, K)]]  # row j-1: V_j, once X_i is mapped
-        v[i - 1] = v_rank[i - 1][v[i - 1]]
-        groups = _groups(v, y, n_y, place, n_v, _LAYOUT_ENTRIES if keep else _BLOCK_CODES)
+        v[i - 1] = np.searchsorted(spec.v_images[i - 1], spec.g_tables[i - 1])[v[i - 1]]
+        groups = _groups(v, y, place, n_v, _LAYOUT_ENTRIES if keep else _BLOCK_CODES)
         if keep:
             groups = [(lo, _compact(inverse), _compact(key)) for lo, inverse, key in groups]
-        receivers.append((_compact(xy), groups))
-    return _Layout(v_rank, n_v, receivers)
+        receivers.append(groups)
+    return n_v, receivers
 
 
-def _groups(v, y, n_y, place, n_v, block_codes):
+def _groups(v, y, place, n_v, block_codes):
     """Group the cells by (V_T, Y_i) code, in blocks of `block_codes` codes.
 
     A block holds at least one mask.  Yields the block's first mask lo, the
@@ -259,7 +245,7 @@ def _groups(v, y, n_y, place, n_v, block_codes):
     code's key (mask - lo) * n_v + V_T.  Codes are sorted, y the lowest
     digit, so equal keys are adjacent.
     """
-    step = max(1, block_codes // len(y))
+    step, n_y = max(1, block_codes // len(y)), int(y.max()) + 1
     for lo in range(0, len(place), step):
         masks = place[lo : lo + step]
         block = (masks @ v + n_v * np.arange(len(masks))[:, None]) * n_y + y
@@ -278,14 +264,27 @@ def check_injectivity_identity(spec: ChannelSpec, dist: InputDistribution, tol: 
     True iff |H(Y_i|X_i) - sum_{j != i} H(V_j)| <= tol for every receiver i.
     For an injective channel this holds under any product distribution; a
     failure under a full-support distribution exhibits a non-injective
-    receiver map.
+    receiver map.  Both sides come from the channel and the pmf alone
+    (`_own_input_entropies`); no entropy table is built.
     """
-    table = build_entropy_table(spec, dist)
-    for i in range(1, spec.K + 1):
-        rhs = math.fsum(table.h_v(j) for j in spec.other_users(i))
-        if abs(table.y_given_own_input[i - 1] - rhs) > tol:
-            return False
-    return True
+    y_given_x, marginals = _own_input_entropies(spec, dist)
+    return all(
+        abs(h - math.fsum(marginals[j - 1] for j in spec.other_users(i))) <= tol
+        for i, h in enumerate(y_given_x, start=1)
+    )
+
+
+def _own_input_entropies(spec: ChannelSpec, dist: InputDistribution):
+    """(H(Y_i | X_i) per receiver i, H(V_j) per user j), in bits, with
+    H(Y_i | X_i) = H(X_i, Y_i) - H(X_i), clipped at 0, over `_cell_weights`."""
+    v_pmf, cell_weights = _cell_weights(spec, dist)
+    y_given_x = []
+    for p_i, table, weights in zip(dist.probs, spec.f_tables, cell_weights):
+        y = np.unique(table, return_inverse=True)[1].reshape(len(p_i), -1)
+        codes = y + (int(y.max()) + 1) * np.arange(len(p_i))[:, None]  # X_i major, then Y_i
+        h = _entropy(np.bincount(codes.ravel(), weights=weights)) - _entropy(np.asarray(p_i))
+        y_given_x.append(max(h, 0.0))
+    return tuple(y_given_x), tuple(_entropy(p) for p in v_pmf)
 
 
 def load_distribution(path) -> InputDistribution:

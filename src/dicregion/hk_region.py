@@ -82,8 +82,7 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
     K = spec.K
-    # Row (i, M) reads h[i, full ^ M] = h[i, full - M]: row i of h reversed.
-    rhs = table.h[:, ::-1].ravel().tolist() + [0.0] * (2 * K)
+    rhs = table.split_rhs.ravel().tolist() + [0.0] * (2 * K)
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 

@@ -105,11 +105,8 @@ def facet_inequality(fs: FacetSpec, table: EntropyTable) -> LinearInequality:
         raise ValueError(f"entropy table is for {table.K} users, facet has {fs.K}")
     if not fs.counting_ok():
         raise ValueError("facet choice violates its counting constraint")
-    full = frozenset(range(1, fs.K + 1))
     rhs = math.fsum(
-        table.h_y_given_v(i, full - M)
-        for i, subsets in enumerate(fs.S, start=1)
-        for M in subsets
+        table.split_rhs[i, subset_rank(M)] for i, subsets in enumerate(fs.S) for M in subsets
     )
     return LinearInequality(fs.a, rhs)
 
@@ -155,22 +152,21 @@ def _assignments(K, a):
     yield from recurse(0, 0, 0)
 
 
-def _smallest_rhs(h, a_max: int):
+def _smallest_rhs(split_rhs, a_max: int):
     """f[a], the smallest right-hand side over the facet choices with weight
     vector a, for every a in {0..a_max}^K at once.
 
     One unbounded-knapsack DP on the lattice G[p, c]: p_i counts the slots
     given to receiver i and c_m the slots covering user m.  Choosing subset
     M at receiver i is the item that raises p_i and c_m for each m in M by
-    one at cost H(Y_i | V_{complement of M}); a_max passes per item apply it
+    one at cost split_rhs[i, M]; a_max passes per item apply it
     up to a_max times.  While receiver i is processed, receivers after it
     have no slots yet, so only the face p_{i+1..K} = 0 (a view) is touched.
     Counts never decrease, so cutting the lattice at a_max is exact, and
     f[a] is the diagonal G[p = a, c = a].
     """
-    K = h.shape[0]
+    K = split_rhs.shape[0]
     n = a_max + 1
-    full = (1 << K) - 1
     G = np.full((n,) * (2 * K), np.inf)
     G[(0,) * (2 * K)] = 0.0
     for i in range(K):
@@ -180,7 +176,7 @@ def _smallest_rhs(h, a_max: int):
             up = {i} | {i + 1 + m for m in range(K) if mask >> m & 1}
             dst = tuple(slice(1, None) if ax in up else slice(None) for ax in range(face.ndim))
             src = tuple(slice(None, -1) if ax in up else slice(None) for ax in range(face.ndim))
-            cost = h[i, full ^ mask]
+            cost = split_rhs[i, mask]
             for _ in range(a_max):
                 np.minimum(face[dst], face[src] + cost, out=face[dst])
     return G.reshape(n**K, n**K).diagonal().reshape((n,) * K).copy()
@@ -261,7 +257,7 @@ def _lattice(spec, table, a_max, bump, max_facets):
             f"facet enumeration needs {cells} DP states (lattice cells), over the "
             f"size guard of {max_facets}; raise the guard to continue"
         )
-    return _smallest_rhs(table.h, a_max + bump)
+    return _smallest_rhs(table.split_rhs, a_max + bump)
 
 
 def _facet_region(f, tol):

@@ -96,7 +96,7 @@ def random_full_support(rng: random.Random, spec: ChannelSpec) -> InputDistribut
 def random_entropy_table(rng: random.Random, K: int) -> EntropyTable:
     """Entropy table with independent random entries, tied to no channel."""
     h = [[rng.uniform(0.0, 3.0) for _mask in range(1 << K)] for _i in range(K)]
-    return EntropyTable(K=K, h=h, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
+    return EntropyTable(h)
 
 
 def random_scheme(rng: random.Random, K: int, wmax: int = 3, density: float = 0.35) -> CoefficientScheme:

@@ -1,6 +1,8 @@
 """Command-line surface: exit codes, file formats, plotting."""
 
+import csv
 import json
+from xml.etree import ElementTree
 
 import pytest
 
@@ -223,6 +225,43 @@ def test_plot_3d_emits_csv(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "R1,R2,R3"
     assert len(lines) == 5  # origin plus three unit corners
+
+
+def test_plot_svg_escapes_labels(tmp_path):
+    region_path = tmp_path / "simplex.json"
+    save_region(R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)], ("R<1", "R&2")), region_path)
+    out = tmp_path / "plot.svg"
+    assert main(["plot", str(region_path), "--out", str(out)]) == 0
+    texts = ElementTree.fromstring(out.read_text()).iter("{http://www.w3.org/2000/svg}text")
+    assert [t.text for t in texts][:2] == ["R<1", "R&2"]
+
+
+def test_plot_csv_quotes_labels(tmp_path):
+    from dicregion.polytope import LinearInequality, Region, nonneg_inequalities
+
+    rows = [LinearInequality((1, 1, 1), 1.0)] + nonneg_inequalities(3)
+    region_path = tmp_path / "r3.json"
+    save_region(Region(3, tuple(rows), ("a,b", 'R"2', "R3")), region_path)
+    out = tmp_path / "verts.csv"
+    assert main(["plot", str(region_path), "--out", str(out)]) == 0
+    with open(out, newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ["a,b", 'R"2', "R3"]
+    assert len(table) == 5 and all(len(row) == 3 for row in table)
+
+
+@pytest.mark.parametrize("command", ["region", "plot"])
+def test_unwritable_out_is_a_usage_error(xor_file, uniform2_file, tmp_path, command, capsys):
+    region_path = tmp_path / "simplex.json"
+    save_region(UNIT_SIMPLEX, region_path)
+    args = {
+        "region": ["region", xor_file, uniform2_file, "--method", "hk-project"],
+        "plot": ["plot", str(region_path)],
+    }[command]
+    out = tmp_path / "missing" / "out.json"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
 
 
 def test_plot_unbounded_names_direction(tmp_path, capsys):

@@ -27,6 +27,7 @@ from dicregion.errors import SchemeReductionError
 from dicregion.polytope import LinearInequality, Region, fm_eliminate
 
 from conftest import (
+    random_entropy_table,
     random_full_support,
     random_injective_channel,
     random_scheme,
@@ -48,7 +49,7 @@ def synthetic_table(K, values):
     h = np.zeros((K, 1 << K))
     for (i, T), value in values.items():
         h[i - 1, subset_rank(T)] = value
-    return EntropyTable(K=K, h=h, v_marginals=(0.0,) * K, y_given_own_input=(0.0,) * K)
+    return EntropyTable(h)
 
 
 def test_de_single_entry():
@@ -301,3 +302,14 @@ def test_scheme_json_round_trip(tmp_path):
     doc = scheme_to_dict(scheme)
     assert doc == {"K": 3, "c": [{"i": 1, "M": [1, 3], "w": 2}, {"i": 2, "M": [], "w": 1}]}
     assert scheme_from_dict(doc) == scheme
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_scheme_rhs_rejects_a_table_for_other_users(K):
+    # A scheme for another K used to read the entries of the wrong subsets
+    # and return a number; facet_inequality already refused such a table.
+    table = random_entropy_table(random.Random(41), 3)
+    scheme = S(K, [(1, {1}, 1)])
+    for route in (scheme_rhs, combined_inequality, project_combined):
+        with pytest.raises(ValueError, match=f"entropy table is for 3 users, scheme has {K}$"):
+            route(scheme, table)

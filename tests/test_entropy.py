@@ -12,6 +12,7 @@ from dicregion.channel import ChannelSpec, channel_from_dict, channel_to_dict
 from dicregion.entropy import (
     EntropyTable,
     InputDistribution,
+    _own_input_entropies,
     build_entropy_table,
     check_injectivity_identity,
     load_distribution,
@@ -20,7 +21,12 @@ from dicregion.entropy import (
 )
 from dicregion.hk_region import build_A1, project_to_aggregate
 
-from conftest import injective_channel_of_sizes, random_full_support, random_injective_channel
+from conftest import (
+    injective_channel_of_sizes,
+    random_entropy_table,
+    random_full_support,
+    random_injective_channel,
+)
 
 
 def joint_pmf(spec, dist):
@@ -52,24 +58,26 @@ def entropy_of(groups):
 
 
 def test_xor_uniform_values(xor):
-    table = build_entropy_table(xor, InputDistribution.uniform(xor))
+    dist = InputDistribution.uniform(xor)
+    table = build_entropy_table(xor, dist)
     assert table.h_y_given_v(1, {2}) == pytest.approx(1.0, abs=1e-12)
     assert table.h_y_given_v(1, set()) == pytest.approx(1.0, abs=1e-12)
     assert table.h_y_given_v(1, {1, 2}) == pytest.approx(0.0, abs=1e-12)
-    assert table.h_v(1) == pytest.approx(1.0, abs=1e-12)
+    assert _own_input_entropies(xor, dist)[1][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_point_mass_all_zero(xor):
-    table = build_entropy_table(xor, InputDistribution.point_mass(xor))
+    dist = InputDistribution.point_mass(xor)
+    table = build_entropy_table(xor, dist)
     for h in table.h.ravel():
         assert h == pytest.approx(0.0, abs=1e-12)
-    assert all(h == 0.0 for h in table.v_marginals)
+    assert all(h == 0.0 for h in _own_input_entropies(xor, dist)[1])
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4,), (2, 4, 1)])
 def test_table_rejects_wrong_array_shape(shape):
     with pytest.raises(ValueError, match="shape"):
-        EntropyTable(K=2, h=np.zeros(shape), v_marginals=(0.0, 0.0), y_given_own_input=(0.0, 0.0))
+        EntropyTable(np.zeros(shape))
 
 
 @pytest.mark.parametrize(
@@ -88,12 +96,12 @@ def test_table_rejects_a_bad_entry_before_either_route(xor, value, route):
         "hk-project": lambda table: project_to_aggregate(build_A1(xor, table)),
     }
     with pytest.raises(ValueError, match=rf"receiver 1 at mask 0b1 is {value}$"):
-        routes[route](EntropyTable(2, h, built.v_marginals, built.y_given_own_input))
+        routes[route](EntropyTable(h))
 
 
 def test_table_array_is_a_read_only_copy(xor):
     source = np.arange(8.0).reshape(2, 4)
-    table = EntropyTable(K=2, h=source, v_marginals=(0.0, 0.0), y_given_own_input=(0.0, 0.0))
+    table = EntropyTable(source)
     source[0, 0] = 99.0
     assert table.h_y_given_v(1, set()) == 0.0
     assert table.h_y_given_v(2, {1, 2}) == 7.0  # row 2, mask 0b11
@@ -116,10 +124,34 @@ def test_identity_xor_uniform(xor):
 def test_identity_fails_on_parity(parity3):
     # H(Y_1|X_1) = 1 bit but the interference entropies sum to 2 bits.
     dist = InputDistribution.uniform(parity3)
-    table = build_entropy_table(parity3, dist)
-    assert table.y_given_own_input[0] == pytest.approx(1.0, abs=1e-12)
-    assert sum(table.h_v(j) for j in (2, 3)) == pytest.approx(2.0, abs=1e-12)
+    y_given_x, marginals = _own_input_entropies(parity3, dist)
+    assert y_given_x[0] == pytest.approx(1.0, abs=1e-12)
+    assert sum(marginals[j - 1] for j in (2, 3)) == pytest.approx(2.0, abs=1e-12)
     assert not check_injectivity_identity(parity3, dist, 1e-9)
+
+
+def test_identity_check_builds_no_table_and_no_layout(monkeypatch, xor, parity3):
+    # Both sides come from the channel and the pmf: on the binary K=10
+    # channel a table would cost 10 x 2^10 entries to read 20 numbers.
+    def refuse(*args):
+        raise AssertionError("the identity check built a table or a layout")
+
+    k10 = random_injective_channel(random.Random(10), 10, 2)
+    monkeypatch.setattr(entropy, "build_entropy_table", refuse)
+    monkeypatch.setattr(entropy, "_layout_of", refuse)
+    for spec, holds in ((xor, True), (parity3, False), (k10, True)):
+        assert check_injectivity_identity(spec, InputDistribution.uniform(spec)) == holds
+
+
+def test_split_rhs_is_the_read_only_complement_view():
+    table = random_entropy_table(random.Random(43), 3)
+    full = frozenset({1, 2, 3})
+    for i in full:
+        for mask in range(8):
+            M = frozenset(m for m in full if mask >> (m - 1) & 1)
+            assert table.split_rhs[i - 1, subset_rank(M)] == table.h_y_given_v(i, full - M)
+    with pytest.raises(ValueError):
+        table.split_rhs[0, 0] = 1.0
 
 
 def test_identity_trivial_for_point_mass(parity3):
@@ -189,8 +221,9 @@ def assert_matches_reference(table, spec, dist):
     assert len(cond) == table.h.size  # every array entry is compared below
     for (i, T), h in cond.items():
         assert table.h[i - 1, subset_rank(T)] == pytest.approx(h, abs=1e-12), (i, T)
-    assert table.v_marginals == pytest.approx(v_marginals, abs=1e-12)
-    assert table.y_given_own_input == pytest.approx(y_given_x, abs=1e-12)
+    own_y_given_x, own_marginals = _own_input_entropies(spec, dist)
+    assert own_marginals == pytest.approx(v_marginals, abs=1e-12)
+    assert own_y_given_x == pytest.approx(y_given_x, abs=1e-12)
 
 
 def test_table_matches_dict_enumeration_reference(parity3):
@@ -257,12 +290,10 @@ def test_table_accessors_reject_users_outside_1_to_K(xor):
             table.h_y_given_v(user, {1})
         with pytest.raises(ValueError, match="out of range 1..2"):
             table.h_y_given_v(1, {2, user})
-        with pytest.raises(ValueError, match="out of range 1..2"):
-            table.h_v(user)
 
 
 def table_bytes(table):
-    return table.h.tobytes(), table.v_marginals, table.y_given_own_input
+    return table.h.tobytes()
 
 
 def fresh_copy(spec):
@@ -383,12 +414,12 @@ def test_independence_additivity():
     for _ in range(10):
         spec = random_injective_channel(rng, rng.choice([2, 3]), 3)
         dist = random_full_support(rng, spec)
-        table = build_entropy_table(spec, dist)
+        marginals = _own_input_entropies(spec, dist)[1]
         pmf = joint_pmf(spec, dist)
         for bits in range(1, 1 << spec.K):
             S = [j for j in range(1, spec.K + 1) if bits & (1 << (j - 1))]
             h_joint = entropy_of((tuple(v[j - 1] for j in S), p) for _, v, _, p in pmf)
-            assert h_joint == pytest.approx(sum(table.h_v(j) for j in S), abs=1e-12)
+            assert h_joint == pytest.approx(sum(marginals[j - 1] for j in S), abs=1e-12)
 
 
 def test_identity_on_random_injective_channels():

@@ -133,7 +133,7 @@ def test_dp_matches_exhaustive_facet_choices(K, a_max):
         for fs, row in zip(specs, rows):
             best[fs.a] = min(best.get(fs.a, math.inf), row.rhs)
         assert len(best) == (a_max + 1) ** K - 1  # every weight vector has a choice
-        f = _smallest_rhs(table.h, a_max)
+        f = _smallest_rhs(table.split_rhs, a_max)
         assert f.shape == (a_max + 1,) * K and f[(0,) * K] == 0.0
         for a, rhs in best.items():
             assert f[a] == pytest.approx(rhs, rel=0, abs=1e-12), a
@@ -171,7 +171,7 @@ def test_subadditive_rows_never_reach_the_prune(monkeypatch, make_dist):
     # 124 weight vectors and 3 nonnegativity rows without the filter
     assert len(given) == 1 and len(given[0].lhs) <= 20
 
-    f = _smallest_rhs(table.h, 4)
+    f = _smallest_rhs(table.split_rhs, 4)
     rows = [LinearInequality(a, f[a]) for a in itertools.product(range(5), repeat=3) if any(a)]
     rows += nonneg_inequalities(3)
     reference = canonicalize(prune_redundant(Region(3, tuple(rows), region.labels)))
