@@ -1,19 +1,20 @@
 """Condensed-tableau two-phase simplex for the small LPs the polytope kernel needs.
 
-Solves  max c.x  subject to  A x <= b  with free variables, via the split
-x = u - w and one slack per row; a `System` may give x_j >= 0 as a bound,
+Every LP is posed as a `System`:  A x <= b  with free variables, via the
+split x = u - w and one slack per row; x_j >= 0 may be given as a bound,
 which drops w_j instead of adding a row.  The tableau keeps only the
 nonbasic columns (u and w) and the right-hand side; the slacks start basic
 and are never stored as columns.  A `System` is built once into a feasible
 tableau: when some b_i < 0, phase 1 pivots an auxiliary t into the most
 violated row and minimizes t over A x - t <= b (V. Chvatal, *Linear
-Programming*, 1983, ch. 3).  A query is answered by the first basis its
-System recorded whose phase-2 row for c has no entry below -tol (phase 2's
-own stopping test), else by phase 2 from the starting tableau, whose final
-basis is then recorded.  Bland's rule (smallest label, u and w before
-every slack) picks every pivot, so the method cannot cycle; everything is
-double precision with a single tolerance.  The LPs have up to a few
-thousand rows and a handful of variables, so a dense tableau is fast enough.
+Programming*, 1983, ch. 3).  `maximize(c, system)` answers by the first
+basis the System recorded whose phase-2 row for c has no entry below -tol
+(phase 2's own stopping test), else by phase 2 from the starting tableau,
+whose final basis is then recorded.  Bland's rule (smallest label, u and w
+before every slack) picks every pivot, so the method cannot cycle;
+everything is double precision with a single tolerance.  The LPs have up
+to a few thousand rows and a handful of variables, so a dense tableau is
+fast enough.
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ class System:
         m, n = A.shape
         if b.shape != (m,):
             raise ValueError(f"constraint matrix has {m} rows, right-hand side has shape {b.shape}")
+        if not (np.isfinite(A).all() and np.isfinite(b).all()):
+            raise ValueError("constraint matrix and right-hand side must be finite")
         free = np.ones(n, dtype=bool)
         free[list(nonneg)] = False
         free = np.flatnonzero(free)
@@ -101,7 +104,8 @@ def _phase1(T, labels, n, tol):
     T[m, -2] = 1.0  # min t: pivoting t in prices the objective row
     basis, nonbasic = labels[:m], labels[m:]
     _pivot(T, basis, nonbasic, int(T[:m, -1].argmin()), T.shape[1] - 2)
-    _iterate(T, basis, nonbasic, tol, aux + 1, allow_unbounded=False)
+    if _iterate(T, basis, nonbasic, tol, aux + 1) == UNBOUNDED:
+        raise RuntimeError("phase-1 objective unbounded; tableau corrupted")
     if -T[m, -1] > tol:  # smallest t
         return None
     # t may stay basic at a level within tol.  Its row has nonbasic slack
@@ -114,48 +118,37 @@ def _phase1(T, labels, n, tol):
     return np.delete(T, j, axis=1), np.delete(labels, m + j)
 
 
-def maximize(c, A, b=None, tol: float | None = None) -> LPResult:
-    """Maximize c.x over {x : A x <= b}, x unrestricted in sign, or over a
-    `System` passed as A (with b None), whose tableau is copied, not changed.
-    It answers from the first recorded basis optimal for c, so which of tied
-    optima returns depends on earlier queries; one built here records nothing.
+def maximize(c, system: System) -> LPResult:
+    """Maximize c.x over a `System`, whose tableau is copied, not changed.
+    It answers from the first recorded basis optimal for c, else runs phase 2
+    and records the basis it ends at, so which of tied optima returns
+    depends on earlier queries.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
     point are filled in, for "unbounded"/"infeasible" they are None.  A
-    system violated by at most tol everywhere counts as feasible.  A System
-    carries its tol (else 1e-9); another `tol` raises ValueError.
+    system violated by at most its tol everywhere counts as feasible.
     """
     c = np.asarray(c, dtype=float)
-    memo = isinstance(A, System)
-    if not memo:
-        A = np.asarray(A, dtype=float)
-        A = System(A.reshape(0, len(c)) if A.size == 0 else A, b, tol=1e-9 if tol is None else tol)
-    elif b is not None:
-        raise ValueError("a System carries its own right-hand side; pass b=None")
-    elif tol not in (None, A.tol):
-        raise ValueError(f"the System was built at tol={A.tol}, not tol={tol}")
-    if len(c) != A.n:
-        raise ValueError(f"objective has {len(c)} entries, the system has {A.n} variables")
-    if not A.feasible:
+    if len(c) != system.n:
+        raise ValueError(f"objective has {len(c)} entries, the system has {system.n} variables")
+    if not system.feasible:
         return LPResult(INFEASIBLE, None, None)
-    if memo:  # the first recorded basis whose phase-2 row for c is optimal
-        bases = A.bases  # read once: a miss replaces the array whole
-        hit = ((bases[:, :-1] @ c) >= -A.tol).all(1)
-        if hit.any():
-            x = bases[hit.argmax(), -1]
-            return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
-    m, n = len(A), A.n
-    T, labels = (A.T.copy(), A.labels.copy()) if memo else (A.T, A.labels)  # ours: used once
-    T[m] = c @ A.P
-    if _iterate(T, labels[:m], labels[m:], A.tol, 2 * n + m, allow_unbounded=True) == UNBOUNDED:
+    bases = system.bases  # read once: a miss replaces the array whole
+    hit = ((bases[:, :-1] @ c) >= -system.tol).all(1)
+    if hit.any():
+        x = bases[hit.argmax(), -1]
+        return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
+    m, n = len(system), system.n
+    T, labels = system.T.copy(), system.labels.copy()
+    T[m] = c @ system.P
+    if _iterate(T, labels[:m], labels[m:], system.tol, 2 * n + m) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     z = np.zeros(2 * n + m)
     z[labels[:m]] = T[:m, -1]
     x = z[:n] - z[n : 2 * n]
-    if memo:  # the basis's map, transposed, with x in place of the rhs row
-        entry = _objective_map(T, labels, n).T
-        entry[-1] = x
-        A.bases = np.concatenate([bases, entry[None]])
+    entry = _objective_map(T, labels, n).T  # the basis's map, with x in place of the rhs row
+    entry[-1] = x
+    system.bases = np.concatenate([bases, entry[None]])
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 
@@ -166,7 +159,8 @@ def maximize_batch(C, A, b, tol: float = 1e-9):
     C is (B, n), A is (B, m, n) and b is (B, m) with every entry >= 0
     (phase 2 starts from the slack basis).  Each member makes `maximize`'s
     pivots with its arithmetic, so its x equals that of
-    `maximize(C[i], A[i], b[i], tol)` bit for bit and its value is C[i] @ x.
+    `maximize(C[i], System(A[i], b[i], tol=tol))` bit for bit and its value
+    is C[i] @ x.
     Returns (unbounded flags, values, X), inf and nan for unbounded members.
     """
     C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
@@ -226,7 +220,7 @@ def _solve_stack(C, A, b, tol, unbounded, X):
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _iterate(T, basis, nonbasic, tol, unused, allow_unbounded):
+def _iterate(T, basis, nonbasic, tol, unused):
     """Run simplex pivots until optimal (Bland's rule throughout); `unused`
     exceeds every label, including those of w columns a sign bound left out."""
     obj, rhs = T[-1, :-1], T[:-1, -1]  # views, updated in place by each pivot
@@ -238,9 +232,7 @@ def _iterate(T, basis, nonbasic, tol, unused, allow_unbounded):
         col = T[:-1, j]
         rows = (col > tol).nonzero()[0]
         if not rows.size:
-            if allow_unbounded:
-                return UNBOUNDED
-            raise RuntimeError("phase-1 objective unbounded; tableau corrupted")
+            return UNBOUNDED
         ratios = rhs[rows] / col[rows]
         tied = rows[ratios <= ratios.min() + tol]
         r = tied[0] if tied.size == 1 else tied[basis[tied].argmin()]

@@ -92,12 +92,16 @@ class Region:
         labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError(f"{len(labels)} labels for dimension {dim}")
+        if not all(isinstance(label, str) for label in labels):
+            raise ValueError(f"labels must be strings, got {list(labels)}")
         if len(set(labels)) != dim:
             raise ValueError(f"duplicate labels in {list(labels)}")
         for coeffs in lhs:
             if len(coeffs) != dim:
                 raise ValueError(f"inequality arity {len(coeffs)} does not match dim {dim}")
         rhs = np.array(rhs, dtype=float)
+        if not np.isfinite(rhs).all():
+            raise ValueError("an inequality has a non-finite rhs")
         rhs.flags.writeable = False
         fields = ("dim", dim), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
         for name, value in fields:
@@ -148,6 +152,8 @@ class Region:
                 return self.labels.index(var)
             except ValueError:
                 raise ValueError(f"no variable labeled {var!r}") from None
+        if isinstance(var, bool) or not isinstance(var, (int, np.integer)):
+            raise ValueError(f"variable must be a label or an integer index, got {var!r}")
         idx = int(var)
         if not 0 <= idx < self.dim:
             raise ValueError(f"variable index {idx} out of range for dim {self.dim}")
@@ -302,7 +308,7 @@ def _certify(A, b, kept, dropped, tol):
 
 def _implied(A, b, k, others, tol) -> bool:
     """Whether the rows in mask `others` bound a_k.x by b_k + tol or admit no point."""
-    res = lp.maximize(A[k], A[others], b[others], tol=tol)
+    res = lp.maximize(A[k], lp.System(A[others], b[others], tol=tol))
     return res.status == lp.INFEASIBLE or res.status == lp.OPTIMAL and res.value <= b[k] + tol
 
 
@@ -312,7 +318,7 @@ def _support(region: Region, direction, tol: float):
     form = region._lp_form(tol)
     if not form.feasible:
         raise InfeasibleRegionError("support value of an empty region")
-    res = lp.maximize(direction, form, tol=tol)
+    res = lp.maximize(direction, form)
     return None if res.status == lp.UNBOUNDED else res.value
 
 
@@ -450,10 +456,10 @@ def region_from_dict(data: dict) -> Region:
             LinearInequality(tuple(item["coeffs"]), item["rhs"])
             for item in data["inequalities"]
         )
-        if not all(math.isfinite(q.rhs) for q in ineqs):
-            raise ValueError("an inequality has a non-finite rhs")
+        if any(abs(c) > 2**53 for q in ineqs for c in q.coeffs):
+            raise ValueError("a coefficient exceeds 2^53, beyond the integers a float holds exactly")
         return Region(data["dim"], ineqs, tuple(data.get("labels") or ()))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a coefficient of inf
         raise ValueError(f"malformed region document: {exc}") from exc
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 from xml.etree import ElementTree
 
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from dicregion.channel import save_channel
 from dicregion.cli import main
 from dicregion.entropy import InputDistribution, save_distribution
-from dicregion.polytope import load_region, regions_equal, save_region
+from dicregion.polytope import load_region, region_to_dict, regions_equal, save_region
 
 from conftest import parity3_channel, xor_channel
 from test_polytope import R, UNIT_SIMPLEX, UNIT_SQUARE
@@ -95,6 +96,30 @@ def test_region_files_with_non_finite_rhs_are_parse_errors(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("non-finite") == 2
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("labels", [1, 2], "labels must be strings"),
+     ("coeffs", [10**400, 1], "exceeds 2^53"),
+     ("coeffs", [math.inf, 1], "malformed region document")],
+    ids=["int-labels", "huge-int", "float-inf"],
+)
+def test_region_files_with_bad_labels_or_coefficients_are_parse_errors(
+    tmp_path, capsys, field, value, message
+):
+    # Each used to end in a traceback and exit 1: AttributeError in plot,
+    # OverflowError in compare and plot.
+    doc = region_to_dict(UNIT_SIMPLEX)
+    (doc if field == "labels" else doc["inequalities"][0])[field] = value
+    bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+    bad.write_text(json.dumps(doc))
+    save_region(UNIT_SIMPLEX, good)
+    assert main(["compare", str(bad), str(good)]) == 2
+    assert main(["plot", str(bad), "--out", str(tmp_path / "plot.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(message) == 2
 
 
 def test_region_refuses_non_injective(tmp_path, capsys):

@@ -341,9 +341,9 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     rows = []
 
-    def counting(c, A, b, tol=1e-9):
-        rows.append(len(A))
-        return maximize(c, A, b, tol=tol)
+    def counting(c, system):
+        rows.append(len(system))
+        return maximize(c, system)
 
     def counting_batch(C, A, b, tol=1e-9):
         rows.append(len(C) * len(b[0]))  # each member's rows
@@ -365,9 +365,9 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
     maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     widths = []
 
-    def counting(c, A, b, tol=1e-9):
+    def counting(c, system):
         widths.append(len(c))
-        return maximize(c, A, b, tol=tol)
+        return maximize(c, system)
 
     def counting_batch(C, A, b, tol=1e-9):
         widths.extend(len(c) for c in C)
@@ -404,9 +404,9 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
     maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
     calls = []
 
-    def counting(c, A, b, tol=1e-9):
+    def counting(c, system):
         calls.append(1)
-        return maximize(c, A, b, tol=tol)
+        return maximize(c, system)
 
     def counting_batch(C, A, b, tol=1e-9):
         calls.extend([1] * len(C))  # one LP per member

@@ -13,54 +13,60 @@ from dicregion import lp
 from dicregion.polytope import LinearInequality, Region, support_value
 
 
+def _maximize(c, A, b, tol=1e-9):
+    """`lp.maximize` over a fresh System of A x <= b; an empty A has no rows."""
+    A = np.asarray(A, dtype=float)
+    return lp.maximize(c, lp.System(A.reshape(0, len(c)) if A.size == 0 else A, b, tol=tol))
+
+
 def test_box_maximum():
-    res = lp.maximize([1.0, 1.0], [[1, 0], [0, 1]], [1.0, 2.0])
+    res = _maximize([1.0, 1.0], [[1, 0], [0, 1]], [1.0, 2.0])
     assert res.status == lp.OPTIMAL
     assert res.value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_free_variables_negative_side():
     # max -x subject to -x <= 5  ->  optimum 5 at x = -5
-    res = lp.maximize([-1.0], [[-1]], [5.0])
+    res = _maximize([-1.0], [[-1]], [5.0])
     assert res.status == lp.OPTIMAL
     assert res.value == pytest.approx(5.0, abs=1e-9)
     assert res.x[0] == pytest.approx(-5.0, abs=1e-9)
 
 
 def test_unbounded():
-    res = lp.maximize([1.0, 0.0], [[0, 1]], [1.0])
+    res = _maximize([1.0, 0.0], [[0, 1]], [1.0])
     assert res.status == lp.UNBOUNDED
 
 
 def test_infeasible():
-    res = lp.maximize([1.0], [[1], [-1]], [-2.0, 1.0])  # x <= -2 and x >= -1
+    res = _maximize([1.0], [[1], [-1]], [-2.0, 1.0])  # x <= -2 and x >= -1
     assert res.status == lp.INFEASIBLE
 
 
 def test_phase1_infeasibility_follows_tol():
     # x <= 0 and x >= 5e-8: infeasible by 50 times the default tol.
-    assert lp.maximize([1.0], [[1], [-1]], [0.0, -5e-8]).status == lp.INFEASIBLE
+    assert _maximize([1.0], [[1], [-1]], [0.0, -5e-8]).status == lp.INFEASIBLE
     # Infeasible by less than tol: accepted as feasible.
-    res = lp.maximize([1.0], [[1], [-1]], [0.0, -5e-10])
+    res = _maximize([1.0], [[1], [-1]], [0.0, -5e-10])
     assert res.status == lp.OPTIMAL
     assert res.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_no_constraints():
-    assert lp.maximize([0.0, 0.0], [], []).value == 0.0
-    assert lp.maximize([1.0, 0.0], [], []).status == lp.UNBOUNDED
+    assert _maximize([0.0, 0.0], [], []).value == 0.0
+    assert _maximize([1.0, 0.0], [], []).status == lp.UNBOUNDED
 
 
 def test_negative_rhs_feasible():
     # x >= 2 written as -x <= -2, maximize -x  ->  -2
-    res = lp.maximize([-1.0], [[-1]], [-2.0])
+    res = _maximize([-1.0], [[-1]], [-2.0])
     assert res.status == lp.OPTIMAL
     assert res.value == pytest.approx(-2.0, abs=1e-9)
 
 
 def test_degenerate_vertex():
     # Three constraints through one point; Bland's rule must terminate.
-    res = lp.maximize([1.0, 1.0], [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 2.0])
+    res = _maximize([1.0, 1.0], [[1, 0], [0, 1], [1, 1]], [1.0, 1.0, 2.0])
     assert res.status == lp.OPTIMAL
     assert res.value == pytest.approx(2.0, abs=1e-9)
 
@@ -95,7 +101,7 @@ def test_blands_rule_pivots_are_pinned(monkeypatch, problem, pivots, x):
         pivot(T, basis, nonbasic, r, j)
 
     monkeypatch.setattr(lp, "_pivot", counting)
-    res = lp.maximize(*problem)
+    res = _maximize(*problem)
     assert res.status == lp.OPTIMAL
     assert len(made) == pivots
     assert res.x == x
@@ -139,17 +145,19 @@ def test_beale_with_sign_bounds_pivots_are_pinned(monkeypatch):
 
 def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
     system = lp.System([[1.0, 1.0]], [1.0], nonneg=[1])  # x1 + x2 <= 1, x2 >= 0
-    with pytest.raises(ValueError, match="own right-hand side"):
-        lp.maximize([1.0, 0.0], system, [1.0])
     with pytest.raises(ValueError, match="objective has 3 entries"):
         lp.maximize([1.0, 0.0, 0.0], system)
-    # A System carries its tol as it carries its rhs: only that one is accepted.
-    with pytest.raises(ValueError, match="built at tol=1e-09, not tol=1e-06"):
-        lp.maximize([1.0, 0.0], system, tol=1e-6)
-    assert lp.maximize([1.0, 0.0], system, tol=1e-9).value == 1.0
     assert lp.maximize([1.0, 0.0], system).value == 1.0
     assert lp.maximize([0.0, -1.0], system).value == 0.0
     assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED
+
+
+def test_system_rejects_non_finite_data():
+    # A nan rhs used to raise numpy's "argmin of an empty sequence" in phase
+    # 1, and a nan coefficient answered "unbounded".
+    for A, b in (([[1.0]], [np.nan]), ([[np.nan]], [1.0]), ([[1.0]], [np.inf]), ([[-np.inf]], [1.0])):
+        with pytest.raises(ValueError, match="must be finite"):
+            lp.System(A, b)
 
 
 def _count_pivots(monkeypatch):
@@ -183,12 +191,13 @@ def test_an_infeasible_system_answers_infeasible_without_a_pivot(monkeypatch):
 
 
 def _record_final_bases(monkeypatch):
-    """Patch `_iterate` to list the basis each phase-2 run ends optimal at."""
+    """Patch `_iterate` to list the basis each run ends optimal at (a query
+    runs phase 2 only; phase 1 runs when a System is built)."""
     iterate, ended = lp._iterate, []
 
-    def recording(T, basis, nonbasic, tol, unused, allow_unbounded):
-        status = iterate(T, basis, nonbasic, tol, unused, allow_unbounded)
-        if allow_unbounded and status == lp.OPTIMAL:
+    def recording(T, basis, nonbasic, tol, unused):
+        status = iterate(T, basis, nonbasic, tol, unused)
+        if status == lp.OPTIMAL:
             ended.append(frozenset(basis.tolist()))
         return status
 
@@ -274,7 +283,7 @@ def test_optimal_point_is_feasible():
         A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
         b = [rng.randint(-2, 8) for _ in range(m)]
         c = [rng.randint(-3, 3) for _ in range(n)]
-        res = lp.maximize(c, A, b)
+        res = _maximize(c, A, b)
         if res.status != lp.OPTIMAL:
             continue
         x = np.array(res.x)
@@ -303,7 +312,7 @@ def test_against_scipy_on_random_problems():
         problems.append(([rng.randint(-3, 3) for _ in range(n)], A, b))
     for c, A, b in problems:
         n = len(c)
-        ours = lp.maximize(c, A, b)
+        ours = _maximize(c, A, b)
         ref = linprog(
             [-v for v in c], A_ub=A, b_ub=b, bounds=[(None, None)] * n, method="highs"
         )
@@ -326,7 +335,7 @@ def test_against_scipy_on_random_problems():
             assert ours.status == lp.OPTIMAL
             assert ours.value == pytest.approx(-ref.fun, abs=1e-6)
             checked += 1
-    assert lp.maximize(*problems[0]).x == pytest.approx((-1.5,), abs=1e-12)
+    assert _maximize(*problems[0]).x == pytest.approx((-1.5,), abs=1e-12)
     assert checked > 30  # sanity: the sample hit plenty of bounded problems
 
 
@@ -345,7 +354,7 @@ def test_unbounded_case_scipy_presolve_misreports():
     ]
     b = [0, -3, -1, 0, 5, 0, 5, 1]
     c = [-1, 1, 0, 2, 1, -3]
-    assert lp.maximize(c, A, b).status == lp.UNBOUNDED
+    assert _maximize(c, A, b).status == lp.UNBOUNDED
     feasible = linprog([0.0] * 6, A_ub=A, b_ub=b, bounds=[(None, None)] * 6, method="highs")
     assert feasible.status == 0
 
@@ -360,7 +369,7 @@ def test_tableau_holds_no_column_per_row():
         b = 1.0 + A @ x0
         tracemalloc.start()
         try:
-            res = lp.maximize(c, A, b)
+            res = _maximize(c, A, b)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,16 +384,16 @@ def test_tableau_holds_no_column_per_row():
 def test_right_hand_side_must_match_the_rows():
     # One rhs for two rows used to broadcast and report an optimum of 0.5.
     with pytest.raises(ValueError, match="right-hand side"):
-        lp.maximize([1.0], [[1], [2]], [1.0])
+        _maximize([1.0], [[1], [2]], [1.0])
     # No rows and two right-hand sides used to report "unbounded".
     with pytest.raises(ValueError, match="right-hand side"):
-        lp.maximize([1.0], [], [1.0, 2.0])
+        _maximize([1.0], [], [1.0, 2.0])
 
 
 def _assert_batch_matches_maximize(C, A, b):
     unbounded, values, X = lp.maximize_batch(C, A, b)
     for i in range(len(C)):
-        res = lp.maximize(C[i], A[i], b[i])
+        res = _maximize(C[i], A[i], b[i])
         assert unbounded[i] == (res.status == lp.UNBOUNDED)
         if res.status == lp.OPTIMAL:
             assert np.array(res.x).tobytes() == X[i].tobytes()  # bit for bit

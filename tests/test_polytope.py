@@ -127,7 +127,8 @@ def _prune_against_all_others(region, tol=1e-9):
         if rhs == 0.0 and sum(c != 0 for c in coeffs) == 1 and min(coeffs) == -1:
             continue
         others = [rows[j] for j in range(len(rows)) if alive[j] and j != k]
-        res = lp.maximize(coeffs, [o[0] for o in others], [o[1] for o in others], tol=tol)
+        A = np.array([o[0] for o in others], dtype=float).reshape(len(others), region.dim)
+        res = lp.maximize(coeffs, lp.System(A, [o[1] for o in others], tol=tol))
         if res.status == lp.INFEASIBLE or (res.status == lp.OPTIMAL and res.value <= rhs + tol):
             alive[k] = False
     return [rows[j] for j in range(len(rows)) if alive[j]]
@@ -171,7 +172,7 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     statuses = set()
     for region in fixed + randoms:
         A, b = region.matrix()
-        statuses.add(lp.maximize([1.0] * region.dim, A, b).status)
+        statuses.add(lp.maximize([1.0] * region.dim, lp.System(A, b)).status)
         pruned = prune_redundant(region)
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
     # the random systems include empty, unbounded and bounded regions
@@ -562,6 +563,50 @@ def test_region_document_rejects_non_finite_rhs(rhs):
     doc["inequalities"][0]["rhs"] = rhs
     with pytest.raises(ValueError, match="non-finite"):
         region_from_dict(doc)
+
+
+@pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_every_region_rejects_non_finite_rhs(rhs):
+    # A nan bound on x1 used to load: support_value in x1 then raised numpy's
+    # "argmin of an empty sequence", contains_point((5, 0.5)) answered True
+    # and prune_redundant kept the nan row.
+    rows = [((1, 0), rhs), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
+    with pytest.raises(ValueError, match="non-finite"):
+        R(2, rows)
+    with pytest.raises(ValueError, match="non-finite"):
+        Region._from_rows(2, [c for c, _ in rows], [r for _, r in rows])
+
+
+def test_region_labels_must_be_strings():
+    # Integer labels used to load, and plotting the region then raised
+    # AttributeError on int.replace.
+    doc = region_to_dict(UNIT_SIMPLEX)
+    doc["labels"] = [1, 2]
+    with pytest.raises(ValueError, match="labels must be strings"):
+        region_from_dict(doc)
+    with pytest.raises(ValueError, match="labels must be strings"):
+        Region._from_rows(2, UNIT_SIMPLEX.lhs, UNIT_SIMPLEX.rhs, ("x1", None))
+
+
+def test_region_document_coefficients_stop_at_two_to_the_53():
+    # Above 2^53 a float no longer holds every integer, so the LP would test
+    # another row than the file's; 10^400 used to raise OverflowError.
+    doc = region_to_dict(UNIT_SIMPLEX)
+    doc["inequalities"][0]["coeffs"] = [2**53, 1]
+    assert region_from_dict(doc).lhs[0] == (2**53, 1)
+    for big in (2**53 + 1, -(2**53) - 1, 10**400):
+        doc["inequalities"][0]["coeffs"] = [1, big]
+        with pytest.raises(ValueError, match="exceeds 2\\^53"):
+            region_from_dict(doc)
+
+
+def test_variables_are_labels_or_integer_indices():
+    # 1.7 and True were truncated to index 1 and eliminated x2.
+    for var in (1.7, True, np.float64(1.0), None):
+        with pytest.raises(ValueError, match="a label or an integer index"):
+            fm_eliminate(UNIT_SQUARE, var)
+    for var in (1, np.int64(1), "x2"):
+        assert fm_eliminate(UNIT_SQUARE, var).labels == ("x1",)
 
 
 def test_region_rejects_duplicate_labels():
