@@ -21,6 +21,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ChannelFormatError
 
 __all__ = [
@@ -231,7 +233,14 @@ def validate_injectivity(spec: ChannelSpec) -> InjectivityReport:
     return InjectivityReport(is_injective=not violations, violations=tuple(violations))
 
 
+def _is_int(v) -> bool:
+    """Is v an int or a numpy integer (never a bool)?"""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_user(K: int, i: int):
+    if not _is_int(i):
+        raise ValueError(f"user index {i!r} is not an integer")
     if not 1 <= i <= K:
         raise ValueError(f"user index {i} out of range 1..{K}")
 

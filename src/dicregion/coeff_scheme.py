@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
+from .channel import _is_int
 from .entropy import EntropyTable, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
@@ -59,16 +61,21 @@ class CoefficientScheme:
     entries: tuple[tuple[int, frozenset, int], ...]
 
     def __post_init__(self):
+        if not _is_int(self.K) or self.K < 1:
+            raise ValueError(f"K={self.K!r} must be a positive integer")
         seen = set()
         canon = []
         for i, M, w in self.entries:
             M = frozenset(M)
-            if not 1 <= i <= self.K:
+            if not _is_int(i) or not 1 <= i <= self.K:
                 raise ValueError(f"receiver {i} out of range 1..{self.K}")
+            if not all(map(_is_int, M)):
+                raise ValueError(f"subset {set(M)} has a non-integer member")
             if any(not 1 <= m <= self.K for m in M):
                 raise ValueError(f"subset {sorted(M)} not within 1..{self.K}")
-            if not isinstance(w, int) or w < 0:
+            if not _is_int(w) or w < 0:
                 raise ValueError(f"weight {w!r} must be a nonnegative integer")
+            i, M, w = int(i), frozenset(map(int, M)), int(w)
             if (i, M) in seen:
                 raise ValueError(f"duplicate entry for receiver {i}, subset {sorted(M)}")
             seen.add((i, M))
@@ -140,10 +147,12 @@ class ReductionCertificate:
     """Before/after bookkeeping for one reduction step.
 
     `identities_hold` checks the exact integer conditions the step promises:
-    only the adjusted user's deficient total moves (to min(d_m, e_m) after
-    step 1, to the common value e_m after step 2) and every other total is
-    untouched.  `rhs_non_increasing` checks the promised right-hand-side
-    monotonicity on the entropy table the step was evaluated on.
+    the after-totals equal the before-totals with user m's deficient entry
+    replaced (e_m by min(d_m, e_m) after step 1, d_m by e_m after step 2),
+    so every other total is untouched.  `min_projection_preserved` checks
+    that min(d, e) did not move, and `rhs_non_increasing` the promised
+    right-hand-side monotonicity on the entropy table the step was evaluated
+    on.
     """
 
     step: int
@@ -156,57 +165,57 @@ class ReductionCertificate:
     rhs_after: float
 
     def identities_hold(self) -> bool:
-        K = len(self.d_before)
+        d, e = list(self.d_before), list(self.e_before)
         idx = self.m - 1
-        for k in range(K):
-            if k == idx:
-                continue
-            if self.d_after[k] != self.d_before[k] or self.e_after[k] != self.e_before[k]:
-                return False
         if self.step == 1:
-            return (
-                self.d_after[idx] == self.d_before[idx]
-                and self.e_after[idx] == min(self.d_before[idx], self.e_before[idx])
-            )
-        return (
-            self.d_after[idx] == self.e_before[idx]
-            and self.e_after[idx] == self.e_before[idx]
-        )
+            e[idx] = min(d[idx], e[idx])
+        else:
+            d[idx] = e[idx]
+        return (list(self.d_after), list(self.e_after)) == (d, e)
 
     def rhs_non_increasing(self, tol: float = 1e-9) -> bool:
         return self.rhs_after <= self.rhs_before + tol
 
     def min_projection_preserved(self) -> bool:
-        before = tuple(min(a, b) for a, b in zip(self.d_before, self.e_before))
-        after = tuple(min(a, b) for a, b in zip(self.d_after, self.e_after))
-        return before == after
+        before = DEVector(self.d_before, self.e_before).min_projection()
+        return before == DEVector(self.d_after, self.e_after).min_projection()
 
 
-def _greedy_take(rows, need: int):
-    """Assign min(weight, remaining) along canonically ordered rows.
+def _shift(weights: dict, donors, need: int, target, error):
+    """Move `need` units of weight off the donor pairs, greedily.
 
-    Returns {(i, M): amount} with total min(need, total weight available).
+    Walks `donors` ((i, M, w) in canonical order), takes min(w, still
+    needed) from each and adds it to pair target(i, M), or drops it when
+    target is None.  Updates `weights` in place and returns {(i, M): amount
+    taken}.  Raises SchemeReductionError(error(shortfall)) when the donors
+    hold less than `need`; taking every donor's full weight before giving
+    up means a shortfall leaves no other assignment either.
     """
     taken = {}
-    remaining = need
-    for i, M, w in rows:
-        if remaining == 0:
+    for i, M, w in donors:
+        if need == 0:
             break
-        amt = min(w, remaining)
-        if amt > 0:
-            taken[(i, M)] = amt
-            remaining -= amt
-    return taken, remaining
+        amt = min(w, need)
+        taken[(i, M)] = amt
+        need -= amt
+        weights[(i, M)] -= amt
+        if target is not None:
+            dst = target(i, M)
+            weights[dst] = weights.get(dst, 0) + amt
+    if need:
+        raise SchemeReductionError(error(need))
+    return taken
 
 
 def step1_reduce(scheme: CoefficientScheme, m: int, table: EntropyTable):
     """Lower user m's subset-membership total e_m down to d_m.
 
-    Applies when e_m > d_m.  The surplus e_m - d_m is peeled off pairs at
-    other receivers whose subset contains m, moving each peeled unit onto
-    the same receiver's subset with m removed.  Dropping m from a subset
-    deepens the conditioning of that pair's entropy term, so the combined
-    right-hand side cannot grow.  Returns (new_scheme, certificate).
+    Applies when e_m > d_m.  One greedy weight shift (`_shift`) peels the
+    surplus e_m - d_m off pairs (i, M) at other receivers whose subset
+    contains m, in canonical order, and moves each peeled unit onto
+    (i, M - {m}).  Dropping m from a subset deepens the conditioning of that
+    pair's entropy term, so the combined right-hand side cannot grow.
+    Returns (new_scheme, certificate).
     """
     de = de_of(scheme)
     if de.e[m - 1] <= de.d[m - 1]:
@@ -214,20 +223,12 @@ def step1_reduce(scheme: CoefficientScheme, m: int, table: EntropyTable):
             f"step 1 needs e_{m} > d_{m}, got e={de.e[m - 1]}, d={de.d[m - 1]}"
         )
     need = de.e[m - 1] - de.d[m - 1]
-    donors = [(i, M, w) for i, M, w in scheme.entries if i != m and m in M]
-    taken, shortfall = _greedy_take(donors, need)
-    if shortfall:
-        raise SchemeReductionError(
-            f"step 1 at user {m}: could not place {shortfall} of {need} units"
-        )
     weights = scheme.weights()
-    for (i, M), amt in taken.items():
-        weights[(i, M)] -= amt
-        target = (i, M - {m})
-        weights[target] = weights.get(target, 0) + amt
+    donors = ((i, M, w) for i, M, w in scheme.entries if i != m and m in M)
+    _shift(weights, donors, need, lambda i, M: (i, M - {m}),
+           lambda short: f"step 1 at user {m}: could not place {short} of {need} units")
     new_scheme = CoefficientScheme.from_weights(scheme.K, weights)
-    cert = _certify(1, m, scheme, new_scheme, de, table)
-    return new_scheme, cert
+    return new_scheme, _certify(1, m, scheme, new_scheme, de, table)
 
 
 def step2_reduce(scheme: CoefficientScheme, m: int, table: EntropyTable):
@@ -236,12 +237,13 @@ def step2_reduce(scheme: CoefficientScheme, m: int, table: EntropyTable):
     Applies when d_m > e_m.  The surplus d_m - e_m is removed from receiver
     m's pairs whose subset omits m.  Each removed pair's subset members lose
     one unit of membership weight, which is restored at their own receivers
-    by moving weight from a subset omitting the member onto the same subset
-    with the member added.  That compensation is only guaranteed to exist
-    when every other user m' already satisfies d_{m'} >= e_{m'} (i.e. after
-    all step-1 passes); otherwise SchemeReductionError reports the user
-    whose compensation ran short.  The greedy assignment below exhausts each
-    donor class completely, so a shortfall means no assignment exists at all.
+    by moving weight from (m', M) with m' not in M onto (m', M | {m'}).
+    Removal and each compensation are the same greedy weight shift as step
+    1 (`_shift`), so a shortfall means no assignment exists at all.  The
+    compensation is only guaranteed to exist when every other user m'
+    already satisfies d_{m'} >= e_{m'} (i.e. after all step-1 passes);
+    otherwise SchemeReductionError reports the user whose compensation ran
+    short.
     """
     de = de_of(scheme)
     if de.d[m - 1] <= de.e[m - 1]:
@@ -249,42 +251,21 @@ def step2_reduce(scheme: CoefficientScheme, m: int, table: EntropyTable):
             f"step 2 needs d_{m} > e_{m}, got d={de.d[m - 1]}, e={de.e[m - 1]}"
         )
     need = de.d[m - 1] - de.e[m - 1]
-    removable = [(i, M, w) for i, M, w in scheme.entries if i == m and m not in M]
-    alpha, shortfall = _greedy_take(removable, need)
-    if shortfall:
-        raise SchemeReductionError(
-            f"step 2 at user {m}: could not remove {shortfall} of {need} units"
-        )
-
-    gamma = [0] * (scheme.K + 1)
-    for (_, M), amt in alpha.items():
+    weights = scheme.weights()
+    removable = ((i, M, w) for i, M, w in scheme.entries if i == m and m not in M)
+    removed = _shift(weights, removable, need, None,
+                     lambda short: f"step 2 at user {m}: could not remove {short} of {need} units")
+    gamma = Counter()
+    for (_, M), amt in removed.items():
         for mp in M:
             gamma[mp] += amt
-
-    weights = scheme.weights()
-    for key, amt in alpha.items():
-        weights[key] -= amt
-
-    for mp in range(1, scheme.K + 1):
-        if mp == m or gamma[mp] == 0:
-            continue
-        donors = [
-            (i, M, w) for i, M, w in scheme.entries if i == mp and mp not in M
-        ]
-        beta, shortfall = _greedy_take(donors, gamma[mp])
-        if shortfall:
-            raise SchemeReductionError(
-                f"step 2 at user {m}: user {mp} lacks {shortfall} units of "
-                f"compensation weight (run step-1 passes first)"
-            )
-        for (i, M), amt in beta.items():
-            weights[(i, M)] -= amt
-            target = (i, M | {i})
-            weights[target] = weights.get(target, 0) + amt
-
+    for mp in sorted(gamma):
+        donors = ((i, M, w) for i, M, w in scheme.entries if i == mp and mp not in M)
+        _shift(weights, donors, gamma[mp], lambda i, M: (i, M | {i}),
+               lambda short: f"step 2 at user {m}: user {mp} lacks {short} units of "
+                             f"compensation weight (run step-1 passes first)")
     new_scheme = CoefficientScheme.from_weights(scheme.K, weights)
-    cert = _certify(2, m, scheme, new_scheme, de, table)
-    return new_scheme, cert
+    return new_scheme, _certify(2, m, scheme, new_scheme, de, table)
 
 
 def _certify(step, m, old, new, de_before, table):

@@ -20,6 +20,7 @@ from itertools import combinations, compress, count
 import numpy as np
 
 from . import lp
+from .channel import _is_int
 from .errors import InfeasibleRegionError, UnboundedDirectionError
 
 __all__ = [
@@ -152,7 +153,7 @@ class Region:
                 return self.labels.index(var)
             except ValueError:
                 raise ValueError(f"no variable labeled {var!r}") from None
-        if isinstance(var, bool) or not isinstance(var, (int, np.integer)):
+        if not _is_int(var):
             raise ValueError(f"variable must be a label or an integer index, got {var!r}")
         idx = int(var)
         if not 0 <= idx < self.dim:

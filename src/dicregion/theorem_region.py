@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec
+from .channel import ChannelSpec, _is_int
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, subset_rank
 from .errors import EnumerationOverflowError
@@ -70,23 +70,27 @@ class FacetSpec:
     S: tuple[tuple[frozenset, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
         K = len(self.a)
         if len(self.S) != K:
             raise ValueError(f"{len(self.S)} subset lists for {K} receivers")
         canon = []
         for i, (count, subsets) in enumerate(zip(self.a, self.S), start=1):
+            if not _is_int(count):
+                raise ValueError(f"receiver {i}: weight {count!r} is not an integer")
             if count < 0:
                 raise ValueError(f"receiver {i}: negative weight {count}")
-            subsets = tuple(sorted((frozenset(M) for M in subsets), key=subset_rank))
+            subsets = [frozenset(M) for M in subsets]
+            for M in subsets:
+                if not all(map(_is_int, M)):
+                    raise ValueError(f"receiver {i}: subset {set(M)} has a non-integer member")
+                if any(not 1 <= m <= K for m in M):
+                    raise ValueError(f"receiver {i}: subset {sorted(M)} not within 1..{K}")
             if len(subsets) != count:
                 raise ValueError(
                     f"receiver {i}: {len(subsets)} subsets for weight {count}"
                 )
-            for M in subsets:
-                if any(not 1 <= m <= K for m in M):
-                    raise ValueError(f"receiver {i}: subset {sorted(M)} not within 1..{K}")
-            canon.append(subsets)
+            canon.append(tuple(sorted((frozenset(map(int, M)) for M in subsets), key=subset_rank)))
+        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
         object.__setattr__(self, "S", tuple(canon))
 
     @property
@@ -335,7 +339,7 @@ _PRESETS_K3 = [
 def relabel_facet(fs: FacetSpec, perm) -> FacetSpec:
     """Apply a user relabeling; perm[i-1] is the new name of user i."""
     K = fs.K
-    if sorted(perm) != list(range(1, K + 1)):
+    if not all(map(_is_int, perm)) or sorted(perm) != list(range(1, K + 1)):
         raise ValueError(f"{perm} is not a permutation of 1..{K}")
     a = [0] * K
     S: list = [None] * K
@@ -378,10 +382,7 @@ def scheme_to_facet(scheme: CoefficientScheme) -> FacetSpec:
 
 def facet_to_scheme(fs: FacetSpec) -> CoefficientScheme:
     """Multiplicity counts of a facet choice as a coefficient scheme."""
-    weights: dict = {}
-    for i, subsets in enumerate(fs.S, start=1):
-        for M in subsets:
-            weights[(i, M)] = weights.get((i, M), 0) + 1
+    weights = Counter((i, M) for i, subsets in enumerate(fs.S, start=1) for M in subsets)
     return CoefficientScheme.from_weights(fs.K, weights)
 
 
@@ -395,15 +396,10 @@ def converse_complement_check(fs: FacetSpec) -> bool:
     """
     if not fs.counting_ok():
         raise ValueError("facet choice violates its counting constraint")
-    K = fs.K
     L = sum(fs.a)
-    full = frozenset(range(1, K + 1))
-    counts = [0] * K
-    for subsets in fs.S:
-        for M in subsets:
-            for m in full - M:
-                counts[m - 1] += 1
-    return all(counts[m - 1] == L - fs.a[m - 1] for m in range(1, K + 1))
+    full = frozenset(range(1, fs.K + 1))
+    counts = Counter(m for subsets in fs.S for M in subsets for m in full - M)
+    return all(counts[m] == L - a_m for m, a_m in enumerate(fs.a, start=1))
 
 
 def facet_to_dict(fs: FacetSpec) -> dict:

@@ -3,6 +3,7 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from dicregion.channel import (
@@ -17,7 +18,7 @@ from dicregion.channel import (
     save_channel,
     validate_injectivity,
 )
-from dicregion.entropy import check_injectivity_identity
+from dicregion.entropy import InputDistribution, build_entropy_table, check_injectivity_identity
 from dicregion.errors import ChannelFormatError
 
 from conftest import parity3_channel, product_channel, random_full_support, xor_channel
@@ -155,6 +156,28 @@ def test_v_index_encoding_and_tuples_reject_out_of_range_users(xor):
             encode_v_tuple(xor, i, (0, 0))
         with pytest.raises(ValueError, match="user index"):
             xor.v_tuples_for(i)
+
+
+def test_user_indices_must_be_integers(xor):
+    # v_tuples_for(1.5) returned all 4 tuples over both users, decode_v_index
+    # answered for 1.0, interference_of raised a raw TypeError and
+    # h_y_given_v an IndexError.
+    table = build_entropy_table(xor, InputDistribution.uniform(xor))
+    for i in (1.5, 1.0, True, "1", None):
+        calls = [
+            lambda: xor.v_tuples_for(i),
+            lambda: decode_v_index(xor, i, 0),
+            lambda: encode_v_tuple(xor, i, (0,)),
+            lambda: interference_of(xor, i, 0),
+            lambda: output_of(xor, i, 0, (0,)),
+            lambda: table.h_y_given_v(i, {2}),
+            lambda: table.h_y_given_v(1, {i}),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="user index .* is not an integer"):
+                call()
+    assert decode_v_index(xor, np.int64(1), 1) == (1,)
+    assert table.h_y_given_v(np.int64(1), {np.int64(2)}) == table.h_y_given_v(1, {2})
 
 
 def test_injectivity_matches_definition_by_exhaustion():

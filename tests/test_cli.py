@@ -7,10 +7,18 @@ from xml.etree import ElementTree
 
 import pytest
 
+from dicregion import cli
 from dicregion.channel import save_channel
 from dicregion.cli import main
 from dicregion.entropy import InputDistribution, save_distribution
-from dicregion.polytope import load_region, region_to_dict, regions_equal, save_region
+from dicregion.errors import UnboundedDirectionError
+from dicregion.polytope import (
+    load_region,
+    region_to_dict,
+    regions_equal,
+    save_region,
+    support_value,
+)
 
 from conftest import parity3_channel, xor_channel
 from test_polytope import R, UNIT_SIMPLEX, UNIT_SQUARE
@@ -153,6 +161,21 @@ def test_region_stdout_json(xor_file, uniform2_file, capsys):
     assert doc["dim"] == 2 and doc["labels"] == ["R1", "R2"]
 
 
+@pytest.mark.parametrize("probs, message", [
+    (((0.2, 0.3, 0.5), (0.5, 0.5)), "error: user 1: distribution over 3 symbols, alphabet size 2"),
+    (((0.5, 0.5),), "error: distribution has 1 users, channel has 2"),
+], ids=["three-symbols", "one-user"])
+def test_region_rejects_a_distribution_that_does_not_fit_the_channel(
+    xor_file, tmp_path, probs, message, capsys
+):
+    path = tmp_path / "dist.json"
+    save_distribution(InputDistribution(probs), path)
+    assert main(["region", xor_file, str(path), "--method", "hk-project"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_compare_equal_and_unequal(tmp_path, capsys):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -163,6 +186,37 @@ def test_compare_equal_and_unequal(tmp_path, capsys):
     save_region(UNIT_SQUARE, b)
     assert main(["compare", str(a), str(b)]) == 1
     assert "violated" in capsys.readouterr().out
+
+
+def test_compare_regions_of_different_dimensions(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_region(UNIT_SQUARE, a)
+    save_region(R(3, [((1, 1, 1), 1.0)]), b)
+    assert main(["compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == "unequal: dimensions differ (2 vs 3)\n"
+
+
+def test_compare_equal_unbounded_half_planes(tmp_path, monkeypatch, capsys):
+    # x1 + x2 <= 1, written twice with different scales: no spot direction
+    # is bounded, and both regions must say so alike.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_region(R(2, [((1, 1), 1.0)]), a)
+    save_region(R(2, [((2, 2), 2.0)]), b)
+    answers = []
+
+    def counting_support(region, direction, tol):
+        try:
+            value = support_value(region, direction, tol)
+        except UnboundedDirectionError:
+            answers.append(None)
+            raise
+        answers.append(value)
+        return value
+
+    monkeypatch.setattr(cli, "support_value", counting_support)
+    assert main(["compare", str(a), str(b), "--directions", "6"]) == 0
+    assert capsys.readouterr().out.startswith("equal within tol")
+    assert answers == [None] * 12
 
 
 EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])

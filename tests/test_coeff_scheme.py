@@ -199,6 +199,31 @@ def test_scheme_validation():
     assert CoefficientScheme(2, ((1, frozenset(), 0),)) == S(2, [])
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"K": 2.0, "c": []}, "positive integer"),
+    ({"K": 1.5, "c": []}, "positive integer"),
+    ({"K": True, "c": []}, "positive integer"),
+    ({"K": 0, "c": []}, "positive integer"),
+    ({"K": 2, "c": [{"i": 1.0, "M": [1], "w": 1}]}, "out of range"),
+    ({"K": 2, "c": [{"i": True, "M": [1], "w": 1}]}, "out of range"),
+    ({"K": 2, "c": [{"i": 1, "M": [1.0], "w": 1}]}, "non-integer member"),
+    ({"K": 2, "c": [{"i": 1, "M": [True], "w": 1}]}, "non-integer member"),
+    ({"K": 2, "c": [{"i": 1, "M": [1], "w": True}]}, "nonnegative integer"),
+])
+def test_scheme_documents_need_integer_sizes_receivers_members_and_weights(doc, message):
+    # K = 2.0 and "i": 1.0 loaded and failed later in de_of, K = True and
+    # "w": true loaded as 1, and a float member raised a raw TypeError.
+    with pytest.raises(ValueError, match=message):
+        scheme_from_dict(doc)
+
+
+def test_scheme_entries_are_plain_ints():
+    wide = CoefficientScheme(np.int64(2), ((np.int64(1), frozenset({np.int64(2)}), np.int64(3)),))
+    assert wide == S(2, [(1, {2}, 3)])
+    assert scheme_to_dict(wide) == {"K": 2, "c": [{"i": 1, "M": [2], "w": 3}]}
+    assert all(type(v) is int for i, M, w in wide.entries for v in (i, *M, w))
+
+
 def test_reduction_properties_on_random_schemes():
     rng = random.Random(11)
     tables = {}

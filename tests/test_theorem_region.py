@@ -294,6 +294,33 @@ def test_relabel_facet_swap():
         relabel_facet(fs, (1, 1))
 
 
+def test_facet_weights_members_and_relabelings_are_integers():
+    # Weights 1.9, True and a document's 1.5 used to be truncated to 1;
+    # member 0 raised "negative shift count", member 1.0 and the
+    # relabeling [2.0, 1.0] a raw TypeError.
+    one = (frozenset({1}),)
+    for a in ((1.9, 0), (True, 0), (1.0, 0)):
+        with pytest.raises(ValueError, match="receiver 1: weight .* is not an integer"):
+            FacetSpec(a, (one, ()))
+    with pytest.raises(ValueError, match="receiver 1: weight 1.5 is not an integer"):
+        facet_from_dict({"a": [1.5, 0], "S": [[[1]], []]})
+    with pytest.raises(ValueError, match=r"receiver 1: subset \[0\] not within 1..2"):
+        FacetSpec((1, 0), ((frozenset({0}),), ()))
+    for member in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="receiver 2: subset .* non-integer member"):
+            FacetSpec((0, 1), ((), (frozenset({member}),)))
+    fs = FS((2, 1), [[{1, 2}, set()], [{1}]])
+    for perm in ((2.0, 1.0), (True, 2)):
+        with pytest.raises(ValueError, match="not a permutation of 1..2"):
+            relabel_facet(fs, perm)
+    # numpy integers are integers, and come out as plain ints.
+    same = FacetSpec((np.int64(2), np.int64(1)), (
+        (frozenset({np.int64(1), np.int64(2)}), frozenset()), (frozenset({np.int64(1)}),)))
+    assert same == fs and facet_to_dict(same) == facet_to_dict(fs)
+    assert all(type(v) is int for v in same.a)
+    assert relabel_facet(fs, np.array([2, 1])) == relabel_facet(fs, (2, 1))
+
+
 def test_scheme_to_facet_multiplicity():
     scheme = CoefficientScheme.from_weights(2, {(1, frozenset({1})): 2})
     fs = scheme_to_facet(scheme)
