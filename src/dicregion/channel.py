@@ -50,6 +50,9 @@ class ChannelSpec:
             input x.
         f_tables: f_tables[i-1][x][r] is receiver i's output for own input x
             and interference tuple decoded from the mixed-radix index r.
+
+    Every field holds ints or numpy integers, never bools (ChannelFormatError
+    otherwise), and is stored as plain ints.
     """
 
     K: int
@@ -68,19 +71,26 @@ class ChannelSpec:
             tuple(tuple(tuple(row) for row in table) for table in self.f_tables),
         )
         self._validate_structure()
+        # Numpy integers pass the checks; plain ints keep the spec writable as JSON.
+        object.__setattr__(self, "K", int(self.K))
+        object.__setattr__(self, "x_alphabet_sizes", tuple(map(int, self.x_alphabet_sizes)))
+        object.__setattr__(self, "g_tables", tuple(tuple(map(int, row)) for row in self.g_tables))
         images = tuple(tuple(sorted(set(row))) for row in self.g_tables)
         object.__setattr__(self, "v_images", images)
         self._validate_f_tables()
+        f = (tuple(row if set(map(type, row)) <= {int} else tuple(map(int, row)) for row in table)
+             for table in self.f_tables)
+        object.__setattr__(self, "f_tables", tuple(f))
 
     def _validate_structure(self):
-        if not isinstance(self.K, int) or self.K < 2:
+        if not _is_int(self.K) or self.K < 2:
             raise ChannelFormatError(f"K must be an integer >= 2, got {self.K!r}")
         if len(self.x_alphabet_sizes) != self.K:
             raise ChannelFormatError(
                 f"expected {self.K} alphabet sizes, got {len(self.x_alphabet_sizes)}"
             )
         for i, size in enumerate(self.x_alphabet_sizes, start=1):
-            if not isinstance(size, int) or size < 1:
+            if not _is_int(size) or size < 1:
                 raise ChannelFormatError(f"user {i}: alphabet size must be >= 1")
         if len(self.g_tables) != self.K:
             raise ChannelFormatError(f"expected {self.K} interference tables")
@@ -91,7 +101,7 @@ class ChannelSpec:
                     f"alphabet size is {self.x_alphabet_sizes[i - 1]}"
                 )
             for x, v in enumerate(row):
-                if not isinstance(v, int):
+                if not _is_int(v):
                     raise ChannelFormatError(f"user {i}: g({x}) is not an integer")
 
     def _validate_f_tables(self):
@@ -113,11 +123,9 @@ class ChannelSpec:
                         f"receiver {i}, input {x}: output row has {len(row)} "
                         f"entries, expected {n_tuples} interference tuples"
                     )
-                for y in row:
-                    if not isinstance(y, int):
-                        raise ChannelFormatError(
-                            f"receiver {i}, input {x}: non-integer output entry"
-                        )
+                # Plain ints take the fast type test: tables run to thousands of entries.
+                if not (set(map(type, row)) <= {int} or all(map(_is_int, row))):
+                    raise ChannelFormatError(f"receiver {i}, input {x}: non-integer output entry")
 
     def other_users(self, i: int) -> tuple[int, ...]:
         """Users j != i in increasing order."""

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +41,19 @@ _LAYOUT_ENTRIES = 1 << 18  # most (mask, cell) entries of a channel layout kept 
 class InputDistribution:
     """Product input distribution: probs[i-1][x] = p_i(x).
 
-    Each per-user vector must be finite, nonnegative and sum to 1 within 1e-12.
+    Each per-user vector must hold real numbers (not bools or strings) that
+    are finite, nonnegative and sum to 1 within 1e-12.
     """
 
     probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(tuple(map(float, row)) for row in self.probs))
+        rows = tuple(tuple(row) for row in self.probs)
+        for i, row in enumerate(rows, start=1):
+            for p in row:
+                if type(p) is not float and (not isinstance(p, numbers.Real) or isinstance(p, bool)):
+                    raise ValueError(f"user {i}: probability entry {p!r} is not a real number")
+        object.__setattr__(self, "probs", tuple(tuple(map(float, row)) for row in rows))
         for i, row in enumerate(self.probs, start=1):
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"user {i}: non-finite probability entry")
@@ -293,7 +300,7 @@ def load_distribution(path) -> InputDistribution:
         data = json.load(fh)
     try:
         return InputDistribution(tuple(tuple(row) for row in data["p"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
 
 

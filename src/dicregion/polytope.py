@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress, count
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -242,11 +242,16 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     others keeps it.  Step A: over the kept rows, drop, or keep when the
     optimum violates no other row by over tol.  Step B: the LP over all
     others, output-sensitively (Clarkson, FOCS 1994): the working set gains
-    the rows its optimum violates most, doubling, until none is violated
-    (keep) or the value is <= b_k + tol.  Step C: those last rows over the
-    kept rows again, drop.  Rows left open (ties: scaled duplicates, two
-    rows on one face of a lower-dimensional region), and all rows when some
-    b_i < 0, take one LP over the rows alive at their turn (`_implied`).
+    the rows its optimum violates most, doubling by at least 5, until none is
+    violated (keep) or the value is <= b_k + tol; once it holds 1/16 of the
+    rows, a next round that fits one `maximize_batch` stack takes all others
+    and so decides every row.  Step C: a row step B bounded is dropped when
+    every working row tight at its optimum ends kept (by complementary
+    slackness they bound a_k.x by the same value); the other bounded rows
+    are tested over the kept rows again and dropped when bounded.  Rows
+    left open (ties: scaled duplicates, two rows on one face of a
+    lower-dimensional region), and all rows when some b_i < 0, take one LP
+    over the rows alive at their turn (`_implied`).
     """
     if not tol < 1:
         raise ValueError(f"prune tolerance must be below 1, got {tol}")
@@ -258,15 +263,17 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     dropped = np.zeros(len(lhs), dtype=bool)
     if not kept.all() and b.min() >= 0:
         _certify(A, b, kept, dropped, tol)
-    test_order = sorted(
-        range(len(lhs)),
-        key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
-    )
-    alive = np.ones(len(lhs), dtype=bool)
-    for k in test_order:
-        if not kept[k]:
-            alive[k] = False  # k is tested against the others
-            alive[k] = not dropped[k] and not _implied(A, b, k, alive, tol)
+    if (kept | dropped).all():  # no open row: no turn changes the mask
+        alive = ~dropped
+    else:
+        alive = np.ones(len(lhs), dtype=bool)
+        for k in sorted(
+            range(len(lhs)),
+            key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
+        ):
+            if not kept[k]:
+                alive[k] = False  # k is tested against the others
+                alive[k] = not dropped[k] and not _implied(A, b, k, alive, tol)
     return Region._from_rows(region.dim, compress(lhs, alive), b[alive], region.labels)
 
 
@@ -283,26 +290,33 @@ def _certify(A, b, kept, dropped, tol):
     in `kept` and certified drops in `dropped`."""
     tested = np.flatnonzero(~kept)
     working = np.tile(kept, (len(tested), 1))  # step A: the kept rows
-    implied = [tested[:0]]
-    for step in count():
+    bounded_rows, tight = [], []
+    while tested.size:
         values, X = _capped(A, b, working, tested, tol)
         bounded = values <= b[tested] + tol
-        if step == 0:
-            dropped[tested[bounded]] = True
-        else:
-            implied.append(tested[bounded])
         excess = X @ A.T - b
+        bounded_rows.append(tested[bounded])
+        tight.append(working[bounded] & (excess[bounded] >= -tol))
         excess[working] = -np.inf  # enforced by the LP: only new rows join
         excess[np.arange(len(tested)), tested] = -np.inf
         grow = ~bounded & (excess.max(1) > tol)
         kept[tested[~bounded & ~grow]] = True
         tested, working, excess = tested[grow], working[grow], excess[grow]
-        if not tested.size:
-            break
-        size = working[0].sum()  # step B: the most violated rows join
-        top = np.argsort(-excess, axis=1, kind="stable")[:, : min(max(5, size), len(b) - 1 - size)]
+        # Step B: the most violated rows join, at least 5 and as many as the
+        # set holds, and every other row once it holds 1/16 of the rows and
+        # that round fits one `maximize_batch` stack: a larger one would pay
+        # for its tableau cells far more than for the rounds it saves.
+        size = working[:1].sum()  # 0 once no row is left
+        rest = len(b) - 1 - size
+        fits = len(tested) * (len(b) + 1) * (2 * A.shape[1] + 1) <= lp._BATCH_CELLS
+        top = np.argsort(-excess, axis=1, kind="stable")
+        top = top[:, : rest if fits and 16 * size >= len(b) - 1 else min(max(5, size), rest)]
         working[np.arange(len(tested))[:, None], top] = True
-    tested = np.concatenate(implied)
+    # A bounded row whose tight working rows all end kept is bounded by the
+    # kept rows alone (complementary slackness); step C tests the others.
+    tested, open_ = np.concatenate(bounded_rows), (np.concatenate(tight) & ~kept).any(1)
+    dropped[tested[~open_]] = True
+    tested = tested[open_]
     if tested.size:  # step C
         dropped[tested[_capped(A, b, kept, tested, tol)[0] <= b[tested] + tol]] = True
 

@@ -110,6 +110,33 @@ def test_malformed_tables_are_structural_errors():
         ChannelSpec(K=1, x_alphabet_sizes=(2,), g_tables=((0, 1),), f_tables=(((0,), (1,)),))
 
 
+@pytest.mark.parametrize("sizes, g, f", [
+    ((2, True), ((0, 1), (0,)), (((0,), (1,)), ((0, 1),))),  # a one-symbol user
+    ((2, 2), ((False, True), (0, 1)), (((0, 1), (1, 0)), ((0, 1), (1, 0)))),
+    ((2, 2), ((0, 1), (0, 1)), (((False, True), (1, 0)), ((0, 1), (1, 0)))),
+], ids=["alphabet-size", "g-entry", "f-entry"])
+def test_bool_table_entries_are_not_integers(sizes, g, f):
+    # With its bools written as ints, each table loads.
+    ChannelSpec(K=2, x_alphabet_sizes=tuple(map(int, sizes)),
+                g_tables=tuple(tuple(map(int, row)) for row in g),
+                f_tables=tuple(tuple(tuple(map(int, row)) for row in t) for t in f))
+    with pytest.raises(ChannelFormatError):
+        ChannelSpec(K=2, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
+
+
+def test_numpy_integer_tables_load_as_plain_ints(tmp_path):
+    # Numpy integers pass the integer checks; the spec stores plain ints, so
+    # it still saves as JSON.
+    xor = xor_channel()
+    spec = ChannelSpec(K=np.int64(2), x_alphabet_sizes=np.array(xor.x_alphabet_sizes),
+                       g_tables=np.array(xor.g_tables), f_tables=np.array(xor.f_tables))
+    assert spec == xor
+    fields = (spec.K, *spec.x_alphabet_sizes, *sum(spec.g_tables, ()), *sum(sum(spec.f_tables, ()), ()))
+    assert {type(v) for v in fields} == {int}
+    save_channel(spec, tmp_path / "xor.json")
+    assert load_channel(tmp_path / "xor.json") == xor
+
+
 def test_v_alphabet_is_induced_image():
     # g values with gaps: the induced alphabet is exactly the image.
     spec = ChannelSpec(

@@ -59,6 +59,19 @@ def test_validate_truncated_file(tmp_path, capsys):
     assert "could not read" in capsys.readouterr().err
 
 
+def test_bool_and_string_entries_in_input_files_exit_2(xor_file, tmp_path, capsys):
+    chan, dist = tmp_path / "bool.json", tmp_path / "strings.json"
+    doc = json.loads(open(xor_file).read())
+    doc["g"][0] = [False, True]
+    chan.write_text(json.dumps(doc))
+    dist.write_text(json.dumps({"p": [["0.5", "0.5"], [True, False]]}))
+    assert main(["validate", str(chan)]) == 2
+    assert capsys.readouterr().err.endswith("user 1: g(0) is not an integer\n")
+    assert main(["region", xor_file, str(dist), "--method", "hk-project"]) == 2
+    err = capsys.readouterr().err
+    assert "malformed distribution document: user 1: probability entry '0.5'" in err
+
+
 def test_region_both_methods_agree(xor_file, uniform2_file, tmp_path):
     out_a = tmp_path / "hk.json"
     out_b = tmp_path / "thm.json"

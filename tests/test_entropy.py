@@ -447,6 +447,15 @@ def test_distribution_validation():
             InputDistribution(((0.5, 0.5), (bad, 1.0)))
 
 
+def test_distribution_entries_must_be_real_numbers():
+    # Strings and bools used to load through float(): "0.5" as 0.5, True as 1.0.
+    for probs in ((("0.5", "0.5"), (0.5, 0.5)), ((0.5, 0.5), (True, False))):
+        with pytest.raises(ValueError, match="is not a real number"):
+            InputDistribution(probs)
+    ints_and_numpy = InputDistribution(((1, 0), (np.float32(0.5), np.float64(0.5))))
+    assert ints_and_numpy.probs == ((1.0, 0.0), (0.5, 0.5))
+
+
 def test_point_mass_takes_one_symbol_per_user_from_its_alphabet(xor):
     # A one-symbol list used to give a one-user distribution.
     assert InputDistribution.point_mass(xor, [1, 0]).probs == ((0.0, 1.0), (1.0, 0.0))

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import dicregion.lp
+import dicregion.polytope
 from dicregion.entropy import InputDistribution, build_entropy_table
 from dicregion.hk_region import (
     aggregate_labels,
@@ -334,7 +335,8 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     # 34,432 constraint rows to the LP; the working-set LPs pass 14,546, and
     # 1,180 once the pinned private rates are dropped by column.  k4-unpinned
     # eliminates every private rate and passes 17,966.  Batched certificates
-    # pass 1,313 and 11,977 (kernel members times their rows).
+    # pass 1,313 and 11,977 (kernel members times their rows), and 1,302 and
+    # 14,615 once step B jumps to all other rows at 1/16 of the rows.
     rng = random.Random(seed)
     spec = random_injective_channel(rng, K, max_x)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
@@ -354,6 +356,61 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     region = project_to_aggregate(a1)
     assert len(region.inequalities) == n_rows
     assert sum(rows) <= 20_000
+
+
+def _binary_k6():
+    rng = random.Random(2)
+    spec = random_injective_channel(rng, 6, 2)
+    return spec, random_full_support(rng, spec)
+
+
+def _sweep_k4_x8():
+    """The K=4 channel with alphabets of 8 that perfbench's sweep-k4-x8 uses."""
+    spec = injective_channel_of_sizes(random.Random("sweep-k4-x8/channel"), [8] * 4)
+    return spec, random_full_support(random.Random("sweep-k4-x8/0"), spec)
+
+
+@pytest.mark.parametrize("case, n_rows, most_calls", [(_binary_k6, 50, 3), (_sweep_k4_x8, 23, 11)],
+                         ids=["binary-k6", "k4-x8"])
+def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls):
+    # One maximize_batch call is one round of certificate LPs.  Doubling the
+    # working sets until no row was violated, then testing every row step B
+    # bounded over the kept rows again, took 5 and 18 calls on these inputs.
+    spec, dist = case()
+    a1 = build_A1(spec, table_for(spec, dist))
+    maximize_batch, calls = dicregion.lp.maximize_batch, []
+
+    def counting_batch(C, A, b, tol=1e-9):
+        calls.append(len(C))
+        return maximize_batch(C, A, b, tol=tol)
+
+    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
+    assert len(project_to_aggregate(a1).inequalities) == n_rows
+    assert len(calls) <= most_calls
+
+
+def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypatch):
+    # With a stack cut to 2^15 tableau cells, the 63 members of the one prune
+    # here keep doubling (6, 12, 24 rows) until few enough are left to take
+    # every other row; the region is the same.  On the K=10 facet route,
+    # 284 members taking 966 rows each made the final prune 40% slower.
+    spec, dist = _binary_k6()
+    a1 = build_A1(spec, table_for(spec, dist))
+    region = project_to_aggregate(a1)
+    capped, rounds = dicregion.polytope._capped, []
+
+    def recording(A, b, rows, tested, tol):
+        if rows.ndim == 2:  # steps A and B
+            size = rows[0].sum()
+            rounds.append((size, len(tested) * (len(b) + 1) * (2 * A.shape[1] + 1)))
+        return capped(A, b, rows, tested, tol)
+
+    monkeypatch.setattr(dicregion.lp, "_BATCH_CELLS", 2**15)
+    monkeypatch.setattr(dicregion.polytope, "_capped", recording)
+    assert project_to_aggregate(a1) == region
+    jumps = [cells for (was, _), (size, cells) in zip(rounds, rounds[1:]) if size > 2 * max(5, was)]
+    assert [size for size, _ in rounds[:3]] == [6, 12, 24]
+    assert jumps and max(jumps) <= 2**15
 
 
 def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):

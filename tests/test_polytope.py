@@ -145,12 +145,14 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     ]
     rng = random.Random(17)
     randoms = []
-    for trial in range(500):
-        dim = rng.randint(1, 4)
+    for trial in range(600):
+        # From trial 500 on, 17 rows or more in 2-4 variables, so that step
+        # B's working sets grow, then jump to all other rows at 1/16 of them.
+        dim = rng.randint(1, 4) if trial < 500 else rng.randint(2, 4)
         low = -3 if trial < 300 else 0  # then every b >= 0, so certificates decide rows
         rows = [
             (tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(low, 6)))
-            for _ in range(rng.randint(2, 12))
+            for _ in range(rng.randint(2, 12) if trial < 500 else rng.randint(17, 40))
         ]
         rows += [(tuple(m * c for c in coeffs), m * rhs) for coeffs, rhs in rows[:2] for m in (2, 3)]
         if trial >= 300 and rng.random() < 0.5:
@@ -179,6 +181,26 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
     # Certificates leave ties to the plain test: some b >= 0 rows reach it.
     assert any(tested) and not all(tested)
+
+
+def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
+    # In the box, x1 + x2 <= 2 is bounded in step B at (1, 1), where only
+    # x1 <= 1 and x2 <= 1 are tight, and both end kept: no step-C batch runs.
+    # 2x1 + x2 <= 3 is tight there too but is dropped, so with it both
+    # bounded rows take the step-C LP over the kept rows.
+    maximize_batch, members = lp.maximize_batch, []
+
+    def counting_batch(C, A, b, tol=1e-9):
+        members.append(len(C))
+        return maximize_batch(C, A, b, tol=tol)
+
+    monkeypatch.setattr(lp, "maximize_batch", counting_batch)
+    box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
+    for extra, batches in [([((1, 1), 2.0)], [3, 1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [4, 3, 2])]:
+        members.clear()
+        pruned = prune_redundant(R(2, box + extra))
+        assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
+        assert members == batches
 
 
 def test_is_subset_examples():
