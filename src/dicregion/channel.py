@@ -242,8 +242,9 @@ def validate_injectivity(spec: ChannelSpec) -> InjectivityReport:
 
 
 def _is_int(v) -> bool:
-    """Is v an int or a numpy integer (never a bool)?"""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+    """Is v an int or a numpy integer (never a bool)?  A plain int takes
+    the one type test."""
+    return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _check_user(K: int, i: int):

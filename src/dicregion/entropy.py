@@ -2,20 +2,22 @@
 
 An `EntropyTable` is the (K, 2^K) array of the H(Y_i | V_T), which come from
 exact marginalization, at each receiver, of the joint pmf over its output
-table.  The grouping of the cells by code depends only on the channel: the
-layout of the last channel with at most _LAYOUT_ENTRIES (mask, cell) entries
-is cached, so a table for that channel, or an equal one, only re-weights it;
-a larger channel's codes are sorted in blocks of at most _BLOCK_CODES, which
-bounds the transient memory.  No entry depends on either bound.
+table.  The grouping of the cells by code depends only on the channel, so the
+layouts of recently used channels are cached, together at most
+_LAYOUT_ENTRIES (mask, cell) entries, and a table for such a channel, or an
+equal one, only re-weights its layout; a larger channel's codes are sorted in
+blocks of at most _BLOCK_CODES, which bounds the transient memory.  No entry
+depends on either bound.
 Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +36,7 @@ __all__ = [
 
 _SUM_TOL = 1e-12
 _BLOCK_CODES = 1 << 12  # most codes sorted by one np.unique call
-_LAYOUT_ENTRIES = 1 << 18  # most (mask, cell) entries of a channel layout kept for reuse
+_LAYOUT_ENTRIES = 1 << 18  # most (mask, cell) entries of the channel layouts kept for reuse
 
 
 @dataclass(frozen=True)
@@ -148,8 +150,8 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     cells of its output table, as H(V_T, Y_i) - sum_{j in T} H(V_j); an entry
     is exactly 0.0 when Y_i is a function of V_T on the positive-weight cells.
     H(V_T) is summed in increasing j.  The cells' grouping by code depends
-    only on the channel, so the layout of the last channel small enough to
-    cache is reused for that channel or an equal one.
+    only on the channel, so a cached layout (`_Layouts`) is reused for that
+    channel or an equal one.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -199,20 +201,51 @@ def _cell_weights(spec: ChannelSpec, dist: InputDistribution):
 
 
 def _layout_of(spec: ChannelSpec):
-    """The channel's layout, from the cache if its (mask, cell) entries fit
-    _LAYOUT_ENTRIES."""
+    """The channel's layout, from `_layouts` unless its (mask, cell) entries
+    exceed _LAYOUT_ENTRIES."""
     n_v = math.prod(len(image) for image in spec.v_images)
     cells = (n * n_v // len(image) for n, image in zip(spec.x_alphabet_sizes, spec.v_images))
-    if sum(cells) << spec.K <= _LAYOUT_ENTRIES:
-        return _kept_layout(spec)
-    return _build_layout(spec, keep=False)
+    return _layouts.get(spec, sum(cells) << spec.K)
 
 
-@functools.lru_cache(maxsize=1)
-def _kept_layout(spec: ChannelSpec):
-    """Shared by every caller, as a layout is never written; concurrent
-    callers at worst build one twice."""
-    return _build_layout(spec, keep=True)
+class _Layouts:
+    """LRU cache of channel layouts, keyed by ChannelSpec.  Each layout is
+    charged max(entries, _BLOCK_CODES) against _LAYOUT_ENTRIES, so at most
+    _LAYOUT_ENTRIES // _BLOCK_CODES layouts, and never more entries than one
+    layout of the whole budget, are kept; one charged over the budget is
+    built for its table alone.  Shared by every caller, as a layout is never
+    written: the lock guards only the bookkeeping, so concurrent callers at
+    worst build one twice."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._kept = OrderedDict()  # spec -> (layout, charge), least recently used first
+        self.charged = 0
+
+    def get(self, spec: ChannelSpec, entries: int):
+        charge = max(entries, _BLOCK_CODES)
+        if charge > _LAYOUT_ENTRIES:
+            return _build_layout(spec, keep=False)
+        with self._lock:
+            if spec in self._kept:
+                self._kept.move_to_end(spec)
+                return self._kept[spec][0]
+        layout = _build_layout(spec, keep=True)
+        with self._lock:
+            if spec not in self._kept:
+                self._kept[spec] = layout, charge
+                self.charged += charge
+            while self.charged > _LAYOUT_ENTRIES:
+                self.charged -= self._kept.popitem(last=False)[1][1]
+        return layout
+
+    def clear(self):
+        with self._lock:
+            self._kept.clear()
+            self.charged = 0
+
+
+_layouts = _Layouts()
 
 
 def _build_layout(spec: ChannelSpec, keep: bool):

@@ -17,18 +17,26 @@ when user i's interference reveals its input (every binary user, for one);
 such a pinned rate is eliminated by dropping its column, an exact slice
 that needs no LP.  The others go user by user, with redundancy pruning
 before every elimination so the intermediate systems stay small.
+
+The substitution, its unit rows and the slice depend only on the left-hand
+sides, which every `build_A1` region with this K shares as `_a1_lhs(K)`, and
+on the kept columns; they are cached under the identity of the lhs tuple,
+so a projection reads only its right-hand sides to find the pinned rates.
 """
 
 from __future__ import annotations
 
 import functools
+from itertools import compress
+
+import numpy as np
 
 from .channel import ChannelSpec
 from .entropy import EntropyTable
+from .errors import InfeasibleRegionError
 from .polytope import (
     Region,
     _nonneg_lhs,
-    _nonzero_rows,
     canonicalize,
     fm_eliminate,
     prune_redundant,
@@ -41,6 +49,8 @@ __all__ = [
     "build_A1",
     "project_to_aggregate",
 ]
+
+_FORMS = 16  # substituted split systems, and as many slices, kept for reuse
 
 
 def aggregate_projection_matrix(K: int) -> tuple[tuple[int, ...], ...]:
@@ -86,6 +96,43 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 
+class _Same:
+    """A key equal only to a key of the same object, hashed by its id: the
+    key holds the object, so the id stays its own while a cache keeps it."""
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj):
+        self.obj = obj
+
+    def __hash__(self):
+        return id(self.obj)
+
+    def __eq__(self, other):
+        return self.obj is other.obj
+
+
+@functools.lru_cache(maxsize=_FORMS)
+def _substituted(lhs: _Same):
+    """The split rows with R_ic = R_i - R_ip substituted, since
+    c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user; the positions
+    of its unit rows +-x_k, and their (k, sign) pairs."""
+    rows = tuple(tuple(p - c for p, c in zip(coeffs[0::2], coeffs[1::2])) + coeffs[1::2]
+                 for coeffs in lhs.obj)
+    units = {r: next((k, c) for k, c in enumerate(coeffs) if c)
+             for r, coeffs in enumerate(rows) if sum(map(abs, coeffs)) == 1}
+    return rows, np.array(list(units), dtype=int), tuple(units.values())
+
+
+@functools.lru_cache(maxsize=_FORMS)
+def _sliced(lhs: _Same, keep: tuple[int, ...]):
+    """The substituted rows restricted to the columns `keep`: the nonzero
+    restricted rows, their positions, and the positions of the zero ones."""
+    rows = [tuple(coeffs[k] for k in keep) for coeffs in _substituted(lhs)[0]]
+    nonzero = np.array([any(coeffs) for coeffs in rows], dtype=bool)
+    return tuple(compress(rows, nonzero)), np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+
+
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     """Project the rate-splitting region onto aggregate rates (R_1, ..., R_K).
 
@@ -101,23 +148,18 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     if a1.labels != expected:
         raise ValueError(f"split region labels {a1.labels} != expected {expected}")
 
-    # c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user.
-    rows = []
-    zero_units = set()  # (column, sign) of the unit rows +-R_ip <= 0
-    for coeffs, rhs in zip(a1.lhs, a1.rhs.tolist()):
-        private, common = coeffs[0::2], coeffs[1::2]
-        coeffs = tuple(p - c for p, c in zip(private, common)) + common
-        rows.append((coeffs, rhs))
-        if rhs == 0.0 and sum(map(abs, coeffs)) == 1:
-            j = next(k for k, c in enumerate(coeffs) if c)
-            zero_units.add((j, coeffs[j]))
     # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
     # slice R_ip = 0: drop the column, with no prune and no cross rows.
-    keep = [k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units]
-    sliced = list(_nonzero_rows(((tuple(c[k] for k in keep), b) for c, b in rows), tol))
+    key, rhs = _Same(a1.lhs), a1.rhs
+    unit_rows, units = _substituted(key)[1:]
+    zero_units = set(compress(units, rhs[unit_rows] == 0.0))
+    keep = tuple(k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units)
+    lhs, rows, zero_rows = _sliced(key, keep)
+    low = rhs[zero_rows] < -tol
+    if low.any():
+        raise InfeasibleRegionError(f"the system implies 0 <= {rhs[zero_rows][low][0].item()}")
     labels = expected[0::2] + aggregate_labels(K)
-    lhs, rhs = [c for c, _ in sliced], [b for _, b in sliced]
-    work = Region._from_rows(len(keep), lhs, rhs, tuple(labels[k] for k in keep))
+    work = Region._from_rows(len(keep), lhs, rhs[rows], tuple(labels[k] for k in keep))
 
     # A kept row free of the eliminated rate stays needed: its witness point meets every
     # other kept row, hence each row of the next system (a kept row or a sum of two).

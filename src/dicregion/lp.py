@@ -23,6 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import _is_int
+
 __all__ = ["LPResult", "System", "maximize", "maximize_batch", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
 OPTIMAL = "optimal"
@@ -62,8 +64,11 @@ class System:
             raise ValueError(f"constraint matrix has {m} rows, right-hand side has shape {b.shape}")
         if not (np.isfinite(A).all() and np.isfinite(b).all()):
             raise ValueError("constraint matrix and right-hand side must be finite")
+        nonneg = list(nonneg)
+        if not all(_is_int(j) and 0 <= j < n for j in nonneg):
+            raise ValueError(f"sign bounds {nonneg} are not variable indices in 0..{n - 1}")
         free = np.ones(n, dtype=bool)
-        free[list(nonneg)] = False
+        free[nonneg] = False
         free = np.flatnonzero(free)
         # Labels: u = 0..n-1, w_j = n+j for each free j, slacks 2n..2n+m-1;
         # `labels` holds the basis, then the nonbasic labels.  Columns: u,
@@ -152,7 +157,7 @@ def maximize(c, system: System) -> LPResult:
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 
-def maximize_batch(C, A, b, tol: float = 1e-9):
+def maximize_batch(C, A, b, tol: float = 1e-9, stop=None):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
@@ -160,28 +165,34 @@ def maximize_batch(C, A, b, tol: float = 1e-9):
     (phase 2 starts from the slack basis).  Each member makes `maximize`'s
     pivots with its arithmetic, so its x equals that of
     `maximize(C[i], System(A[i], b[i], tol=tol))` bit for bit and its value
-    is C[i] @ x.
+    is C[i] @ x.  `stop`, if given, is (B,) thresholds: member i finishes at
+    the first step whose objective row's rhs (the value of the feasible
+    basic point there) is above stop[i], and reports that point instead;
+    members whose threshold is inf or nan, or never passed, are unchanged.
     Returns (unbounded flags, values, X), inf and nan for unbounded members.
     """
     C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
+    stop = np.full(len(C), np.inf) if stop is None else np.asarray(stop, dtype=float)
     m = b.shape[1] if b.ndim == 2 else -1
     n = C.shape[1] if C.ndim == 2 else -1
-    if n < 0 or b.shape != (len(C), m) or A.shape != (len(C), m, n):
-        raise ValueError(f"C {C.shape}, A {A.shape} and b {b.shape} do not form one batch")
+    if n < 0 or b.shape != (len(C), m) or A.shape != (len(C), m, n) or stop.shape != (len(C),):
+        raise ValueError(
+            f"C {C.shape}, A {A.shape}, b {b.shape} and stop {stop.shape} do not form one batch"
+        )
     if not (b >= 0).all():
         raise ValueError("maximize_batch needs every right-hand side >= 0")
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
     step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A[s], b[s], tol, unbounded[s], X[s])
+        _solve_stack(C[s], A[s], b[s], stop[s], tol, unbounded[s], X[s])
     values = np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0])
     return unbounded, values, X
 
 
-def _solve_stack(C, A, b, tol, unbounded, X):
+def _solve_stack(C, A, b, stop, tol, unbounded, X):
     """`maximize`'s phase 2 on a stack of tableaus (no auxiliary column: with
     no phase 1 it stays zero), writing each member's flag and point as it
-    finishes; finished members leave the stack."""
+    finishes, at its optimum or its `stop`; finished members leave the stack."""
     (size, n), m = C.shape, b.shape[1]
     T = np.zeros((size, m + 1, 2 * n + 1))
     T[:, :m, :n], T[:, m, :n], T[:, :m, -1] = A, -C, b
@@ -194,17 +205,17 @@ def _solve_stack(C, A, b, tol, unbounded, X):
         j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
         col = T[at, :-1, j]
         pos = col > tol
-        done = ~(neg.any(1) & pos.any(1))
+        point = ~neg.any(1) | (T[:, -1, -1] > stop)  # optimal, or stopped
+        done = point | ~pos.any(1)
         if done.any():
-            optimal = ~neg.any(1)
-            unbounded[member[done & ~optimal]] = True
-            z = np.zeros((optimal.sum(), 2 * n + m))
-            z[np.arange(len(z))[:, None], basis[optimal]] = T[optimal, :-1, -1]
-            X[member[optimal]] = z[:, :n] - z[:, n : 2 * n]
+            unbounded[member[done & ~point]] = True
+            z = np.zeros((point.sum(), 2 * n + m))
+            z[np.arange(len(z))[:, None], basis[point]] = T[point, :-1, -1]
+            X[member[point]] = z[:, :n] - z[:, n : 2 * n]
             if done.all():
                 return
-            T, basis, nonbasic, member, j, col, pos = (
-                v[~done] for v in (T, basis, nonbasic, member, j, col, pos)
+            T, basis, nonbasic, member, stop, j, col, pos = (
+                v[~done] for v in (T, basis, nonbasic, member, stop, j, col, pos)
             )
             at = np.arange(len(T))
         ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)

@@ -245,7 +245,8 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     the rows its optimum violates most, doubling by at least 5, until none is
     violated (keep) or the value is <= b_k + tol; once it holds 1/16 of the
     rows, a next round that fits one `maximize_batch` stack takes all others
-    and so decides every row.  Step C: a row step B bounded is dropped when
+    and so decides every row, a keep at its first point above b_k + tol
+    (`_capped`).  Step C: a row step B bounded is dropped when
     every working row tight at its optimum ends kept (by complementary
     slackness they bound a_k.x by the same value); the other bounded rows
     are tested over the kept rows again and dropped when bounded.  Rows
@@ -279,10 +280,13 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
 
 def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
-    one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k."""
+    one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
+    Over all other rows, a point above b_k + tol already proves the optimum
+    is, so each member stops there (`maximize_batch`'s `stop`)."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
-    return lp.maximize_batch(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)[1:]
+    stop = b[tested] + tol if idx.shape[1] == len(b) else None
+    return lp.maximize_batch(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol, stop)[1:]
 
 
 def _certify(A, b, kept, dropped, tol):

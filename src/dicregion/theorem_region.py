@@ -253,8 +253,10 @@ def _lattice(spec, table, a_max, bump, max_facets):
     K = spec.K
     if a_max is None:
         a_max = default_a_max(K)
-    if a_max < 1:
-        raise ValueError(f"a_max must be >= 1, got {a_max}")
+    if not _is_int(a_max) or a_max < 1:
+        raise ValueError(f"a_max must be an integer >= 1, got {a_max!r}")
+    if not _is_int(max_facets):
+        raise ValueError(f"max_facets must be an integer, got {max_facets!r}")
     cells = (a_max + bump + 1) ** (2 * K)
     if cells > max_facets:
         raise EnumerationOverflowError(

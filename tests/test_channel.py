@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from dicregion import channel
 from dicregion.channel import (
     ChannelSpec,
     channel_from_dict,
@@ -122,6 +123,17 @@ def test_bool_table_entries_are_not_integers(sizes, g, f):
                 f_tables=tuple(tuple(tuple(map(int, row)) for row in t) for t in f))
     with pytest.raises(ChannelFormatError):
         ChannelSpec(K=2, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
+
+
+def test_integer_test_accepts_ints_and_numpy_integers_only():
+    class Count(int):
+        pass
+
+    accepted = [0, -3, 2**70, Count(2), np.int64(5), np.uint8(1), np.intp(-1)]
+    rejected = [True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None, 1 + 0j,
+                np.array(1), np.array([1])]
+    assert [channel._is_int(v) for v in accepted] == [True] * len(accepted)
+    assert [channel._is_int(v) for v in rejected] == [False] * len(rejected)
 
 
 def test_numpy_integer_tables_load_as_plain_ints(tmp_path):

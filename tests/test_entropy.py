@@ -323,13 +323,14 @@ def test_tables_on_revisited_channels_equal_tables_of_fresh_copies():
         assert table_bytes(build_entropy_table(spec, dist)) == expected[cases.index((spec, dist))]
 
 
-def counted_layout_builds(monkeypatch):
+def counted_layout_builds(monkeypatch, clear=True):
     builds = []
     build = entropy._build_layout
     monkeypatch.setattr(
         entropy, "_build_layout", lambda spec, keep: builds.append(spec) or build(spec, keep)
     )
-    entropy._kept_layout.cache_clear()
+    if clear:
+        entropy._layouts.clear()
     return builds
 
 
@@ -340,12 +341,40 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     for _ in range(5):
         build_entropy_table(a, random_full_support(rng, a))
     assert builds == [a]
-    assert entropy._kept_layout.cache_info()[:2] == (4, 1)  # hits, misses
+    assert list(entropy._layouts._kept) == [a] and entropy._layouts.charged == entropy._BLOCK_CODES
     build_entropy_table(b, InputDistribution.uniform(b))
     build_entropy_table(a, InputDistribution.uniform(a))
-    assert builds == [a, b, a]
+    assert builds == [a, b]  # the revisited channel's layout was still kept
     build_entropy_table(fresh_copy(a), InputDistribution.uniform(a))  # equal, not the same
-    assert len(builds) == 3
+    assert len(builds) == 2
+
+
+def test_least_recently_used_layout_leaves_once_the_budget_is_spent(monkeypatch):
+    # Each of these small layouts is charged _BLOCK_CODES: two fit the budget.
+    builds = counted_layout_builds(monkeypatch)
+    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 2 * entropy._BLOCK_CODES)
+    rng = random.Random(37)
+    a, b, c = (random_injective_channel(rng, 3, 3) for _ in range(3))
+    for spec in (a, b, a, c):
+        build_entropy_table(spec, InputDistribution.uniform(spec))
+    assert builds == [a, b, c]
+    assert list(entropy._layouts._kept) == [a, c]  # least recently used first
+    assert entropy._layouts.charged == 2 * entropy._BLOCK_CODES
+    build_entropy_table(b, InputDistribution.uniform(b))
+    assert builds == [a, b, c, b] and list(entropy._layouts._kept) == [c, b]
+
+
+def test_six_binary_channels_of_six_users_keep_their_layouts_across_rotations(monkeypatch):
+    # A rotation over several channels, as a benchmark pool runs them, used to
+    # rebuild the layout for every table: only the last channel's was kept.
+    # The channels are new to the cache, which is left as it is.
+    builds = counted_layout_builds(monkeypatch, clear=False)
+    rng = random.Random(41)
+    specs = [random_injective_channel(rng, 6, 2) for _ in range(6)]
+    for _ in range(2):
+        for spec in specs:
+            build_entropy_table(spec, random_full_support(rng, spec))
+    assert builds == specs
 
 
 def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypatch):
@@ -356,7 +385,8 @@ def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypa
     for (spec, dist), want in zip(cases, expected):
         assert table_bytes(build_entropy_table(spec, dist)) == want
     assert len(builds) == len(cases)
-    assert entropy._kept_layout.cache_info()[:4] == (0, 0, 1, 0)  # hits, misses, max, size
+    assert entropy._layouts.charged == 0
+    assert not entropy._layouts._kept
 
 
 @pytest.mark.parametrize("block_codes", [1, 64, None])
@@ -383,11 +413,16 @@ def test_layout_of_four_users_with_alphabets_of_eight_is_kept(monkeypatch):
                        f_tables=(rows,) * 4)
     builds = counted_layout_builds(monkeypatch)
     build_entropy_table(spec, InputDistribution.uniform(spec))
-    assert entropy._kept_layout.cache_info()[1:] == (1, 1, 1)  # misses, max, size
+    assert list(entropy._layouts._kept) == [spec]
+    assert entropy._layouts.charged == entropy._LAYOUT_ENTRIES  # it fills the budget alone
+    small = random_injective_channel(random.Random(43), 3, 3)
+    build_entropy_table(small, InputDistribution.uniform(small))
+    assert list(entropy._layouts._kept) == [small]
+    assert entropy._layouts.charged == entropy._BLOCK_CODES
     monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", entropy._LAYOUT_ENTRIES - 1)
     build_entropy_table(fresh_copy(spec), InputDistribution.uniform(spec))
-    assert entropy._kept_layout.cache_info()[:2] == (0, 1)  # the equal copy missed the cache
-    assert len(builds) == 2
+    assert list(entropy._layouts._kept) == [small]  # over the budget: built, never kept
+    assert len(builds) == 3
 
 
 def test_conditioning_monotonicity():

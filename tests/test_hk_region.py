@@ -7,12 +7,14 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 import dicregion.lp
 import dicregion.polytope
 from dicregion.entropy import InputDistribution, build_entropy_table
+from dicregion.errors import InfeasibleRegionError
 from dicregion.hk_region import (
     aggregate_labels,
     aggregate_projection_matrix,
@@ -347,9 +349,9 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
         rows.append(len(system))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
         rows.append(len(C) * len(b[0]))  # each member's rows
-        return maximize_batch(C, A, b, tol=tol)
+        return maximize_batch(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
@@ -380,13 +382,36 @@ def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls)
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_batch, calls = dicregion.lp.maximize_batch, []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
         calls.append(len(C))
-        return maximize_batch(C, A, b, tol=tol)
+        return maximize_batch(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
     assert len(project_to_aggregate(a1).inequalities) == n_rows
     assert len(calls) <= most_calls
+
+
+def test_keeps_over_all_other_rows_stop_at_their_first_point_above_the_row(monkeypatch):
+    # The round over all other rows pivoted each kept row to its optimum:
+    # 13 lockstep pivot steps over the projection's batches, against 10 once
+    # a point above b_k + tol ends the member.  `_solve_stack` calls
+    # np.divide once per step, in its ratio test.
+    spec, dist = _binary_k6()
+    a1 = build_A1(spec, table_for(spec, dist))
+    region = project_to_aggregate(a1)
+    steps = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def divide(self, *args, **kwargs):
+            steps.append(1)
+            return np.divide(*args, **kwargs)
+
+    monkeypatch.setattr(dicregion.lp, "np", CountingNumpy())
+    assert project_to_aggregate(a1) == region
+    assert 0 < len(steps) <= 10
 
 
 def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypatch):
@@ -426,9 +451,9 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
         widths.append(len(c))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
         widths.extend(len(c) for c in C)
-        return maximize_batch(C, A, b, tol=tol)
+        return maximize_batch(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
@@ -465,9 +490,9 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
         calls.append(1)
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
         calls.extend([1] * len(C))  # one LP per member
-        return maximize_batch(C, A, b, tol=tol)
+        return maximize_batch(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
@@ -489,6 +514,29 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
             assert route_calls <= len(calls)
             fewer += route_calls < len(calls)
     assert fewer  # carried facets skipped LPs on some channel
+
+
+def test_projection_reads_the_same_rows_from_an_equal_unshared_lhs():
+    # The substitution and the slice are cached under the lhs tuple's
+    # identity; a region with equal rows of its own takes them afresh.
+    rng = random.Random(8)
+    for K, max_x in ((3, 3), (4, 2)):
+        spec = random_injective_channel(rng, K, max_x)
+        a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
+        copy = Region._from_rows(a1.dim, list(a1.lhs), a1.rhs.tolist(), a1.labels)
+        assert copy.lhs is not a1.lhs
+        shared = project_to_aggregate(a1)
+        assert project_to_aggregate(copy) == shared == project_to_aggregate(a1)
+
+
+def test_a_zero_row_below_minus_tol_makes_the_projection_infeasible():
+    spec = xor_channel()
+    a1 = build_A1(spec, table_for(spec, InputDistribution.uniform(spec)))
+    empty = Region._from_rows(4, a1.lhs + ((0, 0, 0, 0),), a1.rhs.tolist() + [-1.0], a1.labels)
+    with pytest.raises(InfeasibleRegionError, match="implies 0 <= -1.0"):
+        project_to_aggregate(empty)
+    slack = Region._from_rows(4, a1.lhs + ((0, 0, 0, 0),), a1.rhs.tolist() + [-1e-10], a1.labels)
+    assert project_to_aggregate(slack) == project_to_aggregate(a1)
 
 
 def test_a1_shares_its_coefficient_tuples_across_calls():

@@ -451,3 +451,58 @@ def test_batch_rejects_negative_rhs_and_mismatched_shapes():
         lp.maximize_batch([[1.0]], [[1.0]], [[1.0]])  # a 2-D A, not one per member
     with pytest.raises(ValueError, match="one batch"):
         lp.maximize_batch([[1.0], [1.0]], np.ones((3, 1, 1)), [[1.0], [1.0]])  # three stacked systems
+
+
+def test_batch_member_with_a_threshold_stops_at_its_first_point_above_it():
+    # Over the unit box, max x1 + x2 pivots x1 in first, to (1, 0) of value 1,
+    # then x2, to the optimum (1, 1).
+    C, A, b = [[1.0, 1.0]] * 3, [[[1.0, 0.0], [0.0, 1.0]]] * 3, [[1.0, 1.0]] * 3
+    unbounded, values, X = lp.maximize_batch(C, A, b, stop=[0.5, 1.0, np.inf])
+    assert not unbounded.any()
+    assert X.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]  # 1.0 is not above 1.0
+    assert values.tolist() == [1.0, 2.0, 2.0]
+
+
+def test_batch_members_without_a_threshold_are_unchanged_by_those_with_one():
+    rng = np.random.default_rng(7)
+    stopped = 0
+    for _ in range(60):
+        n, m, size = rng.integers(1, 6), rng.integers(1, 14), rng.integers(2, 12)
+        A = rng.integers(-3, 4, (size, m, n)).astype(float)
+        b = rng.integers(0, 6, (size, m)).astype(float)
+        C = rng.integers(-3, 4, (size, n)).astype(float)
+        full = lp.maximize_batch(C, A, b)
+        stop = np.where(rng.random(size) < 0.5, rng.random(size) * 4, np.inf)
+        stop[rng.random(size) < 0.2] = np.nan  # as no threshold
+        unbounded, values, X = lp.maximize_batch(C, A, b, stop=stop)
+        same = ~(stop < full[1])  # no threshold, or the optimum is not above it
+        assert X[same].tobytes() == full[2][same].tobytes()
+        assert (unbounded[same] == full[0][same]).all()
+        for i in np.flatnonzero(~same):
+            if unbounded[i]:  # found unbounded before it passed stop[i]
+                assert full[0][i]
+                continue
+            # Stopped at a feasible point above stop[i].
+            assert values[i] > stop[i] and values[i] <= full[1][i]
+            assert (A[i] @ X[i] <= b[i] + 1e-9).all()
+            stopped += values[i] < full[1][i]
+    assert stopped  # some stopped short of their optimum
+
+
+def test_batch_rejects_a_threshold_per_member_of_another_shape():
+    with pytest.raises(ValueError, match="one batch"):
+        lp.maximize_batch([[1.0]], [[[1.0]]], [[1.0]], stop=[1.0, 2.0])
+
+
+@pytest.mark.parametrize("nonneg", [[-1], [2], [5], [0.5], [True], ["0"], [None]])
+def test_system_rejects_sign_bounds_that_are_not_variable_indices(nonneg):
+    # nonneg=[-1] used to bound x2 through numpy's negative indexing, so
+    # maximizing -x2 returned 0 instead of "unbounded".
+    with pytest.raises(ValueError, match="variable indices in 0..1"):
+        lp.System([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], nonneg=nonneg)
+
+
+def test_system_takes_numpy_integer_sign_bounds():
+    system = lp.System([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0], nonneg=np.array([1, 1]))
+    assert lp.maximize([0.0, -1.0], system).value == 0.0
+    assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED

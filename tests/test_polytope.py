@@ -190,9 +190,9 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
     # bounded rows take the step-C LP over the kept rows.
     maximize_batch, members = lp.maximize_batch, []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
         members.append(len(C))
-        return maximize_batch(C, A, b, tol=tol)
+        return maximize_batch(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(lp, "maximize_batch", counting_batch)
     box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]

@@ -190,6 +190,19 @@ def test_guard_counts_lattice_cells(K, a_max):
     enumerate_facets(spec, table, a_max=a_max, max_facets=cells)
 
 
+@pytest.mark.parametrize("limits", [dict(a_max=True), dict(a_max=2.5), dict(a_max=0),
+                                    dict(max_facets=True), dict(max_facets=1e6)])
+def test_lattice_limits_must_be_integers(limits):
+    # a_max=True used to run as a_max=1, and a_max=2.5 raised numpy's TypeError.
+    rng = random.Random(5)
+    spec = random_injective_channel(rng, 2, 2)
+    table = random_entropy_table(rng, 2)
+    with pytest.raises(ValueError, match="must be an integer"):
+        enumerate_facets(spec, table, **limits)
+    with pytest.raises(ValueError, match="must be an integer"):
+        theorem_region.enumerate_facets_bumped(spec, table, **limits)
+
+
 @pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (3, 1), (3, 4)])
 def test_bumped_regions_come_from_one_lattice(monkeypatch, K, a_max):
     # Both regions equal two separate enumerations byte for byte, while
