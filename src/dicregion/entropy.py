@@ -2,12 +2,12 @@
 
 An `EntropyTable` is the (K, 2^K) array of the H(Y_i | V_T), which come from
 exact marginalization, at each receiver, of the joint pmf over its output
-table.  The grouping of the cells by code depends only on the channel, so the
-layouts of recently used channels are cached, together at most
-_LAYOUT_ENTRIES (mask, cell) entries, and a table for such a channel, or an
-equal one, only re-weights its layout; a larger channel's codes are sorted in
-blocks of at most _BLOCK_CODES, which bounds the transient memory.  No entry
-depends on either bound.
+table.  The grouping of the cells by code depends only on the channel, so a
+channel's layout of at most _LAYOUT_ENTRIES (mask, cell) entries is kept as
+long as the channel lives, and a table for it, or an equal channel, only
+re-weights that layout; a larger channel's codes are sorted in blocks of at
+most _BLOCK_CODES, which bounds the transient memory.  No entry depends on
+either bound.
 Entropies are in bits, double precision, with 0*log(0) taken as 0.
 """
 
@@ -16,13 +16,12 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import threading
-from collections import OrderedDict
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _check_user
+from .channel import ChannelSpec, _check_user, _is_int
 
 __all__ = [
     "InputDistribution",
@@ -75,12 +74,14 @@ class InputDistribution:
 
     @classmethod
     def point_mass(cls, spec: ChannelSpec, symbols=None) -> "InputDistribution":
-        """All mass on one input tuple, one symbol per user (all zero by default)."""
+        """All mass on one input tuple, one integer symbol per user (all zero by default)."""
         symbols = (0,) * spec.K if symbols is None else tuple(symbols)
         if len(symbols) != spec.K:
             raise ValueError(f"{len(symbols)} symbols for {spec.K} users")
         rows = []
         for i, (n, s) in enumerate(zip(spec.x_alphabet_sizes, symbols), start=1):
+            if not _is_int(s):
+                raise ValueError(f"user {i}: symbol {s!r} is not an integer")
             if not 0 <= s < n:
                 raise ValueError(f"user {i}: symbol {s} out of range 0..{n - 1}")
             rows.append(tuple(1.0 if x == s else 0.0 for x in range(n)))
@@ -150,8 +151,8 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
     cells of its output table, as H(V_T, Y_i) - sum_{j in T} H(V_j); an entry
     is exactly 0.0 when Y_i is a function of V_T on the positive-weight cells.
     H(V_T) is summed in increasing j.  The cells' grouping by code depends
-    only on the channel, so a cached layout (`_Layouts`) is reused for that
-    channel or an equal one.
+    only on the channel, so a kept layout (`_layouts`) is reused for that
+    channel or an equal one while the channel lives.
 
     Raises ValueError if the distribution dimensions do not match the channel
     alphabets.
@@ -201,51 +202,21 @@ def _cell_weights(spec: ChannelSpec, dist: InputDistribution):
 
 
 def _layout_of(spec: ChannelSpec):
-    """The channel's layout, from `_layouts` unless its (mask, cell) entries
-    exceed _LAYOUT_ENTRIES."""
+    """The channel's layout: built in blocks for its table alone if its
+    (mask, cell) entries exceed _LAYOUT_ENTRIES, else from `_layouts`, where
+    equal channels share it while the one it was built for lives.  Layouts are
+    never written; concurrent callers at worst build one twice."""
     n_v = math.prod(len(image) for image in spec.v_images)
     cells = (n * n_v // len(image) for n, image in zip(spec.x_alphabet_sizes, spec.v_images))
-    return _layouts.get(spec, sum(cells) << spec.K)
+    if sum(cells) << spec.K > _LAYOUT_ENTRIES:
+        return _build_layout(spec, keep=False)
+    layout = _layouts.get(spec)
+    if layout is None:
+        layout = _layouts[spec] = _build_layout(spec, keep=True)
+    return layout
 
 
-class _Layouts:
-    """LRU cache of channel layouts, keyed by ChannelSpec.  Each layout is
-    charged max(entries, _BLOCK_CODES) against _LAYOUT_ENTRIES, so at most
-    _LAYOUT_ENTRIES // _BLOCK_CODES layouts, and never more entries than one
-    layout of the whole budget, are kept; one charged over the budget is
-    built for its table alone.  Shared by every caller, as a layout is never
-    written: the lock guards only the bookkeeping, so concurrent callers at
-    worst build one twice."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._kept = OrderedDict()  # spec -> (layout, charge), least recently used first
-        self.charged = 0
-
-    def get(self, spec: ChannelSpec, entries: int):
-        charge = max(entries, _BLOCK_CODES)
-        if charge > _LAYOUT_ENTRIES:
-            return _build_layout(spec, keep=False)
-        with self._lock:
-            if spec in self._kept:
-                self._kept.move_to_end(spec)
-                return self._kept[spec][0]
-        layout = _build_layout(spec, keep=True)
-        with self._lock:
-            if spec not in self._kept:
-                self._kept[spec] = layout, charge
-                self.charged += charge
-            while self.charged > _LAYOUT_ENTRIES:
-                self.charged -= self._kept.popitem(last=False)[1][1]
-        return layout
-
-    def clear(self):
-        with self._lock:
-            self._kept.clear()
-            self.charged = 0
-
-
-_layouts = _Layouts()
+_layouts = weakref.WeakKeyDictionary()  # ChannelSpec -> its kept layout
 
 
 def _build_layout(spec: ChannelSpec, keep: bool):

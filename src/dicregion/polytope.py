@@ -90,6 +90,8 @@ class Region:
         return region
 
     def _fill(self, dim, lhs, rhs, labels):
+        if not _is_int(dim) or dim < 0:
+            raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
         labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
         if len(labels) != dim:
             raise ValueError(f"{len(labels)} labels for dimension {dim}")
@@ -104,7 +106,7 @@ class Region:
         if not np.isfinite(rhs).all():
             raise ValueError("an inequality has a non-finite rhs")
         rhs.flags.writeable = False
-        fields = ("dim", dim), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
+        fields = ("dim", int(dim)), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
         for name, value in fields:
             object.__setattr__(self, name, value)
 

@@ -192,8 +192,9 @@ def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GU
     Raises EnumerationOverflowError when more than `max_facets` valid
     choices are produced (nothing is silently truncated).
     """
-    if a_max < 1:
-        raise ValueError(f"a_max must be >= 1, got {a_max}")
+    if not _is_int(K) or K < 1:
+        raise ValueError(f"K must be an integer >= 1, got {K!r}")
+    _check_limits(a_max, max_facets)
     choices = (
         FacetSpec(a, assignment)
         for a in itertools.product(range(a_max + 1), repeat=K) if any(a)
@@ -253,10 +254,7 @@ def _lattice(spec, table, a_max, bump, max_facets):
     K = spec.K
     if a_max is None:
         a_max = default_a_max(K)
-    if not _is_int(a_max) or a_max < 1:
-        raise ValueError(f"a_max must be an integer >= 1, got {a_max!r}")
-    if not _is_int(max_facets):
-        raise ValueError(f"max_facets must be an integer, got {max_facets!r}")
+    _check_limits(a_max, max_facets)
     cells = (a_max + bump + 1) ** (2 * K)
     if cells > max_facets:
         raise EnumerationOverflowError(
@@ -264,6 +262,13 @@ def _lattice(spec, table, a_max, bump, max_facets):
             f"size guard of {max_facets}; raise the guard to continue"
         )
     return _smallest_rhs(table.split_rhs, a_max + bump)
+
+
+def _check_limits(a_max, max_facets):
+    if not _is_int(a_max) or a_max < 1:
+        raise ValueError(f"a_max must be an integer >= 1, got {a_max!r}")
+    if not _is_int(max_facets):
+        raise ValueError(f"max_facets must be an integer, got {max_facets!r}")
 
 
 def _facet_region(f, tol):
@@ -423,6 +428,8 @@ def load_facets(path) -> list[FacetSpec]:
         data = json.load(fh)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise ValueError(f"malformed facet document: {type(data).__name__}, not a list or an object")
     return [facet_from_dict(item) for item in data]
 
 

@@ -143,6 +143,21 @@ def test_region_files_with_bad_labels_or_coefficients_are_parse_errors(
     assert captured.err.count(message) == 2
 
 
+@pytest.mark.parametrize("dim", [True, 1.0, -1])
+def test_region_files_whose_dim_is_not_a_count_are_parse_errors(tmp_path, capsys, dim):
+    # "dim": true used to load as a 1-D region: compare against the same
+    # region with "dim": 1 printed "equal", and plot "region has dim True".
+    doc = region_to_dict(R(1, [((1,), 1.0), ((-1,), 0.0)]))
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps(doc))
+    bad.write_text(json.dumps({**doc, "dim": dim}))
+    assert main(["compare", str(bad), str(good)]) == 2
+    assert main(["plot", str(bad), "--out", str(tmp_path / "plot.svg")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"could not read region file {str(bad)!r}: dim must be an integer") == 2
+
+
 def test_region_refuses_non_injective(tmp_path, capsys):
     chan = tmp_path / "parity.json"
     save_channel(parity3_channel(), chan)

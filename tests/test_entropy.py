@@ -1,5 +1,6 @@
 """Entropy table construction and the injectivity identity."""
 
+import gc
 import itertools
 import math
 import random
@@ -340,8 +341,7 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     a, b = random_injective_channel(rng, 4, 3), random_injective_channel(rng, 3, 3)
     for _ in range(5):
         build_entropy_table(a, random_full_support(rng, a))
-    assert builds == [a]
-    assert list(entropy._layouts._kept) == [a] and entropy._layouts.charged == entropy._BLOCK_CODES
+    assert builds == [a] and list(entropy._layouts) == [a]
     build_entropy_table(b, InputDistribution.uniform(b))
     build_entropy_table(a, InputDistribution.uniform(a))
     assert builds == [a, b]  # the revisited channel's layout was still kept
@@ -349,19 +349,19 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     assert len(builds) == 2
 
 
-def test_least_recently_used_layout_leaves_once_the_budget_is_spent(monkeypatch):
-    # Each of these small layouts is charged _BLOCK_CODES: two fit the budget.
+def test_layout_lives_exactly_as_long_as_the_channel_it_was_built_for(monkeypatch):
     builds = counted_layout_builds(monkeypatch)
-    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 2 * entropy._BLOCK_CODES)
-    rng = random.Random(37)
-    a, b, c = (random_injective_channel(rng, 3, 3) for _ in range(3))
-    for spec in (a, b, a, c):
+    a = random_injective_channel(random.Random(37), 3, 3)
+    copy = fresh_copy(a)
+    for spec in (a, copy):
         build_entropy_table(spec, InputDistribution.uniform(spec))
-    assert builds == [a, b, c]
-    assert list(entropy._layouts._kept) == [a, c]  # least recently used first
-    assert entropy._layouts.charged == 2 * entropy._BLOCK_CODES
-    build_entropy_table(b, InputDistribution.uniform(b))
-    assert builds == [a, b, c, b] and list(entropy._layouts._kept) == [c, b]
+    assert builds == [a] and list(entropy._layouts) == [a]  # the equal copy reused it
+    builds.clear()  # the only other reference to a
+    del a
+    gc.collect()
+    assert len(entropy._layouts) == 0
+    build_entropy_table(copy, InputDistribution.uniform(copy))
+    assert builds == [copy] and list(entropy._layouts) == [copy]
 
 
 def test_six_binary_channels_of_six_users_keep_their_layouts_across_rotations(monkeypatch):
@@ -385,8 +385,7 @@ def test_layout_too_large_to_keep_gives_the_same_tables_and_is_not_kept(monkeypa
     for (spec, dist), want in zip(cases, expected):
         assert table_bytes(build_entropy_table(spec, dist)) == want
     assert len(builds) == len(cases)
-    assert entropy._layouts.charged == 0
-    assert not entropy._layouts._kept
+    assert len(entropy._layouts) == 0
 
 
 @pytest.mark.parametrize("block_codes", [1, 64, None])
@@ -413,15 +412,13 @@ def test_layout_of_four_users_with_alphabets_of_eight_is_kept(monkeypatch):
                        f_tables=(rows,) * 4)
     builds = counted_layout_builds(monkeypatch)
     build_entropy_table(spec, InputDistribution.uniform(spec))
-    assert list(entropy._layouts._kept) == [spec]
-    assert entropy._layouts.charged == entropy._LAYOUT_ENTRIES  # it fills the budget alone
+    assert list(entropy._layouts) == [spec]
     small = random_injective_channel(random.Random(43), 3, 3)
     build_entropy_table(small, InputDistribution.uniform(small))
-    assert list(entropy._layouts._kept) == [small]
-    assert entropy._layouts.charged == entropy._BLOCK_CODES
+    assert list(entropy._layouts) == [spec, small]  # the small channel evicts nothing
     monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", entropy._LAYOUT_ENTRIES - 1)
     build_entropy_table(fresh_copy(spec), InputDistribution.uniform(spec))
-    assert list(entropy._layouts._kept) == [small]  # over the budget: built, never kept
+    assert list(entropy._layouts) == [spec, small]  # now one entry over the bound: built, not kept
     assert len(builds) == 3
 
 
@@ -500,6 +497,15 @@ def test_point_mass_takes_one_symbol_per_user_from_its_alphabet(xor):
     for symbols in ([2, 0], [0, -1]):
         with pytest.raises(ValueError, match="out of range 0..1"):
             InputDistribution.point_mass(xor, symbols)
+    assert InputDistribution.point_mass(xor, [np.int64(1), 0]).probs == ((0.0, 1.0), (1.0, 0.0))
+
+
+@pytest.mark.parametrize("symbol", [True, 1.0, 0.5, "a", None])
+def test_point_mass_symbols_must_be_integers(xor, symbol):
+    # True and 1.0 used to put the mass on symbol 1, 0.5 failed as "probabilities
+    # sum to 0.0" and "a" raised a raw TypeError.
+    with pytest.raises(ValueError, match=f"user 1: symbol {symbol!r} is not an integer"):
+        InputDistribution.point_mass(xor, [symbol, 0])
 
 
 def test_distribution_json_round_trip(tmp_path):

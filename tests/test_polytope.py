@@ -577,6 +577,9 @@ def test_region_json_round_trip(tmp_path):
     again = load_region(path)
     assert again == UNIT_SIMPLEX
     assert region_from_dict(region_to_dict(UNIT_SQUARE)) == UNIT_SQUARE
+    # A numpy dim used to be kept as given, and json could not write it.
+    save_region(Region._from_rows(np.int64(2), UNIT_SIMPLEX.lhs, UNIT_SIMPLEX.rhs), path)
+    assert load_region(path) == UNIT_SIMPLEX
 
 
 @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])

@@ -1,6 +1,7 @@
 """Facet enumeration, presets, and the scheme/facet conversions."""
 
 import itertools
+import json
 import math
 import random
 
@@ -201,6 +202,16 @@ def test_lattice_limits_must_be_integers(limits):
         enumerate_facets(spec, table, **limits)
     with pytest.raises(ValueError, match="must be an integer"):
         theorem_region.enumerate_facets_bumped(spec, table, **limits)
+    with pytest.raises(ValueError, match="must be an integer"):
+        # a_max=True used to run as 1, and a float max_facets served as a guard.
+        next(enumerate_facet_specs(2, **{"a_max": 1, **limits}))
+
+
+@pytest.mark.parametrize("K", [True, 0, 2.0, "2"])
+def test_facet_spec_enumeration_needs_an_integer_count_of_users(K):
+    # K=True used to run as K=1, and K=2.0 raised a raw TypeError.
+    with pytest.raises(ValueError, match=f"K must be an integer >= 1, got {K!r}"):
+        next(enumerate_facet_specs(K, 1))
 
 
 @pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (3, 1), (3, 4)])
@@ -460,3 +471,12 @@ def test_facet_json_round_trip(tmp_path):
     assert load_facets(path) == [fs]
     assert facet_from_dict(facet_to_dict(fs)) == fs
     assert facet_to_dict(fs) == {"a": [2, 1], "S": [[[], [1, 2]], [[1]]]}
+
+
+@pytest.mark.parametrize("doc", [5, None, "a"])
+def test_facet_document_that_is_not_a_list_or_an_object_is_malformed(tmp_path, doc):
+    # 5 and null used to raise a raw TypeError.
+    path = tmp_path / "facets.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="malformed facet document"):
+        load_facets(path)
