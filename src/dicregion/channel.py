@@ -127,6 +127,15 @@ class ChannelSpec:
                 if not (set(map(type, row)) <= {int} or all(map(_is_int, row))):
                     raise ChannelFormatError(f"receiver {i}, input {x}: non-integer output entry")
 
+    def __hash__(self):  # kept after the first call: the tables run to thousands of entries
+        if "_hash" not in self.__dict__:
+            key = self.K, self.x_alphabet_sizes, self.g_tables, self.f_tables
+            object.__setattr__(self, "_hash", hash(key))
+        return self.__dict__["_hash"]
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, so no kept hash travels
+        return ChannelSpec, (self.K, self.x_alphabet_sizes, self.g_tables, self.f_tables)
+
     def other_users(self, i: int) -> tuple[int, ...]:
         """Users j != i in increasing order."""
         return tuple(j for j in range(1, self.K + 1) if j != i)

@@ -7,11 +7,13 @@ nonbasic columns (u and w) and the right-hand side; the slacks start basic
 and are never stored as columns.  A `System` is built once into a feasible
 tableau: when some b_i < 0, phase 1 pivots an auxiliary t into the most
 violated row and minimizes t over A x - t <= b (V. Chvatal, *Linear
-Programming*, 1983, ch. 3).  `maximize(c, system)` answers by the first
-basis the System recorded whose phase-2 row for c has no entry below -tol
-(phase 2's own stopping test), else by phase 2 from the starting tableau,
-whose final basis is then recorded.  Bland's rule (smallest label, u and w
-before every slack) picks every pivot, so the method cannot cycle;
+Programming*, 1983, ch. 3).  Every pivot also updates n cost rows below the
+objective row, row j the phase-2 row of c = e_j, so c @ those rows is the
+phase-2 row of c at the current basis.  `maximize(c, system)` answers by the
+first basis the System recorded whose phase-2 row for c has no entry below
+-tol (phase 2's own stopping test), else by phase 2 from the starting
+tableau, whose final basis is then recorded.  Bland's rule (smallest label,
+u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
 fast enough.
@@ -49,11 +51,11 @@ class System:
     into a feasible starting tableau that `maximize` solves for any number
     of objectives.  A sign bound takes no row: x_j is u_j alone, with no w_j
     column.  `feasible` is False when the smallest t with A x - t <= b
-    exceeds tol; c @ P is the objective row of c.  `bases` stacks, for each
-    optimal basis a query ended at, that basis's P transposed with its point
-    x in place of the rhs row.  len() counts the rows."""
+    exceeds tol.  T's rows: m constraints, the objective, the n cost rows P.
+    `bases` stacks, for each optimal basis a query ended at, that basis's P
+    transposed with its point x in place of the rhs row; len() is m."""
 
-    __slots__ = ("n", "tol", "feasible", "T", "labels", "P", "bases")
+    __slots__ = ("n", "tol", "feasible", "T", "labels", "bases")
 
     def __init__(self, A, b, nonneg=(), tol: float = 1e-9):
         A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
@@ -73,43 +75,34 @@ class System:
         # Labels: u = 0..n-1, w_j = n+j for each free j, slacks 2n..2n+m-1;
         # `labels` holds the basis, then the nonbasic labels.  Columns: u,
         # the w of the free variables, the rhs.  Row i reads
-        # x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].
-        T = np.zeros((m + 1, n + len(free) + 1))
+        # x_basis[i] + sum_j T[i, j] x_nonbasic[j] = T[i, -1].  Cost row j
+        # (min -c.u + c.w for c = e_j) starts -1 at u_j and +1 at w_j.
+        T = np.zeros((m + 1 + n, n + len(free) + 1))
         T[:m, :n] = A
         T[:m, n:-1] = -A[:, free]
         T[:m, -1] = b
+        T[m + 1 + np.arange(n), np.arange(n)] = -1.0
+        T[m + 1 + free, n + np.arange(len(free))] = 1.0
         labels = np.concatenate([np.arange(2 * n, 2 * n + m), np.arange(n), n + free])
-        phase1 = _phase1(T, labels, n, tol) if m and b.min() < 0 else (T, labels)
+        phase1 = _phase1(T, labels, m, n, tol) if m and b.min() < 0 else (T, labels)
         self.n, self.tol, self.feasible = n, tol, phase1 is not None
         self.T, self.labels = phase1 or (T, labels)
-        self.P = _objective_map(self.T, self.labels, n)
         self.bases = np.empty((0, self.T.shape[1], n))
 
     def __len__(self):
-        return len(self.T) - 1
+        return len(self.T) - 1 - self.n
 
 
-def _objective_map(T, labels, n):
-    """P with c @ P the phase-2 row (min -c.u + c.w) of c at basis `labels`:
-    each column's cost less the basic costs times it; on the slack basis, the costs."""
-    m = len(T) - 1
-    cost = np.eye(n, 2 * n + 1, n) - np.eye(n, 2 * n + 1)  # [j, label] for c = e_j
-    uw = np.minimum(np.append(labels, 2 * n), 2 * n)  # slacks and the rhs cost 0
-    rows, P = np.flatnonzero(uw[:m] < 2 * n), cost[:, uw[m:]]
-    return P - cost[:, uw[rows]] @ T[rows] if rows.size else P
-
-
-def _phase1(T, labels, n, tol):
-    """Pivot t (label 2n+m, a column of -1s) into the most violated row and
-    minimize it.  Returns the tableau and labels of a feasible basis with
-    t's column dropped, or None when the smallest t exceeds tol."""
-    m = len(T) - 1
+def _phase1(T, labels, m, n, tol):
+    """Pivot t (label 2n+m, -1 in each of the m constraint rows) into the most
+    violated row and minimize it.  Returns the tableau and labels of a feasible
+    basis with t's column dropped, or None when the smallest t exceeds tol."""
     aux = 2 * n + m
     T, labels = np.insert(T, -1, -1.0, axis=1), np.append(labels, aux)
-    T[m, -2] = 1.0  # min t: pivoting t in prices the objective row
+    T[m, -2], T[m + 1 :, -2] = 1.0, 0.0  # min t (pivoting t in prices it); no cost for t
     basis, nonbasic = labels[:m], labels[m:]
     _pivot(T, basis, nonbasic, int(T[:m, -1].argmin()), T.shape[1] - 2)
-    if _iterate(T, basis, nonbasic, tol, aux + 1) == UNBOUNDED:
+    if _iterate(T, basis, nonbasic, tol, aux + 1, m) == UNBOUNDED:
         raise RuntimeError("phase-1 objective unbounded; tableau corrupted")
     if -T[m, -1] > tol:  # smallest t
         return None
@@ -136,6 +129,8 @@ def maximize(c, system: System) -> LPResult:
     c = np.asarray(c, dtype=float)
     if len(c) != system.n:
         raise ValueError(f"objective has {len(c)} entries, the system has {system.n} variables")
+    if not np.isfinite(c).all():
+        raise ValueError(f"objective must be {system.n} finite numbers, got {c.tolist()}")
     if not system.feasible:
         return LPResult(INFEASIBLE, None, None)
     bases = system.bases  # read once: a miss replaces the array whole
@@ -145,13 +140,13 @@ def maximize(c, system: System) -> LPResult:
         return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
     m, n = len(system), system.n
     T, labels = system.T.copy(), system.labels.copy()
-    T[m] = c @ system.P
-    if _iterate(T, labels[:m], labels[m:], system.tol, 2 * n + m) == UNBOUNDED:
+    T[m] = c @ T[m + 1 :]
+    if _iterate(T, labels[:m], labels[m:], system.tol, 2 * n + m, m) == UNBOUNDED:
         return LPResult(UNBOUNDED, None, None)
     z = np.zeros(2 * n + m)
     z[labels[:m]] = T[:m, -1]
     x = z[:n] - z[n : 2 * n]
-    entry = _objective_map(T, labels, n).T  # the basis's map, with x in place of the rhs row
+    entry = T[m + 1 :].T  # the basis's map, with x in place of the rhs row
     entry[-1] = x
     system.bases = np.concatenate([bases, entry[None]])
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
@@ -179,6 +174,8 @@ def maximize_batch(C, A, b, tol: float = 1e-9, stop=None):
         raise ValueError(
             f"C {C.shape}, A {A.shape}, b {b.shape} and stop {stop.shape} do not form one batch"
         )
+    if not (np.isfinite(C).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("objectives, constraint matrices and right-hand sides must be finite")
     if not (b >= 0).all():
         raise ValueError("maximize_batch needs every right-hand side >= 0")
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
@@ -231,16 +228,16 @@ def _solve_stack(C, A, b, stop, tol, unbounded, X):
     raise RuntimeError("simplex pivot limit exceeded")
 
 
-def _iterate(T, basis, nonbasic, tol, unused):
-    """Run simplex pivots until optimal (Bland's rule throughout); `unused`
+def _iterate(T, basis, nonbasic, tol, unused, m):
+    """Pivot until objective row m is optimal (Bland's rule throughout); `unused`
     exceeds every label, including those of w columns a sign bound left out."""
-    obj, rhs = T[-1, :-1], T[:-1, -1]  # views, updated in place by each pivot
+    obj, rhs = T[m, :-1], T[:m, -1]  # views, updated in place by each pivot
     for _ in range(_MAX_PIVOTS):
         neg = obj < -tol
         if not neg.any():
             return OPTIMAL
         j = int(np.where(neg, nonbasic, unused).argmin())
-        col = T[:-1, j]
+        col = T[:m, j]
         rows = (col > tol).nonzero()[0]
         if not rows.size:
             return UNBOUNDED

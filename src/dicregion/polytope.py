@@ -336,10 +336,9 @@ def _implied(A, b, k, others, tol) -> bool:
 def _support(region: Region, direction, tol: float):
     """max direction . x over the region, or None when unbounded; raises
     InfeasibleRegionError when the region admits no point."""
-    form = region._lp_form(tol)
-    if not form.feasible:
+    res = lp.maximize(direction, region._lp_form(tol))
+    if res.status == lp.INFEASIBLE:
         raise InfeasibleRegionError("support value of an empty region")
-    res = lp.maximize(direction, form)
     return None if res.status == lp.UNBOUNDED else res.value
 
 
@@ -385,7 +384,7 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     InfeasibleRegionError when the region is empty.
     """
     d = np.asarray(direction, dtype=float)
-    if d.shape != (region.dim,) or not np.isfinite(d).all():
+    if d.shape != (region.dim,):  # `lp.maximize` rejects a non-finite one
         raise ValueError(f"direction must be {region.dim} finite numbers, got {d.tolist()}")
     value = _support(region, d, tol)
     if value is None:

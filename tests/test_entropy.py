@@ -1,8 +1,10 @@
 """Entropy table construction and the injectivity identity."""
 
+import copy
 import gc
 import itertools
 import math
+import pickle
 import random
 
 import numpy as np
@@ -347,6 +349,22 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     assert builds == [a, b]  # the revisited channel's layout was still kept
     build_entropy_table(fresh_copy(a), InputDistribution.uniform(a))  # equal, not the same
     assert len(builds) == 2
+
+
+def test_channel_hash_is_kept_and_equal_copies_share_one_layout(monkeypatch):
+    builds = counted_layout_builds(monkeypatch)
+    a = random_injective_channel(random.Random(41), 3, 3)
+    assert "_hash" not in vars(a)
+    key = hash(a)
+    assert vars(a)["_hash"] == key and hash(a) == key
+    copies = [fresh_copy(a), copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
+    for spec in copies:
+        assert "_hash" not in vars(spec)  # rebuilt, not carried
+        assert spec == a and hash(spec) == key and repr(spec) == repr(a)
+        assert channel_to_dict(spec) == channel_to_dict(a)
+    for spec in [a] + copies:
+        build_entropy_table(spec, InputDistribution.uniform(spec))
+    assert builds == [a] and list(entropy._layouts) == [a]
 
 
 def test_layout_lives_exactly_as_long_as_the_channel_it_was_built_for(monkeypatch):

@@ -160,6 +160,28 @@ def test_system_rejects_non_finite_data():
             lp.System(A, b)
 
 
+def test_non_finite_objectives_and_batch_data_are_rejected():
+    # A nan objective used to come back "optimal" with value nan and record a
+    # basis, and an inf one hit numpy's "invalid value encountered in matmul".
+    # The batch answered a nan objective "optimal" with value nan, a nan in A
+    # "unbounded" and an inf rhs with a nan point.
+    system = lp.System([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
+    for c in ([np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]):
+        with pytest.raises(ValueError, match="2 finite numbers"):
+            lp.maximize(c, system)
+    assert len(system.bases) == 0
+    with pytest.raises(ValueError, match="1 finite numbers"):  # before feasibility
+        lp.maximize([np.nan], lp.System([[1.0], [-1.0]], [-2.0, 1.0]))
+    batch = np.ones((1, 2)), np.eye(2)[None], np.ones((1, 2))
+    for k, value in ((0, np.nan), (1, np.nan), (2, np.inf), (1, -np.inf)):
+        data = [v.copy() for v in batch]
+        data[k].flat[-1] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            lp.maximize_batch(*data)
+    for stop in ([np.nan], [np.inf]):  # still no threshold
+        assert lp.maximize_batch(*batch, stop=stop)[1].tolist() == [2.0]
+
+
 def _count_pivots(monkeypatch):
     pivot, made = lp._pivot, []
     monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
@@ -171,7 +193,8 @@ def test_phase1_runs_once_in_the_system_and_leaves_no_t_column(monkeypatch):
     made = _count_pivots(monkeypatch)
     system = lp.System([[-1, -1], [1, 0], [0, 1]], [-1.0, 3.0, 3.0], tol=1e-9)
     assert system.feasible and len(made) == 2
-    assert system.T.shape == (4, 5)  # columns u1, u2, w1, w2 and the rhs
+    # Rows: 3 constraints, the objective and 2 cost rows; columns u1, u2, w1, w2 and the rhs.
+    assert system.T.shape == (6, 5)
     assert sorted(system.labels) == list(range(7))  # u, w and slack labels; no t
     values, pivots = [], []
     for c in ([1.0, 0.0], [1.0, 1.0], [-1.0, 0.0]):
@@ -183,7 +206,7 @@ def test_phase1_runs_once_in_the_system_and_leaves_no_t_column(monkeypatch):
 
 def test_an_infeasible_system_answers_infeasible_without_a_pivot(monkeypatch):
     system = lp.System([[1.0], [-1.0]], [-2.0, 1.0])  # x <= -2 and x >= -1
-    assert not system.feasible and system.T.shape == (3, 3)
+    assert not system.feasible and system.T.shape == (4, 3)  # 2 rows, objective, 1 cost row
     made = _count_pivots(monkeypatch)
     for c in ([1.0], [-1.0], [0.0]):
         assert lp.maximize(c, system).status == lp.INFEASIBLE
@@ -195,8 +218,8 @@ def _record_final_bases(monkeypatch):
     runs phase 2 only; phase 1 runs when a System is built)."""
     iterate, ended = lp._iterate, []
 
-    def recording(T, basis, nonbasic, tol, unused):
-        status = iterate(T, basis, nonbasic, tol, unused)
+    def recording(T, basis, nonbasic, *args):
+        status = iterate(T, basis, nonbasic, *args)
         if status == lp.OPTIMAL:
             ended.append(frozenset(basis.tolist()))
         return status
@@ -251,6 +274,59 @@ def test_recorded_bases_answer_as_a_fresh_system_does(monkeypatch):
             assert len(system.bases) == 0
     assert seen["infeasible"] >= 1 and seen["hit"] > 5 * seen["miss"]
     assert min(seen.values()) >= 1, seen
+
+
+def test_carried_objective_map_equals_the_map_solved_from_the_basis(monkeypatch):
+    # Each recorded map was carried through the pivots as n tableau rows.
+    # Solved directly, the phase-2 row of c = e_j at basis B is each nonbasic
+    # column's cost less y_j . a_k, with B^T y_j the basic costs.  Integer
+    # systems with sign bounds, negative rhs (phase 1), duplicated rows and
+    # rows through the origin (degenerate).
+    iterate, ended = lp._iterate, []
+
+    def recording(T, basis, nonbasic, *args):
+        status = iterate(T, basis, nonbasic, *args)
+        ended.append((basis.copy(), nonbasic.copy()))
+        return status
+
+    monkeypatch.setattr(lp, "_iterate", recording)
+    rng = np.random.default_rng(43)
+    seen = {"bounds": 0, "phase 1": 0, "duplicated": 0, "degenerate": 0}
+    checked = 0
+    for trial in range(90):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(-2, 8, size=m).astype(float)
+        if trial % 3 == 1:
+            A, b = np.vstack([A, A[:2]]), np.append(b, b[:2])
+        if trial % 3 == 2:
+            b[rng.random(m) < 0.6] = 0.0
+        nonneg = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        system = lp.System(A, b, nonneg)
+        # Column and cost (for each c = e_j) of every label: u, w, slacks.
+        cols = np.hstack([A, -A, np.eye(len(b))])
+        cost = np.hstack([-np.eye(n), np.eye(n), np.zeros((n, len(b)))])
+        recorded = 0
+        for c in rng.normal(size=(30, n)):
+            ended.clear()
+            res = lp.maximize(c, system)
+            if len(system.bases) == recorded:
+                continue
+            recorded += 1
+            (basis, nonbasic), entry = ended[-1], system.bases[-1]
+            y = np.linalg.solve(cols[:, basis].T, cost[:, basis].T)
+            direct = cost[:, nonbasic] - y.T @ cols[:, nonbasic]
+            np.testing.assert_allclose(entry[:-1], direct.T, rtol=0, atol=1e-12)
+            assert tuple(entry[-1].tolist()) == res.x
+            z = np.zeros(len(cost[0]))
+            z[basis] = np.linalg.solve(cols[:, basis], b)
+            assert res.x == pytest.approx(tuple(z[:n] - z[n : 2 * n]), abs=1e-9)
+            checked += 1
+        seen["bounds"] += recorded and len(nonneg) > 0
+        seen["phase 1"] += recorded and (b < 0).any()
+        seen["duplicated"] += recorded and trial % 3 == 1
+        seen["degenerate"] += recorded and trial % 3 == 2 and (b == 0).any()
+    assert min(seen.values()) >= 5 and checked > 200, (seen, checked)
 
 
 def test_a_region_gives_each_tol_a_fresh_memo_and_copies_carry_none(monkeypatch):

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from dicregion import build_A1, build_entropy_table, lp, polytope, project_to_aggregate
+from dicregion import (
+    InputDistribution,
+    build_A1,
+    build_entropy_table,
+    enumerate_facets,
+    lp,
+    polytope,
+    project_to_aggregate,
+)
 from dicregion.errors import InfeasibleRegionError, UnboundedDirectionError
 from dicregion.polytope import (
     LinearInequality,
@@ -650,6 +658,31 @@ def test_support_value_rejects_a_non_finite_or_misshaped_direction():
     for direction in ([math.nan, 1.0], [math.inf, 0.0], [1.0], [1.0, 1.0, 1.0]):
         with pytest.raises(ValueError, match="2 finite numbers"):
             support_value(UNIT_SQUARE, direction)
+
+
+def test_a_non_finite_direction_is_rejected_before_an_empty_region_is_reported():
+    for direction in ([math.nan, 1.0], [math.inf, 0.0]):
+        with pytest.raises(ValueError, match="2 finite numbers"):
+            support_value(EMPTY, direction)
+
+
+def test_a_seeded_compare_makes_a_pinned_number_of_pivots(monkeypatch):
+    # What `dicregion compare` does on one K=3 channel: both containments,
+    # then 100 seeded support directions on each region.  Bland's rule alone
+    # sets the count, not how the objective map is kept: 42 pivots in all
+    # and 10 recorded bases per region.
+    spec = random_injective_channel(random.Random("pin/3"), 3, 3)
+    table = build_entropy_table(spec, InputDistribution.uniform(spec))
+    hk, thm = project_to_aggregate(build_A1(spec, table)), enumerate_facets(spec, table)
+    pivot, made = lp._pivot, []
+    monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
+    assert is_subset(hk, thm) and is_subset(thm, hk)
+    rng = random.Random(0)
+    for _ in range(100):
+        direction = [rng.uniform(-1.0, 1.0) for _ in range(hk.dim)]
+        assert support_value(hk, direction) == pytest.approx(support_value(thm, direction))
+    assert len(made) == 42
+    assert len(hk._lp_form().bases) == len(thm._lp_form().bases) == 10
 
 
 def test_contains_point_rejects_a_point_of_the_wrong_length_or_a_nan():
