@@ -26,9 +26,10 @@ class UnboundedDirectionError(DicRegionError):
 
 
 class EnumerationOverflowError(DicRegionError):
-    """Facet enumeration exceeded its size guard: the cells of the DP
-    lattice of `enumerate_facets`, (a_max + 1)^(2K), checked before it is
-    allocated, or the facet choices listed by `enumerate_facet_specs`."""
+    """Facet enumeration exceeded its size guard: the cells of the larger
+    half lattice of `enumerate_facets`, (a_max + 1)^(2K - K // 2), checked
+    before it is allocated, or the facet choices listed by
+    `enumerate_facet_specs`."""
 
 
 class SchemeReductionError(DicRegionError):

@@ -178,6 +178,13 @@ def maximize_batch(C, A, b, tol: float = 1e-9, stop=None):
         raise ValueError("objectives, constraint matrices and right-hand sides must be finite")
     if not (b >= 0).all():
         raise ValueError("maximize_batch needs every right-hand side >= 0")
+    return _maximize_stacks(C, A, b, tol, stop)
+
+
+def _maximize_stacks(C, A, b, tol, stop):
+    """`maximize_batch` on float arrays that already form one batch of finite
+    data with b >= 0, such as rows gathered from a checked region."""
+    m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
     step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):

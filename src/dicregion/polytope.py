@@ -284,11 +284,12 @@ def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
     Over all other rows, a point above b_k + tol already proves the optimum
-    is, so each member stops there (`maximize_batch`'s `stop`)."""
+    is, so each member stops there (`maximize_batch`'s `stop`).  The rows
+    come from a region, finite and here b >= 0, so they are not checked again."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
-    stop = b[tested] + tol if idx.shape[1] == len(b) else None
-    return lp.maximize_batch(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol, stop)[1:]
+    stop = b[tested] + tol if idx.shape[1] == len(b) else np.full(len(tested), np.inf)
+    return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol, stop)[1:]
 
 
 def _certify(A, b, kept, dropped, tol):

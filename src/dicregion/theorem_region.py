@@ -11,9 +11,10 @@ and the region is the intersection over all choices (plus nonnegativity).
 Enumerating weights up to a cap reproduces the region; built-in presets give
 the known irredundant facet families for K=2 (7 rows) and K=3 (28 rows).
 
-`enumerate_facets` lists no choices: one DP over the lattice of slot and
-coverage counts gives the smallest right-hand side of every weight vector,
-and rows implied by two others are skipped before the LP prune.
+`enumerate_facets` lists no choices: a meet-in-the-middle DP gives the
+smallest right-hand side of every weight vector (one lattice of slot and
+coverage counts per half of the receivers, then a (min,+) combine), and
+rows implied by two others are skipped before the LP prune.
 
 Facet choices convert losslessly to and from coefficient schemes: the
 multiplicity of subset M at receiver i becomes the scheme weight, and a
@@ -55,7 +56,7 @@ __all__ = [
     "facet_to_dict",
 ]
 
-DEFAULT_FACET_GUARD = 2**21  # lattice cells: 16 MB of float64
+DEFAULT_FACET_GUARD = 2**21  # cells of the larger half lattice: 16 MB of float64
 
 
 @dataclass(frozen=True)
@@ -157,33 +158,88 @@ def _assignments(K, a):
 
 
 def _smallest_rhs(split_rhs, a_max: int):
-    """f[a], the smallest right-hand side over the facet choices with weight
-    vector a, for every a in {0..a_max}^K at once.
+    """(f, g) over the box {0..a_max}^K: f[a] is the smallest right-hand
+    side over the facet choices with weight vector a, and g[a] the smallest
+    f(b) + f(a - b) over 0 < b < a (inf when there is no such b).
 
-    One unbounded-knapsack DP on the lattice G[p, c]: p_i counts the slots
-    given to receiver i and c_m the slots covering user m.  Choosing subset
-    M at receiver i is the item that raises p_i and c_m for each m in M by
-    one at cost split_rhs[i, M]; a_max passes per item apply it
-    up to a_max times.  While receiver i is processed, receivers after it
-    have no slots yet, so only the face p_{i+1..K} = 0 (a view) is touched.
-    Counts never decrease, so cutting the lattice at a_max is exact, and
-    f[a] is the diagonal G[p = a, c = a].
+    Choosing subset M at receiver i gives receiver i one more slot and each
+    user in M one more coverage count, at cost split_rhs[i, M].  Meet in the
+    middle: the receivers split into halves, the first K // 2 and the rest,
+    and each half fills its own lattice of slot and coverage counts
+    (`_half_lattice`).  A facet choice is one choice per half, so
+    f(a) = min over b <= a of G_L[a_L, b] + G_R[a_R, a - b], a (min,+)
+    combine over the coverage box (E. Horowitz and S. Sahni, JACM 1974);
+    g is the same reduction over f.  Both read the (a, b) pairs of `_pairs`
+    block by block, each block at most the larger half lattice's size.
+    Every b <= a precedes a in C order, so f is complete where g reads it.
     """
-    K = split_rhs.shape[0]
-    n = a_max + 1
-    G = np.full((n,) * (2 * K), np.inf)
-    G[(0,) * (2 * K)] = 0.0
-    for i in range(K):
-        # Axes of the face: p of receivers 0..i, then c of users 0..K-1.
-        face = G[(slice(None),) * (i + 1) + (0,) * (K - 1 - i)]
-        for mask in range(1 << K):
-            up = {i} | {i + 1 + m for m in range(K) if mask >> m & 1}
-            dst = tuple(slice(1, None) if ax in up else slice(None) for ax in range(face.ndim))
-            src = tuple(slice(None, -1) if ax in up else slice(None) for ax in range(face.ndim))
-            cost = split_rhs[i, mask]
-            for _ in range(a_max):
-                np.minimum(face[dst], face[src] + cost, out=face[dst])
-    return G.reshape(n**K, n**K).diagonal().reshape((n,) * K).copy()
+    K, n = split_rhs.shape[0], a_max + 1
+    h = K // 2
+    left = _half_lattice(split_rhs[:h], n).ravel()
+    right = _half_lattice(split_rhs[h:], n).ravel()
+    f, g = np.empty(n**K), np.empty(n**K)
+    for a, b, starts in _pairs(K, n, right.size):
+        rows, d = slice(a[0], a[-1] + 1), a - b
+        costs = left.take(a // n ** (K - h) * n**K + b)
+        costs += right.take(a % n ** (K - h) * n**K + d)
+        f[rows] = np.minimum.reduceat(costs, starts)
+        split = np.add(f.take(b), f.take(d), out=costs)
+        split[(b == 0) | (d == 0)] = np.inf
+        g[rows] = np.minimum.reduceat(split, starts)
+        del a, b, d, costs, split  # before the next block is built
+    return f.reshape((n,) * K), g.reshape((n,) * K)
+
+
+def _half_lattice(costs, n):
+    """G[p, c] of the receivers whose subset costs are the rows of `costs`,
+    as an (n^r, n^K) array: the smallest cost of giving p_j slots to the
+    j-th of the r receivers with coverage counts c.  Layer p_j = s comes from
+    layer s - 1 by one in-place minimum per subset, so no stack of 2^K
+    shifted copies is built; receivers after j have no slots yet, so only
+    the face where their p is 0 (a view) is touched.  Counts never
+    decrease, so cutting every axis at n - 1 is exact."""
+    r, K = costs.shape[0], costs.shape[1].bit_length() - 1
+    G = np.full((n,) * (r + K), np.inf)
+    G[(0,) * (r + K)] = 0.0
+    shifts = [  # (dst, src) slices of the coverage axes: one more count for each m in M
+        tuple((..., *(slice(lo, hi) if mask >> m & 1 else slice(None) for m in range(K)))
+              for lo, hi in ((1, None), (None, -1)))
+        for mask in range(1 << K)
+    ]
+    for j in range(r):
+        face = G[(slice(None),) * (j + 1) + (0,) * (r - 1 - j)]  # p of receivers 0..j, then c
+        for s in range(1, n):
+            dst, src = face[(slice(None),) * j + (s,)], face[(slice(None),) * j + (s - 1,)]
+            for (up, down), cost in zip(shifts, costs[j]):
+                out = dst[up]
+                np.minimum(out, src[down] + cost, out=out)
+    return G.reshape(n**r, n**K)
+
+
+def _pairs(K, n, budget):
+    """The pairs (a, b) with b <= a in {0..n-1}^K as flat C-order indices,
+    in blocks of whole segments (every b of one a, in no fixed order) with a
+    ascending.  Each block holds at most `budget` >= n^K pairs and comes
+    with the offset of each of its segments."""
+    place = n ** np.arange(K - 1, -1, -1)
+    radix = np.arange(n**K)[:, None] // place % n + 1  # a_m + 1
+    sizes = radix.prod(axis=1)
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < n**K:
+        hi = int(np.searchsorted(ends, ends[lo] - sizes[lo] + budget, side="right"))
+        counts = sizes[lo:hi]
+        starts = np.cumsum(counts) - counts
+        a = np.repeat(np.arange(lo, hi), counts)
+        rest = np.arange(len(a)) - np.repeat(starts, counts)  # rank within the segment
+        b, digit = np.zeros_like(a), np.empty_like(a)
+        for m in range(K - 1, -1, -1):  # b's digits are the rank's in mixed radix a + 1
+            np.divmod(rest, np.repeat(radix[lo:hi, m], counts), out=(rest, digit))
+            digit *= place[m]
+            b += digit
+        del rest, digit
+        yield a, b, starts
+        lo = hi
 
 
 def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GUARD):
@@ -225,37 +281,39 @@ def enumerate_facets(
 
     For a fixed weight vector `a` every facet choice shares the left-hand
     side sum_i a_i R_i, so only the smallest right-hand side f(a) binds; one
-    lattice DP (`_smallest_rhs`) gives f for every weight vector without
-    listing the choices.  A facet choice for b followed by one for a - b is
-    a choice for a, so f(a) <= f(b) + f(a - b); when that holds with
-    equality within tol for some 0 < b < a, row a is implied by rows b and
-    a - b and is skipped without an LP.  The survivors go to
-    `prune_redundant`.  `max_facets` caps the lattice's (a_max + 1)^(2K)
-    cells; EnumerationOverflowError is raised before allocating beyond it.
+    meet-in-the-middle DP (`_smallest_rhs`) gives f for every weight vector
+    without listing the choices.  A facet choice for b followed by one for
+    a - b is a choice for a, so f(a) <= f(b) + f(a - b); when that holds
+    with equality within tol for some 0 < b < a, row a is implied by rows b
+    and a - b and is skipped without an LP.  The survivors go to
+    `prune_redundant`.  `max_facets` caps the cells of the larger half
+    lattice, (a_max + 1)^(2K - K // 2), which no array of the search
+    exceeds; EnumerationOverflowError is raised before allocating beyond it.
     """
-    return _facet_region(_lattice(spec, table, a_max, 0, max_facets), tol)
+    return _facet_region(*_lattice(spec, table, a_max, 0, max_facets), tol)
 
 
 def enumerate_facets_bumped(
     spec, table, a_max=None, max_facets=DEFAULT_FACET_GUARD, tol=1e-9
 ) -> tuple[Region, Region]:
-    """`enumerate_facets` at a_max and at a_max + 1, from one lattice built
-    at a_max + 1 (`max_facets` caps its cells): f for a_max is its sub-box,
-    where the DP's extra pass per item changes no value."""
-    f = _lattice(spec, table, a_max, 1, max_facets)
-    return _facet_region(f[(slice(f.shape[0] - 1),) * f.ndim], tol), _facet_region(f, tol)
+    """`enumerate_facets` at a_max and at a_max + 1, from one search at
+    a_max + 1 (`max_facets` caps its cells): the a_max results are its
+    sub-box, where every value is computed as a search at a_max computes it."""
+    f, g = _lattice(spec, table, a_max, 1, max_facets)
+    box = (slice(f.shape[0] - 1),) * f.ndim
+    return _facet_region(f[box], g[box], tol), _facet_region(f, g, tol)
 
 
 def _lattice(spec, table, a_max, bump, max_facets):
-    """f from `_smallest_rhs` at a_max + bump, once the arguments and the
-    size guard are checked."""
+    """(f, g) from `_smallest_rhs` at a_max + bump, once the arguments and
+    the size guard are checked."""
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
     K = spec.K
     if a_max is None:
         a_max = default_a_max(K)
     _check_limits(a_max, max_facets)
-    cells = (a_max + bump + 1) ** (2 * K)
+    cells = (a_max + bump + 1) ** (2 * K - K // 2)
     if cells > max_facets:
         raise EnumerationOverflowError(
             f"facet enumeration needs {cells} DP states (lattice cells), over the "
@@ -271,21 +329,15 @@ def _check_limits(a_max, max_facets):
         raise ValueError(f"max_facets must be an integer, got {max_facets!r}")
 
 
-def _facet_region(f, tol):
+def _facet_region(f, g, tol):
     """The region of the rows a.R <= f(a) over f's box that the subadditivity
-    filter of `enumerate_facets` keeps, plus nonnegativity, pruned."""
-    K, a_max = f.ndim, f.shape[0] - 1
-    lhs, rhs = [], []
-    for a in itertools.product(range(a_max + 1), repeat=K):
-        if not any(a):
-            continue
-        box = f[tuple(slice(v + 1) for v in a)]  # f(b) for every b <= a
-        split = box + box[(slice(None, None, -1),) * K]  # f(b) + f(a - b)
-        split.flat[0] = split.flat[-1] = np.inf  # b = 0 and b = a
-        if f[a] < split.min() - tol:
-            lhs.append(a)
-            rhs.append(f[a])
-    lhs, rhs = lhs + list(_nonneg_lhs(K)), rhs + [0.0] * K
+    filter of `enumerate_facets` keeps (f(a) < g(a) - tol, a != 0, in C
+    order), plus nonnegativity, pruned."""
+    K = f.ndim
+    keep = f < g - tol
+    keep.flat[0] = False
+    lhs = [tuple(a) for a in np.argwhere(keep).tolist()] + list(_nonneg_lhs(K))
+    rhs = f[keep].tolist() + [0.0] * K
     region = Region._from_rows(K, lhs, rhs, tuple(f"R{i}" for i in range(1, K + 1)))
     return canonicalize(prune_redundant(region, tol=tol), tol=tol)
 

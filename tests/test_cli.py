@@ -430,6 +430,28 @@ def test_region_check_a_max_reports_a_changed_region(tmp_path, capsys):
     assert load_region(out) == enumerate_facets(spec, build_entropy_table(spec, dist), a_max=1)
 
 
+def test_region_check_a_max_at_the_k4_default_fits_the_default_guard(tmp_path, capsys):
+    # Both halves of the a_max=6 search hold 7^6 cells; the full lattice's
+    # 7^8 = 5,764,801 cells were refused with "size guard".
+    import random
+
+    from conftest import random_full_support, random_injective_channel
+
+    rng = random.Random("check-a-max/4/0")
+    spec = random_injective_channel(rng, 4, 3)
+    assert spec.x_alphabet_sizes == (3, 2, 3, 2)
+    chan, dist_path, out = tmp_path / "chan.json", tmp_path / "dist.json", tmp_path / "r.json"
+    save_channel(spec, chan)
+    save_distribution(random_full_support(rng, spec), dist_path)
+    rc = main(["region", str(chan), str(dist_path), "--method", "theorem", "--check-a-max",
+               "--out", str(out)])
+    captured = capsys.readouterr()
+    assert "size guard" not in captured.err
+    assert (rc, captured.out.splitlines()[0]) == (
+        0, "a_max check: raising 5 -> 6 left the region unchanged"
+    ) or (rc == 1 and "changed the region" in captured.err)
+
+
 def test_region_guard_overflow(xor_file, uniform2_file, capsys):
     rc = main(["region", xor_file, uniform2_file, "--method", "theorem", "--guard", "3"])
     assert rc == 1

@@ -342,7 +342,7 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     rng = random.Random(seed)
     spec = random_injective_channel(rng, K, max_x)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
+    maximize, maximize_stacks = dicregion.lp.maximize, dicregion.lp._maximize_stacks
     rows = []
 
     def counting(c, system):
@@ -351,10 +351,10 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
         rows.append(len(C) * len(b[0]))  # each member's rows
-        return maximize_batch(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
-    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     region = project_to_aggregate(a1)
     assert len(region.inequalities) == n_rows
     assert sum(rows) <= 20_000
@@ -375,18 +375,18 @@ def _sweep_k4_x8():
 @pytest.mark.parametrize("case, n_rows, most_calls", [(_binary_k6, 50, 3), (_sweep_k4_x8, 23, 11)],
                          ids=["binary-k6", "k4-x8"])
 def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls):
-    # One maximize_batch call is one round of certificate LPs.  Doubling the
+    # One batch call is one round of certificate LPs.  Doubling the
     # working sets until no row was violated, then testing every row step B
     # bounded over the kept rows again, took 5 and 18 calls on these inputs.
     spec, dist = case()
     a1 = build_A1(spec, table_for(spec, dist))
-    maximize_batch, calls = dicregion.lp.maximize_batch, []
+    maximize_stacks, calls = dicregion.lp._maximize_stacks, []
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
         calls.append(len(C))
-        return maximize_batch(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
 
-    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     assert len(project_to_aggregate(a1).inequalities) == n_rows
     assert len(calls) <= most_calls
 
@@ -444,7 +444,7 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
     rng = random.Random(12)
     spec = random_injective_channel(rng, 5, 2)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
+    maximize, maximize_stacks = dicregion.lp.maximize, dicregion.lp._maximize_stacks
     widths = []
 
     def counting(c, system):
@@ -453,10 +453,10 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
         widths.extend(len(c) for c in C)
-        return maximize_batch(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
-    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     project_to_aggregate(a1)
     assert widths and max(widths) == 5
 
@@ -483,7 +483,7 @@ def _plain_projection(a1):
 
 
 def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
-    maximize, maximize_batch = dicregion.lp.maximize, dicregion.lp.maximize_batch
+    maximize, maximize_stacks = dicregion.lp.maximize, dicregion.lp._maximize_stacks
     calls = []
 
     def counting(c, system):
@@ -492,10 +492,10 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
         calls.extend([1] * len(C))  # one LP per member
-        return maximize_batch(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
-    monkeypatch.setattr(dicregion.lp, "maximize_batch", counting_batch)
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     fewer = 0
     for seed, K, max_x in [(3, 3, 3), (9, 3, 4), UNPINNED_K4, (6, 4, 3)]:
         rng = random.Random(seed)

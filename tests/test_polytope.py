@@ -196,13 +196,13 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
     # x1 <= 1 and x2 <= 1 are tight, and both end kept: no step-C batch runs.
     # 2x1 + x2 <= 3 is tight there too but is dropped, so with it both
     # bounded rows take the step-C LP over the kept rows.
-    maximize_batch, members = lp.maximize_batch, []
+    maximize_stacks, members = lp._maximize_stacks, []
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
         members.append(len(C))
-        return maximize_batch(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
 
-    monkeypatch.setattr(lp, "maximize_batch", counting_batch)
+    monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
     box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
     for extra, batches in [([((1, 1), 2.0)], [3, 1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [4, 3, 2])]:
         members.clear()

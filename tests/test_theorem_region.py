@@ -120,7 +120,7 @@ def test_enumerate_equals_preset_region_on_random_channels():
         assert regions_equal(enumerated, preset_region, 1e-9)
 
 
-@pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (2, 3), (3, 2)])
+@pytest.mark.parametrize("K,a_max", [(2, 1), (2, 2), (2, 3), (3, 2), (4, 1)])
 def test_dp_matches_exhaustive_facet_choices(K, a_max):
     rng = random.Random(100 * K + a_max)
     spec = random_injective_channel(rng, K, 2)
@@ -134,7 +134,7 @@ def test_dp_matches_exhaustive_facet_choices(K, a_max):
         for fs, row in zip(specs, rows):
             best[fs.a] = min(best.get(fs.a, math.inf), row.rhs)
         assert len(best) == (a_max + 1) ** K - 1  # every weight vector has a choice
-        f = _smallest_rhs(table.split_rhs, a_max)
+        f, _ = _smallest_rhs(table.split_rhs, a_max)
         assert f.shape == (a_max + 1,) * K and f[(0,) * K] == 0.0
         for a, rhs in best.items():
             assert f[a] == pytest.approx(rhs, rel=0, abs=1e-12), a
@@ -172,7 +172,7 @@ def test_subadditive_rows_never_reach_the_prune(monkeypatch, make_dist):
     # 124 weight vectors and 3 nonnegativity rows without the filter
     assert len(given) == 1 and len(given[0].lhs) <= 20
 
-    f = _smallest_rhs(table.split_rhs, 4)
+    f, _ = _smallest_rhs(table.split_rhs, 4)
     rows = [LinearInequality(a, f[a]) for a in itertools.product(range(5), repeat=3) if any(a)]
     rows += nonneg_inequalities(3)
     reference = canonicalize(prune_redundant(Region(3, tuple(rows), region.labels)))
@@ -180,12 +180,53 @@ def test_subadditive_rows_never_reach_the_prune(monkeypatch, make_dist):
     np.testing.assert_allclose(region.rhs, reference.rhs, rtol=0, atol=1e-12)
 
 
+def per_vector_filter(f, tol):
+    """The subadditivity filter one weight vector at a time: the reference
+    for the one pass over the search's pairs."""
+    K, a_max = f.ndim, f.shape[0] - 1
+    lhs, rhs = [], []
+    for a in itertools.product(range(a_max + 1), repeat=K):
+        if not any(a):
+            continue
+        box = f[tuple(slice(v + 1) for v in a)]  # f(b) for every b <= a
+        split = box + box[(slice(None, None, -1),) * K]  # f(b) + f(a - b)
+        split.flat[0] = split.flat[-1] = np.inf  # b = 0 and b = a
+        if f[a] < split.min() - tol:
+            lhs.append(a)
+            rhs.append(f[a])
+    return lhs, rhs
+
+
+@pytest.mark.parametrize("make_dist", [
+    random_full_support,
+    zero_entry_distribution,
+    lambda rng, spec: InputDistribution.point_mass(spec),  # ties f(a) = f(b) + f(a - b)
+], ids=["full-support", "zero-entries", "point-mass"])
+@pytest.mark.parametrize("K", [2, 3, 4])
+def test_filter_keeps_the_rows_of_the_per_vector_loop(monkeypatch, make_dist, K):
+    given = []  # the filtered rows, handed on unpruned
+    monkeypatch.setattr(theorem_region, "prune_redundant", lambda r, tol: given.append(r) or r)
+    for seed in range(3):
+        rng = random.Random(f"filter/{K}/{seed}")
+        spec = random_injective_channel(rng, K, 3)
+        table = build_entropy_table(spec, make_dist(rng, spec))
+        a_max = default_a_max(K)
+        given.clear()
+        theorem_region.enumerate_facets_bumped(spec, table, a_max=a_max)
+        f, _ = _smallest_rhs(table.split_rhs, a_max + 1)
+        assert len(given) == 2
+        for region, cap in zip(given, (a_max, a_max + 1)):
+            lhs, rhs = per_vector_filter(f[(slice(cap + 1),) * K], 1e-9)
+            assert region.lhs == tuple(lhs) + tuple(q.coeffs for q in nonneg_inequalities(K))
+            assert region.rhs.tobytes() == np.array(rhs + [0.0] * K).tobytes()
+
+
 @pytest.mark.parametrize("K,a_max", [(2, 2), (3, 1)])
 def test_guard_counts_lattice_cells(K, a_max):
     rng = random.Random(K)
     spec = random_injective_channel(rng, K, 2)
     table = random_entropy_table(rng, K)
-    cells = (a_max + 1) ** (2 * K)
+    cells = (a_max + 1) ** (2 * K - K // 2)  # the larger half lattice
     with pytest.raises(EnumerationOverflowError, match=f"{cells} DP states.*size guard of {cells - 1}"):
         enumerate_facets(spec, table, a_max=a_max, max_facets=cells - 1)
     enumerate_facets(spec, table, a_max=a_max, max_facets=cells)
@@ -234,7 +275,7 @@ def test_bumped_regions_come_from_one_lattice(monkeypatch, K, a_max):
             alone = enumerate_facets(spec, table, a_max=cap)
             assert (region.dim, region.labels, region.lhs) == (alone.dim, alone.labels, alone.lhs)
             assert region.rhs.tobytes() == alone.rhs.tobytes()
-    cells = (a_max + 2) ** (2 * K)
+    cells = (a_max + 2) ** (2 * K - K // 2)
     with pytest.raises(EnumerationOverflowError, match=f"{cells} DP states"):
         theorem_region.enumerate_facets_bumped(spec, table, a_max=a_max, max_facets=cells - 1)
 
