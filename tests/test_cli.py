@@ -247,6 +247,40 @@ def test_compare_equal_unbounded_half_planes(tmp_path, monkeypatch, capsys):
     assert answers == [None] * 12
 
 
+HALF_PLANE = R(2, [((1, 1), 1.0)])
+SMALL_SQUARE = R(2, [((1, 0), 0.1), ((0, 1), 0.1), ((-1, 0), 0.0), ((0, -1), 0.0)])
+# Each rhs raised by 0.9e-9: within tol of every row, but the corner moves by
+# more than tol * max(1, value) along some directions.
+RAISED_SQUARE = R(2, [((1, 0), 0.1 + 0.9e-9), ((0, 1), 0.1 + 0.9e-9),
+                      ((-1, 0), 0.9e-9), ((0, -1), 0.9e-9)])
+
+
+@pytest.mark.parametrize("left, right, code, out", [
+    (UNIT_SIMPLEX, UNIT_SIMPLEX, 0, "equal within tol 1e-09 (100 direction spot checks)"),
+    (UNIT_SQUARE, R(3, []), 1, "unequal: dimensions differ (2 vs 3)"),
+    (UNIT_SQUARE, UNIT_SIMPLEX, 1,
+     "unequal: inequality [1, 1] . R <= 1 of {b} is violated (attains 2)"),
+    (UNIT_SIMPLEX, UNIT_SQUARE, 1,
+     "unequal: inequality [1, 1] . R <= 1 of {a} is violated (attains 2)"),
+    (HALF_PLANE, UNIT_SIMPLEX, 1,
+     "unequal: inequality [-1, 0] . R <= 0 of {b} is violated (attains unbounded)"),
+    (UNIT_SIMPLEX, HALF_PLANE, 1,
+     "unequal: inequality [-1, 0] . R <= 0 of {a} is violated (attains unbounded)"),
+    (SMALL_SQUARE, RAISED_SQUARE, 1,
+     "unequal: support values differ in direction [0.6888437030500962, 0.515908805880605]: "
+     "0.12047525089307012 vs 0.12047525197734739"),
+], ids=["equal", "dimensions", "row-of-b", "row-of-a", "unbounded-row-of-b",
+        "unbounded-row-of-a", "support-only"])
+def test_compare_prints_each_verdict_exactly(tmp_path, capsys, left, right, code, out):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_region(left, a)
+    save_region(right, b)
+    assert main(["compare", str(a), str(b)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == out.format(a=a, b=b) + "\n"
+    assert captured.err == ""
+
+
 EMPTY = R(2, [((1, 0), -1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
 
 
