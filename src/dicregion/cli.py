@@ -27,21 +27,9 @@ from . import hk_region, theorem_region
 from .channel import load_channel, validate_injectivity
 from .entropy import build_entropy_table, load_distribution
 from .errors import (
-    ChannelFormatError,
-    DicRegionError,
-    EnumerationOverflowError,
-    InfeasibleRegionError,
-    UnboundedDirectionError,
+    ChannelFormatError, DicRegionError, EnumerationOverflowError, UnboundedDirectionError
 )
-from .polytope import (
-    load_region,
-    region_to_dict,
-    is_subset,
-    find_subset_violation,
-    support_value,
-    save_region,
-    vertices,
-)
+from .polytope import compare, is_subset, load_region, region_to_dict, save_region, vertices
 from .theorem_region import facet_to_dict, presets
 
 __all__ = ["main"]
@@ -168,46 +156,22 @@ def cmd_compare(args) -> int:
         except (OSError, json.JSONDecodeError, ValueError) as exc:
             return _fail_parse(f"region file {path!r}", exc)
     a, b = regions
-    if a.dim != b.dim:
-        print(f"unequal: dimensions differ ({a.dim} vs {b.dim})")
-        return 1
-    tol = args.tol
-
-    for left, right, name in ((a, b, args.region_b), (b, a, args.region_a)):
-        try:
-            violation = find_subset_violation(left, right, tol)
-        except InfeasibleRegionError:
-            if left is a:
-                continue  # a is empty: the reverse test or the spot checks decide
-            raise
-        if violation is not None:
-            ineq, value = violation
+    match compare(a, b, random.Random(seed), args.tol, args.directions):
+        case None:
+            print(f"equal within tol {args.tol} ({args.directions} direction spot checks)")
+            return 0
+        case ("dim", dim_a, dim_b):
+            print(f"unequal: dimensions differ ({dim_a} vs {dim_b})")
+        case ("row", side, row, value):
+            name = args.region_a if side == "a" else args.region_b
             attained = "unbounded" if value is None else f"{value:.12g}"
             print(
-                f"unequal: inequality {list(ineq.coeffs)} . R <= {ineq.rhs:.12g} of "
+                f"unequal: inequality {list(row.coeffs)} . R <= {row.rhs:.12g} of "
                 f"{name} is violated (attains {attained})"
             )
-            return 1
-
-    rng = random.Random(seed)
-    for _ in range(args.directions):
-        direction = [rng.uniform(-1.0, 1.0) for _ in range(a.dim)]
-        va = vb = None
-        try:
-            va = support_value(a, direction, tol)
-        except UnboundedDirectionError:
-            pass
-        try:
-            vb = support_value(b, direction, tol)
-        except UnboundedDirectionError:
-            pass
-        if (va is None) != (vb is None) or (
-            va is not None and abs(va - vb) > tol * max(1.0, abs(va))
-        ):
+        case ("support", direction, va, vb):
             print(f"unequal: support values differ in direction {direction}: {va} vs {vb}")
-            return 1
-    print(f"equal within tol {tol} ({args.directions} direction spot checks)")
-    return 0
+    return 1
 
 
 def cmd_plot(args) -> int:

@@ -27,14 +27,14 @@ import numpy as np
 
 from .channel import _is_int
 
-__all__ = ["LPResult", "System", "maximize", "maximize_batch", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
+__all__ = ["LPResult", "System", "maximize", "OPTIMAL", "UNBOUNDED", "INFEASIBLE"]
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
 INFEASIBLE = "infeasible"
 
 _MAX_PIVOTS = 200_000
-# Tableau cells per maximize_batch stack: 2 MB of doubles.  2^16 and 2^20 ran
+# Tableau cells per _maximize_stacks stack: 2 MB of doubles.  2^16 and 2^20 ran
 # within noise of it on the prune LPs of K=4 and K=10 channels.
 _BATCH_CELLS = 2**18
 
@@ -152,38 +152,22 @@ def maximize(c, system: System) -> LPResult:
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 
-def maximize_batch(C, A, b, tol: float = 1e-9, stop=None):
+def _maximize_stacks(C, A, b, tol, stop):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
-    C is (B, n), A is (B, m, n) and b is (B, m) with every entry >= 0
-    (phase 2 starts from the slack basis).  Each member makes `maximize`'s
-    pivots with its arithmetic, so its x equals that of
+    C is (B, n), A is (B, m, n), b is (B, m) and stop is (B,), float arrays
+    the caller has checked: every entry finite and b >= 0 (phase 2 starts
+    from the slack basis), such as rows gathered from a region.  Each member
+    makes `maximize`'s pivots with its arithmetic, so its x equals that of
     `maximize(C[i], System(A[i], b[i], tol=tol))` bit for bit and its value
-    is C[i] @ x.  `stop`, if given, is (B,) thresholds: member i finishes at
-    the first step whose objective row's rhs (the value of the feasible
-    basic point there) is above stop[i], and reports that point instead;
-    members whose threshold is inf or nan, or never passed, are unchanged.
-    Returns (unbounded flags, values, X), inf and nan for unbounded members.
+    is C[i] @ x.  Member i finishes at the first step whose objective row's
+    rhs (the value of the feasible basic point there) is above stop[i], and
+    reports that point instead; members whose threshold is inf or nan, or
+    never passed, are unchanged.  Stacks hold at most _BATCH_CELLS tableau
+    cells.  Returns (unbounded flags, values, X), inf and nan for unbounded
+    members.
     """
-    C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
-    stop = np.full(len(C), np.inf) if stop is None else np.asarray(stop, dtype=float)
-    m = b.shape[1] if b.ndim == 2 else -1
-    n = C.shape[1] if C.ndim == 2 else -1
-    if n < 0 or b.shape != (len(C), m) or A.shape != (len(C), m, n) or stop.shape != (len(C),):
-        raise ValueError(
-            f"C {C.shape}, A {A.shape}, b {b.shape} and stop {stop.shape} do not form one batch"
-        )
-    if not (np.isfinite(C).all() and np.isfinite(A).all() and np.isfinite(b).all()):
-        raise ValueError("objectives, constraint matrices and right-hand sides must be finite")
-    if not (b >= 0).all():
-        raise ValueError("maximize_batch needs every right-hand side >= 0")
-    return _maximize_stacks(C, A, b, tol, stop)
-
-
-def _maximize_stacks(C, A, b, tol, stop):
-    """`maximize_batch` on float arrays that already form one batch of finite
-    data with b >= 0, such as rows gathered from a checked region."""
     m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
     step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))

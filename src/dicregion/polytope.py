@@ -32,6 +32,7 @@ __all__ = [
     "is_subset",
     "find_subset_violation",
     "regions_equal",
+    "compare",
     "support_value",
     "vertices",
     "contains_point",
@@ -238,7 +239,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     Each certificate LP caps row k at b_k + 1, so `tol` must be below 1.
 
     When every b_i >= 0, certificates decide most rows, each round of LPs
-    in one `lp.maximize_batch` call.  Kept rows (the above and certified
+    in one `lp._maximize_stacks` call.  Kept rows (the above and certified
     keeps) are alive at every turn and the alive rows are among all others,
     so a value <= b_k + tol over kept rows drops k, and > b_k + tol over all
     others keeps it.  Step A: over the kept rows, drop, or keep when the
@@ -246,7 +247,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     others, output-sensitively (Clarkson, FOCS 1994): the working set gains
     the rows its optimum violates most, doubling by at least 5, until none is
     violated (keep) or the value is <= b_k + tol; once it holds 1/16 of the
-    rows, a next round that fits one `maximize_batch` stack takes all others
+    rows, a next round that fits one `_maximize_stacks` stack takes all others
     and so decides every row, a keep at its first point above b_k + tol
     (`_capped`).  Step C: a row step B bounded is dropped when
     every working row tight at its optimum ends kept (by complementary
@@ -284,7 +285,7 @@ def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
     Over all other rows, a point above b_k + tol already proves the optimum
-    is, so each member stops there (`maximize_batch`'s `stop`).  The rows
+    is, so each member stops there (`_maximize_stacks`' `stop`).  The rows
     come from a region, finite and here b >= 0, so they are not checked again."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
@@ -311,7 +312,7 @@ def _certify(A, b, kept, dropped, tol):
         tested, working, excess = tested[grow], working[grow], excess[grow]
         # Step B: the most violated rows join, at least 5 and as many as the
         # set holds, and every other row once it holds 1/16 of the rows and
-        # that round fits one `maximize_batch` stack: a larger one would pay
+        # that round fits one `_maximize_stacks` stack: a larger one would pay
         # for its tableau cells far more than for the rounds it saves.
         size = working[:1].sum()  # 0 once no row is left
         rest = len(b) - 1 - size
@@ -378,6 +379,35 @@ def regions_equal(a: Region, b: Region, tol: float = 1e-9) -> bool:
     return is_subset(a, b, tol) and is_subset(b, a, tol)
 
 
+def compare(a: Region, b: Region, rng, tol: float = 1e-9, directions: int = 100):
+    """None when a and b are the same set, else the first difference found:
+    ("dim", a.dim, b.dim); ("row", side, inequality, value), a row of region
+    `side` ("a" or "b") that the other region exceeds, attaining `value`; or
+    ("support", direction, va, vb), support values that differ.  A value of
+    None means unbounded.
+
+    Containment is tested a in b, then b in a; an empty `a` skips its test,
+    and the test of an empty `b` raises InfeasibleRegionError.  Then each of
+    `directions` spot checks draws one rng.uniform(-1, 1) per coordinate;
+    va and vb differ when one is None or |va - vb| > tol * max(1, |va|).
+    """
+    if a.dim != b.dim:
+        return "dim", a.dim, b.dim
+    tests = ((a, b, "b"), (b, a, "a")) if a._lp_form(tol).feasible else ((b, a, "a"),)
+    for left, right, side in tests:
+        violation = find_subset_violation(left, right, tol)
+        if violation is not None:
+            return ("row", side, *violation)
+    for _ in range(directions):
+        direction = [rng.uniform(-1.0, 1.0) for _ in range(a.dim)]
+        va, vb = _support(a, direction, tol), _support(b, direction, tol)
+        if (va is None) != (vb is None) or (
+            va is not None and abs(va - vb) > tol * max(1.0, abs(va))
+        ):
+            return "support", direction, va, vb
+    return None
+
+
 def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     """max direction . x over the region.
 
@@ -418,12 +448,10 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
         for orient, name in ((1.0, "+"), (-1.0, "-")):
             direction = [0.0] * region.dim
             direction[i] = orient
-            try:
-                support_value(region, direction, tol=tol)
-            except UnboundedDirectionError:
+            if _support(region, direction, tol) is None:
                 raise UnboundedDirectionError(
                     direction, f"region is unbounded in direction {name}{region.labels[i]}"
-                ) from None
+                )
 
     A, b = region.matrix()
     candidates: list[tuple[float, ...]] = []
@@ -472,14 +500,19 @@ def region_to_dict(region: Region) -> dict:
 
 
 def region_from_dict(data: dict) -> Region:
+    """A region from its JSON document.  As in channel and distribution files,
+    a boolean or a string is not a number, and labels, if given, are a list."""
     try:
-        ineqs = tuple(
-            LinearInequality(tuple(item["coeffs"]), item["rhs"])
-            for item in data["inequalities"]
-        )
+        rows = [(item["coeffs"], item["rhs"]) for item in data["inequalities"]]
+        if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
+            raise TypeError("a coefficient or rhs is a boolean or a string, not a number")
+        ineqs = tuple(LinearInequality(tuple(coeffs), rhs) for coeffs, rhs in rows)
         if any(abs(c) > 2**53 for q in ineqs for c in q.coeffs):
             raise ValueError("a coefficient exceeds 2^53, beyond the integers a float holds exactly")
-        return Region(data["dim"], ineqs, tuple(data.get("labels") or ()))
+        labels = data.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise TypeError(f"labels must be a list of strings, got {labels!r}")
+        return Region(data["dim"], ineqs, labels or ())
     except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a coefficient of inf
         raise ValueError(f"malformed region document: {exc}") from exc
 

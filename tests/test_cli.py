@@ -7,18 +7,11 @@ from xml.etree import ElementTree
 
 import pytest
 
-from dicregion import cli
+from dicregion import polytope
 from dicregion.channel import save_channel
 from dicregion.cli import main
 from dicregion.entropy import InputDistribution, save_distribution
-from dicregion.errors import UnboundedDirectionError
-from dicregion.polytope import (
-    load_region,
-    region_to_dict,
-    regions_equal,
-    save_region,
-    support_value,
-)
+from dicregion.polytope import load_region, region_to_dict, regions_equal, save_region
 
 from conftest import parity3_channel, xor_channel
 from test_polytope import R, UNIT_SIMPLEX, UNIT_SQUARE
@@ -123,14 +116,23 @@ def test_region_files_with_non_finite_rhs_are_parse_errors(tmp_path, capsys):
     "field, value, message",
     [("labels", [1, 2], "labels must be strings"),
      ("coeffs", [10**400, 1], "exceeds 2^53"),
-     ("coeffs", [math.inf, 1], "malformed region document")],
-    ids=["int-labels", "huge-int", "float-inf"],
+     ("coeffs", [math.inf, 1], "malformed region document"),
+     ("labels", "ab", "malformed region document: labels must be a list of strings, got 'ab'"),
+     ("labels", {"a": 0, "b": 1}, "malformed region document: labels must be a list of strings"),
+     ("labels", "", "malformed region document: labels must be a list of strings, got ''"),
+     ("rhs", "2", "malformed region document: a coefficient or rhs is a boolean or a string"),
+     ("rhs", True, "malformed region document: a coefficient or rhs is a boolean or a string"),
+     ("coeffs", [True, 1], "malformed region document: a coefficient or rhs is a boolean")],
+    ids=["int-labels", "huge-int", "float-inf", "string-labels", "object-labels",
+         "empty-string-labels", "string-rhs", "bool-rhs", "bool-coefficient"],
 )
 def test_region_files_with_bad_labels_or_coefficients_are_parse_errors(
     tmp_path, capsys, field, value, message
 ):
-    # Each used to end in a traceback and exit 1: AttributeError in plot,
-    # OverflowError in compare and plot.
+    # The first three used to end in a traceback and exit 1: AttributeError
+    # in plot, OverflowError in compare and plot.  The others used to load:
+    # "ab" as the labels ('a', 'b'), an object as its keys, "" as no labels,
+    # "2" and true as the numbers 2 and 1.
     doc = region_to_dict(UNIT_SIMPLEX)
     (doc if field == "labels" else doc["inequalities"][0])[field] = value
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"
@@ -225,26 +227,18 @@ def test_compare_regions_of_different_dimensions(tmp_path, capsys):
 
 
 def test_compare_equal_unbounded_half_planes(tmp_path, monkeypatch, capsys):
-    # x1 + x2 <= 1, written twice with different scales: no spot direction
-    # is bounded, and both regions must say so alike.
+    # x1 + x2 <= 1, written twice with different scales: each containment
+    # row is bounded, no spot direction is, and both regions must say so alike.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     save_region(R(2, [((1, 1), 1.0)]), a)
     save_region(R(2, [((2, 2), 2.0)]), b)
-    answers = []
-
-    def counting_support(region, direction, tol):
-        try:
-            value = support_value(region, direction, tol)
-        except UnboundedDirectionError:
-            answers.append(None)
-            raise
-        answers.append(value)
-        return value
-
-    monkeypatch.setattr(cli, "support_value", counting_support)
+    support, answers = polytope._support, []
+    monkeypatch.setattr(
+        polytope, "_support", lambda *args: answers.append(support(*args)) or answers[-1]
+    )
     assert main(["compare", str(a), str(b), "--directions", "6"]) == 0
     assert capsys.readouterr().out.startswith("equal within tol")
-    assert answers == [None] * 12
+    assert answers == [2.0, 1.0] + [None] * 12
 
 
 HALF_PLANE = R(2, [((1, 1), 1.0)])
@@ -257,7 +251,6 @@ RAISED_SQUARE = R(2, [((1, 0), 0.1 + 0.9e-9), ((0, 1), 0.1 + 0.9e-9),
 
 @pytest.mark.parametrize("left, right, code, out", [
     (UNIT_SIMPLEX, UNIT_SIMPLEX, 0, "equal within tol 1e-09 (100 direction spot checks)"),
-    (UNIT_SQUARE, R(3, []), 1, "unequal: dimensions differ (2 vs 3)"),
     (UNIT_SQUARE, UNIT_SIMPLEX, 1,
      "unequal: inequality [1, 1] . R <= 1 of {b} is violated (attains 2)"),
     (UNIT_SIMPLEX, UNIT_SQUARE, 1,
@@ -269,7 +262,7 @@ RAISED_SQUARE = R(2, [((1, 0), 0.1 + 0.9e-9), ((0, 1), 0.1 + 0.9e-9),
     (SMALL_SQUARE, RAISED_SQUARE, 1,
      "unequal: support values differ in direction [0.6888437030500962, 0.515908805880605]: "
      "0.12047525089307012 vs 0.12047525197734739"),
-], ids=["equal", "dimensions", "row-of-b", "row-of-a", "unbounded-row-of-b",
+], ids=["equal", "row-of-b", "row-of-a", "unbounded-row-of-b",
         "unbounded-row-of-a", "support-only"])
 def test_compare_prints_each_verdict_exactly(tmp_path, capsys, left, right, code, out):
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -163,8 +163,7 @@ def test_system_rejects_non_finite_data():
 def test_non_finite_objectives_and_batch_data_are_rejected():
     # A nan objective used to come back "optimal" with value nan and record a
     # basis, and an inf one hit numpy's "invalid value encountered in matmul".
-    # The batch answered a nan objective "optimal" with value nan, a nan in A
-    # "unbounded" and an inf rhs with a nan point.
+    # The stacked solver takes checked data; a nan or inf threshold is none.
     system = lp.System([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     for c in ([np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]):
         with pytest.raises(ValueError, match="2 finite numbers"):
@@ -173,13 +172,8 @@ def test_non_finite_objectives_and_batch_data_are_rejected():
     with pytest.raises(ValueError, match="1 finite numbers"):  # before feasibility
         lp.maximize([np.nan], lp.System([[1.0], [-1.0]], [-2.0, 1.0]))
     batch = np.ones((1, 2)), np.eye(2)[None], np.ones((1, 2))
-    for k, value in ((0, np.nan), (1, np.nan), (2, np.inf), (1, -np.inf)):
-        data = [v.copy() for v in batch]
-        data[k].flat[-1] = value
-        with pytest.raises(ValueError, match="must be finite"):
-            lp.maximize_batch(*data)
     for stop in ([np.nan], [np.inf]):  # still no threshold
-        assert lp.maximize_batch(*batch, stop=stop)[1].tolist() == [2.0]
+        assert _stacks(*batch, stop=stop)[1].tolist() == [2.0]
 
 
 def _count_pivots(monkeypatch):
@@ -466,8 +460,15 @@ def test_right_hand_side_must_match_the_rows():
         _maximize([1.0], [], [1.0, 2.0])
 
 
+def _stacks(C, A, b, stop=None):
+    """`lp._maximize_stacks` on lists or arrays, with no threshold by default."""
+    C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
+    stop = np.full(len(C), np.inf) if stop is None else np.asarray(stop, dtype=float)
+    return lp._maximize_stacks(C, A, b, 1e-9, stop)
+
+
 def _assert_batch_matches_maximize(C, A, b):
-    unbounded, values, X = lp.maximize_batch(C, A, b)
+    unbounded, values, X = _stacks(C, A, b)
     for i in range(len(C)):
         res = _maximize(C[i], A[i], b[i])
         assert unbounded[i] == (res.status == lp.UNBOUNDED)
@@ -502,7 +503,7 @@ def test_batch_members_finish_apart_and_one_is_unbounded():
     A2 = np.stack([A, A, np.vstack([np.zeros(4), A[1:]]), A])
     unbounded = _assert_batch_matches_maximize(C, A2, np.tile(b, (4, 1)))
     assert unbounded.tolist() == [False, False, True, False]
-    X = lp.maximize_batch(C[:1], A[None], b[None])[2]
+    X = _stacks(C[:1], A[None], b[None])[2]
     assert X[0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
 
 
@@ -518,22 +519,11 @@ def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
     assert sizes == [2, 2, 1]
 
 
-def test_batch_rejects_negative_rhs_and_mismatched_shapes():
-    with pytest.raises(ValueError, match=">= 0"):
-        lp.maximize_batch([[1.0]], [[[1.0]]], [[-1.0]])
-    with pytest.raises(ValueError, match="one batch"):
-        lp.maximize_batch([[1.0]], [[[1.0], [2.0]]], [[1.0]])  # two rows, one rhs
-    with pytest.raises(ValueError, match="one batch"):
-        lp.maximize_batch([[1.0]], [[1.0]], [[1.0]])  # a 2-D A, not one per member
-    with pytest.raises(ValueError, match="one batch"):
-        lp.maximize_batch([[1.0], [1.0]], np.ones((3, 1, 1)), [[1.0], [1.0]])  # three stacked systems
-
-
 def test_batch_member_with_a_threshold_stops_at_its_first_point_above_it():
     # Over the unit box, max x1 + x2 pivots x1 in first, to (1, 0) of value 1,
     # then x2, to the optimum (1, 1).
     C, A, b = [[1.0, 1.0]] * 3, [[[1.0, 0.0], [0.0, 1.0]]] * 3, [[1.0, 1.0]] * 3
-    unbounded, values, X = lp.maximize_batch(C, A, b, stop=[0.5, 1.0, np.inf])
+    unbounded, values, X = _stacks(C, A, b, stop=[0.5, 1.0, np.inf])
     assert not unbounded.any()
     assert X.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]  # 1.0 is not above 1.0
     assert values.tolist() == [1.0, 2.0, 2.0]
@@ -547,10 +537,10 @@ def test_batch_members_without_a_threshold_are_unchanged_by_those_with_one():
         A = rng.integers(-3, 4, (size, m, n)).astype(float)
         b = rng.integers(0, 6, (size, m)).astype(float)
         C = rng.integers(-3, 4, (size, n)).astype(float)
-        full = lp.maximize_batch(C, A, b)
+        full = _stacks(C, A, b)
         stop = np.where(rng.random(size) < 0.5, rng.random(size) * 4, np.inf)
         stop[rng.random(size) < 0.2] = np.nan  # as no threshold
-        unbounded, values, X = lp.maximize_batch(C, A, b, stop=stop)
+        unbounded, values, X = _stacks(C, A, b, stop=stop)
         same = ~(stop < full[1])  # no threshold, or the optimum is not above it
         assert X[same].tobytes() == full[2][same].tobytes()
         assert (unbounded[same] == full[0][same]).all()
@@ -563,11 +553,6 @@ def test_batch_members_without_a_threshold_are_unchanged_by_those_with_one():
             assert (A[i] @ X[i] <= b[i] + 1e-9).all()
             stopped += values[i] < full[1][i]
     assert stopped  # some stopped short of their optimum
-
-
-def test_batch_rejects_a_threshold_per_member_of_another_shape():
-    with pytest.raises(ValueError, match="one batch"):
-        lp.maximize_batch([[1.0]], [[[1.0]]], [[1.0]], stop=[1.0, 2.0])
 
 
 @pytest.mark.parametrize("nonneg", [[-1], [2], [5], [0.5], [True], ["0"], [None]])

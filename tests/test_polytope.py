@@ -676,13 +676,41 @@ def test_a_seeded_compare_makes_a_pinned_number_of_pivots(monkeypatch):
     hk, thm = project_to_aggregate(build_A1(spec, table)), enumerate_facets(spec, table)
     pivot, made = lp._pivot, []
     monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
-    assert is_subset(hk, thm) and is_subset(thm, hk)
-    rng = random.Random(0)
-    for _ in range(100):
-        direction = [rng.uniform(-1.0, 1.0) for _ in range(hk.dim)]
-        assert support_value(hk, direction) == pytest.approx(support_value(thm, direction))
+    assert polytope.compare(hk, thm, random.Random(0)) is None
     assert len(made) == 42
     assert len(hk._lp_form().bases) == len(thm._lp_form().bases) == 10
+
+
+def test_compare_returns_the_first_difference_of_each_kind():
+    small = R(2, [((1, 0), 0.1), ((0, 1), 0.1), ((-1, 0), 0.0), ((0, -1), 0.0)])
+    raised = R(2, [((1, 0), 0.1 + 0.9e-9), ((0, 1), 0.1 + 0.9e-9),
+                   ((-1, 0), 0.9e-9), ((0, -1), 0.9e-9)])
+    half_plane = R(2, [((1, 1), 1.0)])
+    x1_below_minus_1 = LinearInequality((1, 0), -1.0)
+    x1_nonneg, x1_plus_x2 = LinearInequality((-1, 0), 0.0), LinearInequality((1, 1), 1.0)
+    cases = [
+        (UNIT_SQUARE, UNIT_SQUARE, None),
+        (half_plane, half_plane, None),  # every spot direction is unbounded on both sides
+        (UNIT_SQUARE, R(3, []), ("dim", 2, 3)),
+        (UNIT_SQUARE, UNIT_SIMPLEX, ("row", "b", x1_plus_x2, 2.0)),
+        (UNIT_SIMPLEX, UNIT_SQUARE, ("row", "a", x1_plus_x2, 2.0)),
+        (UNIT_SIMPLEX, half_plane, ("row", "a", x1_nonneg, None)),
+        (small, raised, ("support", [0.6888437030500962, 0.515908805880605],
+                         0.12047525089307012, 0.12047525197734739)),
+        # An empty b fails a's test; an empty a skips its own, and the
+        # reverse test decides.
+        (UNIT_SQUARE, EMPTY, ("row", "b", x1_below_minus_1, 1.0)),
+        (EMPTY, UNIT_SQUARE, ("row", "a", x1_below_minus_1, 1.0)),
+        (EMPTY, R(2, []), ("row", "a", x1_below_minus_1, None)),
+    ]
+    for a, b, difference in cases:
+        assert polytope.compare(a, b, random.Random(0)) == difference
+    # With a looser tol the support-only pair agrees, and with no spot
+    # direction containment alone decides.
+    assert polytope.compare(small, raised, random.Random(0), tol=1e-8) is None
+    assert polytope.compare(small, raised, random.Random(0), directions=0) is None
+    with pytest.raises(InfeasibleRegionError):  # both empty: b's own test raises
+        polytope.compare(EMPTY, EMPTY, random.Random(0))
 
 
 def test_contains_point_rejects_a_point_of_the_wrong_length_or_a_nan():
