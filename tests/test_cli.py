@@ -1,8 +1,10 @@
 """Command-line surface: exit codes, file formats, plotting."""
 
 import csv
+import errno
 import json
 import math
+import os
 from xml.etree import ElementTree
 
 import pytest
@@ -329,6 +331,46 @@ def test_compare_parse_error(tmp_path):
     assert main(["compare", str(bad), str(good)]) == 2
 
 
+def read_error(kind, path, reason):
+    return f"error: could not read {kind} file {str(path)!r}: {reason}\n"
+
+
+def os_reason(code, path):
+    return f"[Errno {code}] {os.strerror(code)}: {str(path)!r}"
+
+
+def test_region_with_an_unreadable_channel_file_exits_2(uniform2_file, tmp_path, capsys):
+    assert main(["region", str(tmp_path), uniform2_file, "--method", "hk-project"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == read_error("channel", tmp_path, os_reason(errno.EISDIR, tmp_path))
+
+
+def test_region_with_a_missing_distribution_file_exits_2(xor_file, tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    assert main(["region", xor_file, str(missing), "--method", "hk-project"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == read_error("distribution", missing, os_reason(errno.ENOENT, missing))
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "{bad}", "{good}"],
+    ["compare", "{good}", "{bad}"],
+    ["plot", "{bad}", "--out", "{svg}"],
+], ids=["compare-first", "compare-second", "plot"])
+def test_a_truncated_region_file_exits_2(tmp_path, capsys, argv):
+    paths = {"bad": tmp_path / "bad.json", "good": tmp_path / "good.json", "svg": tmp_path / "p.svg"}
+    paths["bad"].write_text('{"dim": 2, "inequ')
+    save_region(UNIT_SIMPLEX, paths["good"])
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "Unterminated string starting at: line 1 column 12 (char 11)"
+    assert captured.err == read_error("region", paths["bad"], reason)
+    assert not paths["svg"].exists()
+
+
 def test_plot_simplex_svg(tmp_path):
     region_path = tmp_path / "simplex.json"
     save_region(UNIT_SIMPLEX, region_path)
@@ -403,7 +445,10 @@ def test_plot_unbounded_names_direction(tmp_path, capsys):
     region_path = tmp_path / "open.json"
     save_region(region, region_path)
     assert main(["plot", str(region_path), "--out", str(tmp_path / "x.svg")]) == 1
-    assert "+R2" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: region is unbounded in direction +R2\n"
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_dim_guard(tmp_path, capsys):
@@ -482,7 +527,12 @@ def test_region_check_a_max_at_the_k4_default_fits_the_default_guard(tmp_path, c
 def test_region_guard_overflow(xor_file, uniform2_file, capsys):
     rc = main(["region", xor_file, uniform2_file, "--method", "theorem", "--guard", "3"])
     assert rc == 1
-    assert "size guard" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: facet enumeration needs 27 DP states (lattice cells), over the size guard "
+        "of 3; raise the guard to continue\n"
+    )
 
 
 def test_presets_dump(capsys):

@@ -621,6 +621,15 @@ def test_region_labels_must_be_strings():
         Region._from_rows(2, UNIT_SIMPLEX.lhs, UNIT_SIMPLEX.rhs, ("x1", None))
 
 
+def test_region_labels_and_rows_must_fit_the_dimension():
+    with pytest.raises(ValueError, match="^3 labels for dimension 2$"):
+        R(2, [((1, 1), 1.0)], labels=("u", "v", "w"))
+    with pytest.raises(ValueError, match="^inequality arity 3 does not match dim 2$"):
+        R(2, [((1, 1), 1.0), ((1, 0, 1), 1.0)])
+    with pytest.raises(ValueError, match="^inequality arity 1 does not match dim 2$"):
+        Region._from_rows(2, [(1,)], [1.0])
+
+
 def test_region_document_coefficients_stop_at_two_to_the_53():
     # Above 2^53 a float no longer holds every integer, so the LP would test
     # another row than the file's; 10^400 used to raise OverflowError.

@@ -514,6 +514,13 @@ def test_facet_json_round_trip(tmp_path):
     assert facet_to_dict(fs) == {"a": [2, 1], "S": [[[], [1, 2]], [[1]]]}
 
 
+def test_a_facet_file_holding_one_object_loads_as_a_list(tmp_path):
+    fs = FS((2, 1), [[{1, 2}, set()], [{1}]])
+    path = tmp_path / "facet.json"
+    path.write_text(json.dumps(facet_to_dict(fs)))
+    assert load_facets(path) == [fs]
+
+
 @pytest.mark.parametrize("doc", [5, None, "a"])
 def test_facet_document_that_is_not_a_list_or_an_object_is_malformed(tmp_path, doc):
     # 5 and null used to raise a raw TypeError.
