@@ -286,11 +286,23 @@ def channel_from_dict(data: dict) -> ChannelSpec:
 
 def load_channel(path) -> ChannelSpec:
     """Read a channel-spec JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return channel_from_dict(json.load(fh))
+    return channel_from_dict(_read_document(path))
 
 
 def save_channel(spec: ChannelSpec, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(channel_to_dict(spec), fh, indent=1)
-        fh.write("\n")
+        _write_document(channel_to_dict(spec), fh)
+
+
+def _read_document(path):
+    """The JSON value in the UTF-8 file at `path`, for every document the
+    package reads; OSError, or ValueError for bytes that are not such JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _write_document(doc, fh) -> None:
+    """Write `doc` to the text file `fh` in the one format of every document
+    the package writes: JSON, one space per indent level, a final newline."""
+    json.dump(doc, fh, indent=1)
+    fh.write("\n")

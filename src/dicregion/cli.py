@@ -10,13 +10,19 @@ Commands:
 Exit codes: 0 success (valid / equal), 1 semantic negative (non-injective,
 unequal, refused, unbounded), 2 usage, parse or output-file error.  The DIC_SEED
 environment variable overrides the --seed flag of compare.
+
+Every input file is read by `_load`, which turns any failure to read or parse
+it into one `error: could not read <kind> file '<path>': <reason>` line.  A
+command returns 0 or 1 for its answer and raises for a failure; `main` alone
+turns a failure into its exit code: a package error (guard overflow, an
+unbounded plot, ...) exits 1, and an unreadable input, a value the command
+cannot use, or an output file that cannot be written exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import os
 import random
@@ -24,11 +30,9 @@ import sys
 from xml.sax.saxutils import escape
 
 from . import hk_region, theorem_region
-from .channel import load_channel, validate_injectivity
+from .channel import _write_document, load_channel, validate_injectivity
 from .entropy import build_entropy_table, load_distribution
-from .errors import (
-    ChannelFormatError, DicRegionError, EnumerationOverflowError, UnboundedDirectionError
-)
+from .errors import ChannelFormatError, DicRegionError
 from .polytope import compare, is_subset, load_region, region_to_dict, save_region, vertices
 from .theorem_region import facet_to_dict, presets
 
@@ -49,16 +53,21 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fail_parse(what: str, exc: Exception) -> int:
-    print(f"error: could not read {what}: {exc}", file=sys.stderr)
-    return 2
+class _UsageError(Exception):
+    """An input or value the command cannot use: `main` prints it and exits 2."""
+
+
+def _load(load, kind: str, path):
+    """`load(path)`, with any failure to read or parse the file as a _UsageError
+    (JSONDecodeError is a ValueError, and so is an over-long integer)."""
+    try:
+        return load(path)
+    except (OSError, ValueError, ChannelFormatError) as exc:
+        raise _UsageError(f"could not read {kind} file {path!r}: {exc}") from exc
 
 
 def cmd_validate(args) -> int:
-    try:
-        spec = load_channel(args.channel)
-    except (OSError, json.JSONDecodeError, ChannelFormatError) as exc:
-        return _fail_parse(f"channel file {args.channel!r}", exc)
+    spec = _load(load_channel, "channel", args.channel)
     report = validate_injectivity(spec)
     if report.is_injective:
         print(f"injective: every receiver map is invertible given its own input (K={spec.K})")
@@ -72,14 +81,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_region(args) -> int:
-    try:
-        spec = load_channel(args.channel)
-    except (OSError, json.JSONDecodeError, ChannelFormatError) as exc:
-        return _fail_parse(f"channel file {args.channel!r}", exc)
-    try:
-        dist = load_distribution(args.dist)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_parse(f"distribution file {args.dist!r}", exc)
+    spec = _load(load_channel, "channel", args.channel)
+    dist = _load(load_distribution, "distribution", args.dist)
 
     report = validate_injectivity(spec)
     if not report.is_injective:
@@ -100,43 +103,35 @@ def cmd_region(args) -> int:
 
     try:
         table = build_entropy_table(spec, dist)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:  # a distribution that does not fit the channel
+        raise _UsageError(exc) from exc
 
     status = 0
-    try:
-        if args.method == "hk-project":
-            region = hk_region.project_to_aggregate(
-                hk_region.build_A1(spec, table), tol=args.tol
-            )
+    if args.method == "hk-project":
+        region = hk_region.project_to_aggregate(hk_region.build_A1(spec, table), tol=args.tol)
+    else:
+        a_max = args.a_max or theorem_region.default_a_max(spec.K)
+        limits = dict(a_max=a_max, max_facets=args.guard, tol=args.tol)
+        if not args.check_a_max:
+            region = theorem_region.enumerate_facets(spec, table, **limits)
         else:
-            a_max = args.a_max or theorem_region.default_a_max(spec.K)
-            limits = dict(a_max=a_max, max_facets=args.guard, tol=args.tol)
-            if not args.check_a_max:
-                region = theorem_region.enumerate_facets(spec, table, **limits)
+            region, bumped = theorem_region.enumerate_facets_bumped(spec, table, **limits)
+            # Every a_max row is an a_max+1 row, so only region <= bumped can fail.
+            if is_subset(region, bumped, args.tol):
+                print(f"a_max check: raising {a_max} -> {a_max + 1} left the region unchanged")
             else:
-                region, bumped = theorem_region.enumerate_facets_bumped(spec, table, **limits)
-                # Every a_max row is an a_max+1 row, so only region <= bumped can fail.
-                if is_subset(region, bumped, args.tol):
-                    print(f"a_max check: raising {a_max} -> {a_max + 1} left the region unchanged")
-                else:
-                    print(
-                        f"warning: raising a_max from {a_max} to {a_max + 1} changed "
-                        f"the region; the weight cap is too small for this channel",
-                        file=sys.stderr,
-                    )
-                    status = 1
-    except EnumerationOverflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+                print(
+                    f"warning: raising a_max from {a_max} to {a_max + 1} changed "
+                    f"the region; the weight cap is too small for this channel",
+                    file=sys.stderr,
+                )
+                status = 1
 
     if args.out:
         save_region(region, args.out)
         print(f"wrote {len(region.lhs)} inequalities to {args.out}")
     else:
-        json.dump(region_to_dict(region), sys.stdout, indent=1)
-        print()
+        _write_document(region_to_dict(region), sys.stdout)
     return status
 
 
@@ -147,15 +142,8 @@ def cmd_compare(args) -> int:
         try:
             seed = int(env_seed)
         except ValueError:
-            print(f"error: DIC_SEED must be an integer, got {env_seed!r}", file=sys.stderr)
-            return 2
-    regions = []
-    for path in (args.region_a, args.region_b):
-        try:
-            regions.append(load_region(path))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            return _fail_parse(f"region file {path!r}", exc)
-    a, b = regions
+            raise _UsageError(f"DIC_SEED must be an integer, got {env_seed!r}") from None
+    a, b = (_load(load_region, "region", path) for path in (args.region_a, args.region_b))
     match compare(a, b, random.Random(seed), args.tol, args.directions):
         case None:
             print(f"equal within tol {args.tol} ({args.directions} direction spot checks)")
@@ -175,18 +163,10 @@ def cmd_compare(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    try:
-        region = load_region(args.region)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        return _fail_parse(f"region file {args.region!r}", exc)
+    region = _load(load_region, "region", args.region)
     if not 2 <= region.dim <= 3:
-        print(f"error: plotting supports 2 <= dim <= 3, region has dim {region.dim}", file=sys.stderr)
-        return 2
-    try:
-        points = vertices(region)
-    except UnboundedDirectionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise _UsageError(f"plotting supports 2 <= dim <= 3, region has dim {region.dim}")
+    points = vertices(region)
     if region.dim == 3:
         with open(args.out, "w", encoding="utf-8") as fh:
             rows = csv.writer(fh, lineterminator="\n")
@@ -203,8 +183,7 @@ def cmd_plot(args) -> int:
 
 def cmd_presets(args) -> int:
     specs = presets(args.k)
-    json.dump([facet_to_dict(fs) for fs in specs], sys.stdout, indent=1)
-    print()
+    _write_document([facet_to_dict(fs) for fs in specs], sys.stdout)
     return 0
 
 
@@ -318,7 +297,7 @@ def main(argv=None) -> int:
     except DicRegionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:  # an output file that cannot be written
+    except (_UsageError, OSError) as exc:  # OSError: an output file that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,12 +20,11 @@ that balanced form generate every facet the aggregate region needs.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .channel import _is_int
+from .channel import _is_int, _read_document, _write_document
 from .entropy import EntropyTable, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
@@ -330,11 +329,9 @@ def scheme_from_dict(data: dict) -> CoefficientScheme:
 
 
 def load_scheme(path) -> CoefficientScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scheme_from_dict(json.load(fh))
+    return scheme_from_dict(_read_document(path))
 
 
 def save_scheme(scheme: CoefficientScheme, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(scheme_to_dict(scheme), fh, indent=1)
-        fh.write("\n")
+        _write_document(scheme_to_dict(scheme), fh)

@@ -13,7 +13,6 @@ Entropies are in bits, double precision, with 0*log(0) taken as 0.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 import weakref
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _check_user, _is_int
+from .channel import ChannelSpec, _check_user, _is_int, _read_document, _write_document
 
 __all__ = [
     "InputDistribution",
@@ -300,8 +299,7 @@ def _own_input_entropies(spec: ChannelSpec, dist: InputDistribution):
 
 def load_distribution(path) -> InputDistribution:
     """Read a distribution JSON file {"p": [[...], ...]}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_document(path)
     try:
         return InputDistribution(tuple(tuple(row) for row in data["p"]))
     except (KeyError, TypeError, ValueError) as exc:
@@ -310,5 +308,4 @@ def load_distribution(path) -> InputDistribution:
 
 def save_distribution(dist: InputDistribution, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"p": [list(row) for row in dist.probs]}, fh, indent=1)
-        fh.write("\n")
+        _write_document({"p": [list(row) for row in dist.probs]}, fh)

@@ -170,11 +170,17 @@ def _maximize_stacks(C, A, b, tol, stop):
     """
     m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
-    step = max(1, _BATCH_CELLS // ((m + 1) * (2 * n + 1)))
+    step = max(1, _stack_size(m, n))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
         _solve_stack(C[s], A[s], b[s], stop[s], tol, unbounded[s], X[s])
     values = np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0])
     return unbounded, values, X
+
+
+def _stack_size(m, n) -> int:
+    """How many members of m rows and n variables one `_maximize_stacks` stack
+    holds: tableaus of (m + 1) x (2n + 1) cells within _BATCH_CELLS, maybe 0."""
+    return _BATCH_CELLS // ((m + 1) * (2 * n + 1))
 
 
 def _solve_stack(C, A, b, stop, tol, unbounded, X):

@@ -12,7 +12,6 @@ rows by their gcd for presentation-quality output.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, compress
@@ -20,7 +19,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import lp
-from .channel import _is_int
+from .channel import _is_int, _read_document, _write_document
 from .errors import InfeasibleRegionError, UnboundedDirectionError
 
 __all__ = [
@@ -73,7 +72,9 @@ class Region:
     builds the row objects on each access; the package itself reads these
     two fields and builds regions with `_from_rows`.  Immutable; the LP form
     that support and containment queries build on first use is a cache and
-    takes no part in equality, hashing, `copy` or `pickle`.
+    takes no part in equality, hashing, `copy` or `pickle`.  Labels are a
+    list or tuple of distinct strings, one per dimension (TypeError for any
+    other type); None or empty means x1..xn.
     """
 
     __slots__ = ("dim", "lhs", "rhs", "labels", "_lp")
@@ -91,6 +92,9 @@ class Region:
         return region
 
     def _fill(self, dim, lhs, rhs, labels):
+        # Before dim, so a region file with both wrong reads as malformed (TypeError).
+        if labels is not None and not isinstance(labels, (list, tuple)):
+            raise TypeError(f"labels must be a list of strings, got {labels!r}")
         if not _is_int(dim) or dim < 0:
             raise ValueError(f"dim must be an integer >= 0, got {dim!r}")
         labels = tuple(labels) if labels else tuple(f"x{i+1}" for i in range(dim))
@@ -316,7 +320,7 @@ def _certify(A, b, kept, dropped, tol):
         # for its tableau cells far more than for the rounds it saves.
         size = working[:1].sum()  # 0 once no row is left
         rest = len(b) - 1 - size
-        fits = len(tested) * (len(b) + 1) * (2 * A.shape[1] + 1) <= lp._BATCH_CELLS
+        fits = len(tested) <= lp._stack_size(len(b), A.shape[1])
         top = np.argsort(-excess, axis=1, kind="stable")
         top = top[:, : rest if fits and 16 * size >= len(b) - 1 else min(max(5, size), rest)]
         working[np.arange(len(tested))[:, None], top] = True
@@ -501,7 +505,7 @@ def region_to_dict(region: Region) -> dict:
 
 def region_from_dict(data: dict) -> Region:
     """A region from its JSON document.  As in channel and distribution files,
-    a boolean or a string is not a number, and labels, if given, are a list."""
+    a boolean or a string is not a number; `Region` checks the labels."""
     try:
         rows = [(item["coeffs"], item["rhs"]) for item in data["inequalities"]]
         if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
@@ -509,20 +513,15 @@ def region_from_dict(data: dict) -> Region:
         ineqs = tuple(LinearInequality(tuple(coeffs), rhs) for coeffs, rhs in rows)
         if any(abs(c) > 2**53 for q in ineqs for c in q.coeffs):
             raise ValueError("a coefficient exceeds 2^53, beyond the integers a float holds exactly")
-        labels = data.get("labels")
-        if labels is not None and not isinstance(labels, list):
-            raise TypeError(f"labels must be a list of strings, got {labels!r}")
-        return Region(data["dim"], ineqs, labels or ())
+        return Region(data["dim"], ineqs, data.get("labels"))
     except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a coefficient of inf
         raise ValueError(f"malformed region document: {exc}") from exc
 
 
 def load_region(path) -> Region:
-    with open(path, "r", encoding="utf-8") as fh:
-        return region_from_dict(json.load(fh))
+    return region_from_dict(_read_document(path))
 
 
 def save_region(region: Region, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(region_to_dict(region), fh, indent=1)
-        fh.write("\n")
+        _write_document(region_to_dict(region), fh)

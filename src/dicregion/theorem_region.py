@@ -24,14 +24,13 @@ balanced scheme unrolls back into a facet choice with a_i = d_i.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _is_int
+from .channel import ChannelSpec, _is_int, _read_document, _write_document
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, subset_rank
 from .errors import EnumerationOverflowError
@@ -476,8 +475,7 @@ def facet_from_dict(data: dict) -> FacetSpec:
 
 
 def load_facets(path) -> list[FacetSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_document(path)
     if isinstance(data, dict):
         data = [data]
     if not isinstance(data, list):
@@ -487,5 +485,4 @@ def load_facets(path) -> list[FacetSpec]:
 
 def save_facets(specs, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump([facet_to_dict(fs) for fs in specs], fh, indent=1)
-        fh.write("\n")
+        _write_document([facet_to_dict(fs) for fs in specs], fh)

@@ -354,6 +354,29 @@ def test_region_with_a_missing_distribution_file_exits_2(xor_file, tmp_path, cap
     assert captured.err == read_error("distribution", missing, os_reason(errno.ENOENT, missing))
 
 
+@pytest.mark.parametrize("command", ["validate", "region"])
+def test_a_channel_file_with_an_over_long_integer_exits_2(uniform2_file, tmp_path, capsys, command):
+    # Python's json refuses integers of more than 4,300 digits with a
+    # ValueError, which used to end in a traceback and exit 1.
+    path = tmp_path / "huge.json"
+    path.write_text('{"K": ' + "9" * 5000 + "}")
+    argv = [command, str(path)] + ([uniform2_file, "--method", "hk-project"] * (command == "region"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(read_error("channel", path, "Exceeds the limit (4300")[:-1])
+    tail = "value has 5000 digits; use sys.set_int_max_str_digits() to increase the limit\n"
+    assert captured.err.endswith(tail)
+
+
+def test_a_channel_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"K": "\xe9"}')
+    assert main(["validate", str(path)]) == 2
+    reason = "'utf-8' codec can't decode byte 0xe9 in position 7: invalid continuation byte"
+    assert capsys.readouterr().err == read_error("channel", path, reason)
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "{bad}", "{good}"],
     ["compare", "{good}", "{bad}"],

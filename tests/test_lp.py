@@ -519,6 +519,18 @@ def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
     assert sizes == [2, 2, 1]
 
 
+def test_stack_size_counts_the_members_whose_tableau_cells_fit(monkeypatch):
+    # A member of m rows and n variables takes (m + 1) x (2n + 1) cells.
+    monkeypatch.setattr(lp, "_BATCH_CELLS", 3 * 5 * 2)
+    assert lp._stack_size(2, 2) == 2
+    assert lp._stack_size(30, 2) == 0  # `_maximize_stacks` still stacks one
+    for cells in range(1, 200):
+        monkeypatch.setattr(lp, "_BATCH_CELLS", cells)
+        for m, n, members in ((2, 2, 7), (0, 1, 70), (4, 3, 5)):
+            fits = members * (m + 1) * (2 * n + 1) <= cells
+            assert fits == (members <= lp._stack_size(m, n))
+
+
 def test_batch_member_with_a_threshold_stops_at_its_first_point_above_it():
     # Over the unit box, max x1 + x2 pivots x1 in first, to (1, 0) of value 1,
     # then x2, to the optimum (1, 1).

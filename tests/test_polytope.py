@@ -5,6 +5,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 
 import numpy as np
 import pytest
@@ -628,6 +629,27 @@ def test_region_labels_and_rows_must_fit_the_dimension():
         R(2, [((1, 1), 1.0), ((1, 0, 1), 1.0)])
     with pytest.raises(ValueError, match="^inequality arity 1 does not match dim 2$"):
         Region._from_rows(2, [(1,)], [1.0])
+
+
+@pytest.mark.parametrize(
+    "labels", ["ab", {"a": 0, "b": 1}, frozenset("ab"), iter("ab"), False],
+    ids=["string", "dict", "set", "iterator", "false"],
+)
+def test_region_labels_are_a_list_or_a_tuple(labels):
+    # A string, a dict, a set and an iterator used to give the labels
+    # ('a', 'b'), the set in either order; False gave x1, x2.
+    message = f"^labels must be a list of strings, got {re.escape(repr(labels))}$"
+    with pytest.raises(TypeError, match=message):
+        R(2, [((1, 1), 1.0)], labels=labels)
+    with pytest.raises(TypeError, match=message):
+        Region._from_rows(2, [(1, 1)], [1.0], labels)
+
+
+def test_region_labels_none_or_empty_mean_x1_to_xn():
+    for labels in (None, (), []):
+        assert R(2, [((1, 1), 1.0)], labels=labels).labels == ("x1", "x2")
+    assert Region._from_rows(2, [(1, 1)], [1.0], None).labels == ("x1", "x2")
+    assert R(2, [((1, 1), 1.0)], labels=["u", "v"]).labels == ("u", "v")
 
 
 def test_region_document_coefficients_stop_at_two_to_the_53():
