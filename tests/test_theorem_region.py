@@ -308,6 +308,29 @@ def test_spec_count_small_case():
     assert FS((1, 1), [[{1, 2}], [set()]]) in specs
 
 
+@pytest.mark.parametrize("K,a_max,count", [(2, 1, 6), (2, 2, 30), (2, 3, 100), (3, 2, 1281), (4, 1, 392)])
+def test_facet_choice_listing_counts_and_ends(K, a_max, count):
+    # Weight vectors in product order; within one, receiver 1's multiset first.
+    specs = list(enumerate_facet_specs(K, a_max))
+    assert len(specs) == count
+    assert specs[0] == FS((0,) * (K - 1) + (1,), [[]] * (K - 1) + [[{K}]])
+    full = set(range(1, K + 1))
+    assert specs[-1] == FS((a_max,) * K, [[full] * a_max] + [[set()] * a_max] * (K - 1))
+
+
+@pytest.mark.parametrize("a,S,message", [
+    ((1, 0), ([{1}],), "1 subset lists for 2 receivers"),
+    ((1, -1), ([{1}], []), "receiver 2: negative weight -1"),
+    ((2, 0), ([{1}], []), "receiver 1: 1 subsets for weight 2"),
+    ((0, 1), ([], [{1.0}]), "receiver 2: subset {1.0} has a non-integer member"),
+    ((0, 1), ([], [{3, 0}]), "receiver 2: subset [0, 3] not within 1..2"),
+])
+def test_facet_spec_rejection_messages(a, S, message):
+    with pytest.raises(ValueError) as info:
+        FS(a, S)
+    assert str(info.value) == message
+
+
 def test_enumeration_size_guard():
     with pytest.raises(EnumerationOverflowError, match="size guard"):
         list(enumerate_facet_specs(3, 4, max_facets=100))
