@@ -296,9 +296,13 @@ def save_channel(spec: ChannelSpec, path) -> None:
 
 def _read_document(path):
     """The JSON value in the UTF-8 file at `path`, for every document the
-    package reads; OSError, or ValueError for bytes that are not such JSON."""
+    package reads; OSError, or ValueError for bytes that are not such JSON
+    or that nest deeper than the recursion limit."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nested deeper than the recursion limit") from None
 
 
 def _write_document(doc, fh) -> None:

@@ -59,7 +59,7 @@ class _UsageError(Exception):
 
 def _load(load, kind: str, path):
     """`load(path)`, with any failure to read or parse the file as a _UsageError
-    (JSONDecodeError is a ValueError, and so is an over-long integer)."""
+    (JSONDecodeError is a ValueError, as are an over-long integer and deep nesting)."""
     try:
         return load(path)
     except (OSError, ValueError, ChannelFormatError) as exc:

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .channel import _is_int, _read_document, _write_document
-from .entropy import EntropyTable, subset_rank
+from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
 
@@ -65,16 +65,12 @@ class CoefficientScheme:
         seen = set()
         canon = []
         for i, M, w in self.entries:
-            M = frozenset(M)
             if not _is_int(i) or not 1 <= i <= self.K:
                 raise ValueError(f"receiver {i} out of range 1..{self.K}")
-            if not all(map(_is_int, M)):
-                raise ValueError(f"subset {set(M)} has a non-integer member")
-            if any(not 1 <= m <= self.K for m in M):
-                raise ValueError(f"subset {sorted(M)} not within 1..{self.K}")
+            M = _user_subset(self.K, i, M)
             if not _is_int(w) or w < 0:
                 raise ValueError(f"weight {w!r} must be a nonnegative integer")
-            i, M, w = int(i), frozenset(map(int, M)), int(w)
+            i, w = int(i), int(w)
             if (i, M) in seen:
                 raise ValueError(f"duplicate entry for receiver {i}, subset {sorted(M)}")
             seen.add((i, M))

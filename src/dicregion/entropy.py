@@ -95,6 +95,17 @@ def subset_rank(M) -> int:
     return r
 
 
+def _user_subset(K: int, i: int, M) -> frozenset:
+    """The user subset M of receiver i as a frozenset of plain ints;
+    ValueError unless every member is an integer in 1..K."""
+    M = frozenset(M)
+    if not all(map(_is_int, M)):
+        raise ValueError(f"receiver {i}: subset {set(M)} has a non-integer member")
+    if any(not 1 <= m <= K for m in M):
+        raise ValueError(f"receiver {i}: subset {sorted(M)} not within 1..{K}")
+    return frozenset(map(int, M))
+
+
 @dataclass(frozen=True, eq=False)
 class EntropyTable:
     """Every conditional entropy the region formulas need, as one array.

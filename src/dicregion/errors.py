@@ -29,7 +29,9 @@ class EnumerationOverflowError(DicRegionError):
     """Facet enumeration exceeded its size guard: the cells of the larger
     half lattice of `enumerate_facets`, (a_max + 1)^(2K - K // 2), checked
     before it is allocated, or the facet choices listed by
-    `enumerate_facet_specs`."""
+    `enumerate_facet_specs`.  The guard bounds the largest array of the
+    search, not the search: its traced peak is 7-10 times the counted cells
+    x 8 bytes (97 MB at K=5, a_max=5, which the default guard admits)."""
 
 
 class SchemeReductionError(DicRegionError):

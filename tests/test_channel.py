@@ -9,6 +9,7 @@ import pytest
 from dicregion import channel
 from dicregion.channel import (
     ChannelSpec,
+    InjectivityReport,
     channel_from_dict,
     channel_to_dict,
     decode_v_index,
@@ -84,6 +85,13 @@ def test_output_of_product(product):
     assert output_of(product, 1, 1, (0,)) == 2  # encodes the pair (1, 0)
 
 
+def test_output_rejects_an_input_out_of_range(xor):
+    for x in (2, -1):
+        with pytest.raises(ValueError) as info:
+            output_of(xor, 1, x, (0,))
+        assert str(info.value) == f"input {x} out of range for receiver 1 (alphabet size 2)"
+
+
 def test_output_rejects_unattainable_interference(xor):
     with pytest.raises(ValueError, match="not attainable"):
         output_of(xor, 1, 0, (2,))
@@ -94,6 +102,23 @@ def test_interference_rejects_out_of_range(xor):
         interference_of(xor, 1, 5)
     with pytest.raises(ValueError, match="out of range"):
         interference_of(xor, 3, 0)
+
+
+XOR_F = (((0, 1), (1, 0)), ((0, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("sizes, g, f, message", [
+    ((2, 2, 2), ((0, 1), (0, 1)), XOR_F, "expected 2 alphabet sizes, got 3"),
+    ((2, 2), ((0, 1), (0, 1, 0)), XOR_F,
+     "user 2: interference table has 3 entries, alphabet size is 2"),
+    ((2, 2), ((0, 1), (0, 1)), XOR_F[:1], "expected 2 output tables"),
+    ((2, 2), ((0, 1), (0, 1)), (XOR_F[0], XOR_F[1][:1]),
+     "receiver 2: output table has 1 input rows, alphabet size is 2"),
+], ids=["alphabet-sizes", "interference-entries", "output-tables", "input-rows"])
+def test_table_counts_must_fit_the_users_and_alphabets(sizes, g, f, message):
+    with pytest.raises(ChannelFormatError) as info:
+        ChannelSpec(K=2, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
+    assert str(info.value) == message
 
 
 def test_malformed_tables_are_structural_errors():
@@ -176,6 +201,13 @@ def test_v_index_encoding_round_trip():
                 assert decode_v_index(spec, i, r) == tup
 
 
+def test_v_index_encoding_needs_one_symbol_per_other_user(xor):
+    for v_tuple in ((), (0, 1)):
+        message = f"^receiver 2: expected 1 interference symbols, got {len(v_tuple)}$"
+        with pytest.raises(ValueError, match=message):
+            encode_v_tuple(xor, 2, v_tuple)
+
+
 def test_v_index_decoding_rejects_out_of_range_users_and_indices(xor):
     # On XOR each receiver has two tuples: r = 2 used to decode as r = 0,
     # r = -1 as (1,), and receiver 0 gave a 2-tuple.
@@ -217,6 +249,14 @@ def test_user_indices_must_be_integers(xor):
                 call()
     assert decode_v_index(xor, np.int64(1), 1) == (1,)
     assert table.h_y_given_v(np.int64(1), {np.int64(2)}) == table.h_y_given_v(1, {2})
+
+
+def test_injectivity_report_verdict_mirrors_its_violations():
+    witness = (1, 0, (0,), (1,))
+    for is_injective, violations in ((True, (witness,)), (False, ())):
+        with pytest.raises(ValueError, match="^is_injective must mirror an empty violation list$"):
+            InjectivityReport(is_injective, violations)
+    assert not InjectivityReport(False, (witness,)).is_injective
 
 
 def test_injectivity_matches_definition_by_exhaustion():

@@ -377,6 +377,28 @@ def test_a_channel_file_that_is_not_utf8_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == read_error("channel", path, reason)
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["validate", "{deep}"], "channel"),
+    (["region", "{channel}", "{deep}", "--method", "hk-project"], "distribution"),
+    (["compare", "{region}", "{deep}"], "region"),
+    (["plot", "{deep}", "--out", "{svg}"], "region"),
+], ids=["validate", "region", "compare", "plot"])
+def test_a_file_nested_deeper_than_the_recursion_limit_exits_2(
+    xor_file, tmp_path, capsys, argv, kind
+):
+    # json's RecursionError used to end in a traceback and exit 1.
+    paths = {"deep": tmp_path / "deep.json", "channel": xor_file,
+             "region": tmp_path / "good.json", "svg": tmp_path / "p.svg"}
+    paths["deep"].write_text("[" * 100_000 + "]" * 100_000)
+    save_region(UNIT_SIMPLEX, paths["region"])
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "JSON nested deeper than the recursion limit"
+    assert captured.err == read_error(kind, paths["deep"], reason)
+    assert not paths["svg"].exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["compare", "{bad}", "{good}"],
     ["compare", "{good}", "{bad}"],

@@ -191,8 +191,10 @@ def test_scheme_validation():
         CoefficientScheme(2, ((1, frozenset(), -1),))
     with pytest.raises(ValueError, match="out of range"):
         CoefficientScheme(2, ((3, frozenset(), 1),))
-    with pytest.raises(ValueError, match="within"):
+    with pytest.raises(ValueError, match=r"^receiver 1: subset \[5\] not within 1..2$"):
         CoefficientScheme(2, ((1, frozenset({5}), 1),))
+    with pytest.raises(ValueError, match=r"^receiver 2: subset \{1.5\} has a non-integer member$"):
+        CoefficientScheme(2, ((2, frozenset({1.5}), 1),))
     with pytest.raises(ValueError, match="duplicate"):
         CoefficientScheme(2, ((1, frozenset(), 1), (1, frozenset(), 2)))
     # zero weights are dropped
@@ -209,6 +211,9 @@ def test_scheme_validation():
     ({"K": 2, "c": [{"i": 1, "M": [1.0], "w": 1}]}, "non-integer member"),
     ({"K": 2, "c": [{"i": 1, "M": [True], "w": 1}]}, "non-integer member"),
     ({"K": 2, "c": [{"i": 1, "M": [1], "w": True}]}, "nonnegative integer"),
+    ({"K": 2}, "^malformed scheme document: 'c'$"),
+    ({"K": 2, "c": [{"i": 1, "M": [1]}]}, "^malformed scheme document: 'w'$"),
+    ({"K": 2, "c": 5}, "^malformed scheme document: 'int' object is not iterable$"),
 ])
 def test_scheme_documents_need_integer_sizes_receivers_members_and_weights(doc, message):
     # K = 2.0 and "i": 1.0 loaded and failed later in de_of, K = True and

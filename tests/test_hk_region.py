@@ -175,6 +175,18 @@ def test_project_rejects_wrong_labels():
         project_to_aggregate(region_bad)
 
 
+def test_project_rejects_an_odd_dimension():
+    with pytest.raises(ValueError, match="^split region must have even dimension, got 3$"):
+        project_to_aggregate(Region(3, (LinearInequality((1, 0, 0), 1.0),)))
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_a1_rejects_a_table_for_other_users(K):
+    spec = random_injective_channel(random.Random(K), K, 2)
+    with pytest.raises(ValueError, match=f"^entropy table is for 3 users, channel has {K}$"):
+        build_A1(spec, random_entropy_table(random.Random(41), 3))
+
+
 def build_A1_like_with_labels(labels):
     from dicregion.polytope import Region
 

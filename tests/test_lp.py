@@ -152,6 +152,13 @@ def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
     assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED
 
 
+def test_system_needs_a_two_dimensional_constraint_matrix():
+    for A, shape in (([1.0, 1.0], "(2,)"), ([[[1.0]]], "(1, 1, 1)")):
+        with pytest.raises(ValueError) as info:
+            lp.System(A, [1.0])
+        assert str(info.value) == f"constraint matrix must be 2-D, got shape {shape}"
+
+
 def test_system_rejects_non_finite_data():
     # A nan rhs used to raise numpy's "argmin of an empty sequence" in phase
     # 1, and a nan coefficient answered "unbounded".

@@ -218,6 +218,13 @@ def test_is_subset_examples():
     assert not is_subset(UNIT_SQUARE, UNIT_SIMPLEX)  # witness (1, 1)
 
 
+def test_subset_test_needs_one_dimension():
+    line = R(1, [((1,), 1.0)])
+    for a, b in ((UNIT_SQUARE, line), (line, UNIT_SQUARE)):
+        with pytest.raises(ValueError, match=f"^dimension mismatch: {a.dim} vs {b.dim}$"):
+            find_subset_violation(a, b)
+
+
 def test_regions_equal_examples():
     assert regions_equal(UNIT_SIMPLEX, UNIT_SIMPLEX)
     redundant = R(
@@ -591,6 +598,14 @@ def test_region_json_round_trip(tmp_path):
     assert load_region(path) == UNIT_SIMPLEX
 
 
+def test_a_region_file_nested_deeper_than_the_recursion_limit_is_a_value_error(tmp_path):
+    # json's RecursionError used to escape load_region.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    with pytest.raises(ValueError, match="^JSON nested deeper than the recursion limit$"):
+        load_region(path)
+
+
 @pytest.mark.parametrize("rhs", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 def test_region_document_rejects_non_finite_rhs(rhs):
     doc = region_to_dict(UNIT_SIMPLEX)
@@ -671,6 +686,11 @@ def test_variables_are_labels_or_integer_indices():
             fm_eliminate(UNIT_SQUARE, var)
     for var in (1, np.int64(1), "x2"):
         assert fm_eliminate(UNIT_SQUARE, var).labels == ("x1",)
+    with pytest.raises(ValueError, match="^no variable labeled 'x3'$"):
+        fm_eliminate(UNIT_SQUARE, "x3")
+    for var in (2, -1):
+        with pytest.raises(ValueError, match=f"^variable index {var} out of range for dim 2$"):
+            fm_eliminate(UNIT_SQUARE, var)
 
 
 def test_region_rejects_duplicate_labels():

@@ -83,8 +83,21 @@ def test_facet_inequality_asymmetric_row():
 def test_counting_constraint_enforced():
     bad = FS((1, 1), [[{1}], [{1}]])  # user 1 appears twice, user 2 never
     assert not bad.counting_ok()
-    with pytest.raises(ValueError, match="counting"):
-        facet_inequality(bad, xor_table())
+    for check in (lambda: facet_inequality(bad, xor_table()),
+                  lambda: converse_complement_check(bad)):
+        with pytest.raises(ValueError, match="^facet choice violates its counting constraint$"):
+            check()
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_facet_routes_reject_a_table_for_other_users(K):
+    table = random_entropy_table(random.Random(41), 3)
+    with pytest.raises(ValueError, match=f"^entropy table is for 3 users, facet has {K}$"):
+        facet_inequality(FS((1,) + (0,) * (K - 1), [[{1}]] + [[]] * (K - 1)), table)
+    spec = random_injective_channel(random.Random(K), K, 2)
+    for route in (enumerate_facets, theorem_region.enumerate_facets_bumped):
+        with pytest.raises(ValueError, match=f"^entropy table is for 3 users, channel has {K}$"):
+            route(spec, table, a_max=1)
 
 
 def test_enumerate_xor_gives_simplex():
@@ -308,7 +321,9 @@ def test_spec_count_small_case():
     assert FS((1, 1), [[{1, 2}], [set()]]) in specs
 
 
-@pytest.mark.parametrize("K,a_max,count", [(2, 1, 6), (2, 2, 30), (2, 3, 100), (3, 2, 1281), (4, 1, 392)])
+@pytest.mark.parametrize("K,a_max,count", [
+    (2, 1, 6), (2, 2, 30), (2, 3, 100), (3, 2, 1281), (4, 1, 392),
+])
 def test_facet_choice_listing_counts_and_ends(K, a_max, count):
     # Weight vectors in product order; within one, receiver 1's multiset first.
     specs = list(enumerate_facet_specs(K, a_max))
@@ -542,6 +557,20 @@ def test_a_facet_file_holding_one_object_loads_as_a_list(tmp_path):
     path = tmp_path / "facet.json"
     path.write_text(json.dumps(facet_to_dict(fs)))
     assert load_facets(path) == [fs]
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({"a": [1, 0]}, "'S'"),
+    ({"S": [[[1]], []]}, "'a'"),
+    ({"a": 1, "S": [[[1]], []]}, "'int' object is not iterable"),
+])
+def test_facet_object_without_its_fields_is_malformed(tmp_path, doc, reason):
+    path = tmp_path / "facet.json"
+    path.write_text(json.dumps([doc]))
+    for read in (lambda: facet_from_dict(doc), lambda: load_facets(path)):
+        with pytest.raises(ValueError) as info:
+            read()
+        assert str(info.value) == f"malformed facet document: {reason}"
 
 
 @pytest.mark.parametrize("doc", [5, None, "a"])
