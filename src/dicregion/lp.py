@@ -51,13 +51,16 @@ class System:
     into a feasible starting tableau that `maximize` solves for any number
     of objectives.  A sign bound takes no row: x_j is u_j alone, with no w_j
     column.  `feasible` is False when the smallest t with A x - t <= b
-    exceeds tol.  T's rows: m constraints, the objective, the n cost rows P.
-    `bases` stacks, for each optimal basis a query ended at, that basis's P
-    transposed with its point x in place of the rhs row; len() is m."""
+    exceeds tol, a finite number >= 0 (ValueError otherwise).  T's rows: m
+    constraints, the objective, the n cost rows P.  `bases` stacks, for each
+    optimal basis a query ended at, that basis's P transposed with its point
+    x in place of the rhs row; len() is m."""
 
     __slots__ = ("n", "tol", "feasible", "T", "labels", "bases")
 
     def __init__(self, A, b, nonneg=(), tol: float = 1e-9):
+        if not 0 <= tol < np.inf:
+            raise ValueError(f"tolerance must be a finite number >= 0, got {tol!r}")
         A, b = np.asarray(A, dtype=float), np.asarray(b, dtype=float)
         if A.ndim != 2:
             raise ValueError(f"constraint matrix must be 2-D, got shape {A.shape}")

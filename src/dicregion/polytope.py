@@ -240,29 +240,32 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     row k is dropped when the rows alive at its turn bound a_k.x by b_k + tol
     or admit no point.  Nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
     pairs in `facets`, which the caller has proven irredundant, are kept.
-    Each certificate LP caps row k at b_k + 1, so `tol` must be below 1.
+    Each certificate LP caps row k at b_k + 1, so `tol` must be at least 0
+    and below 1.
 
-    When every b_i >= 0, certificates decide most rows, each round of LPs
-    in one `lp._maximize_stacks` call.  Kept rows (the above and certified
-    keeps) are alive at every turn and the alive rows are among all others,
-    so a value <= b_k + tol over kept rows drops k, and > b_k + tol over all
-    others keeps it.  Step A: over the kept rows, drop, or keep when the
-    optimum violates no other row by over tol.  Step B: the LP over all
-    others, output-sensitively (Clarkson, FOCS 1994): the working set gains
-    the rows its optimum violates most, doubling by at least 5, until none is
-    violated (keep) or the value is <= b_k + tol; once it holds 1/16 of the
-    rows, a next round that fits one `_maximize_stacks` stack takes all others
-    and so decides every row, a keep at its first point above b_k + tol
-    (`_capped`).  Step C: a row step B bounded is dropped when
+    When every b_i >= 0, certificates decide most rows, each round of LPs in
+    one `lp._maximize_stacks` call.  Kept rows (the above and certified keeps)
+    are alive at every turn and the alive rows are among all others, so a
+    value <= b_k + tol over kept rows drops k, and > b_k + tol over all others
+    keeps it.  On a packing system (every row but the sign rows nonnegative),
+    a greedy point above b_k + tol that violates no other row by over tol
+    keeps k first, with no LP (`_witnessed`).  Step A: over the kept rows,
+    drop, or keep when the optimum violates no other row by over tol.  Step B:
+    the LP over all others, output-sensitively (Clarkson, FOCS 1994): the
+    working set gains the rows its optimum violates most, doubling by at least
+    5, until none is violated (keep) or the value is <= b_k + tol; once it
+    holds 1/16 of the rows, a next round that fits one `_maximize_stacks`
+    stack takes all others and so decides every row, a keep at its first point
+    above b_k + tol (`_capped`).  Step C: a row step B bounded is dropped when
     every working row tight at its optimum ends kept (by complementary
-    slackness they bound a_k.x by the same value); the other bounded rows
-    are tested over the kept rows again and dropped when bounded.  Rows
-    left open (ties: scaled duplicates, two rows on one face of a
-    lower-dimensional region), and all rows when some b_i < 0, take one LP
-    over the rows alive at their turn (`_implied`).
+    slackness they bound a_k.x by the same value); the other bounded rows are
+    tested over the kept rows again and dropped when bounded.  Rows left open
+    (ties: scaled duplicates, two rows on one face of a lower-dimensional
+    region), and all rows when some b_i < 0, take one LP over the rows alive
+    at their turn (`_implied`).
     """
-    if not tol < 1:
-        raise ValueError(f"prune tolerance must be below 1, got {tol}")
+    if not 0 <= tol < 1:
+        raise ValueError(f"prune tolerance must be at least 0 and below 1, got {tol}")
     best = _tightest(zip(region.lhs, region.rhs.tolist()))
     lhs = list(best)
     A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
@@ -297,9 +300,46 @@ def _capped(A, b, rows, tested, tol):
     return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol, stop)[1:]
 
 
+def _witnessed(A, b, tested, tol):
+    """The rows in `tested` that a greedy point proves needed (b >= 0).  For
+    each k, from the origin, each x_e with a_k[e] > 0 in turn, largest a_k[e]
+    first, rises as far as every row allows, row k capped at b_k + 1 as in
+    `_capped`: Edmonds' greedy algorithm, exact on one polymatroid.  k is
+    needed when the point exceeds b_k by over tol and no other row by over
+    tol, step A's test.  Ties go by index, then, over the misses, by reversed
+    index.  Only rows with a positive entry in column e bound x_e, so every
+    point is feasible up to rounding and the test keeps only rows the LP
+    over all other rows would keep."""
+    n, found = A.shape[1], []
+    for step in (1, -1):
+        rows = np.arange(len(tested))
+        order = np.argsort(-A[tested][:, ::step], axis=1, kind="stable")
+        slack = b + (np.arange(len(b)) == tested[:, None])  # in place, as x rises
+        X = np.zeros((len(tested), n))
+        for e in (order if step == 1 else n - 1 - order).T:
+            col = A.T[e]
+            ratios = np.divide(slack, col, out=np.full(col.shape, np.inf), where=col > 0)
+            X[rows, e] = t = np.where(col[rows, tested] > 0, ratios.min(1), 0.0)
+            slack -= t[:, None] * col
+        excess = X @ A.T - b
+        over = excess[rows, tested] > tol
+        excess[rows, tested] = -np.inf
+        hit = over & (excess.max(1) <= tol)
+        found.append(tested[hit])
+        tested = tested[~hit]
+    return np.concatenate(found)
+
+
 def _certify(A, b, kept, dropped, tol):
     """Steps A-C of `prune_redundant` (every b_i >= 0): mark certified keeps
-    in `kept` and certified drops in `dropped`."""
+    in `kept` and certified drops in `dropped`.  First, on a packing system
+    (every row but the sign rows -x_j <= 0 nonnegative), the rows that
+    `_witnessed` finds are kept; elsewhere greedy points rarely find one."""
+    sign = (b == 0) & (np.abs(A).sum(1) == 1) & (A.sum(1) == -1)  # -x_j <= 0: A is integer
+    if ((A >= 0).all(1) | sign).all():
+        kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
+        if kept.all():
+            return
     tested = np.flatnonzero(~kept)
     working = np.tile(kept, (len(tested), 1))  # step A: the kept rows
     bounded_rows, tight = [], []
@@ -439,7 +479,8 @@ def contains_point(region: Region, point, tol: float = 1e-9) -> bool:
 
 
 def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
-    """All vertices of a bounded region of dimension <= 3.
+    """All vertices of a bounded region of dimension <= 3; at dimension 0,
+    the one point () unless a row 0 <= b fails (InfeasibleRegionError).
 
     Candidate points come from every dim-subset of inequality boundaries;
     points are kept when they satisfy the full system within tol and are
@@ -448,6 +489,9 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
     """
     if region.dim > 3:
         raise ValueError(f"vertex enumeration supports dim <= 3, got {region.dim}")
+    if region.dim == 0:  # every row is 0 <= b, which `_nonzero_rows` checks
+        list(_nonzero_rows(zip(region.lhs, region.rhs.tolist()), tol))
+        return [()]
     for i in range(region.dim):
         for orient, name in ((1.0, "+"), (-1.0, "-")):
             direction = [0.0] * region.dim

@@ -431,6 +431,8 @@ def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypa
     # here keep doubling (6, 12, 24 rows) until few enough are left to take
     # every other row; the region is the same.  On the K=10 facet route,
     # 284 members taking 966 rows each made the final prune 40% slower.
+    # The prune is of a packing system, so steps B and C are reached here
+    # with greedy witnesses that witness nothing.
     spec, dist = _binary_k6()
     a1 = build_A1(spec, table_for(spec, dist))
     region = project_to_aggregate(a1)
@@ -444,10 +446,33 @@ def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypa
 
     monkeypatch.setattr(dicregion.lp, "_BATCH_CELLS", 2**15)
     monkeypatch.setattr(dicregion.polytope, "_capped", recording)
+    with monkeypatch.context() as patch:
+        patch.setattr(dicregion.polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+        assert project_to_aggregate(a1) == region
+        jumps = [cells for (was, _), (size, cells) in zip(rounds, rounds[1:]) if size > 2 * max(5, was)]
+        assert [size for size, _ in rounds[:3]] == [6, 12, 24]
+        assert jumps and max(jumps) <= 2**15
+    # With them, 43 of the 63 are kept before step A, whose one round over
+    # the 49 kept rows (the 6 sign rows too) decides every other row.
+    rounds.clear()
     assert project_to_aggregate(a1) == region
-    jumps = [cells for (was, _), (size, cells) in zip(rounds, rounds[1:]) if size > 2 * max(5, was)]
-    assert [size for size, _ in rounds[:3]] == [6, 12, 24]
-    assert jumps and max(jumps) <= 2**15
+    assert [size for size, _ in rounds] == [49]
+
+
+def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
+    # Before the greedy witnesses, this prune sent 128 members through the
+    # stacked solver in 3 calls.
+    spec, dist = _binary_k6()
+    a1 = build_A1(spec, table_for(spec, dist))
+    maximize_stacks, members = dicregion.lp._maximize_stacks, []
+
+    def counting_batch(C, A, b, tol=1e-9, stop=None):
+        members.append(len(C))
+        return maximize_stacks(C, A, b, tol=tol, stop=stop)
+
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
+    assert len(project_to_aggregate(a1).inequalities) == 50
+    assert 0 < sum(members) <= 32
 
 
 def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):

@@ -143,6 +143,33 @@ def _prune_against_all_others(region, tol=1e-9):
     return [rows[j] for j in range(len(rows)) if alive[j]]
 
 
+def _packing_systems(rng, count):
+    """Seeded packing systems: nonnegative integer rows, b >= 0, with sign
+    rows, exact and scaled duplicates, zero-rhs rows putting two rows on one
+    face, and a coordinate that at most one row bounds."""
+    systems = []
+    for _ in range(count):
+        dim = rng.randint(1, 4)
+        free = rng.randrange(dim)  # no row but maybe rows[0] has a positive entry here
+        rows = [
+            (tuple(0 if j == free else rng.randint(0, 3) for j in range(dim)), float(rng.randint(0, 6)))
+            for _ in range(rng.randint(2, 20))
+        ]
+        if rng.random() < 0.5:
+            rows[0] = (tuple(rng.randint(1, 3) if j == free else c for j, c in enumerate(rows[0][0])), rows[0][1])
+        rows += [rows[1], (tuple(2 * c for c in rows[1][0]), 2 * rows[1][1])]
+        if rng.random() < 0.5:
+            # a.x <= 0 with a >= 0 pins supp(a) at 0 on the sign rows, which
+            # puts row 2 and row 2 plus multiples of a on one face.
+            a = tuple(rng.randint(0, 1) for _ in range(dim))
+            rows += [(a, 0.0)] + [(tuple(c + m * ac for c, ac in zip(rows[2][0], a)), rows[2][1]) for m in (1, 2)]
+        if rng.random() < 0.8:
+            rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
+        rng.shuffle(rows)
+        systems.append(R(dim, rows))
+    return systems
+
+
 def test_prune_matches_testing_against_all_others(monkeypatch):
     fixed = [
         R(1, [((1,), 1.0), ((2,), 2.0), ((-1,), 0.0)]),  # positive multiples of one row
@@ -173,15 +200,22 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
             rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
         rng.shuffle(rows)
         randoms.append(R(dim, rows))
+    packing = _packing_systems(rng, 200)
     implied, tested = polytope._implied, []
+    witnessed, found = polytope._witnessed, []
+
+    def recording(A, b, rows, tol):
+        found.append(witnessed(A, b, rows, tol))
+        return found[-1]
 
     def counting(A, b, *args):
         tested.append(b.min() >= 0)
         return implied(A, b, *args)
 
     monkeypatch.setattr(polytope, "_implied", counting)
+    monkeypatch.setattr(polytope, "_witnessed", recording)
     statuses = set()
-    for region in fixed + randoms:
+    for region in fixed + randoms + packing:
         A, b = region.matrix()
         statuses.add(lp.maximize([1.0] * region.dim, lp.System(A, b)).status)
         pruned = prune_redundant(region)
@@ -190,6 +224,29 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
     # Certificates leave ties to the plain test: some b >= 0 rows reach it.
     assert any(tested) and not all(tested)
+    # Greedy witnesses keep rows in some prunes and find none in others.
+    assert any(f.size for f in found) and not all(f.size for f in found)
+
+
+def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
+    # A witness is a point that exceeds row k and no other row, so the LP
+    # over all other rows keeps k too.  The pass runs on packing systems,
+    # but the argument holds for any b >= 0, so mixed signs are tried too.
+    rng = random.Random(29)
+    mixed = [
+        R(dim, [(tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(0, 6))) for _ in range(12)])
+        for dim in (rng.randint(1, 4) for _ in range(100))
+    ]
+    witnesses = 0
+    for region in _packing_systems(rng, 300) + mixed:
+        best = polytope._tightest(zip(region.lhs, region.rhs.tolist()))
+        A, b = np.array(list(best), dtype=float).reshape(len(best), region.dim), np.array(list(best.values()))
+        rows = np.array([not polytope._is_nonneg_row(*pair) for pair in best.items()])
+        lhs = list(best)
+        found = {(lhs[k], b[k]) for k in polytope._witnessed(A, b, np.flatnonzero(rows), 1e-9).tolist()}
+        assert found <= set(_prune_against_all_others(region))
+        witnesses += len(found)
+    assert witnesses > 300
 
 
 def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
@@ -197,6 +254,8 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
     # x1 <= 1 and x2 <= 1 are tight, and both end kept: no step-C batch runs.
     # 2x1 + x2 <= 3 is tight there too but is dropped, so with it both
     # bounded rows take the step-C LP over the kept rows.
+    # The box is a packing system, so steps B and C are reached here with
+    # greedy witnesses that witness nothing.
     maximize_stacks, members = lp._maximize_stacks, []
 
     def counting_batch(C, A, b, tol=1e-9, stop=None):
@@ -205,7 +264,16 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
 
     monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
     box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
-    for extra, batches in [([((1, 1), 2.0)], [3, 1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [4, 3, 2])]:
+    with monkeypatch.context() as patch:
+        patch.setattr(polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+        for extra, batches in [([((1, 1), 2.0)], [3, 1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [4, 3, 2])]:
+            members.clear()
+            pruned = prune_redundant(R(2, box + extra))
+            assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
+            assert members == batches
+    # With them, x1 <= 1 and x2 <= 1 are kept before step A, whose one round
+    # over the kept rows bounds every other row at kept rows alone.
+    for extra, batches in [([((1, 1), 2.0)], [1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [2])]:
         members.clear()
         pruned = prune_redundant(R(2, box + extra))
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
@@ -340,6 +408,14 @@ def test_vertices_dim_guard():
     region = R(4, [(q.coeffs, q.rhs) for q in nonneg_inequalities(4)])
     with pytest.raises(ValueError, match="dim <= 3"):
         vertices(region)
+
+
+def test_vertices_of_a_zero_dimensional_region():
+    # Every row is 0 <= b: the one point () when all hold, else empty.
+    assert vertices(Region(0, [])) == [()]
+    assert vertices(R(0, [((), 1.0), ((), 0.0)])) == [()]
+    with pytest.raises(InfeasibleRegionError, match=r"^the system implies 0 <= -1\.0$"):
+        vertices(R(0, [((), 1.0), ((), -1.0)]))
 
 
 def test_vertices_degenerate_point():
@@ -575,6 +651,19 @@ def test_region_lp_form_matches_highs_and_keeps_no_query_state():
         assert is_subset(region, other) == expected
         seen["subset" if expected else "not subset"] += 1
     assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
+def test_tolerance_must_be_a_finite_number_at_least_zero(tol):
+    # A negative tol used to reach the simplex, where a ratio test found no
+    # row (argmin of an empty sequence) or divided by zero.
+    box = R(2, [(q.coeffs, q.rhs) for q in UNIT_SQUARE.inequalities] + [((1, 1), 1.5)])
+    with pytest.raises(ValueError, match=r"^tolerance must be a finite number >= 0, got "):
+        lp.System(*box.matrix(), tol=tol)
+    with pytest.raises(ValueError, match=r"^tolerance must be a finite number >= 0, got "):
+        support_value(box, [1, 1], tol=tol)
+    with pytest.raises(ValueError, match=r"^prune tolerance must be at least 0 and below 1, got "):
+        prune_redundant(box, tol=tol)
 
 
 def test_prune_rejects_tolerance_of_one_or_more():
