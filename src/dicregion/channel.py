@@ -60,63 +60,45 @@ class ChannelSpec:
     g_tables: tuple[tuple[int, ...], ...]
     f_tables: tuple[tuple[tuple[int, ...], ...], ...]
     # Induced interference alphabets, sorted: v_images[i-1] = image of g_i.
-    v_images: tuple[tuple[int, ...], ...] = field(init=False, repr=False)
+    # Derived from g_tables, so equality and the hash leave it out.
+    v_images: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_alphabet_sizes", tuple(self.x_alphabet_sizes))
-        object.__setattr__(self, "g_tables", tuple(tuple(row) for row in self.g_tables))
-        object.__setattr__(
-            self,
-            "f_tables",
-            tuple(tuple(tuple(row) for row in table) for table in self.f_tables),
-        )
-        self._validate_structure()
-        # Numpy integers pass the checks; plain ints keep the spec writable as JSON.
-        object.__setattr__(self, "K", int(self.K))
-        object.__setattr__(self, "x_alphabet_sizes", tuple(map(int, self.x_alphabet_sizes)))
-        object.__setattr__(self, "g_tables", tuple(tuple(map(int, row)) for row in self.g_tables))
-        images = tuple(tuple(sorted(set(row))) for row in self.g_tables)
-        object.__setattr__(self, "v_images", images)
-        self._validate_f_tables()
-        f = (tuple(row if set(map(type, row)) <= {int} else tuple(map(int, row)) for row in table)
-             for table in self.f_tables)
-        object.__setattr__(self, "f_tables", tuple(f))
-
-    def _validate_structure(self):
+        # One pass over the fields in order: each table is made a tuple once,
+        # checked, and stored as plain ints, which keep the spec writable as JSON.
         if not _is_int(self.K) or self.K < 2:
             raise ChannelFormatError(f"K must be an integer >= 2, got {self.K!r}")
-        if len(self.x_alphabet_sizes) != self.K:
-            raise ChannelFormatError(
-                f"expected {self.K} alphabet sizes, got {len(self.x_alphabet_sizes)}"
-            )
-        for i, size in enumerate(self.x_alphabet_sizes, start=1):
+        K = int(self.K)
+        sizes = tuple(self.x_alphabet_sizes)
+        if len(sizes) != K:
+            raise ChannelFormatError(f"expected {K} alphabet sizes, got {len(sizes)}")
+        for i, size in enumerate(sizes, start=1):
             if not _is_int(size) or size < 1:
                 raise ChannelFormatError(f"user {i}: alphabet size must be >= 1")
-        if len(self.g_tables) != self.K:
-            raise ChannelFormatError(f"expected {self.K} interference tables")
-        for i, row in enumerate(self.g_tables, start=1):
-            if len(row) != self.x_alphabet_sizes[i - 1]:
+        sizes = tuple(map(int, sizes))
+        g_tables = tuple(map(tuple, self.g_tables))
+        if len(g_tables) != K:
+            raise ChannelFormatError(f"expected {K} interference tables")
+        for i, (row, size) in enumerate(zip(g_tables, sizes), start=1):
+            if len(row) != size:
                 raise ChannelFormatError(
-                    f"user {i}: interference table has {len(row)} entries, "
-                    f"alphabet size is {self.x_alphabet_sizes[i - 1]}"
+                    f"user {i}: interference table has {len(row)} entries, alphabet size is {size}"
                 )
             for x, v in enumerate(row):
                 if not _is_int(v):
                     raise ChannelFormatError(f"user {i}: g({x}) is not an integer")
-
-    def _validate_f_tables(self):
-        if len(self.f_tables) != self.K:
-            raise ChannelFormatError(f"expected {self.K} output tables")
-        for i in range(1, self.K + 1):
-            table = self.f_tables[i - 1]
-            if len(table) != self.x_alphabet_sizes[i - 1]:
+        g_tables = tuple(tuple(map(int, row)) for row in g_tables)
+        images = tuple(tuple(sorted(set(row))) for row in g_tables)
+        f_tables = tuple(tuple(map(tuple, table)) for table in self.f_tables)
+        if len(f_tables) != K:
+            raise ChannelFormatError(f"expected {K} output tables")
+        n_v, f = math.prod(map(len, images)), []
+        for i, (table, size, image) in enumerate(zip(f_tables, sizes, images), start=1):
+            if len(table) != size:
                 raise ChannelFormatError(
-                    f"receiver {i}: output table has {len(table)} input rows, "
-                    f"alphabet size is {self.x_alphabet_sizes[i - 1]}"
+                    f"receiver {i}: output table has {len(table)} input rows, alphabet size is {size}"
                 )
-            n_tuples = 1
-            for j in self.other_users(i):
-                n_tuples *= len(self.v_images[j - 1])
+            n_tuples, rows = n_v // len(image), []
             for x, row in enumerate(table):
                 if len(row) != n_tuples:
                     raise ChannelFormatError(
@@ -124,17 +106,14 @@ class ChannelSpec:
                         f"entries, expected {n_tuples} interference tuples"
                     )
                 # Plain ints take the fast type test: tables run to thousands of entries.
-                if not (set(map(type, row)) <= {int} or all(map(_is_int, row))):
+                plain = set(map(type, row)) <= {int}
+                if not (plain or all(map(_is_int, row))):
                     raise ChannelFormatError(f"receiver {i}, input {x}: non-integer output entry")
-
-    def __hash__(self):  # kept after the first call: the tables run to thousands of entries
-        if "_hash" not in self.__dict__:
-            key = self.K, self.x_alphabet_sizes, self.g_tables, self.f_tables
-            object.__setattr__(self, "_hash", hash(key))
-        return self.__dict__["_hash"]
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, so no kept hash travels
-        return ChannelSpec, (self.K, self.x_alphabet_sizes, self.g_tables, self.f_tables)
+                rows.append(row if plain else tuple(map(int, row)))
+            f.append(tuple(rows))
+        for name, value in zip(("K", "x_alphabet_sizes", "g_tables", "v_images", "f_tables"),
+                               (K, sizes, g_tables, images, tuple(f))):
+            object.__setattr__(self, name, value)
 
     def other_users(self, i: int) -> tuple[int, ...]:
         """Users j != i in increasing order."""

@@ -261,8 +261,8 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     slackness they bound a_k.x by the same value); the other bounded rows are
     tested over the kept rows again and dropped when bounded.  Rows left open
     (ties: scaled duplicates, two rows on one face of a lower-dimensional
-    region), and all rows when some b_i < 0, take one LP over the rows alive
-    at their turn (`_implied`).
+    region), and all rows when some b_i < 0 or the region has no coordinate,
+    take one LP over the rows alive at their turn (`_implied`).
     """
     if not 0 <= tol < 1:
         raise ValueError(f"prune tolerance must be at least 0 and below 1, got {tol}")
@@ -272,7 +272,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     b = np.array(list(best.values()), dtype=float)
     kept = np.array([_is_nonneg_row(*pair) or pair in facets for pair in best.items()], dtype=bool)
     dropped = np.zeros(len(lhs), dtype=bool)
-    if not kept.all() and b.min() >= 0:
+    if not kept.all() and b.min() >= 0 and region.dim > 0:
         _certify(A, b, kept, dropped, tol)
     if (kept | dropped).all():  # no open row: no turn changes the mask
         alive = ~dropped

@@ -107,17 +107,28 @@ def test_interference_rejects_out_of_range(xor):
 XOR_F = (((0, 1), (1, 0)), ((0, 1), (1, 0)))
 
 
-@pytest.mark.parametrize("sizes, g, f, message", [
-    ((2, 2, 2), ((0, 1), (0, 1)), XOR_F, "expected 2 alphabet sizes, got 3"),
-    ((2, 2), ((0, 1), (0, 1, 0)), XOR_F,
+@pytest.mark.parametrize("K, sizes, g, f, message", [
+    (1, (2,), ((0, 1),), (((0,), (1,)),), "K must be an integer >= 2, got 1"),
+    (2, (2, 2, 2), ((0, 1), (0, 1)), XOR_F, "expected 2 alphabet sizes, got 3"),
+    (2, (2, 0), ((0, 1), ()), (((), ()), ()), "user 2: alphabet size must be >= 1"),
+    (2, (2, 2), ((0, 1),), XOR_F, "expected 2 interference tables"),
+    (2, (2, 2), ((0, 1), (0, 1, 0)), XOR_F,
      "user 2: interference table has 3 entries, alphabet size is 2"),
-    ((2, 2), ((0, 1), (0, 1)), XOR_F[:1], "expected 2 output tables"),
-    ((2, 2), ((0, 1), (0, 1)), (XOR_F[0], XOR_F[1][:1]),
+    (2, (2, 2), ((0, 1), (0, 1.0)), XOR_F, "user 2: g(1) is not an integer"),
+    (2, (2, 2), ((0, 1), (0, 1)), XOR_F[:1], "expected 2 output tables"),
+    (2, (2, 2), ((0, 1), (0, 1)), (XOR_F[0], XOR_F[1][:1]),
      "receiver 2: output table has 1 input rows, alphabet size is 2"),
-], ids=["alphabet-sizes", "interference-entries", "output-tables", "input-rows"])
-def test_table_counts_must_fit_the_users_and_alphabets(sizes, g, f, message):
+    (2, (2, 2), ((0, 1), (0, 1)), (((0,), (1, 0)), XOR_F[1]),
+     "receiver 1, input 0: output row has 1 entries, expected 2 interference tuples"),
+    (2, (2, 2), ((0, 1), (0, 1)), (((0, 1), (1, 0.5)), XOR_F[1]),
+     "receiver 1, input 1: non-integer output entry"),
+], ids=["K", "alphabet-sizes", "alphabet-size-value", "interference-tables",
+        "interference-entries", "interference-entry-value", "output-tables", "input-rows",
+        "output-row-entries", "output-entry-value"])
+def test_table_counts_must_fit_the_users_and_alphabets(K, sizes, g, f, message):
+    # One fault per case, so each of the ten rejections is pinned to its exact message.
     with pytest.raises(ChannelFormatError) as info:
-        ChannelSpec(K=2, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
+        ChannelSpec(K=K, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
     assert str(info.value) == message
 
 

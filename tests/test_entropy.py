@@ -266,7 +266,7 @@ def test_exact_zero_iff_output_is_a_function_of_the_conditioning(parity3):
 
 
 @pytest.mark.parametrize("zeros", [False, True], ids=["full-support", "zero-entries"])
-def test_table_spanning_several_blocks_matches_reference(zeros):
+def test_table_spanning_several_blocks_matches_reference(monkeypatch, zeros):
     rng = random.Random(19)
     spec = injective_channel_of_sizes(rng, [8] * 4)
     dist = random_full_support(rng, spec)
@@ -281,7 +281,19 @@ def test_table_spanning_several_blocks_matches_reference(zeros):
     for i in range(spec.K):
         cells = {(x[i], v[:i] + v[i + 1:]) for x, v, _, _ in pmf}
         assert len(cells) << spec.K > 2 * entropy._BLOCK_CODES
+    # A kept layout groups each receiver in one block, so the layout is not kept.
+    monkeypatch.setattr(entropy, "_LAYOUT_ENTRIES", 0)
+    blocks, groups = [], entropy._groups
+
+    def counted_groups(*args):
+        blocks.append(0)
+        for block in groups(*args):
+            blocks[-1] += 1
+            yield block
+
+    monkeypatch.setattr(entropy, "_groups", counted_groups)
     assert_matches_reference(build_entropy_table(spec, dist), spec, dist)
+    assert len(blocks) == spec.K and min(blocks) > 1, blocks
 
 
 def test_table_accessors_reject_users_outside_1_to_K(xor):
@@ -351,16 +363,12 @@ def test_layout_is_built_once_per_run_of_one_channel(monkeypatch):
     assert len(builds) == 2
 
 
-def test_channel_hash_is_kept_and_equal_copies_share_one_layout(monkeypatch):
+def test_equal_copies_of_a_channel_share_one_layout(monkeypatch):
     builds = counted_layout_builds(monkeypatch)
     a = random_injective_channel(random.Random(41), 3, 3)
-    assert "_hash" not in vars(a)
-    key = hash(a)
-    assert vars(a)["_hash"] == key and hash(a) == key
     copies = [fresh_copy(a), copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))]
     for spec in copies:
-        assert "_hash" not in vars(spec)  # rebuilt, not carried
-        assert spec == a and hash(spec) == key and repr(spec) == repr(a)
+        assert spec == a and hash(spec) == hash(a) and repr(spec) == repr(a)
         assert channel_to_dict(spec) == channel_to_dict(a)
     for spec in [a] + copies:
         build_entropy_table(spec, InputDistribution.uniform(spec))

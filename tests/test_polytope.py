@@ -95,6 +95,15 @@ def test_prune_same_lhs_keeps_tightest():
     assert {(q.coeffs, q.rhs) for q in pruned.inequalities} == {((1,), 1.0), ((-1,), 0.0)}
 
 
+@pytest.mark.parametrize("rhs, kept", [(1.0, False), (0.0, False), (-1.0, True)],
+                         ids=["slack", "tight", "violated"])
+def test_prune_of_a_region_with_no_coordinate_keeps_only_a_violated_row(rhs, kept):
+    # 0 <= rhs holds or fails for the one point of R^0; the certificate LPs
+    # used to fail with numpy's "argmin of an empty sequence" when rhs >= 0.
+    pruned = prune_redundant(R(0, [((), rhs)]))
+    assert pruned.inequalities == ((LinearInequality((), rhs),) if kept else ())
+
+
 def test_prune_preserves_feasible_set(monkeypatch):
     rng = random.Random(3)
     pruned_regions = []
