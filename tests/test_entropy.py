@@ -505,6 +505,19 @@ def test_distribution_validation():
             InputDistribution(((0.5, 0.5), (bad, 1.0)))
 
 
+@pytest.mark.parametrize("probs, message", [
+    (((0.5, 0.5), (0.5, "0.5")), "user 2: probability entry '0.5' is not a real number"),
+    (((0.5, 0.5), (math.nan, 1.0)), "user 2: non-finite probability entry"),
+    (((1.5, -0.5), (1.0, 0.0)), "user 1: negative probability entry"),
+    (((0.5, 0.5), (0.5, 0.4)), "user 2: probabilities sum to 0.9, not 1"),
+], ids=["real-number", "non-finite", "negative", "sum"])
+def test_distribution_rejections_name_the_user(probs, message):
+    # One fault per case, so each rejection is pinned to its exact message.
+    with pytest.raises(ValueError) as info:
+        InputDistribution(probs)
+    assert str(info.value) == message
+
+
 def test_distribution_entries_must_be_real_numbers():
     # Strings and bools used to load through float(): "0.5" as 0.5, True as 1.0.
     for probs in ((("0.5", "0.5"), (0.5, 0.5)), ((0.5, 0.5), (True, False))):
