@@ -69,16 +69,18 @@ class ChannelSpec:
         if not _is_int(self.K) or self.K < 2:
             raise ChannelFormatError(f"K must be an integer >= 2, got {self.K!r}")
         K = int(self.K)
-        sizes = tuple(self.x_alphabet_sizes)
+        sizes = _tuple(self.x_alphabet_sizes, "alphabet sizes")
         if len(sizes) != K:
             raise ChannelFormatError(f"expected {K} alphabet sizes, got {len(sizes)}")
         for i, size in enumerate(sizes, start=1):
             if not _is_int(size) or size < 1:
                 raise ChannelFormatError(f"user {i}: alphabet size must be >= 1")
         sizes = tuple(map(int, sizes))
-        g_tables = tuple(map(tuple, self.g_tables))
+        g_tables = _tuple(self.g_tables, "interference tables")
         if len(g_tables) != K:
             raise ChannelFormatError(f"expected {K} interference tables")
+        g_tables = tuple(_tuple(row, f"user {i}: interference table")
+                         for i, row in enumerate(g_tables, start=1))
         for i, (row, size) in enumerate(zip(g_tables, sizes), start=1):
             if len(row) != size:
                 raise ChannelFormatError(
@@ -89,17 +91,19 @@ class ChannelSpec:
                     raise ChannelFormatError(f"user {i}: g({x}) is not an integer")
         g_tables = tuple(tuple(map(int, row)) for row in g_tables)
         images = tuple(tuple(sorted(set(row))) for row in g_tables)
-        f_tables = tuple(tuple(map(tuple, table)) for table in self.f_tables)
+        f_tables = _tuple(self.f_tables, "output tables")
         if len(f_tables) != K:
             raise ChannelFormatError(f"expected {K} output tables")
         n_v, f = math.prod(map(len, images)), []
         for i, (table, size, image) in enumerate(zip(f_tables, sizes, images), start=1):
+            table = _tuple(table, f"receiver {i}: output table")
             if len(table) != size:
                 raise ChannelFormatError(
                     f"receiver {i}: output table has {len(table)} input rows, alphabet size is {size}"
                 )
             n_tuples, rows = n_v // len(image), []
             for x, row in enumerate(table):
+                row = _tuple(row, f"receiver {i}, input {x}: output row")
                 if len(row) != n_tuples:
                     raise ChannelFormatError(
                         f"receiver {i}, input {x}: output row has {len(row)} "
@@ -233,6 +237,14 @@ def _is_int(v) -> bool:
     """Is v an int or a numpy integer (never a bool)?  A plain int takes
     the one type test."""
     return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _tuple(value, what: str) -> tuple:
+    """`value` as a tuple; ChannelFormatError naming `what` when it is not a sequence."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ChannelFormatError(f"{what} must be a list, got {value!r}") from None
 
 
 def _check_user(K: int, i: int):

@@ -48,13 +48,17 @@ class InputDistribution:
     probs: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.probs)
-        for i, row in enumerate(rows, start=1):
+        # One pass per row: made a tuple, checked, and stored as floats.
+        probs = []
+        for i, row in enumerate(self.probs, start=1):
+            try:
+                row = tuple(row)
+            except TypeError:
+                raise ValueError(f"user {i}: probabilities must be a list, got {row!r}") from None
             for p in row:
                 if type(p) is not float and (not isinstance(p, numbers.Real) or isinstance(p, bool)):
                     raise ValueError(f"user {i}: probability entry {p!r} is not a real number")
-        object.__setattr__(self, "probs", tuple(tuple(map(float, row)) for row in rows))
-        for i, row in enumerate(self.probs, start=1):
+            row = tuple(map(float, row))
             if not all(map(math.isfinite, row)):
                 raise ValueError(f"user {i}: non-finite probability entry")
             if any(p < 0 for p in row):
@@ -62,6 +66,8 @@ class InputDistribution:
             total = math.fsum(row)
             if abs(total - 1.0) > _SUM_TOL:
                 raise ValueError(f"user {i}: probabilities sum to {total}, not 1")
+            probs.append(row)
+        object.__setattr__(self, "probs", tuple(probs))
 
     @property
     def K(self) -> int:
@@ -312,7 +318,7 @@ def load_distribution(path) -> InputDistribution:
     """Read a distribution JSON file {"p": [[...], ...]}."""
     data = _read_document(path)
     try:
-        return InputDistribution(tuple(tuple(row) for row in data["p"]))
+        return InputDistribution(data["p"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed distribution document: {exc}") from exc
 

@@ -19,9 +19,10 @@ that needs no LP.  The others go user by user, with redundancy pruning
 before every elimination so the intermediate systems stay small.
 
 The substitution, its unit rows and the slice depend only on the left-hand
-sides, which every `build_A1` region with this K shares as `_a1_lhs(K)`, and
-on the kept columns; they are cached under the identity of the lhs tuple,
-so a projection reads only its right-hand sides to find the pinned rates.
+sides and on the kept columns.  Every `build_A1` region with this K shares
+its left-hand sides as `_a1_lhs(K)`, so their forms are cached by K and such
+a projection reads only its right-hand sides to find the pinned rates; any
+other region's forms are computed afresh.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ __all__ = [
     "project_to_aggregate",
 ]
 
-_FORMS = 16  # substituted split systems, and as many slices, kept for reuse
+_FORMS = 16  # slices of the shared split rows kept for reuse
 
 
 def aggregate_projection_matrix(K: int) -> tuple[tuple[int, ...], ...]:
@@ -96,41 +97,33 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 
-class _Same:
-    """A key equal only to a key of the same object, hashed by its id: the
-    key holds the object, so the id stays its own while a cache keeps it."""
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj):
-        self.obj = obj
-
-    def __hash__(self):
-        return id(self.obj)
-
-    def __eq__(self, other):
-        return self.obj is other.obj
-
-
-@functools.lru_cache(maxsize=_FORMS)
-def _substituted(lhs: _Same):
+def _substituted(lhs):
     """The split rows with R_ic = R_i - R_ip substituted, since
     c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user; the positions
     of its unit rows +-x_k, and their (k, sign) pairs."""
     rows = tuple(tuple(p - c for p, c in zip(coeffs[0::2], coeffs[1::2])) + coeffs[1::2]
-                 for coeffs in lhs.obj)
+                 for coeffs in lhs)
     units = {r: next((k, c) for k, c in enumerate(coeffs) if c)
              for r, coeffs in enumerate(rows) if sum(map(abs, coeffs)) == 1}
     return rows, np.array(list(units), dtype=int), tuple(units.values())
 
 
-@functools.lru_cache(maxsize=_FORMS)
-def _sliced(lhs: _Same, keep: tuple[int, ...]):
+def _sliced(rows, keep: tuple[int, ...]):
     """The substituted rows restricted to the columns `keep`: the nonzero
     restricted rows, their positions, and the positions of the zero ones."""
-    rows = [tuple(coeffs[k] for k in keep) for coeffs in _substituted(lhs)[0]]
+    rows = [tuple(coeffs[k] for k in keep) for coeffs in rows]
     nonzero = np.array([any(coeffs) for coeffs in rows], dtype=bool)
     return tuple(compress(rows, nonzero)), np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
+
+
+@functools.cache
+def _a1_substituted(K: int):
+    return _substituted(_a1_lhs(K))
+
+
+@functools.lru_cache(maxsize=_FORMS)
+def _a1_sliced(K: int, keep: tuple[int, ...]):
+    return _sliced(_a1_substituted(K)[0], keep)
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
@@ -150,11 +143,12 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
 
     # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
     # slice R_ip = 0: drop the column, with no prune and no cross rows.
-    key, rhs = _Same(a1.lhs), a1.rhs
-    unit_rows, units = _substituted(key)[1:]
+    # The length first, so that a foreign region does not build `_a1_lhs(K)`.
+    shared, rhs = len(a1.lhs) == K * (2**K + 2) and a1.lhs is _a1_lhs(K), a1.rhs
+    split, unit_rows, units = _a1_substituted(K) if shared else _substituted(a1.lhs)
     zero_units = set(compress(units, rhs[unit_rows] == 0.0))
     keep = tuple(k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units)
-    lhs, rows, zero_rows = _sliced(key, keep)
+    lhs, rows, zero_rows = _a1_sliced(K, keep) if shared else _sliced(split, keep)
     low = rhs[zero_rows] < -tol
     if low.any():
         raise InfeasibleRegionError(f"the system implies 0 <= {rhs[zero_rows][low][0].item()}")

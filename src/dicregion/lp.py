@@ -155,29 +155,24 @@ def maximize(c, system: System) -> LPResult:
     return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
 
 
-def _maximize_stacks(C, A, b, tol, stop):
+def _maximize_stacks(C, A, b, tol):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
-    C is (B, n), A is (B, m, n), b is (B, m) and stop is (B,), float arrays
-    the caller has checked: every entry finite and b >= 0 (phase 2 starts
-    from the slack basis), such as rows gathered from a region.  Each member
-    makes `maximize`'s pivots with its arithmetic, so its x equals that of
+    C is (B, n), A is (B, m, n) and b is (B, m), float arrays the caller has
+    checked: every entry finite and b >= 0 (phase 2 starts from the slack
+    basis), such as rows gathered from a region.  Each member makes
+    `maximize`'s pivots with its arithmetic, so its x equals that of
     `maximize(C[i], System(A[i], b[i], tol=tol))` bit for bit and its value
-    is C[i] @ x.  Member i finishes at the first step whose objective row's
-    rhs (the value of the feasible basic point there) is above stop[i], and
-    reports that point instead; members whose threshold is inf or nan, or
-    never passed, are unchanged.  Stacks hold at most _BATCH_CELLS tableau
-    cells.  Returns (unbounded flags, values, X), inf and nan for unbounded
-    members.
+    is C[i] @ x.  Stacks hold at most _BATCH_CELLS tableau cells.  Returns
+    (values, X), inf and nan for unbounded members.
     """
     m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
     step = max(1, _stack_size(m, n))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A[s], b[s], stop[s], tol, unbounded[s], X[s])
-    values = np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0])
-    return unbounded, values, X
+        _solve_stack(C[s], A[s], b[s], tol, unbounded[s], X[s])
+    return np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0]), X
 
 
 def _stack_size(m, n) -> int:
@@ -186,10 +181,10 @@ def _stack_size(m, n) -> int:
     return _BATCH_CELLS // ((m + 1) * (2 * n + 1))
 
 
-def _solve_stack(C, A, b, stop, tol, unbounded, X):
+def _solve_stack(C, A, b, tol, unbounded, X):
     """`maximize`'s phase 2 on a stack of tableaus (no auxiliary column: with
     no phase 1 it stays zero), writing each member's flag and point as it
-    finishes, at its optimum or its `stop`; finished members leave the stack."""
+    finishes; finished members leave the stack."""
     (size, n), m = C.shape, b.shape[1]
     T = np.zeros((size, m + 1, 2 * n + 1))
     T[:, :m, :n], T[:, m, :n], T[:, :m, -1] = A, -C, b
@@ -202,7 +197,7 @@ def _solve_stack(C, A, b, stop, tol, unbounded, X):
         j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
         col = T[at, :-1, j]
         pos = col > tol
-        point = ~neg.any(1) | (T[:, -1, -1] > stop)  # optimal, or stopped
+        point = ~neg.any(1)  # optimal
         done = point | ~pos.any(1)
         if done.any():
             unbounded[member[done & ~point]] = True
@@ -211,8 +206,8 @@ def _solve_stack(C, A, b, stop, tol, unbounded, X):
             X[member[point]] = z[:, :n] - z[:, n : 2 * n]
             if done.all():
                 return
-            T, basis, nonbasic, member, stop, j, col, pos = (
-                v[~done] for v in (T, basis, nonbasic, member, stop, j, col, pos)
+            T, basis, nonbasic, member, j, col, pos = (
+                v[~done] for v in (T, basis, nonbasic, member, j, col, pos)
             )
             at = np.arange(len(T))
         ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)

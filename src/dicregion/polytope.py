@@ -253,10 +253,9 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     drop, or keep when the optimum violates no other row by over tol.  Step B:
     the LP over all others, output-sensitively (Clarkson, FOCS 1994): the
     working set gains the rows its optimum violates most, doubling by at least
-    5, until none is violated (keep) or the value is <= b_k + tol; once it
-    holds 1/16 of the rows, a next round that fits one `_maximize_stacks`
-    stack takes all others and so decides every row, a keep at its first point
-    above b_k + tol (`_capped`).  Step C: a row step B bounded is dropped when
+    5, until none is violated (keep) or the value is <= b_k + tol; a round that
+    fits one `_maximize_stacks` stack takes all others instead, and so decides
+    every row (`_capped`).  Step C: a row step B bounded is dropped when
     every working row tight at its optimum ends kept (by complementary
     slackness they bound a_k.x by the same value); the other bounded rows are
     tested over the kept rows again and dropped when bounded.  Rows left open
@@ -291,13 +290,11 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
 def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
-    Over all other rows, a point above b_k + tol already proves the optimum
-    is, so each member stops there (`_maximize_stacks`' `stop`).  The rows
-    come from a region, finite and here b >= 0, so they are not checked again."""
+    The rows come from a region, finite and here b >= 0, so they are not
+    checked again."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
-    stop = b[tested] + tol if idx.shape[1] == len(b) else np.full(len(tested), np.inf)
-    return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol, stop)[1:]
+    return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)
 
 
 def _witnessed(A, b, tested, tol):
@@ -334,7 +331,9 @@ def _certify(A, b, kept, dropped, tol):
     """Steps A-C of `prune_redundant` (every b_i >= 0): mark certified keeps
     in `kept` and certified drops in `dropped`.  First, on a packing system
     (every row but the sign rows -x_j <= 0 nonnegative), the rows that
-    `_witnessed` finds are kept; elsewhere greedy points rarely find one."""
+    `_witnessed` finds are kept; elsewhere greedy points rarely find one.
+    Each round of LPs is one `_capped` call, which runs every member to its
+    optimum; a round over all other rows decides every row it tests."""
     sign = (b == 0) & (np.abs(A).sum(1) == 1) & (A.sum(1) == -1)  # -x_j <= 0: A is integer
     if ((A >= 0).all(1) | sign).all():
         kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
@@ -354,15 +353,15 @@ def _certify(A, b, kept, dropped, tol):
         grow = ~bounded & (excess.max(1) > tol)
         kept[tested[~bounded & ~grow]] = True
         tested, working, excess = tested[grow], working[grow], excess[grow]
-        # Step B: the most violated rows join, at least 5 and as many as the
-        # set holds, and every other row once it holds 1/16 of the rows and
-        # that round fits one `_maximize_stacks` stack: a larger one would pay
-        # for its tableau cells far more than for the rounds it saves.
+        # Step B: every other row joins when that round fits one
+        # `_maximize_stacks` stack, since a larger one would pay for its
+        # tableau cells far more than for the rounds it saves; else the most
+        # violated rows join, at least 5 and as many as the set holds.
         size = working[:1].sum()  # 0 once no row is left
         rest = len(b) - 1 - size
         fits = len(tested) <= lp._stack_size(len(b), A.shape[1])
         top = np.argsort(-excess, axis=1, kind="stable")
-        top = top[:, : rest if fits and 16 * size >= len(b) - 1 else min(max(5, size), rest)]
+        top = top[:, : rest if fits else min(max(5, size), rest)]
         working[np.arange(len(tested))[:, None], top] = True
     # A bounded row whose tight working rows all end kept is bounded by the
     # kept rows alone (complementary slackness); step C tests the others.

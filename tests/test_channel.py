@@ -122,11 +122,21 @@ XOR_F = (((0, 1), (1, 0)), ((0, 1), (1, 0)))
      "receiver 1, input 0: output row has 1 entries, expected 2 interference tuples"),
     (2, (2, 2), ((0, 1), (0, 1)), (((0, 1), (1, 0.5)), XOR_F[1]),
      "receiver 1, input 1: non-integer output entry"),
+    # A table or row that is not a list used to fail as "'int' object is not iterable".
+    (2, 2, ((0, 1), (0, 1)), XOR_F, "alphabet sizes must be a list, got 2"),
+    (2, (2, 2), 5, XOR_F, "interference tables must be a list, got 5"),
+    (2, (2, 2), (5, 6), XOR_F, "user 1: interference table must be a list, got 5"),
+    (2, (2, 2), ((0, 1), (0, 1)), 5, "output tables must be a list, got 5"),
+    (2, (2, 2), ((0, 1), (0, 1)), (5, 6), "receiver 1: output table must be a list, got 5"),
+    (2, (2, 2), ((0, 1), (0, 1)), ((5, 6), XOR_F[1]),
+     "receiver 1, input 0: output row must be a list, got 5"),
 ], ids=["K", "alphabet-sizes", "alphabet-size-value", "interference-tables",
         "interference-entries", "interference-entry-value", "output-tables", "input-rows",
-        "output-row-entries", "output-entry-value"])
+        "output-row-entries", "output-entry-value", "alphabet-sizes-list",
+        "interference-tables-list", "interference-table-list", "output-tables-list",
+        "output-table-list", "output-row-list"])
 def test_table_counts_must_fit_the_users_and_alphabets(K, sizes, g, f, message):
-    # One fault per case, so each of the ten rejections is pinned to its exact message.
+    # One fault per case, so each rejection is pinned to its exact message.
     with pytest.raises(ChannelFormatError) as info:
         ChannelSpec(K=K, x_alphabet_sizes=sizes, g_tables=g, f_tables=f)
     assert str(info.value) == message

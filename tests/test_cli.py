@@ -67,6 +67,26 @@ def test_bool_and_string_entries_in_input_files_exit_2(xor_file, tmp_path, capsy
     assert "malformed distribution document: user 1: probability entry '0.5'" in err
 
 
+@pytest.mark.parametrize("kind, field, value, message", [
+    ("channel", "x_alphabet_sizes", 2, "alphabet sizes must be a list, got 2"),
+    ("channel", "g", [5, 6], "user 1: interference table must be a list, got 5"),
+    ("channel", "f", [[5, 6], [[0, 1], [1, 0]]],
+     "receiver 1, input 0: output row must be a list, got 5"),
+    ("distribution", "p", [5, 6], "user 1: probabilities must be a list, got 5"),
+], ids=["alphabet-sizes", "g-row", "f-row", "p-row"])
+def test_a_table_that_is_not_a_list_exits_2_naming_it(xor_file, uniform2_file, tmp_path, capsys,
+                                                       kind, field, value, message):
+    # Each used to end in "'int' object is not iterable", naming no field.
+    files = {"channel": xor_file, "distribution": uniform2_file}
+    doc = json.loads(open(files[kind]).read())
+    doc[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    files[kind] = str(bad)
+    assert main(["region", files["channel"], files["distribution"], "--method", "hk-project"]) == 2
+    assert capsys.readouterr().err.endswith(f"{message}\n")
+
+
 def test_region_both_methods_agree(xor_file, uniform2_file, tmp_path):
     out_a = tmp_path / "hk.json"
     out_b = tmp_path / "thm.json"

@@ -170,7 +170,7 @@ def test_system_rejects_non_finite_data():
 def test_non_finite_objectives_and_batch_data_are_rejected():
     # A nan objective used to come back "optimal" with value nan and record a
     # basis, and an inf one hit numpy's "invalid value encountered in matmul".
-    # The stacked solver takes checked data; a nan or inf threshold is none.
+    # The stacked solver takes only data its caller has checked.
     system = lp.System([[1.0, 0.0], [0.0, 1.0]], [1.0, 1.0])
     for c in ([np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]):
         with pytest.raises(ValueError, match="2 finite numbers"):
@@ -178,9 +178,6 @@ def test_non_finite_objectives_and_batch_data_are_rejected():
     assert len(system.bases) == 0
     with pytest.raises(ValueError, match="1 finite numbers"):  # before feasibility
         lp.maximize([np.nan], lp.System([[1.0], [-1.0]], [-2.0, 1.0]))
-    batch = np.ones((1, 2)), np.eye(2)[None], np.ones((1, 2))
-    for stop in ([np.nan], [np.inf]):  # still no threshold
-        assert _stacks(*batch, stop=stop)[1].tolist() == [2.0]
 
 
 def _count_pivots(monkeypatch):
@@ -467,15 +464,14 @@ def test_right_hand_side_must_match_the_rows():
         _maximize([1.0], [], [1.0, 2.0])
 
 
-def _stacks(C, A, b, stop=None):
-    """`lp._maximize_stacks` on lists or arrays, with no threshold by default."""
-    C, A, b = (np.asarray(v, dtype=float) for v in (C, A, b))
-    stop = np.full(len(C), np.inf) if stop is None else np.asarray(stop, dtype=float)
-    return lp._maximize_stacks(C, A, b, 1e-9, stop)
+def _stacks(C, A, b):
+    """`lp._maximize_stacks` on lists or arrays."""
+    return lp._maximize_stacks(*(np.asarray(v, dtype=float) for v in (C, A, b)), 1e-9)
 
 
 def _assert_batch_matches_maximize(C, A, b):
-    unbounded, values, X = _stacks(C, A, b)
+    values, X = _stacks(C, A, b)
+    unbounded = np.isinf(values)
     for i in range(len(C)):
         res = _maximize(C[i], A[i], b[i])
         assert unbounded[i] == (res.status == lp.UNBOUNDED)
@@ -510,7 +506,7 @@ def test_batch_members_finish_apart_and_one_is_unbounded():
     A2 = np.stack([A, A, np.vstack([np.zeros(4), A[1:]]), A])
     unbounded = _assert_batch_matches_maximize(C, A2, np.tile(b, (4, 1)))
     assert unbounded.tolist() == [False, False, True, False]
-    X = _stacks(C[:1], A[None], b[None])[2]
+    X = _stacks(C[:1], A[None], b[None])[1]
     assert X[0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
 
 
@@ -536,42 +532,6 @@ def test_stack_size_counts_the_members_whose_tableau_cells_fit(monkeypatch):
         for m, n, members in ((2, 2, 7), (0, 1, 70), (4, 3, 5)):
             fits = members * (m + 1) * (2 * n + 1) <= cells
             assert fits == (members <= lp._stack_size(m, n))
-
-
-def test_batch_member_with_a_threshold_stops_at_its_first_point_above_it():
-    # Over the unit box, max x1 + x2 pivots x1 in first, to (1, 0) of value 1,
-    # then x2, to the optimum (1, 1).
-    C, A, b = [[1.0, 1.0]] * 3, [[[1.0, 0.0], [0.0, 1.0]]] * 3, [[1.0, 1.0]] * 3
-    unbounded, values, X = _stacks(C, A, b, stop=[0.5, 1.0, np.inf])
-    assert not unbounded.any()
-    assert X.tolist() == [[1.0, 0.0], [1.0, 1.0], [1.0, 1.0]]  # 1.0 is not above 1.0
-    assert values.tolist() == [1.0, 2.0, 2.0]
-
-
-def test_batch_members_without_a_threshold_are_unchanged_by_those_with_one():
-    rng = np.random.default_rng(7)
-    stopped = 0
-    for _ in range(60):
-        n, m, size = rng.integers(1, 6), rng.integers(1, 14), rng.integers(2, 12)
-        A = rng.integers(-3, 4, (size, m, n)).astype(float)
-        b = rng.integers(0, 6, (size, m)).astype(float)
-        C = rng.integers(-3, 4, (size, n)).astype(float)
-        full = _stacks(C, A, b)
-        stop = np.where(rng.random(size) < 0.5, rng.random(size) * 4, np.inf)
-        stop[rng.random(size) < 0.2] = np.nan  # as no threshold
-        unbounded, values, X = _stacks(C, A, b, stop=stop)
-        same = ~(stop < full[1])  # no threshold, or the optimum is not above it
-        assert X[same].tobytes() == full[2][same].tobytes()
-        assert (unbounded[same] == full[0][same]).all()
-        for i in np.flatnonzero(~same):
-            if unbounded[i]:  # found unbounded before it passed stop[i]
-                assert full[0][i]
-                continue
-            # Stopped at a feasible point above stop[i].
-            assert values[i] > stop[i] and values[i] <= full[1][i]
-            assert (A[i] @ X[i] <= b[i] + 1e-9).all()
-            stopped += values[i] < full[1][i]
-    assert stopped  # some stopped short of their optimum
 
 
 @pytest.mark.parametrize("nonneg", [[-1], [2], [5], [0.5], [True], ["0"], [None]])

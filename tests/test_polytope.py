@@ -192,7 +192,7 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     randoms = []
     for trial in range(600):
         # From trial 500 on, 17 rows or more in 2-4 variables, so that step
-        # B's working sets grow, then jump to all other rows at 1/16 of them.
+        # B's rounds over all other rows decide many rows.
         dim = rng.randint(1, 4) if trial < 500 else rng.randint(2, 4)
         low = -3 if trial < 300 else 0  # then every b >= 0, so certificates decide rows
         rows = [
@@ -267,9 +267,9 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
     # greedy witnesses that witness nothing.
     maximize_stacks, members = lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol=1e-9, stop=None):
+    def counting_batch(C, A, b, tol=1e-9):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol, stop=stop)
+        return maximize_stacks(C, A, b, tol=tol)
 
     monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
     box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
@@ -287,6 +287,26 @@ def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
         pruned = prune_redundant(R(2, box + extra))
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
         assert members == batches
+
+
+def test_step_b_takes_every_other_row_once_that_round_fits_one_stack(monkeypatch):
+    # 39 tangents to a disk in the positive quadrant, all facets, and the two
+    # sign rows, the only rows kept before step A.  Over those, each tangent's
+    # optimum violates others, so all 39 stay open.  Their round over all
+    # other rows fits one stack, so it comes next, though the working set
+    # holds 2 of the 40 other rows; doubling would have added only 5.
+    maximize_stacks, rows = lp._maximize_stacks, []
+
+    def counting_batch(C, A, b, tol=1e-9):
+        rows.append(A.shape[:2])
+        return maximize_stacks(C, A, b, tol=tol)
+
+    monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
+    monkeypatch.setattr(polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+    tangents = [((k, 40 - k), 10 * math.hypot(k, 40 - k)) for k in range(1, 40)]
+    region = R(2, tangents + [((-1, 0), 0.0), ((0, -1), 0.0)])
+    assert prune_redundant(region) == region
+    assert rows[:2] == [(39, 3), (39, 41)]  # each member's rows and its cap
 
 
 def test_is_subset_examples():
