@@ -258,6 +258,18 @@ def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
     assert witnesses > 300
 
 
+def test_a_greedy_point_above_another_row_witnesses_nothing():
+    # (3,3,1) . x <= 0.9 is implied by (3,3,3) . x <= 0.9 for x >= 0.  Its
+    # greedy point rises to about (0.3, 0, 0), and rounding leaves it a hair
+    # above both rows, so at tol 0 only the test on every other row keeps
+    # (3,3,1) from being witnessed as needed.
+    region = Region(3, [LinearInequality((3, 3, 3), 0.9), LinearInequality((3, 3, 1), 0.9)]
+                    + list(nonneg_inequalities(3)))
+    pruned = prune_redundant(region, tol=0.0)
+    assert set(pruned.lhs) == {(3, 3, 3), (-1, 0, 0), (0, -1, 0), (0, 0, -1)}
+    assert len(pruned.lhs) == 4
+
+
 def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
     # In the box, x1 + x2 <= 2 is bounded in step B at (1, 1), where only
     # x1 <= 1 and x2 <= 1 are tight, and both end kept: no step-C batch runs.
