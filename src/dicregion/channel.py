@@ -16,6 +16,7 @@ mixed-radix code over those images (see :func:`decode_v_index`).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
@@ -239,12 +240,12 @@ def _is_int(v) -> bool:
     return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
-def _tuple(value, what: str) -> tuple:
-    """`value` as a tuple; ChannelFormatError naming `what` when it is not a sequence."""
+def _tuple(value, what: str, error=ChannelFormatError) -> tuple:
+    """`value` as a tuple, the one list rule: `error` naming `what` when it is not a sequence."""
     try:
         return tuple(value)
     except TypeError:
-        raise ChannelFormatError(f"{what} must be a list, got {value!r}") from None
+        raise error(f"{what} must be a list, got {value!r}") from None
 
 
 def _check_user(K: int, i: int):
@@ -264,15 +265,8 @@ def channel_to_dict(spec: ChannelSpec) -> dict:
 
 
 def channel_from_dict(data: dict) -> ChannelSpec:
-    try:
-        return ChannelSpec(
-            K=data["K"],
-            x_alphabet_sizes=data["x_alphabet_sizes"],
-            g_tables=data["g"],
-            f_tables=data["f"],
-        )
-    except (KeyError, TypeError) as exc:
-        raise ChannelFormatError(f"malformed channel document: {exc}") from exc
+    with _building("channel", data):
+        return ChannelSpec(data["K"], data["x_alphabet_sizes"], data["g"], data["f"])
 
 
 def load_channel(path) -> ChannelSpec:
@@ -281,8 +275,7 @@ def load_channel(path) -> ChannelSpec:
 
 
 def save_channel(spec: ChannelSpec, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_document(channel_to_dict(spec), fh)
+    _save_document(channel_to_dict(spec), path)
 
 
 def _read_document(path):
@@ -296,8 +289,29 @@ def _read_document(path):
             raise ValueError("JSON nested deeper than the recursion limit") from None
 
 
+@contextlib.contextmanager
+def _building(kind: str, data):
+    """The one build rule of every document: `data`, the JSON value the `with`
+    block builds a `kind` from, must be an object, and a KeyError, TypeError,
+    ValueError, OverflowError or ChannelFormatError in the block becomes a
+    ValueError (for a channel, a ChannelFormatError) "malformed <kind> document: <reason>"."""
+    try:
+        if not isinstance(data, dict):
+            raise TypeError(f"{type(data).__name__}, not an object")
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError, ChannelFormatError) as exc:
+        error = ChannelFormatError if kind == "channel" else ValueError
+        raise error(f"malformed {kind} document: {exc}") from exc
+
+
 def _write_document(doc, fh) -> None:
-    """Write `doc` to the text file `fh` in the one format of every document
+    """Write `doc` to the text stream `fh` in the one format of every document
     the package writes: JSON, one space per indent level, a final newline."""
     json.dump(doc, fh, indent=1)
     fh.write("\n")
+
+
+def _save_document(doc, path) -> None:
+    """Write `doc` to the UTF-8 file at `path`: the one writer of document files."""
+    with open(path, "w", encoding="utf-8") as fh:
+        _write_document(doc, fh)

@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .channel import _is_int, _read_document, _write_document
+from .channel import _building, _is_int, _read_document, _save_document, _tuple
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
@@ -315,13 +315,9 @@ def scheme_to_dict(scheme: CoefficientScheme) -> dict:
 
 
 def scheme_from_dict(data: dict) -> CoefficientScheme:
-    try:
-        return CoefficientScheme(
-            data["K"],
-            tuple((item["i"], frozenset(item["M"]), item["w"]) for item in data["c"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed scheme document: {exc}") from exc
+    with _building("scheme", data):
+        entries = tuple((item["i"], item["M"], item["w"]) for item in _tuple(data["c"], "entries"))
+        return CoefficientScheme(data["K"], entries)
 
 
 def load_scheme(path) -> CoefficientScheme:
@@ -329,5 +325,4 @@ def load_scheme(path) -> CoefficientScheme:
 
 
 def save_scheme(scheme: CoefficientScheme, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_document(scheme_to_dict(scheme), fh)
+    _save_document(scheme_to_dict(scheme), path)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _check_user, _is_int, _read_document, _write_document
+from .channel import (
+    ChannelSpec, _building, _check_user, _is_int, _read_document, _save_document, _tuple,
+)
 
 __all__ = [
     "InputDistribution",
@@ -50,11 +52,8 @@ class InputDistribution:
     def __post_init__(self):
         # One pass per row: made a tuple, checked, and stored as floats.
         probs = []
-        for i, row in enumerate(self.probs, start=1):
-            try:
-                row = tuple(row)
-            except TypeError:
-                raise ValueError(f"user {i}: probabilities must be a list, got {row!r}") from None
+        for i, row in enumerate(_tuple(self.probs, "probabilities", ValueError), start=1):
+            row = _tuple(row, f"user {i}: probabilities", ValueError)
             for p in row:
                 if type(p) is not float and (not isinstance(p, numbers.Real) or isinstance(p, bool)):
                     raise ValueError(f"user {i}: probability entry {p!r} is not a real number")
@@ -103,8 +102,8 @@ def subset_rank(M) -> int:
 
 def _user_subset(K: int, i: int, M) -> frozenset:
     """The user subset M of receiver i as a frozenset of plain ints;
-    ValueError unless every member is an integer in 1..K."""
-    M = frozenset(M)
+    ValueError unless M is a collection of integers in 1..K."""
+    M = frozenset(_tuple(M, f"receiver {i}: subset", ValueError))
     if not all(map(_is_int, M)):
         raise ValueError(f"receiver {i}: subset {set(M)} has a non-integer member")
     if any(not 1 <= m <= K for m in M):
@@ -317,12 +316,9 @@ def _own_input_entropies(spec: ChannelSpec, dist: InputDistribution):
 def load_distribution(path) -> InputDistribution:
     """Read a distribution JSON file {"p": [[...], ...]}."""
     data = _read_document(path)
-    try:
+    with _building("distribution", data):
         return InputDistribution(data["p"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed distribution document: {exc}") from exc
 
 
 def save_distribution(dist: InputDistribution, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_document({"p": [list(row) for row in dist.probs]}, fh)
+    _save_document({"p": [list(row) for row in dist.probs]}, path)

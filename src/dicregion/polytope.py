@@ -19,7 +19,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import lp
-from .channel import _is_int, _read_document, _write_document
+from .channel import _building, _is_int, _read_document, _save_document, _tuple
 from .errors import InfeasibleRegionError, UnboundedDirectionError
 
 __all__ = [
@@ -549,16 +549,15 @@ def region_to_dict(region: Region) -> dict:
 def region_from_dict(data: dict) -> Region:
     """A region from its JSON document.  As in channel and distribution files,
     a boolean or a string is not a number; `Region` checks the labels."""
-    try:
-        rows = [(item["coeffs"], item["rhs"]) for item in data["inequalities"]]
+    with _building("region", data):  # OverflowError: a coefficient of inf
+        items = enumerate(_tuple(data["inequalities"], "inequalities"), start=1)
+        rows = [(_tuple(item["coeffs"], f"inequality {k}: coeffs"), item["rhs"]) for k, item in items]
         if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
             raise TypeError("a coefficient or rhs is a boolean or a string, not a number")
-        ineqs = tuple(LinearInequality(tuple(coeffs), rhs) for coeffs, rhs in rows)
+        ineqs = tuple(LinearInequality(coeffs, rhs) for coeffs, rhs in rows)
         if any(abs(c) > 2**53 for q in ineqs for c in q.coeffs):
             raise ValueError("a coefficient exceeds 2^53, beyond the integers a float holds exactly")
         return Region(data["dim"], ineqs, data.get("labels"))
-    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: a coefficient of inf
-        raise ValueError(f"malformed region document: {exc}") from exc
 
 
 def load_region(path) -> Region:
@@ -566,5 +565,4 @@ def load_region(path) -> Region:
 
 
 def save_region(region: Region, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_document(region_to_dict(region), fh)
+    _save_document(region_to_dict(region), path)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _is_int, _read_document, _write_document
+from .channel import ChannelSpec, _building, _is_int, _read_document, _save_document, _tuple
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import EnumerationOverflowError
@@ -72,20 +72,22 @@ class FacetSpec:
     S: tuple[tuple[frozenset, ...], ...]
 
     def __post_init__(self):
-        K = len(self.a)
-        if len(self.S) != K:
-            raise ValueError(f"{len(self.S)} subset lists for {K} receivers")
+        a, S = _tuple(self.a, "weights", ValueError), _tuple(self.S, "subsets", ValueError)
+        K = len(a)
+        if len(S) != K:
+            raise ValueError(f"{len(S)} subset lists for {K} receivers")
         canon = []
-        for i, (count, subsets) in enumerate(zip(self.a, self.S), start=1):
+        for i, (count, subsets) in enumerate(zip(a, S), start=1):
             if not _is_int(count):
                 raise ValueError(f"receiver {i}: weight {count!r} is not an integer")
             if count < 0:
                 raise ValueError(f"receiver {i}: negative weight {count}")
+            subsets = _tuple(subsets, f"receiver {i}: subsets", ValueError)
             subsets = [_user_subset(K, i, M) for M in subsets]
             if len(subsets) != count:
                 raise ValueError(f"receiver {i}: {len(subsets)} subsets for weight {count}")
             canon.append(tuple(sorted(subsets, key=subset_rank)))
-        object.__setattr__(self, "a", tuple(int(v) for v in self.a))
+        object.__setattr__(self, "a", tuple(map(int, a)))
         object.__setattr__(self, "S", tuple(canon))
 
     @property
@@ -449,13 +451,8 @@ def facet_to_dict(fs: FacetSpec) -> dict:
 
 
 def facet_from_dict(data: dict) -> FacetSpec:
-    try:
-        return FacetSpec(
-            tuple(data["a"]),
-            tuple(tuple(frozenset(M) for M in subsets) for subsets in data["S"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed facet document: {exc}") from exc
+    with _building("facet", data):
+        return FacetSpec(data["a"], data["S"])
 
 
 def load_facets(path) -> list[FacetSpec]:
@@ -468,5 +465,4 @@ def load_facets(path) -> list[FacetSpec]:
 
 
 def save_facets(specs, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        _write_document([facet_to_dict(fs) for fs in specs], fh)
+    _save_document([facet_to_dict(fs) for fs in specs], path)

@@ -73,7 +73,8 @@ def test_bool_and_string_entries_in_input_files_exit_2(xor_file, tmp_path, capsy
     ("channel", "f", [[5, 6], [[0, 1], [1, 0]]],
      "receiver 1, input 0: output row must be a list, got 5"),
     ("distribution", "p", [5, 6], "user 1: probabilities must be a list, got 5"),
-], ids=["alphabet-sizes", "g-row", "f-row", "p-row"])
+    ("distribution", "p", 5, "malformed distribution document: probabilities must be a list, got 5"),
+], ids=["alphabet-sizes", "g-row", "f-row", "p-row", "p"])
 def test_a_table_that_is_not_a_list_exits_2_naming_it(xor_file, uniform2_file, tmp_path, capsys,
                                                        kind, field, value, message):
     # Each used to end in "'int' object is not iterable", naming no field.
@@ -179,7 +180,8 @@ def test_region_files_whose_dim_is_not_a_count_are_parse_errors(tmp_path, capsys
     assert main(["plot", str(bad), "--out", str(tmp_path / "plot.svg")]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.count(f"could not read region file {str(bad)!r}: dim must be an integer") == 2
+    reason = "malformed region document: dim must be an integer"
+    assert captured.err.count(f"could not read region file {str(bad)!r}: {reason}") == 2
 
 
 def test_region_refuses_non_injective(tmp_path, capsys):

@@ -213,7 +213,7 @@ def test_scheme_validation():
     ({"K": 2, "c": [{"i": 1, "M": [1], "w": True}]}, "nonnegative integer"),
     ({"K": 2}, "^malformed scheme document: 'c'$"),
     ({"K": 2, "c": [{"i": 1, "M": [1]}]}, "^malformed scheme document: 'w'$"),
-    ({"K": 2, "c": 5}, "^malformed scheme document: 'int' object is not iterable$"),
+    ({"K": 2, "c": 5}, "^malformed scheme document: entries must be a list, got 5$"),
 ])
 def test_scheme_documents_need_integer_sizes_receivers_members_and_weights(doc, message):
     # K = 2.0 and "i": 1.0 loaded and failed later in de_of, K = True and

@@ -1,8 +1,9 @@
 """Malformed documents of every kind, each rejection pinned to its full text.
 
-One fault per case.  A channel document fails with ChannelFormatError, every
-other kind with ValueError; the CLI prints the text after "could not read
-<kind> file '<path>': " and exits 2.
+One fault per case.  Every fault reads "malformed <kind> document: <reason>",
+a ChannelFormatError for a channel document and a ValueError for every other
+kind; the CLI prints it after "could not read <kind> file '<path>': " and
+exits 2.
 """
 
 import json
@@ -19,7 +20,8 @@ from dicregion.theorem_region import facet_from_dict, load_facets
 XOR = {"K": 2, "x_alphabet_sizes": [2, 2], "g": [[0, 1], [0, 1]],
        "f": [[[0, 1], [1, 0]], [[0, 1], [1, 0]]]}
 SIMPLEX = {"dim": 2, "labels": ["x1", "x2"], "inequalities": [
-    {"coeffs": [1, 1], "rhs": 1.0}, {"coeffs": [-1, 0], "rhs": 0.0}, {"coeffs": [0, -1], "rhs": 0.0}]}
+    {"coeffs": [1, 1], "rhs": 1.0}, {"coeffs": [-1, 0], "rhs": 0.0},
+    {"coeffs": [0, -1], "rhs": 0.0}]}
 FACET = {"a": [2, 1], "S": [[[], [1, 2]], [[1]]]}
 SCHEME = {"K": 2, "c": [{"i": 1, "M": [1, 2], "w": 2}]}
 
@@ -41,7 +43,7 @@ def _entry(**fields):
 
 CASES = {
     "channel": [
-        (_without(XOR, "f"), "malformed channel document: 'f'"),
+        (_without(XOR, "f"), "'f'"),
         ({**XOR, "K": 1}, "K must be an integer >= 2, got 1"),
         ({**XOR, "x_alphabet_sizes": 2}, "alphabet sizes must be a list, got 2"),
         ({**XOR, "x_alphabet_sizes": [2]}, "expected 2 alphabet sizes, got 1"),
@@ -57,81 +59,77 @@ CASES = {
         ({**XOR, "f": [5, 6]}, "receiver 1: output table must be a list, got 5"),
         ({**XOR, "f": [XOR["f"][0], XOR["f"][1][:1]]},
          "receiver 2: output table has 1 input rows, alphabet size is 2"),
-        ({**XOR, "f": [[5, 6], XOR["f"][1]]}, "receiver 1, input 0: output row must be a list, got 5"),
+        ({**XOR, "f": [[5, 6], XOR["f"][1]]},
+         "receiver 1, input 0: output row must be a list, got 5"),
         ({**XOR, "f": [[[0], [1, 0]], XOR["f"][1]]},
          "receiver 1, input 0: output row has 1 entries, expected 2 interference tuples"),
-        ({**XOR, "f": [[[0, 1], [1, 0.5]], XOR["f"][1]]}, "receiver 1, input 1: non-integer output entry"),
-        ([1, 2], "malformed channel document: list indices must be integers or slices, not str"),
+        ({**XOR, "f": [[[0, 1], [1, 0.5]], XOR["f"][1]]},
+         "receiver 1, input 1: non-integer output entry"),
+        ([1, 2], "list, not an object"),
     ],
     "distribution": [
-        ({}, "malformed distribution document: 'p'"),
-        ({"p": 5}, "malformed distribution document: 'int' object is not iterable"),
-        ({"p": [5, 6]}, "malformed distribution document: user 1: probabilities must be a list, got 5"),
-        ({"p": [[0.5, "0.5"], [0.5, 0.5]]},
-         "malformed distribution document: user 1: probability entry '0.5' is not a real number"),
-        ({"p": [[0.5, 0.5], [True, False]]},
-         "malformed distribution document: user 2: probability entry True is not a real number"),
-        ({"p": [[0.5, 0.5], [float("nan"), 1.0]]},
-         "malformed distribution document: user 2: non-finite probability entry"),
-        ({"p": [[1.5, -0.5], [0.5, 0.5]]}, "malformed distribution document: user 1: negative probability entry"),
-        ({"p": [[0.5, 0.5], [0.5, 0.4]]},
-         "malformed distribution document: user 2: probabilities sum to 0.9, not 1"),
-        ([1, 2], "malformed distribution document: list indices must be integers or slices, not str"),
+        ({}, "'p'"),
+        ({"p": 5}, "probabilities must be a list, got 5"),
+        ({"p": [5, 6]}, "user 1: probabilities must be a list, got 5"),
+        ({"p": [[0.5, "0.5"], [0.5, 0.5]]}, "user 1: probability entry '0.5' is not a real number"),
+        ({"p": [[0.5, 0.5], [True, False]]}, "user 2: probability entry True is not a real number"),
+        ({"p": [[0.5, 0.5], [float("nan"), 1.0]]}, "user 2: non-finite probability entry"),
+        ({"p": [[1.5, -0.5], [0.5, 0.5]]}, "user 1: negative probability entry"),
+        ({"p": [[0.5, 0.5], [0.5, 0.4]]}, "user 2: probabilities sum to 0.9, not 1"),
+        ([1, 2], "list, not an object"),
     ],
     "region": [
-        (_without(SIMPLEX, "inequalities"), "malformed region document: 'inequalities'"),
-        (_without(SIMPLEX, "dim"), "malformed region document: 'dim'"),
-        ({**SIMPLEX, "inequalities": [{"coeffs": [1, 1]}]}, "malformed region document: 'rhs'"),
-        ({**SIMPLEX, "inequalities": 5}, "malformed region document: 'int' object is not iterable"),
-        (_first_row(coeffs=5), "malformed region document: Value after * must be an iterable, not int"),
-        ({**SIMPLEX, "labels": "ab"}, "malformed region document: labels must be a list of strings, got 'ab'"),
+        (_without(SIMPLEX, "inequalities"), "'inequalities'"),
+        (_without(SIMPLEX, "dim"), "'dim'"),
+        ({**SIMPLEX, "inequalities": [{"coeffs": [1, 1]}]}, "'rhs'"),
+        ({**SIMPLEX, "inequalities": 5}, "inequalities must be a list, got 5"),
+        (_first_row(coeffs=5), "inequality 1: coeffs must be a list, got 5"),
+        ({**SIMPLEX, "labels": "ab"}, "labels must be a list of strings, got 'ab'"),
         ({**SIMPLEX, "labels": [1, 2]}, "labels must be strings, got [1, 2]"),
         ({**SIMPLEX, "labels": ["u", "v", "w"]}, "3 labels for dimension 2"),
         ({**SIMPLEX, "labels": ["u", "u"]}, "duplicate labels in ['u', 'u']"),
-        (_first_row(rhs="1"),
-         "malformed region document: a coefficient or rhs is a boolean or a string, not a number"),
+        (_first_row(rhs="1"), "a coefficient or rhs is a boolean or a string, not a number"),
         (_first_row(coeffs=[True, 1]),
-         "malformed region document: a coefficient or rhs is a boolean or a string, not a number"),
+         "a coefficient or rhs is a boolean or a string, not a number"),
         (_first_row(coeffs=[2**53 + 1, 1]),
          "a coefficient exceeds 2^53, beyond the integers a float holds exactly"),
         (_first_row(coeffs=[1.5, 1]), "coefficient 1.5 is not an exact integer"),
-        (_first_row(coeffs=[float("inf"), 1]),
-         "malformed region document: cannot convert float infinity to integer"),
+        (_first_row(coeffs=[float("inf"), 1]), "cannot convert float infinity to integer"),
         (_first_row(rhs=float("nan")), "an inequality has a non-finite rhs"),
         (_first_row(coeffs=[1, 1, 1]), "inequality arity 3 does not match dim 2"),
         ({**SIMPLEX, "dim": True}, "dim must be an integer >= 0, got True"),
         ({**SIMPLEX, "dim": 2.0}, "dim must be an integer >= 0, got 2.0"),
         ({**SIMPLEX, "dim": -1}, "dim must be an integer >= 0, got -1"),
-        ([1, 2], "malformed region document: list indices must be integers or slices, not str"),
+        ([1, 2], "list, not an object"),
     ],
     "facet": [
-        (_without(FACET, "S"), "malformed facet document: 'S'"),
-        (_without(FACET, "a"), "malformed facet document: 'a'"),
-        ({**FACET, "a": 1}, "malformed facet document: 'int' object is not iterable"),
-        ({**FACET, "S": 5}, "malformed facet document: 'int' object is not iterable"),
-        ({**FACET, "S": [5, [[1]]]}, "malformed facet document: 'int' object is not iterable"),
-        ({**FACET, "S": [[5, [1, 2]], [[1]]]}, "malformed facet document: 'int' object is not iterable"),
+        (_without(FACET, "S"), "'S'"),
+        (_without(FACET, "a"), "'a'"),
+        ({**FACET, "a": 1}, "weights must be a list, got 1"),
+        ({**FACET, "S": 5}, "subsets must be a list, got 5"),
+        ({**FACET, "S": [5, [[1]]]}, "receiver 1: subsets must be a list, got 5"),
+        ({**FACET, "S": [[5, [1, 2]], [[1]]]}, "receiver 1: subset must be a list, got 5"),
         ({**FACET, "S": FACET["S"][:1]}, "1 subset lists for 2 receivers"),
         ({**FACET, "a": [1.5, 1]}, "receiver 1: weight 1.5 is not an integer"),
         ({**FACET, "a": [-1, 1]}, "receiver 1: negative weight -1"),
         ({**FACET, "a": [1, 1]}, "receiver 1: 2 subsets for weight 1"),
         ({**FACET, "S": [[[], [0, 2]], [[1]]]}, "receiver 1: subset [0, 2] not within 1..2"),
         ({**FACET, "S": [[[], [1.0]], [[1]]]}, "receiver 1: subset {1.0} has a non-integer member"),
-        ([1, 2], "malformed facet document: list indices must be integers or slices, not str"),
+        ([1, 2], "list, not an object"),
     ],
     "scheme": [
-        (_without(SCHEME, "c"), "malformed scheme document: 'c'"),
-        (_without(SCHEME, "K"), "malformed scheme document: 'K'"),
-        ({**SCHEME, "c": [{"i": 1, "M": [1]}]}, "malformed scheme document: 'w'"),
-        ({**SCHEME, "c": 5}, "malformed scheme document: 'int' object is not iterable"),
-        (_entry(M=5), "malformed scheme document: 'int' object is not iterable"),
+        (_without(SCHEME, "c"), "'c'"),
+        (_without(SCHEME, "K"), "'K'"),
+        ({**SCHEME, "c": [{"i": 1, "M": [1]}]}, "'w'"),
+        ({**SCHEME, "c": 5}, "entries must be a list, got 5"),
+        (_entry(M=5), "receiver 1: subset must be a list, got 5"),
         ({**SCHEME, "K": 2.0}, "K=2.0 must be a positive integer"),
         (_entry(i=3), "receiver 3 out of range 1..2"),
         (_entry(M=[1, 3]), "receiver 1: subset [1, 3] not within 1..2"),
         (_entry(M=[True]), "receiver 1: subset {True} has a non-integer member"),
         (_entry(w=-1), "weight -1 must be a nonnegative integer"),
         ({**SCHEME, "c": SCHEME["c"] * 2}, "duplicate entry for receiver 1, subset [1, 2]"),
-        ([1, 2], "malformed scheme document: list indices must be integers or slices, not str"),
+        ([1, 2], "list, not an object"),
     ],
 }
 
@@ -147,15 +145,15 @@ def _read(kind, doc, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "kind, doc, message",
-    [(kind, doc, message) for kind, cases in CASES.items() for doc, message in cases],
+    "kind, doc, reason",
+    [(kind, doc, reason) for kind, cases in CASES.items() for doc, reason in cases],
     ids=[f"{kind}-{k}" for kind, cases in CASES.items() for k in range(len(cases))],
 )
-def test_each_malformed_document_reads_as_its_pinned_message(tmp_path, kind, doc, message):
+def test_each_malformed_document_reads_as_its_pinned_message(tmp_path, kind, doc, reason):
     error = ChannelFormatError if kind == "channel" else ValueError
     with pytest.raises(error) as info:
         _read(kind, doc, tmp_path)
-    assert str(info.value) == message
+    assert str(info.value) == f"malformed {kind} document: {reason}"
 
 
 def test_a_facet_file_of_items_that_are_not_objects_is_malformed(tmp_path):
@@ -163,4 +161,4 @@ def test_a_facet_file_of_items_that_are_not_objects_is_malformed(tmp_path):
     path.write_text("[1, 2]")
     with pytest.raises(ValueError) as info:
         load_facets(path)
-    assert str(info.value) == "malformed facet document: 'int' object is not subscriptable"
+    assert str(info.value) == "malformed facet document: int, not an object"

@@ -511,7 +511,8 @@ def test_distribution_validation():
     (((1.5, -0.5), (1.0, 0.0)), "user 1: negative probability entry"),
     (((0.5, 0.5), (0.5, 0.4)), "user 2: probabilities sum to 0.9, not 1"),
     ([5, 6], "user 1: probabilities must be a list, got 5"),
-], ids=["real-number", "non-finite", "negative", "sum", "row"])
+    (5, "probabilities must be a list, got 5"),
+], ids=["real-number", "non-finite", "negative", "sum", "row", "rows"])
 def test_distribution_rejections_name_the_user(probs, message):
     # One fault per case, so each rejection is pinned to its exact message.
     with pytest.raises(ValueError) as info:

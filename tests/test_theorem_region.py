@@ -562,7 +562,7 @@ def test_a_facet_file_holding_one_object_loads_as_a_list(tmp_path):
 @pytest.mark.parametrize("doc, reason", [
     ({"a": [1, 0]}, "'S'"),
     ({"S": [[[1]], []]}, "'a'"),
-    ({"a": 1, "S": [[[1]], []]}, "'int' object is not iterable"),
+    pytest.param({"a": 1, "S": [[[1]], []]}, "weights must be a list, got 1", id="a-not-a-list"),
 ])
 def test_facet_object_without_its_fields_is_malformed(tmp_path, doc, reason):
     path = tmp_path / "facet.json"
