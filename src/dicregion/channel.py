@@ -248,6 +248,20 @@ def _tuple(value, what: str, error=ChannelFormatError) -> tuple:
         raise error(f"{what} must be a list, got {value!r}") from None
 
 
+def _object(value, where: str = "") -> dict:
+    """`value`, which must be a JSON object: TypeError "<where><type>, not an object" otherwise."""
+    if not isinstance(value, dict):
+        raise TypeError(f"{where}{type(value).__name__}, not an object")
+    return value
+
+
+def _objects(value, what: str, item: str):
+    """(k, object) for the k-th item, from 1, of list field `what` (`_tuple`),
+    each checked by `_object`, which names it "<item> <k>"."""
+    for k, obj in enumerate(_tuple(value, what), start=1):
+        yield k, _object(obj, f"{item} {k}: ")
+
+
 def _check_user(K: int, i: int):
     if not _is_int(i):
         raise ValueError(f"user index {i!r} is not an integer")
@@ -296,8 +310,7 @@ def _building(kind: str, data):
     ValueError, OverflowError or ChannelFormatError in the block becomes a
     ValueError (for a channel, a ChannelFormatError) "malformed <kind> document: <reason>"."""
     try:
-        if not isinstance(data, dict):
-            raise TypeError(f"{type(data).__name__}, not an object")
+        _object(data)
         yield
     except (KeyError, TypeError, ValueError, OverflowError, ChannelFormatError) as exc:
         error = ChannelFormatError if kind == "channel" else ValueError

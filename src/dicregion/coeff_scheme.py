@@ -24,7 +24,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .channel import _building, _is_int, _read_document, _save_document, _tuple
+from .channel import _building, _is_int, _objects, _read_document, _save_document
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import SchemeReductionError
 from .polytope import LinearInequality
@@ -316,7 +316,8 @@ def scheme_to_dict(scheme: CoefficientScheme) -> dict:
 
 def scheme_from_dict(data: dict) -> CoefficientScheme:
     with _building("scheme", data):
-        entries = tuple((item["i"], item["M"], item["w"]) for item in _tuple(data["c"], "entries"))
+        items = _objects(data["c"], "entries", "entry")
+        entries = tuple((item["i"], item["M"], item["w"]) for _, item in items)
         return CoefficientScheme(data["K"], entries)
 
 

@@ -19,7 +19,7 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import lp
-from .channel import _building, _is_int, _read_document, _save_document, _tuple
+from .channel import _building, _is_int, _objects, _read_document, _save_document, _tuple
 from .errors import InfeasibleRegionError, UnboundedDirectionError
 
 __all__ = [
@@ -72,7 +72,10 @@ class Region:
     builds the row objects on each access; the package itself reads these
     two fields and builds regions with `_from_rows`.  Immutable; the LP form
     that support and containment queries build on first use is a cache and
-    takes no part in equality, hashing, `copy` or `pickle`.  Labels are a
+    takes no part in equality, hashing, `copy` or `pickle`.  A region with
+    the same rows and right-hand sides as another may hold that region's
+    form (`find_subset_violation` shares it), so its queries reuse the bases
+    the other recorded.  Labels are a
     list or tuple of distinct strings, one per dimension (TypeError for any
     other type); None or empty means x1..xn.
     """
@@ -393,12 +396,27 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     Returns (inequality, attained_value) where attained_value is None when
     the direction is unbounded over `a`.  Raises InfeasibleRegionError when
     `a` is empty rather than reporting a containment that holds vacuously.
+
+    Rows decide first: when every row of `b` is a row of `a` (same left-hand
+    side) whose tightest rhs in `a` is at most b's rhs + tol, `a` is a subset
+    and no LP runs.  Otherwise each row of `b` in turn takes one support LP
+    over `a`.  When the two regions have the same rows and byte-identical
+    right-hand sides, `b` adopts `a`'s LP form at `tol` unless it has its own
+    at that tol, so its later queries reuse the bases `a` recorded.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not a._lp_form(tol).feasible:  # also when `b` has no row to test
+    form = a._lp_form(tol)
+    if not form.feasible:  # also when `b` has no row to test
         raise InfeasibleRegionError("support value of an empty region")
-    for coeffs, bound in zip(b.lhs, b.rhs.tolist()):
+    same = b.lhs == a.lhs and b.rhs.tobytes() == a.rhs.tobytes()
+    if same and (b._lp is None or b._lp.tol != tol):
+        object.__setattr__(b, "_lp", form)
+    rows = list(zip(b.lhs, b.rhs.tolist()))
+    best = _tightest(zip(a.lhs, a.rhs.tolist()))
+    if all(best.get(coeffs, math.inf) <= bound + tol for coeffs, bound in rows):
+        return None
+    for coeffs, bound in rows:
         value = _support(a, coeffs, tol)
         if value is None or value > bound + tol:
             return (LinearInequality(coeffs, bound), value)
@@ -429,8 +447,10 @@ def compare(a: Region, b: Region, rng, tol: float = 1e-9, directions: int = 100)
     ("support", direction, va, vb), support values that differ.  A value of
     None means unbounded.
 
-    Containment is tested a in b, then b in a; an empty `a` skips its test,
-    and the test of an empty `b` raises InfeasibleRegionError.  Then each of
+    Containment is tested a in b, then b in a (`find_subset_violation`: rows
+    shared within tol decide with no LP, and row-identical regions end up
+    sharing one LP form); an empty `a` skips its test, and the test of an
+    empty `b` raises InfeasibleRegionError.  Then each of
     `directions` spot checks draws one rng.uniform(-1, 1) per coordinate;
     va and vb differ when one is None or |va - vb| > tol * max(1, |va|).
     """
@@ -550,7 +570,7 @@ def region_from_dict(data: dict) -> Region:
     """A region from its JSON document.  As in channel and distribution files,
     a boolean or a string is not a number; `Region` checks the labels."""
     with _building("region", data):  # OverflowError: a coefficient of inf
-        items = enumerate(_tuple(data["inequalities"], "inequalities"), start=1)
+        items = _objects(data["inequalities"], "inequalities", "inequality")
         rows = [(_tuple(item["coeffs"], f"inequality {k}: coeffs"), item["rhs"]) for k, item in items]
         if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
             raise TypeError("a coefficient or rhs is a boolean or a string, not a number")

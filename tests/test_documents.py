@@ -101,6 +101,9 @@ CASES = {
         ({**SIMPLEX, "dim": 2.0}, "dim must be an integer >= 0, got 2.0"),
         ({**SIMPLEX, "dim": -1}, "dim must be an integer >= 0, got -1"),
         ([1, 2], "list, not an object"),
+        ({**SIMPLEX, "inequalities": [[1, 2]]}, "inequality 1: list, not an object"),
+        ({**SIMPLEX, "inequalities": [*SIMPLEX["inequalities"][:1], 5]},
+         "inequality 2: int, not an object"),
     ],
     "facet": [
         (_without(FACET, "S"), "'S'"),
@@ -130,6 +133,8 @@ CASES = {
         (_entry(w=-1), "weight -1 must be a nonnegative integer"),
         ({**SCHEME, "c": SCHEME["c"] * 2}, "duplicate entry for receiver 1, subset [1, 2]"),
         ([1, 2], "list, not an object"),
+        ({**SCHEME, "c": [[1, 2]]}, "entry 1: list, not an object"),
+        ({**SCHEME, "c": [*SCHEME["c"], 5]}, "entry 2: int, not an object"),
     ],
 }
 

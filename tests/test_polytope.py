@@ -1,6 +1,7 @@
 """Polyhedral kernel: elimination, pruning, containment, vertices."""
 
 import copy
+import functools
 import itertools
 import math
 import pickle
@@ -9,6 +10,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dicregion import (
@@ -633,6 +636,56 @@ def _highs_support(region, direction):
     return None
 
 
+@functools.cache
+def _seeded_regions():
+    """Aggregate regions of seeded K=2 and K=3 channels (2-D and 3-D, bounded)."""
+    regions = []
+    for K, seed in ((2, 0), (2, 1), (3, 0), (3, 1)):
+        rng = random.Random(f"oracle/{K}/{seed}")
+        spec = random_injective_channel(rng, K, 3)
+        table = build_entropy_table(spec, random_full_support(rng, spec))
+        regions.append(project_to_aggregate(build_A1(spec, table)))
+    return regions
+
+
+# rhs shifts: within tol of a row, just beyond it, and far from it.
+SHIFTS = (0.0, 0.5e-9, -0.5e-9, 2e-9, -2e-9, 1e-5, -1e-5, 1e-2, -1e-2, 0.3, -0.3)
+BAND = 1e-7  # where HiGHS cannot tell a bound from a violation
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_containment_matches_highs_on_rows_dropped_shifted_and_added(data):
+    # `a` is a seeded region, some rows doubled at a looser rhs; `b` keeps
+    # some of its rows, shifts their rhs and adds rows of its own.  The
+    # answer is None exactly when HiGHS bounds every row of b over a by its
+    # rhs + tol, outside a band where the two solvers' rounding decides.
+    base = data.draw(st.sampled_from(_seeded_regions()))
+    rows = list(zip(base.lhs, base.rhs.tolist()))
+    loose = [(c, r + 0.5) for c, r in rows if data.draw(st.booleans())]
+    a = Region._from_rows(base.dim, *zip(*data.draw(st.permutations(rows + loose))))
+    b_rows = [(c, r + data.draw(st.sampled_from(SHIFTS))) for c, r in rows if data.draw(st.booleans())]
+    coeffs = st.lists(st.integers(-2, 2), min_size=base.dim, max_size=base.dim).map(tuple)
+    for c in data.draw(st.lists(coeffs, max_size=3)):
+        b_rows.append((c, _highs_support(base, c) + data.draw(st.sampled_from(SHIFTS))))
+    b_rows = data.draw(st.permutations(b_rows))
+    b = Region._from_rows(base.dim, [c for c, _ in b_rows], [r for _, r in b_rows])
+    tol = 1e-9
+    margins = [_highs_support(a, c) - (r + tol) for c, r in b_rows]
+    result = find_subset_violation(a, b, tol)
+    if result is None:
+        assert all(m < BAND for m in margins)
+    else:
+        ineq, value = result
+        k = b_rows.index((ineq.coeffs, ineq.rhs))
+        assert margins[k] > -BAND and value > ineq.rhs + tol
+        assert all(m < BAND for m in margins[:k])  # the first row exceeded
+    if all(m < -BAND for m in margins):
+        assert result is None
+    if any(m > BAND for m in margins):
+        assert result is not None
+
+
 def _answer(region, direction):
     try:
         return support_value(region, direction)
@@ -850,16 +903,97 @@ def test_a_non_finite_direction_is_rejected_before_an_empty_region_is_reported()
 def test_a_seeded_compare_makes_a_pinned_number_of_pivots(monkeypatch):
     # What `dicregion compare` does on one K=3 channel: both containments,
     # then 100 seeded support directions on each region.  Bland's rule alone
-    # sets the count, not how the objective map is kept: 42 pivots in all
-    # and 10 recorded bases per region.
+    # sets the count, not how the objective map is kept.  The two routes
+    # give the same rows and rhs bytes, so the rows decide containment and
+    # the regions share one form: thm's queries reuse hk's bases, 21 pivots
+    # in all (42 when each region posed its own LPs) and 10 recorded bases.
     spec = random_injective_channel(random.Random("pin/3"), 3, 3)
     table = build_entropy_table(spec, InputDistribution.uniform(spec))
     hk, thm = project_to_aggregate(build_A1(spec, table)), enumerate_facets(spec, table)
     pivot, made = lp._pivot, []
     monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
     assert polytope.compare(hk, thm, random.Random(0)) is None
-    assert len(made) == 42
-    assert len(hk._lp_form().bases) == len(thm._lp_form().bases) == 10
+    assert len(made) == 21
+    assert hk._lp_form() is thm._lp_form()
+    assert len(hk._lp_form().bases) == 10
+
+
+def _count_maximize(monkeypatch):
+    calls, maximize = [], lp.maximize
+    monkeypatch.setattr(lp, "maximize", lambda *a: calls.append(a[0]) or maximize(*a))
+    return calls
+
+
+def test_rows_of_the_left_region_decide_containment_with_no_lp(monkeypatch):
+    calls = _count_maximize(monkeypatch)
+    # Each row of b is a row of the square, at its rhs or looser, in any order.
+    looser = R(2, [((0, 1), 1.5), ((-1, 0), 0.0), ((1, 0), 1.0)])
+    assert find_subset_violation(UNIT_SQUARE, looser) is None
+    assert find_subset_violation(UNIT_SQUARE, R(2, [])) is None
+    # A duplicated left-hand side counts at its tightest rhs.
+    doubled = R(2, [((1, 0), 3.0), *zip(UNIT_SQUARE.lhs, UNIT_SQUARE.rhs)])
+    assert find_subset_violation(doubled, UNIT_SQUARE) is None
+    assert calls == []
+    # A row the square does not have takes the LPs, in b's order.
+    assert find_subset_violation(UNIT_SQUARE, UNIT_SIMPLEX) == (LinearInequality((1, 1), 1.0), 2.0)
+    assert calls and calls[0] == (1, 1)
+
+
+def test_an_empty_left_region_raises_before_the_row_test(monkeypatch):
+    calls = _count_maximize(monkeypatch)
+    for right in (EMPTY, R(2, [((-1, 0), 0.0)]), R(2, [])):
+        with pytest.raises(InfeasibleRegionError, match="empty region"):
+            find_subset_violation(EMPTY, right)
+    assert calls == []
+
+
+def test_rows_that_match_within_tol_return_none(monkeypatch):
+    calls = _count_maximize(monkeypatch)
+    square = R(2, [((1, 0), 1.0 + 0.9e-9), *zip(UNIT_SQUARE.lhs[1:], UNIT_SQUARE.rhs[1:])])
+    assert find_subset_violation(square, UNIT_SQUARE) is None
+    assert calls == []
+    # Beyond tol the LP runs and reports the row with its attained value.
+    wider = R(2, [((1, 0), 1.0 + 2e-9), *zip(UNIT_SQUARE.lhs[1:], UNIT_SQUARE.rhs[1:])])
+    ineq, value = find_subset_violation(wider, UNIT_SQUARE)
+    assert ineq == LinearInequality((1, 0), 1.0) and value == pytest.approx(1.0 + 2e-9, abs=1e-15)
+    assert calls == [(1, 0)]
+    assert find_subset_violation(wider, UNIT_SQUARE, tol=1e-8) is None
+
+
+def test_row_identical_regions_share_one_lp_form():
+    a, b = copy.copy(UNIT_SIMPLEX), copy.copy(UNIT_SIMPLEX)
+    assert find_subset_violation(a, b) is None
+    assert b._lp_form() is a._lp_form()
+    assert support_value(b, (1.0, 2.0)) == 2.0 and len(a._lp_form().bases) == 1
+    assert support_value(a, (1.0, 2.0)) == 2.0 and len(a._lp_form().bases) == 1
+    # The form is a cache: equality, copy and pickle do not see it.
+    assert b == UNIT_SIMPLEX and copy.copy(b)._lp is None and pickle.loads(pickle.dumps(b))._lp is None
+    # A form at another tol is replaced by the shared one; the left region
+    # never adopts the right one's.
+    c, d = copy.copy(UNIT_SIMPLEX), copy.copy(UNIT_SIMPLEX)
+    own = d._lp_form(1e-6)
+    assert find_subset_violation(c, d) is None
+    assert d._lp_form() is c._lp_form() and d._lp_form() is not own
+    e = copy.copy(UNIT_SIMPLEX)
+    assert find_subset_violation(e, d) is None and e._lp_form() is not d._lp_form()
+
+
+def test_a_one_ulp_rhs_difference_keeps_two_forms():
+    a = copy.copy(UNIT_SQUARE)
+    b = R(2, [((1, 0), math.nextafter(1.0, 2.0)), *zip(UNIT_SQUARE.lhs[1:], UNIT_SQUARE.rhs[1:])])
+    assert find_subset_violation(a, b) is None and find_subset_violation(b, a) is None
+    assert a._lp_form() is not b._lp_form()
+    # -0.0 and 0.0 are equal values but not equal bytes.
+    c = R(2, [*zip(UNIT_SQUARE.lhs[:3], UNIT_SQUARE.rhs[:3]), ((0, -1), -0.0)])
+    assert find_subset_violation(a, c) is None and a._lp_form() is not c._lp_form()
+
+
+def test_a_region_with_its_own_form_at_that_tol_keeps_it():
+    a, b = copy.copy(UNIT_SQUARE), copy.copy(UNIT_SQUARE)
+    own = b._lp_form()
+    assert support_value(b, (1.0, 1.0)) == 2.0
+    assert find_subset_violation(a, b) is None
+    assert b._lp_form() is own and a._lp_form() is not own and len(own.bases) == 1
 
 
 def test_compare_returns_the_first_difference_of_each_kind():
