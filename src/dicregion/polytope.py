@@ -125,14 +125,9 @@ class Region:
         return Region._from_rows, (self.dim, self.lhs, self.rhs.tolist(), self.labels)
 
     def _lp_form(self, tol: float = 1e-9) -> lp.System:
-        """The region as an `lp.System` at `tol`, kept until another tol is
-        asked for: each row -x_j <= 0 (`_is_nonneg_row`) is the bound x_j >= 0."""
+        """The region as `_system` poses it at `tol`, kept until another tol is asked for."""
         if self._lp is None or self._lp.tol != tol:
-            bound = [_is_nonneg_row(*row) for row in zip(self.lhs, self.rhs.tolist())]
-            A, b = self.matrix()
-            rows = ~np.array(bound, dtype=bool)
-            nonneg = [coeffs.index(-1) for coeffs in compress(self.lhs, bound)]
-            object.__setattr__(self, "_lp", lp.System(A[rows], b[rows], nonneg, tol))
+            object.__setattr__(self, "_lp", _system(*self.matrix(), tol))
         return self._lp
 
     @property
@@ -153,9 +148,7 @@ class Region:
 
     def matrix(self):
         """(A, b) as float arrays."""
-        if not self.lhs:
-            return np.zeros((0, self.dim)), np.zeros(0)
-        return np.array(self.lhs, dtype=float), self.rhs.copy()
+        return np.array(self.lhs, dtype=float).reshape(len(self.lhs), self.dim), self.rhs.copy()
 
     def var_index(self, var) -> int:
         if isinstance(var, str):
@@ -181,8 +174,15 @@ def nonneg_inequalities(dim: int) -> list[LinearInequality]:
     return [LinearInequality(coeffs, 0.0) for coeffs in _nonneg_lhs(dim)]
 
 
-def _is_nonneg_row(coeffs, rhs) -> bool:
-    return rhs == 0.0 and sum(1 for c in coeffs if c != 0) == 1 and min(coeffs) == -1
+def _sign_rows(A, b):
+    """Mask of the sign rows -x_j <= 0 of (A, b), A integer: rhs 0, one nonzero entry, -1."""
+    return (b == 0) & ((A != 0).sum(1) == 1) & (A.sum(1) == -1)
+
+
+def _system(A, b, tol: float) -> lp.System:
+    """Region rows (A, b) as an `lp.System` at `tol`, each sign row the bound x_j >= 0."""
+    sign = _sign_rows(A, b)
+    return lp.System(A[~sign], b[~sign], np.nonzero(A[sign])[1], tol)
 
 
 def _tightest(rows) -> dict:
@@ -241,7 +241,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
 
     Rows take turns busy combinations first, so that simple facets survive;
     row k is dropped when the rows alive at its turn bound a_k.x by b_k + tol
-    or admit no point.  Nonnegativity rows (-x_i <= 0) and the (lhs, rhs)
+    or admit no point.  Sign rows (-x_i <= 0, `_sign_rows`) and the (lhs, rhs)
     pairs in `facets`, which the caller has proven irredundant, are kept.
     Each certificate LP caps row k at b_k + 1, so `tol` must be at least 0
     and below 1.
@@ -264,7 +264,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     tested over the kept rows again and dropped when bounded.  Rows left open
     (ties: scaled duplicates, two rows on one face of a lower-dimensional
     region), and all rows when some b_i < 0 or the region has no coordinate,
-    take one LP over the rows alive at their turn (`_implied`).
+    take one LP over the rows alive at their turn, posed as region forms are (`_implied`).
     """
     if not 0 <= tol < 1:
         raise ValueError(f"prune tolerance must be at least 0 and below 1, got {tol}")
@@ -272,10 +272,11 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     lhs = list(best)
     A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
     b = np.array(list(best.values()), dtype=float)
-    kept = np.array([_is_nonneg_row(*pair) or pair in facets for pair in best.items()], dtype=bool)
+    sign = _sign_rows(A, b)
+    kept = sign | np.array([pair in facets for pair in best.items()], dtype=bool)
     dropped = np.zeros(len(lhs), dtype=bool)
     if not kept.all() and b.min() >= 0 and region.dim > 0:
-        _certify(A, b, kept, dropped, tol)
+        _certify(A, b, sign, kept, dropped, tol)
     if (kept | dropped).all():  # no open row: no turn changes the mask
         alive = ~dropped
     else:
@@ -330,14 +331,13 @@ def _witnessed(A, b, tested, tol):
     return np.concatenate(found)
 
 
-def _certify(A, b, kept, dropped, tol):
+def _certify(A, b, sign, kept, dropped, tol):
     """Steps A-C of `prune_redundant` (every b_i >= 0): mark certified keeps
     in `kept` and certified drops in `dropped`.  First, on a packing system
-    (every row but the sign rows -x_j <= 0 nonnegative), the rows that
+    (every row but the sign rows in mask `sign` nonnegative), the rows that
     `_witnessed` finds are kept; elsewhere greedy points rarely find one.
     Each round of LPs is one `_capped` call, which runs every member to its
     optimum; a round over all other rows decides every row it tests."""
-    sign = (b == 0) & (np.abs(A).sum(1) == 1) & (A.sum(1) == -1)  # -x_j <= 0: A is integer
     if ((A >= 0).all(1) | sign).all():
         kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
         if kept.all():
@@ -376,8 +376,8 @@ def _certify(A, b, kept, dropped, tol):
 
 
 def _implied(A, b, k, others, tol) -> bool:
-    """Whether the rows in mask `others` bound a_k.x by b_k + tol or admit no point."""
-    res = lp.maximize(A[k], lp.System(A[others], b[others], tol=tol))
+    """Whether the rows in mask `others` (`_system`) bound a_k.x by b_k + tol or admit no point."""
+    res = lp.maximize(A[k], _system(A[others], b[others], tol))
     return res.status == lp.INFEASIBLE or res.status == lp.OPTIMAL and res.value <= b[k] + tol
 
 
@@ -532,7 +532,7 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
         if not np.all(np.isfinite(x)) or np.max(np.abs(sub @ x - rhs)) > 1e-7:
             continue
         if np.all(A @ x <= b + tol):
-            candidates.append(tuple(float(v) for v in x))
+            candidates.append(tuple(float(v) + 0.0 for v in x))  # -0.0 reads 0
 
     candidates.sort()
     result: list[tuple[float, ...]] = []

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSpec, _building, _is_int, _read_document, _save_document, _tuple
+from .channel import ChannelSpec, _building, _is_int, _objects, _read_document, _save_document, _tuple
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import EnumerationOverflowError
@@ -457,11 +457,11 @@ def facet_from_dict(data: dict) -> FacetSpec:
 
 def load_facets(path) -> list[FacetSpec]:
     data = _read_document(path)
-    if isinstance(data, dict):
-        data = [data]
-    if not isinstance(data, list):
-        raise ValueError(f"malformed facet document: {type(data).__name__}, not a list or an object")
-    return [facet_from_dict(item) for item in data]
+    with _building("facet", {}):  # {}: a list, which the object test rejects, is valid here
+        if not isinstance(data, (dict, list)):
+            raise TypeError(f"{type(data).__name__}, not a list or an object")
+        items = list(_objects([data] if isinstance(data, dict) else data, "facets", "facet"))
+    return [facet_from_dict(obj) for _, obj in items]
 
 
 def save_facets(specs, path) -> None:

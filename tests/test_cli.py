@@ -470,6 +470,26 @@ def test_plot_3d_emits_csv(tmp_path):
     assert len(lines) == 5  # origin plus three unit corners
 
 
+def test_plot_labels_vertices_without_negative_zero(xor_file, uniform2_file, tmp_path):
+    # Vertices on -x_j <= 0 rows used to be labelled "(-0, -0)" and "(1, -0)".
+    hk, svg = tmp_path / "hk.json", tmp_path / "region.svg"
+    assert main(["region", xor_file, uniform2_file, "--method", "hk-project", "--out", str(hk)]) == 0
+    assert main(["plot", str(hk), "--out", str(svg)]) == 0
+    texts = ElementTree.fromstring(svg.read_text()).iter("{http://www.w3.org/2000/svg}text")
+    assert sorted(t.text for t in texts)[:3] == ["(0, 0)", "(0, 1)", "(1, 0)"]
+    assert "(-0" not in svg.read_text()
+
+
+def test_plot_3d_writes_each_vertex_of_a_cut_cube(tmp_path):
+    from dicregion.polytope import nonneg_inequalities
+
+    rows = [((1, 0, 0), 1.0), ((0, 1, 0), 1.0), ((0, 0, 1), 1.0), ((1, 1, 1), 2.0)]
+    region_path, out = tmp_path / "cube.json", tmp_path / "cube.csv"
+    save_region(R(3, rows + [(q.coeffs, q.rhs) for q in nonneg_inequalities(3)]), region_path)
+    assert main(["plot", str(region_path), "--out", str(out)]) == 0
+    assert out.read_text() == "x1,x2,x3\n0,0,0\n0,0,1\n0,1,0\n0,1,1\n1,0,0\n1,0,1\n1,1,0\n"
+
+
 def test_plot_svg_escapes_labels(tmp_path):
     region_path = tmp_path / "simplex.json"
     save_region(R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)], ("R<1", "R&2")), region_path)

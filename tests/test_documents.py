@@ -162,8 +162,11 @@ def test_each_malformed_document_reads_as_its_pinned_message(tmp_path, kind, doc
 
 
 def test_a_facet_file_of_items_that_are_not_objects_is_malformed(tmp_path):
+    # Each item is named by its number, as region and scheme items are.
     path = tmp_path / "facets.json"
-    path.write_text("[1, 2]")
-    with pytest.raises(ValueError) as info:
-        load_facets(path)
-    assert str(info.value) == "malformed facet document: int, not an object"
+    for items, reason in [([1, 2], "facet 1: int, not an object"),
+                          ([FACET, 2], "facet 2: int, not an object")]:
+        path.write_text(json.dumps(items))
+        with pytest.raises(ValueError) as info:
+            load_facets(path)
+        assert str(info.value) == f"malformed facet document: {reason}"

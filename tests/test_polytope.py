@@ -10,7 +10,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -48,6 +48,11 @@ from conftest import random_full_support, random_injective_channel
 
 def R(dim, rows, labels=()):
     return Region(dim, tuple(LinearInequality(tuple(c), r) for c, r in rows), labels)
+
+
+def _plain_sign_row(coeffs, rhs):
+    """-x_j <= 0 by its definition: rhs 0, and -1 the one nonzero coefficient."""
+    return rhs == 0 and [c for c in coeffs if c != 0] == [-1]
 
 
 UNIT_SIMPLEX = R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
@@ -105,6 +110,58 @@ def test_prune_of_a_region_with_no_coordinate_keeps_only_a_violated_row(rhs, kep
     # used to fail with numpy's "argmin of an empty sequence" when rhs >= 0.
     pruned = prune_redundant(R(0, [((), rhs)]))
     assert pruned.inequalities == ((LinearInequality((), rhs),) if kept else ())
+
+
+_COEFF = st.one_of(st.integers(-2, 2), st.integers(-(2**53), 2**53))
+_SIGN_CASES = st.integers(0, 4).flatmap(lambda dim: st.tuples(st.just(dim), st.lists(
+    st.tuples(st.tuples(*[_COEFF] * dim), st.sampled_from([0.0, -0.0, 1.0, -1.0])), max_size=8)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SIGN_CASES)
+@example((1, [((-1,), -0.0), ((-2,), 0.0), ((1,), 0.0), ((-(2**53),), 0.0), ((2**53,), 0.0)]))
+@example((2, [((-1, -1), 0.0), ((-1, 1), 0.0), ((0, -1), -0.0), ((0, -1), 1.0), ((0, 0), 0.0)]))
+@example((3, [((2**53 - 1, 0, -1), 0.0), ((0, -1, 0), 0.0)]))
+@example((0, [((), 0.0), ((), -0.0), ((), 1.0)]))
+def test_the_sign_mask_is_the_plain_definition(case):
+    dim, rows = case
+    A = np.array([c for c, _ in rows], dtype=float).reshape(len(rows), dim)
+    b = np.array([r for _, r in rows], dtype=float)
+    assert polytope._sign_rows(A, b).tolist() == [_plain_sign_row(c, r) for c, r in rows]
+
+
+def test_the_prune_poses_its_fallback_lps_as_region_forms(monkeypatch):
+    # With some b_i < 0 every row takes `_implied`'s one LP over the rows
+    # alive at its turn.  Its sign rows are bounds, as in a region's LP form:
+    # the System has a row for each other alive row, and no w column for a
+    # variable a sign row bounds.
+    implied, maximize, alive, systems = polytope._implied, lp.maximize, [], []
+
+    def recording_implied(A, b, k, others, tol):
+        alive.append([(tuple(A[i].tolist()), b[i]) for i in np.flatnonzero(others)])
+        return implied(A, b, k, others, tol)
+
+    def recording_maximize(c, system):
+        systems.append(system)
+        return maximize(c, system)
+
+    monkeypatch.setattr(polytope, "_implied", recording_implied)
+    monkeypatch.setattr(lp, "maximize", recording_maximize)
+    rng, bounded = random.Random(41), 0
+    for _ in range(60):
+        dim = rng.randint(1, 4)
+        rows = [(tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(-3, 6)))
+                for _ in range(rng.randint(1, 8))]
+        rows += [((1,) * dim, -1.0)] + [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
+        rng.shuffle(rows)
+        prune_redundant(R(dim, rows))
+    assert len(systems) == len(alive) > 100
+    for rows, system in zip(alive, systems):
+        signs = {c.index(-1) for c, r in rows if _plain_sign_row(c, r)}
+        assert len(system) == sum(not _plain_sign_row(c, r) for c, r in rows)
+        assert system.T.shape[1] == 2 * system.n - len(signs) + 1  # u, the free w, rhs
+        bounded += bool(signs)
+    assert bounded > 100
 
 
 def test_prune_preserves_feasible_set(monkeypatch):
@@ -253,7 +310,7 @@ def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
     for region in _packing_systems(rng, 300) + mixed:
         best = polytope._tightest(zip(region.lhs, region.rhs.tolist()))
         A, b = np.array(list(best), dtype=float).reshape(len(best), region.dim), np.array(list(best.values()))
-        rows = np.array([not polytope._is_nonneg_row(*pair) for pair in best.items()])
+        rows = np.array([not _plain_sign_row(*pair) for pair in best.items()])
         lhs = list(best)
         found = {(lhs[k], b[k]) for k in polytope._witnessed(A, b, np.flatnonzero(rows), 1e-9).tolist()}
         assert found <= set(_prune_against_all_others(region))
@@ -465,6 +522,16 @@ def test_vertices_of_a_zero_dimensional_region():
 def test_vertices_degenerate_point():
     point = R(2, [((1, 0), 0.0), ((-1, 0), 0.0), ((0, 1), 0.0), ((0, -1), 0.0)])
     assert vertices(point) == [(0.0, 0.0)]
+
+
+def test_vertices_have_no_negative_zero():
+    # Solving on -x_j <= 0 rows gives -0.0, which a plot printed as "-0".
+    cube = R(3, [((1, 0, 0), 1.0), ((0, 1, 0), 1.0), ((0, 0, 1), 1.0), ((1, 1, 1), 2.0)]
+             + [(q.coeffs, q.rhs) for q in nonneg_inequalities(3)])
+    for region in (UNIT_SIMPLEX, UNIT_SQUARE, cube):
+        assert [v for p in vertices(region) for v in p if math.copysign(1.0, v) < 0] == []
+    assert [tuple(map(repr, p)) for p in vertices(UNIT_SIMPLEX)] == [
+        ("0.0", "0.0"), ("0.0", "1.0"), ("1.0", "0.0")]
 
 
 def interval_feasible(region, idx, partial, tol=1e-9):
@@ -695,6 +762,15 @@ def _answer(region, direction):
         return "empty"
 
 
+def test_region_repr_shows_its_rows_and_labels():
+    region = R(2, [((1, 1), 1.0), ((-1, 0), 0.0)], ("a", "b"))
+    assert repr(region) == (
+        "Region(dim=2, inequalities=(LinearInequality(coeffs=(1, 1), rhs=1.0), "
+        "LinearInequality(coeffs=(-1, 0), rhs=0.0)), labels=('a', 'b'))"
+    )
+    assert repr(Region(0, [])) == "Region(dim=0, inequalities=(), labels=())"
+
+
 def test_region_lp_form_matches_highs_and_keeps_no_query_state():
     # Random regions: -x_j <= 0 rows (some duplicated) become bounds, some
     # rhs < 0 take phase 1, some directions are unbounded, some regions empty.
@@ -708,7 +784,7 @@ def test_region_lp_form_matches_highs_and_keeps_no_query_state():
             rows += [(tuple(-1 if k == j else 0 for k in range(dim)), 0.0)] * rng.randint(1, 2)
         rng.shuffle(rows)
         region = R(dim, rows)
-        bounds = sum(polytope._is_nonneg_row(c, r) for c, r in rows)
+        bounds = sum(_plain_sign_row(c, r) for c, r in rows)
         assert len(region._lp_form()) == len(rows) - bounds  # bound rows are no rows
         seen["bounds"] += bounds > 0
         seen["phase 1"] += any(r < 0 for _, r in rows)
