@@ -384,6 +384,13 @@ def _sweep_k4_x8():
     return spec, random_full_support(random.Random("sweep-k4-x8/0"), spec)
 
 
+def _mixed_k3():
+    """A K=3 channel whose binary user 2 is pinned and whose users 1 and 3 are not."""
+    rng = random.Random(0)
+    spec = injective_channel_of_sizes(rng, [3, 2, 4])
+    return spec, random_full_support(rng, spec)
+
+
 @pytest.mark.parametrize("case, n_rows, most_calls", [(_binary_k6, 50, 3), (_sweep_k4_x8, 23, 9)],
                          ids=["binary-k6", "k4-x8"])
 def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls):
@@ -512,23 +519,24 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
-    fewer = 0
+    cases = [_sweep_k4_x8(), _mixed_k3()]
     for seed, K, max_x in [(3, 3, 3), (9, 3, 4), UNPINNED_K4, (6, 4, 3)]:
         rng = random.Random(seed)
         spec = random_injective_channel(rng, K, max_x)
-        dists = [random_full_support(rng, spec), with_zeros(rng, spec),
-                 InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes])]
-        for dist in dists:
-            a1 = build_A1(spec, table_for(spec, dist))
-            del calls[:]
-            route = project_to_aggregate(a1)
-            route_calls = len(calls)
-            del calls[:]
-            plain = _plain_projection(a1)
-            assert route.lhs == plain.lhs and route.labels == plain.labels
-            assert route.rhs.tobytes() == plain.rhs.tobytes()
-            assert route_calls <= len(calls)
-            fewer += route_calls < len(calls)
+        cases += [(spec, random_full_support(rng, spec)), (spec, with_zeros(rng, spec)),
+                  (spec, InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes]))]
+    fewer = 0
+    for spec, dist in cases:
+        a1 = build_A1(spec, table_for(spec, dist))
+        del calls[:]
+        route = project_to_aggregate(a1)
+        route_calls = len(calls)
+        del calls[:]
+        plain = _plain_projection(a1)
+        assert route.lhs == plain.lhs and route.labels == plain.labels
+        assert route.rhs.tobytes() == plain.rhs.tobytes()
+        assert route_calls <= len(calls)
+        fewer += route_calls < len(calls)
     assert fewer  # carried facets skipped LPs on some channel
 
 
