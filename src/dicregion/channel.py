@@ -255,11 +255,16 @@ def _object(value, where: str = "") -> dict:
     return value
 
 
-def _objects(value, what: str, item: str):
-    """(k, object) for the k-th item, from 1, of list field `what` (`_tuple`),
-    each checked by `_object`, which names it "<item> <k>"."""
+def _objects(value, what: str, item: str, fields: tuple[str, ...]):
+    """(k, the values of `fields`) for the k-th item, from 1, of list field
+    `what` (`_tuple`): an item that is not an object (`_object`) or lacks a
+    field is an error that names it "<item> <k>"."""
     for k, obj in enumerate(_tuple(value, what), start=1):
-        yield k, _object(obj, f"{item} {k}: ")
+        where = f"{item} {k}: "
+        missing = [field for field in fields if field not in _object(obj, where)]
+        if missing:
+            raise ValueError(f"{where}missing {missing[0]!r}")
+        yield k, tuple(obj[field] for field in fields)
 
 
 def _check_user(K: int, i: int):

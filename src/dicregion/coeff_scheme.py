@@ -316,9 +316,8 @@ def scheme_to_dict(scheme: CoefficientScheme) -> dict:
 
 def scheme_from_dict(data: dict) -> CoefficientScheme:
     with _building("scheme", data):
-        items = _objects(data["c"], "entries", "entry")
-        entries = tuple((item["i"], item["M"], item["w"]) for _, item in items)
-        return CoefficientScheme(data["K"], entries)
+        entries = _objects(data["c"], "entries", "entry", ("i", "M", "w"))
+        return CoefficientScheme(data["K"], tuple(fields for _, fields in entries))
 
 
 def load_scheme(path) -> CoefficientScheme:

@@ -9,20 +9,20 @@ every receiver i and every user subset M (all 2^K of them) it contains
 plus nonnegativity for every coordinate.  Redundant subset choices are
 harmless; the projection pipeline prunes them.
 
-Aggregate rates are R_i = R_ip + R_ic.  Projection substitutes
-R_ic = R_i - R_ip in exact integers (a unimodular change of coordinates, so
--R_ic <= 0 becomes R_ip - R_i <= 0) and eliminates only the private rates.
-The (i, M = {}) row bounds R_ip by H(Y_i | V_1..V_K), which is exactly 0
-when user i's interference reveals its input (every binary user, for one);
-such a pinned rate is eliminated by dropping its column, an exact slice
-that needs no LP.  The others go user by user, with redundancy pruning
-before every elimination so the intermediate systems stay small.
+Aggregate rates are R_i = R_ip + R_ic.  The (i, M = {}) row bounds R_ip
+by H(Y_i | V_1..V_K), which is exactly 0 when user i's interference reveals
+its input (every binary user, for one); such a pinned rate is eliminated by
+dropping its column, an exact slice that needs no LP, and its R_ic is R_i.
+The others go user by user: a redundancy prune, the substitution
+R_ic = R_i - R_ip in exact integers, and Fourier-Motzkin elimination of R_ip.
+Substituted only then, every row the prune sees but -x_j <= 0 is nonnegative
+(a packing system, whose rows greedy witnesses decide).
 
-The substitution, its unit rows and the slice depend only on the left-hand
-sides and on the kept columns.  Every `build_A1` region with this K shares
-its left-hand sides as `_a1_lhs(K)`, so their forms are cached by K and such
-a projection reads only its right-hand sides to find the pinned rates; any
-other region's forms are computed afresh.
+A pinned rate is found among the rows with right-hand side exactly 0.  The
+slice depends only on the left-hand sides and on the kept columns.  Every
+`build_A1` region with this K shares its left-hand sides as `_a1_lhs(K)`,
+so its slices are cached by K and the kept columns; any other region's
+slice is computed afresh.
 """
 
 from __future__ import annotations
@@ -97,42 +97,33 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 
-def _substituted(lhs):
-    """The split rows with R_ic = R_i - R_ip substituted, since
-    c_p R_p + c_c R_c = (c_p - c_c) R_p + c_c R for every user; the positions
-    of its unit rows +-x_k, and their (k, sign) pairs."""
-    rows = tuple(tuple(p - c for p, c in zip(coeffs[0::2], coeffs[1::2])) + coeffs[1::2]
-                 for coeffs in lhs)
-    units = {r: next((k, c) for k, c in enumerate(coeffs) if c)
-             for r, coeffs in enumerate(rows) if sum(map(abs, coeffs)) == 1}
-    return rows, np.array(list(units), dtype=int), tuple(units.values())
-
-
-def _sliced(rows, keep: tuple[int, ...]):
-    """The substituted rows restricted to the columns `keep`: the nonzero
-    restricted rows, their positions, and the positions of the zero ones."""
-    rows = [tuple(coeffs[k] for k in keep) for coeffs in rows]
+def _sliced(lhs, keep: tuple[int, ...]):
+    """The rows restricted to the columns `keep`: the nonzero restricted
+    rows, their positions, and the positions of the zero ones."""
+    rows = [tuple(coeffs[k] for k in keep) for coeffs in lhs]
     nonzero = np.array([any(coeffs) for coeffs in rows], dtype=bool)
     return tuple(compress(rows, nonzero)), np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
 
 
 @functools.cache
-def _a1_substituted(K: int):
-    return _substituted(_a1_lhs(K))
+def _pins(K: int) -> tuple[frozenset, ...]:
+    """For each user i, the rows R_ip and -R_ip of a split region with K users."""
+    return tuple(frozenset({e, tuple(-c for c in e)}) for e in _nonneg_lhs(2 * K)[0::2])
 
 
 @functools.lru_cache(maxsize=_FORMS)
 def _a1_sliced(K: int, keep: tuple[int, ...]):
-    return _sliced(_a1_substituted(K)[0], keep)
+    return _sliced(_a1_lhs(K), keep)
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     """Project the rate-splitting region onto aggregate rates (R_1, ..., R_K).
 
-    Substitutes R_ic = R_i - R_ip, drops the column of every pinned private
-    rate (one with both unit rows R_ip <= 0 and -R_ip <= 0, right-hand side
-    exactly 0), then eliminates the others with a prune before each; the
-    result is irredundant, with explicit nonnegativity.
+    Drops the column of every pinned private rate (one with both unit rows
+    R_ip <= 0 and -R_ip <= 0, right-hand side exactly 0), whose R_ic is then
+    R_i.  Each other user in turn: a prune, the substitution R_ic = R_i - R_ip,
+    and the elimination of R_ip.  The result is irredundant, with explicit
+    nonnegativity.
     """
     if a1.dim % 2 != 0:
         raise ValueError(f"split region must have even dimension, got {a1.dim}")
@@ -143,26 +134,30 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
 
     # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
     # slice R_ip = 0: drop the column, with no prune and no cross rows.
+    rhs = a1.rhs
+    zero = {a1.lhs[r] for r in np.flatnonzero(rhs == 0.0).tolist()}
+    free = [i for i, pin in enumerate(_pins(K), 1) if pin - zero]
+    keep = tuple(2 * i - 2 for i in free) + tuple(range(1, 2 * K, 2))
     # The length first, so that a foreign region does not build `_a1_lhs(K)`.
-    shared, rhs = len(a1.lhs) == K * (2**K + 2) and a1.lhs is _a1_lhs(K), a1.rhs
-    split, unit_rows, units = _a1_substituted(K) if shared else _substituted(a1.lhs)
-    zero_units = set(compress(units, rhs[unit_rows] == 0.0))
-    keep = tuple(k for k in range(2 * K) if k >= K or not {(k, 1), (k, -1)} <= zero_units)
-    lhs, rows, zero_rows = _a1_sliced(K, keep) if shared else _sliced(split, keep)
+    shared = len(a1.lhs) == K * (2**K + 2) and a1.lhs is _a1_lhs(K)
+    lhs, rows, zero_rows = _a1_sliced(K, keep) if shared else _sliced(a1.lhs, keep)
     low = rhs[zero_rows] < -tol
     if low.any():
         raise InfeasibleRegionError(f"the system implies 0 <= {rhs[zero_rows][low][0].item()}")
-    labels = expected[0::2] + aggregate_labels(K)
-    work = Region._from_rows(len(keep), lhs, rhs[rows], tuple(labels[k] for k in keep))
+    labels = [f"R{i}p" for i in free] + [f"R{i}c" if i in free else f"R{i}" for i in range(1, K + 1)]
+    work = Region._from_rows(len(keep), lhs, rhs[rows], labels)
 
-    # A kept row free of the eliminated rate stays needed: its witness point meets every
-    # other kept row, hence each row of the next system (a kept row or a sum of two).
+    # R_ip is column 0, and c_p R_ip + c_c R_ic = (c_p - c_c) R_ip + c_c R_i.  A kept
+    # row free of R_ip stays needed: its witness point meets every other kept
+    # row, hence each row of the next system (a kept row or a sum of two).
     facets = set()
-    for label in work.labels[:-K]:
+    for i in free:
         work = prune_redundant(work, tol=tol, facets=facets)
-        j = work.var_index(label)
-        facets = {(c[:j] + c[j + 1 :], b) for c, b in zip(work.lhs, work.rhs.tolist()) if not c[j]}
-        work = fm_eliminate(work, label, tol=tol)
+        c = work.labels.index(f"R{i}c")
+        lhs = [(coeffs[0] - coeffs[c],) + coeffs[1:] for coeffs in work.lhs]
+        facets = {(coeffs[1:], b) for coeffs, b in zip(lhs, work.rhs.tolist()) if not coeffs[0]}
+        labels = work.labels[:c] + (f"R{i}",) + work.labels[c + 1 :]
+        work = fm_eliminate(Region._from_rows(work.dim, lhs, work.rhs, labels), 0, tol=tol)
 
     lhs, rhs = work.lhs + _nonneg_lhs(K), work.rhs.tolist() + [0.0] * K
     work = Region._from_rows(K, lhs, rhs, work.labels)

@@ -570,8 +570,8 @@ def region_from_dict(data: dict) -> Region:
     """A region from its JSON document.  As in channel and distribution files,
     a boolean or a string is not a number; `Region` checks the labels."""
     with _building("region", data):  # OverflowError: a coefficient of inf
-        items = _objects(data["inequalities"], "inequalities", "inequality")
-        rows = [(_tuple(item["coeffs"], f"inequality {k}: coeffs"), item["rhs"]) for k, item in items]
+        items = _objects(data["inequalities"], "inequalities", "inequality", ("coeffs", "rhs"))
+        rows = [(_tuple(coeffs, f"inequality {k}: coeffs"), rhs) for k, (coeffs, rhs) in items]
         if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
             raise TypeError("a coefficient or rhs is a boolean or a string, not a number")
         ineqs = tuple(LinearInequality(coeffs, rhs) for coeffs, rhs in rows)

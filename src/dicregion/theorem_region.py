@@ -460,8 +460,8 @@ def load_facets(path) -> list[FacetSpec]:
     with _building("facet", {}):  # {}: a list, which the object test rejects, is valid here
         if not isinstance(data, (dict, list)):
             raise TypeError(f"{type(data).__name__}, not a list or an object")
-        items = list(_objects([data] if isinstance(data, dict) else data, "facets", "facet"))
-    return [facet_from_dict(obj) for _, obj in items]
+        items = list(_objects([data] if isinstance(data, dict) else data, "facets", "facet", ("a", "S")))
+        return [FacetSpec(a, S) for _, (a, S) in items]
 
 
 def save_facets(specs, path) -> None:

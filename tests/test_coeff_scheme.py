@@ -212,7 +212,7 @@ def test_scheme_validation():
     ({"K": 2, "c": [{"i": 1, "M": [True], "w": 1}]}, "non-integer member"),
     ({"K": 2, "c": [{"i": 1, "M": [1], "w": True}]}, "nonnegative integer"),
     ({"K": 2}, "^malformed scheme document: 'c'$"),
-    ({"K": 2, "c": [{"i": 1, "M": [1]}]}, "^malformed scheme document: 'w'$"),
+    ({"K": 2, "c": [{"i": 1, "M": [1]}]}, "^malformed scheme document: entry 1: missing 'w'$"),
     ({"K": 2, "c": 5}, "^malformed scheme document: entries must be a list, got 5$"),
 ])
 def test_scheme_documents_need_integer_sizes_receivers_members_and_weights(doc, message):

@@ -81,7 +81,7 @@ CASES = {
     "region": [
         (_without(SIMPLEX, "inequalities"), "'inequalities'"),
         (_without(SIMPLEX, "dim"), "'dim'"),
-        ({**SIMPLEX, "inequalities": [{"coeffs": [1, 1]}]}, "'rhs'"),
+        ({**SIMPLEX, "inequalities": [{"coeffs": [1, 1]}]}, "inequality 1: missing 'rhs'"),
         ({**SIMPLEX, "inequalities": 5}, "inequalities must be a list, got 5"),
         (_first_row(coeffs=5), "inequality 1: coeffs must be a list, got 5"),
         ({**SIMPLEX, "labels": "ab"}, "labels must be a list of strings, got 'ab'"),
@@ -104,6 +104,8 @@ CASES = {
         ({**SIMPLEX, "inequalities": [[1, 2]]}, "inequality 1: list, not an object"),
         ({**SIMPLEX, "inequalities": [*SIMPLEX["inequalities"][:1], 5]},
          "inequality 2: int, not an object"),
+        ({"dim": 2, "inequalities": [{"coeffs": [1, 0], "rhs": 1}, {"rhs": 1}]},
+         "inequality 2: missing 'coeffs'"),
     ],
     "facet": [
         (_without(FACET, "S"), "'S'"),
@@ -123,7 +125,7 @@ CASES = {
     "scheme": [
         (_without(SCHEME, "c"), "'c'"),
         (_without(SCHEME, "K"), "'K'"),
-        ({**SCHEME, "c": [{"i": 1, "M": [1]}]}, "'w'"),
+        ({**SCHEME, "c": [{"i": 1, "M": [1]}]}, "entry 1: missing 'w'"),
         ({**SCHEME, "c": 5}, "entries must be a list, got 5"),
         (_entry(M=5), "receiver 1: subset must be a list, got 5"),
         ({**SCHEME, "K": 2.0}, "K=2.0 must be a positive integer"),
@@ -135,6 +137,7 @@ CASES = {
         ([1, 2], "list, not an object"),
         ({**SCHEME, "c": [[1, 2]]}, "entry 1: list, not an object"),
         ({**SCHEME, "c": [*SCHEME["c"], 5]}, "entry 2: int, not an object"),
+        ({**SCHEME, "c": [*SCHEME["c"], {"i": 2, "M": [1]}]}, "entry 2: missing 'w'"),
     ],
 }
 
@@ -165,7 +168,8 @@ def test_a_facet_file_of_items_that_are_not_objects_is_malformed(tmp_path):
     # Each item is named by its number, as region and scheme items are.
     path = tmp_path / "facets.json"
     for items, reason in [([1, 2], "facet 1: int, not an object"),
-                          ([FACET, 2], "facet 2: int, not an object")]:
+                          ([FACET, 2], "facet 2: int, not an object"),
+                          ([FACET, _without(FACET, "S")], "facet 2: missing 'S'")]:
         path.write_text(json.dumps(items))
         with pytest.raises(ValueError) as info:
             load_facets(path)

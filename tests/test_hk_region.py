@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 
+import dicregion.hk_region
 import dicregion.lp
 import dicregion.polytope
 from dicregion.entropy import InputDistribution, build_entropy_table
@@ -350,7 +351,8 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
     # eliminates every private rate and passes 17,966.  Batched certificates
     # pass 1,313 and 11,977 (kernel members times their rows), and 132 and
     # 13,839 with greedy witnesses and step B taking every other row in each
-    # round that fits one stack.
+    # round that fits one stack.  k4-unpinned passes 6,075 once each user is
+    # substituted just before its elimination, so that witnesses apply.
     rng = random.Random(seed)
     spec = random_injective_channel(rng, K, max_x)
     a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
@@ -391,14 +393,16 @@ def _mixed_k3():
     return spec, random_full_support(rng, spec)
 
 
-@pytest.mark.parametrize("case, n_rows, most_calls", [(_binary_k6, 50, 3), (_sweep_k4_x8, 23, 9)],
+@pytest.mark.parametrize("case, n_rows, most_calls, witnesses",
+                         [(_binary_k6, 50, 3, True), (_sweep_k4_x8, 23, 10, False)],
                          ids=["binary-k6", "k4-x8"])
-def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls):
+def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls, witnesses):
     # One batch call is one round of certificate LPs.  Doubling the
     # working sets until no row was violated, then testing every row step B
     # bounded over the kept rows again, took 5 and 18 calls on these inputs.
-    # k4-x8 takes 9 because step B takes every other row in the first round
-    # that fits one stack.
+    # Each of the five k4-x8 prunes takes two because step B takes every
+    # other row in the first round that fits one stack.  Its greedy witnesses
+    # are off: with them, step A decides every row and step B never runs.
     spec, dist = case()
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, calls = dicregion.lp._maximize_stacks, []
@@ -408,6 +412,8 @@ def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls)
         return maximize_stacks(C, A, b, tol=tol)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
+    if not witnesses:
+        monkeypatch.setattr(dicregion.polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
     assert len(project_to_aggregate(a1).inequalities) == n_rows
     assert len(calls) <= most_calls
 
@@ -443,6 +449,55 @@ def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypa
     rounds.clear()
     assert project_to_aggregate(a1) == region
     assert [size for size, _ in rounds] == [49]
+
+
+def test_every_prune_of_the_projection_receives_a_packing_system(monkeypatch):
+    # Each user's R_ic = R_i - R_ip is substituted just before R_ip is
+    # eliminated, so every row but the sign rows stays nonnegative and the
+    # greedy witnesses apply to every prune.  Substituting every user before
+    # the first prune gave each prune before an elimination rows such as
+    # R_ip - R_i <= 0.
+    prune, systems = dicregion.hk_region.prune_redundant, []
+
+    def recording(region, tol=1e-9, *, facets=frozenset()):
+        systems.append(region.matrix())
+        return prune(region, tol=tol, facets=facets)
+
+    monkeypatch.setattr(dicregion.hk_region, "prune_redundant", recording)
+    cases, rng = [_sweep_k4_x8(), _mixed_k3()], random.Random(13)
+    for K, max_x in ((2, 5), (3, 4), (4, 3), (5, 3)):
+        spec = random_injective_channel(rng, K, max_x)
+        cases += [(spec, random_full_support(rng, spec)), (spec, with_zeros(rng, spec))]
+    for spec, dist in cases:
+        project_to_aggregate(build_A1(spec, table_for(spec, dist)))
+    assert len(systems) - len(cases) >= 14  # prunes before an elimination
+    for A, b in systems:
+        assert (A[~dicregion.polytope._sign_rows(A, b)] >= 0).all()
+
+
+def test_greedy_witnesses_decide_the_k4_x8_prunes(monkeypatch):
+    # With every user substituted before the first prune, this projection
+    # sent 297 members through the stacked solver in 9 calls, and the
+    # witnesses kept none of the 64 open rows of its first prune.
+    spec, dist = _sweep_k4_x8()
+    a1 = build_A1(spec, table_for(spec, dist))
+    maximize_stacks, witnessed = dicregion.lp._maximize_stacks, dicregion.polytope._witnessed
+    members, keeps = [], []
+
+    def counting_batch(C, A, b, tol=1e-9):
+        members.append(len(C))
+        return maximize_stacks(C, A, b, tol=tol)
+
+    def counting_keeps(A, b, tested, tol):
+        found = witnessed(A, b, tested, tol)
+        keeps.append((len(found), len(tested)))
+        return found
+
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
+    monkeypatch.setattr(dicregion.polytope, "_witnessed", counting_keeps)
+    assert len(project_to_aggregate(a1).inequalities) == 23
+    assert (len(members), sum(members)) == (5, 122)
+    assert keeps[0] == (62, 64)
 
 
 def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
@@ -541,8 +596,8 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
 
 
 def test_projection_reads_the_same_rows_from_an_equal_unshared_lhs():
-    # The substitution and the slice of the shared `_a1_lhs(K)` are cached
-    # by K; a region with equal rows of its own takes them afresh.
+    # The slices of the shared `_a1_lhs(K)` are cached by K and the kept
+    # columns; a region with equal rows of its own takes its slice afresh.
     rng = random.Random(8)
     for K, max_x in ((3, 3), (4, 2)):
         spec = random_injective_channel(rng, K, max_x)

@@ -565,12 +565,14 @@ def test_a_facet_file_holding_one_object_loads_as_a_list(tmp_path):
     pytest.param({"a": 1, "S": [[[1]], []]}, "weights must be a list, got 1", id="a-not-a-list"),
 ])
 def test_facet_object_without_its_fields_is_malformed(tmp_path, doc, reason):
+    # In a facet file the object is facet 1, which a missing field names.
     path = tmp_path / "facet.json"
     path.write_text(json.dumps([doc]))
-    for read in (lambda: facet_from_dict(doc), lambda: load_facets(path)):
+    in_file = reason if {"a", "S"} <= doc.keys() else f"facet 1: missing {reason}"
+    for read, want in ((lambda: facet_from_dict(doc), reason), (lambda: load_facets(path), in_file)):
         with pytest.raises(ValueError) as info:
             read()
-        assert str(info.value) == f"malformed facet document: {reason}"
+        assert str(info.value) == f"malformed facet document: {want}"
 
 
 @pytest.mark.parametrize("doc", [5, None, "a"])
