@@ -12,7 +12,9 @@ objective row, row j the phase-2 row of c = e_j, so c @ those rows is the
 phase-2 row of c at the current basis.  `maximize(c, system)` answers by the
 first basis the System recorded whose phase-2 row for c has no entry below
 -tol (phase 2's own stopping test), else by phase 2 from the starting
-tableau, whose final basis is then recorded.  Bland's rule (smallest label,
+tableau, whose final basis is then recorded; the recorded maps are one
+matrix, so the test is one product.  An objective equal to the previous
+one gets the previous answer.  Bland's rule (smallest label,
 u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
@@ -21,6 +23,7 @@ fast enough.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +55,14 @@ class System:
     of objectives.  A sign bound takes no row: x_j is u_j alone, with no w_j
     column.  `feasible` is False when the smallest t with A x - t <= b
     exceeds tol, a finite number >= 0 (ValueError otherwise).  T's rows: m
-    constraints, the objective, the n cost rows P.  `bases` stacks, for each
-    optimal basis a query ended at, that basis's P transposed with its point
-    x in place of the rhs row; len() is m."""
+    constraints, the objective, the n cost rows P.  `recorded` is (maps,
+    points) for the optimal bases queries ended at, in order: maps stacks
+    each basis's P transposed without the rhs column, (bases * nonbasic
+    columns) x n and C-contiguous, and points holds each basis's x.  `last` is the
+    previous query's (objective bytes, LPResult), or None.  Each is replaced
+    whole, never changed in place.  len() is m."""
 
-    __slots__ = ("n", "tol", "feasible", "T", "labels", "bases")
+    __slots__ = ("n", "tol", "feasible", "T", "labels", "recorded", "last")
 
     def __init__(self, A, b, nonneg=(), tol: float = 1e-9):
         if not 0 <= tol < np.inf:
@@ -90,7 +96,7 @@ class System:
         phase1 = _phase1(T, labels, m, n, tol) if m and b.min() < 0 else (T, labels)
         self.n, self.tol, self.feasible = n, tol, phase1 is not None
         self.T, self.labels = phase1 or (T, labels)
-        self.bases = np.empty((0, self.T.shape[1], n))
+        self.recorded, self.last = (np.empty((0, n)), np.empty((0, n))), None
 
     def __len__(self):
         return len(self.T) - 1 - self.n
@@ -121,8 +127,9 @@ def _phase1(T, labels, m, n, tol):
 
 def maximize(c, system: System) -> LPResult:
     """Maximize c.x over a `System`, whose tableau is copied, not changed.
-    It answers from the first recorded basis optimal for c, else runs phase 2
-    and records the basis it ends at, so which of tied optima returns
+    The objective of the previous query gets its answer again; any other
+    is answered from the first recorded basis optimal for c, else by phase
+    2, which records the basis it ends at, so which of tied optima returns
     depends on earlier queries.
 
     Returns an LPResult; for status "optimal" both the value and an optimal
@@ -130,29 +137,43 @@ def maximize(c, system: System) -> LPResult:
     system violated by at most its tol everywhere counts as feasible.
     """
     c = np.asarray(c, dtype=float)
-    if len(c) != system.n:
-        raise ValueError(f"objective has {len(c)} entries, the system has {system.n} variables")
-    if not np.isfinite(c).all():
+    if c.shape != (system.n,):
+        raise ValueError(
+            f"objective has {c.size} entries (shape {c.shape}), the system has {system.n} variables"
+        )
+    if not all(map(math.isfinite, c.tolist())):  # faster than np.isfinite at this n
         raise ValueError(f"objective must be {system.n} finite numbers, got {c.tolist()}")
     if not system.feasible:
         return LPResult(INFEASIBLE, None, None)
-    bases = system.bases  # read once: a miss replaces the array whole
-    hit = ((bases[:, :-1] @ c) >= -system.tol).all(1)
-    if hit.any():
-        x = bases[hit.argmax(), -1]
-        return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
-    m, n = len(system), system.n
+    # Exact: a hit leaves the state as it was, and after a miss every earlier
+    # basis fails for c, so the answer would come from the basis just
+    # recorded or from the same phase 2 again.
+    key, last = c.tobytes(), system.last
+    if last is not None and last[0] == key:
+        return last[1]
+    m, n, tol = len(system), system.n, system.tol
+    maps, points = system.recorded  # read once: a miss replaces both
+    if len(points):
+        cols = system.T.shape[1] - 1  # 0 when n = 0: each empty block passes
+        hit = (maps @ c).reshape(len(points), cols).min(1, initial=np.inf) >= -tol
+        k = hit.argmax()
+        if hit[k]:
+            x = points[k]
+            res = LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
+            system.last = key, res
+            return res
     T, labels = system.T.copy(), system.labels.copy()
     T[m] = c @ T[m + 1 :]
-    if _iterate(T, labels[:m], labels[m:], system.tol, 2 * n + m, m) == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
-    z = np.zeros(2 * n + m)
-    z[labels[:m]] = T[:m, -1]
-    x = z[:n] - z[n : 2 * n]
-    entry = T[m + 1 :].T  # the basis's map, with x in place of the rhs row
-    entry[-1] = x
-    system.bases = np.concatenate([bases, entry[None]])
-    return LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
+    if _iterate(T, labels[:m], labels[m:], tol, 2 * n + m, m) == UNBOUNDED:
+        res = LPResult(UNBOUNDED, None, None)
+    else:
+        z = np.zeros(2 * n + m)
+        z[labels[:m]] = T[:m, -1]
+        x = z[:n] - z[n : 2 * n]
+        system.recorded = np.concatenate([maps, T[m + 1 :, :-1].T]), np.vstack([points, x])
+        res = LPResult(OPTIMAL, float(c @ x), tuple(x.tolist()))
+    system.last = key, res
+    return res
 
 
 def _maximize_stacks(C, A, b, tol):

@@ -478,12 +478,17 @@ def support_value(region: Region, direction, tol: float = 1e-9) -> float:
     InfeasibleRegionError when the region is empty.
     """
     d = np.asarray(direction, dtype=float)
-    if d.shape != (region.dim,):  # `lp.maximize` rejects a non-finite one
-        raise ValueError(f"direction must be {region.dim} finite numbers, got {d.tolist()}")
-    value = _support(region, d, tol)
-    if value is None:
-        raise UnboundedDirectionError(direction)
-    return value
+    if d.shape == (region.dim,):
+        try:
+            value = _support(region, d, tol)
+        except ValueError:  # `lp.maximize` tests finiteness, so a hit pays it once
+            if np.isfinite(d).all():
+                raise
+        else:
+            if value is None:
+                raise UnboundedDirectionError(direction)
+            return value
+    raise ValueError(f"direction must be {region.dim} finite numbers, got {d.tolist()}")
 
 
 def contains_point(region: Region, point, tol: float = 1e-9) -> bool:

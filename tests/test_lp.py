@@ -127,8 +127,11 @@ def test_beale_with_sign_bounds_pivots_are_pinned(monkeypatch):
     assert res.status == lp.OPTIMAL
     assert len(made) == 6
     assert res.x == (1.0000000000000002, 0.0, 1.0, 0.0)
-    # The same objective again is answered by the recorded basis.
+    # The same objective again gets the very same answer, and with the
+    # last-answer slot emptied the recorded basis gives it with no pivot.
     made.clear()
+    assert lp.maximize(c, system) is res
+    system.last = None
     again = lp.maximize(c, system)
     assert made == [] and again == res
     assert np.array(again.x).tobytes() == np.array(res.x).tobytes()
@@ -147,6 +150,12 @@ def test_system_rejects_a_second_rhs_and_a_misshaped_objective():
     system = lp.System([[1.0, 1.0]], [1.0], nonneg=[1])  # x1 + x2 <= 1, x2 >= 0
     with pytest.raises(ValueError, match="objective has 3 entries"):
         lp.maximize([1.0, 0.0, 0.0], system)
+    # A 0-d objective used to raise "len() of unsized object" and 2-D ones
+    # reached numpy's matmul and broadcasting errors.
+    for c in (1.0, [[1.0], [0.0]], [[1, 0], [0, 1]], [[1.0, 0.0]]):
+        with pytest.raises(ValueError, match=r"objective has \d+ entries \(shape \("):
+            lp.maximize(c, system)
+    assert system.last is None and len(system.recorded[1]) == 0
     assert lp.maximize([1.0, 0.0], system).value == 1.0
     assert lp.maximize([0.0, -1.0], system).value == 0.0
     assert lp.maximize([-1.0, 0.0], system).status == lp.UNBOUNDED
@@ -175,7 +184,7 @@ def test_non_finite_objectives_and_batch_data_are_rejected():
     for c in ([np.nan, 1.0], [np.inf, 0.0], [0.0, -np.inf]):
         with pytest.raises(ValueError, match="2 finite numbers"):
             lp.maximize(c, system)
-    assert len(system.bases) == 0
+    assert len(system.recorded[1]) == 0
     with pytest.raises(ValueError, match="1 finite numbers"):  # before feasibility
         lp.maximize([np.nan], lp.System([[1.0], [-1.0]], [-2.0, 1.0]))
 
@@ -255,11 +264,11 @@ def test_recorded_bases_answer_as_a_fresh_system_does(monkeypatch):
         recorded = []
         for c in rng.normal(size=(50, n)):
             ref = lp.maximize(c, lp.System(A, b, nonneg))
-            before = len(system.bases)
+            before = len(system.recorded[1])
             ended.clear()
             ours = lp.maximize(c, system)
             assert ours.status == ref.status
-            assert len(system.bases) - before == len(ended) <= (ours.status == lp.OPTIMAL)
+            assert len(system.recorded[1]) - before == len(ended) <= (ours.status == lp.OPTIMAL)
             recorded += ended
             if ours.status == lp.UNBOUNDED:
                 seen["unbounded"] += 1
@@ -267,11 +276,102 @@ def test_recorded_bases_answer_as_a_fresh_system_does(monkeypatch):
                 assert ours.value == pytest.approx(ref.value, rel=1e-12, abs=1e-12)
                 assert ours.x == pytest.approx(ref.x, rel=1e-9, abs=1e-12)
                 seen["miss" if ended else "hit"] += 1
-        assert len(set(recorded)) == len(recorded) == len(system.bases)
+        assert len(set(recorded)) == len(recorded) == len(system.recorded[1])
         if not system.feasible:
-            assert len(system.bases) == 0
+            assert len(system.recorded[1]) == 0
     assert seen["infeasible"] >= 1 and seen["hit"] > 5 * seen["miss"]
     assert min(seen.values()) >= 1, seen
+
+
+def _first_optimal_basis(system, c):
+    """The recorded basis the earlier lookup took for c: the first whose
+    phase-2 row has no entry below -tol, tested on the (bases, columns + 1, n)
+    stack of maps with each point in place of the rhs row; None for none."""
+    maps, points = system.recorded
+    bases = np.concatenate([maps.reshape(len(points), system.T.shape[1] - 1, system.n), points[:, None]], axis=1)
+    hit = ((bases[:, :-1] @ c) >= -system.tol).all(1)
+    return int(hit.argmax()) if hit.any() else None
+
+
+def test_the_lookup_takes_the_first_recorded_basis_the_earlier_rule_takes(monkeypatch):
+    # Integer systems as above, queried with Gaussian and small-integer
+    # objectives (ties, so several recorded bases can be optimal).  Before
+    # each query the recorded points are swapped for their indices, so the
+    # point a hit returns names the basis the lookup took; then the real
+    # query runs on the real state.  A hit answers exactly from the basis
+    # the reference takes, and a miss exactly as a fresh System does.
+    rng = np.random.default_rng(37)
+    made = _count_pivots(monkeypatch)
+    seen = {"phase 1": 0, "degenerate": 0, "hit": 0, "miss": 0, "later hit": 0}
+    for trial in range(90):
+        n, m = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+        A = rng.integers(-3, 4, size=(m, n)).astype(float)
+        b = rng.integers(-2, 8, size=m).astype(float)
+        if trial % 2:
+            A, b = np.vstack([A, A[:2]]), np.append(b, b[:2])
+            b[rng.random(len(b)) < 0.6] = 0.0
+        nonneg = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        system = lp.System(A, b, nonneg)
+        if not system.feasible:
+            continue
+        seen["phase 1"] += bool((b < 0).any())
+        seen["degenerate"] += trial % 2
+        for q in range(40):
+            c = rng.normal(size=n) if q % 2 else rng.integers(-2, 3, size=n).astype(float)
+            ref = _first_optimal_basis(system, c)
+            maps, points = system.recorded
+            tags = maps, np.repeat(np.arange(len(points), dtype=float)[:, None], n, 1)
+            system.recorded, system.last = tags, None
+            made.clear()
+            tagged = lp.maximize(c, system)
+            missed = system.recorded is not tags or tagged.status == lp.UNBOUNDED
+            system.recorded, system.last = (maps, points), None
+            if ref is None:
+                assert missed
+            else:
+                assert not missed and made == [] and tagged.x == (float(ref),) * n
+            made.clear()
+            ours = lp.maximize(c, system)
+            if ref is not None:
+                assert made == [] and ours.x == tuple(points[ref].tolist())
+                assert ours.value.hex() == float(c @ points[ref]).hex()
+                seen["hit"] += 1
+                seen["later hit"] += ref > 0
+            else:
+                fresh = lp.maximize(c, lp.System(A, b, nonneg))
+                assert (ours.status, ours.x) == (fresh.status, fresh.x)
+                assert ours.status == lp.UNBOUNDED or ours.value.hex() == fresh.value.hex()
+                seen["miss"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+def test_the_last_objective_is_answered_from_its_slot(monkeypatch):
+    made = _count_pivots(monkeypatch)
+    system = lp.System([[1.0, 1.0], [1.0, -1.0]], [1.0, 1.0], nonneg=[1])
+    first = lp.maximize([1.0, 0.5], system)
+    assert first.status == lp.OPTIMAL and made
+    # The same objective again: the same LPResult, no pivot, and the
+    # recorded bases are never read (emptied, they would fail to unpack).
+    made.clear()
+    recorded, system.recorded = system.recorded, None
+    assert lp.maximize(np.array([1.0, 0.5]), system) is first and made == []
+    system.recorded = recorded
+    # Another objective is not served from the slot, not even one whose
+    # values equal it with other bytes (-0.0); it then takes the slot.
+    zero = lp.maximize([0.0, 1.0], system)
+    negzero = lp.maximize([-0.0, 1.0], system)
+    assert negzero == zero and negzero is not zero
+    assert lp.maximize([-0.0, 1.0], system) is negzero
+    assert lp.maximize([1.0, 0.5], system) == first
+    # An unbounded answer repeats as unbounded, with no pivot.
+    unbounded = lp.maximize([-1.0, 0.0], system)
+    assert unbounded.status == lp.UNBOUNDED
+    made.clear()
+    assert lp.maximize([-1.0, 0.0], system) is unbounded and made == []
+    # An infeasible System answers before the slot is read.
+    empty = lp.System([[1.0], [-1.0]], [-2.0, 1.0])
+    empty.last = (np.array([1.0]).tobytes(), lp.LPResult(lp.OPTIMAL, 5.0, (5.0,)))
+    assert lp.maximize([1.0], empty) == lp.LPResult(lp.INFEASIBLE, None, None)
 
 
 def test_carried_objective_map_equals_the_map_solved_from_the_basis(monkeypatch):
@@ -308,14 +408,14 @@ def test_carried_objective_map_equals_the_map_solved_from_the_basis(monkeypatch)
         for c in rng.normal(size=(30, n)):
             ended.clear()
             res = lp.maximize(c, system)
-            if len(system.bases) == recorded:
+            if len(system.recorded[1]) == recorded:
                 continue
             recorded += 1
-            (basis, nonbasic), entry = ended[-1], system.bases[-1]
+            (basis, nonbasic), (maps, points) = ended[-1], system.recorded
             y = np.linalg.solve(cols[:, basis].T, cost[:, basis].T)
             direct = cost[:, nonbasic] - y.T @ cols[:, nonbasic]
-            np.testing.assert_allclose(entry[:-1], direct.T, rtol=0, atol=1e-12)
-            assert tuple(entry[-1].tolist()) == res.x
+            np.testing.assert_allclose(maps[-len(nonbasic) :], direct.T, rtol=0, atol=1e-12)
+            assert tuple(points[-1].tolist()) == res.x
             z = np.zeros(len(cost[0]))
             z[basis] = np.linalg.solve(cols[:, basis], b)
             assert res.x == pytest.approx(tuple(z[:n] - z[n : 2 * n]), abs=1e-9)
@@ -340,10 +440,10 @@ def test_a_region_gives_each_tol_a_fresh_memo_and_copies_carry_none(monkeypatch)
 
     cold = pivots(copy.copy(region), 1e-9)
     assert cold > 0 and pivots(region, 1e-9) == cold and pivots(region, 1e-9) == 0
-    assert len(region._lp_form(1e-9).bases) == 1
+    assert len(region._lp_form(1e-9).recorded[1]) == 1
     # Another tol rebuilds the form: phase 1 and phase 2 again, one entry.
     assert pivots(region, 1e-6) == cold and pivots(region, 1e-6) == 0
-    assert len(region._lp_form(1e-6).bases) == 1
+    assert len(region._lp_form(1e-6).recorded[1]) == 1
     for clone in (copy.copy(region), copy.deepcopy(region), pickle.loads(pickle.dumps(region))):
         assert clone._lp is None and pivots(clone, 1e-6) == cold
     assert pickle.dumps(region) == pickle.dumps(Region(2, region.inequalities))

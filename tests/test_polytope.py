@@ -964,15 +964,20 @@ def test_region_rejects_duplicate_labels():
 
 
 def test_support_value_rejects_a_non_finite_or_misshaped_direction():
-    # A nan direction used to come back as a nan support value.
-    for direction in ([math.nan, 1.0], [math.inf, 0.0], [1.0], [1.0, 1.0, 1.0]):
-        with pytest.raises(ValueError, match="2 finite numbers"):
+    # A nan direction used to come back as a nan support value, and a
+    # non-finite one read as the LP's "objective must be ..." message.
+    for direction in ([math.nan, 1.0], [math.inf, 0.0], [1.0], [1.0, 1.0, 1.0],
+                      1.0, [[1.0], [0.0]], [[1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="^direction must be 2 finite numbers"):
             support_value(UNIT_SQUARE, direction)
+    # A bad tolerance still reads as the LP form's own message.
+    with pytest.raises(ValueError, match="tolerance must be"):
+        support_value(copy.copy(UNIT_SQUARE), (1.0, 0.0), tol=-1.0)
 
 
 def test_a_non_finite_direction_is_rejected_before_an_empty_region_is_reported():
     for direction in ([math.nan, 1.0], [math.inf, 0.0]):
-        with pytest.raises(ValueError, match="2 finite numbers"):
+        with pytest.raises(ValueError, match="^direction must be 2 finite numbers"):
             support_value(EMPTY, direction)
 
 
@@ -983,15 +988,22 @@ def test_a_seeded_compare_makes_a_pinned_number_of_pivots(monkeypatch):
     # give the same rows and rhs bytes, so the rows decide containment and
     # the regions share one form: thm's queries reuse hk's bases, 21 pivots
     # in all (42 when each region posed its own LPs) and 10 recorded bases.
+    # Each direction's second query repeats the first on the same form, so
+    # it gets the first's LPResult from the form's slot: the form tests its
+    # bases once per direction.
     spec = random_injective_channel(random.Random("pin/3"), 3, 3)
     table = build_entropy_table(spec, InputDistribution.uniform(spec))
     hk, thm = project_to_aggregate(build_A1(spec, table)), enumerate_facets(spec, table)
     pivot, made = lp._pivot, []
     monkeypatch.setattr(lp, "_pivot", lambda *a: made.append(a[3:]) or pivot(*a))
+    maximize, answers = lp.maximize, []
+    monkeypatch.setattr(lp, "maximize", lambda *a: answers.append(maximize(*a)) or answers[-1])
     assert polytope.compare(hk, thm, random.Random(0)) is None
     assert len(made) == 21
     assert hk._lp_form() is thm._lp_form()
-    assert len(hk._lp_form().bases) == 10
+    assert len(hk._lp_form().recorded[1]) == 10
+    assert len(answers) == 200 and all(vb is va for va, vb in zip(answers[::2], answers[1::2]))
+    assert len({id(va) for va in answers[::2]}) == 100
 
 
 def _count_maximize(monkeypatch):
@@ -1040,8 +1052,8 @@ def test_row_identical_regions_share_one_lp_form():
     a, b = copy.copy(UNIT_SIMPLEX), copy.copy(UNIT_SIMPLEX)
     assert find_subset_violation(a, b) is None
     assert b._lp_form() is a._lp_form()
-    assert support_value(b, (1.0, 2.0)) == 2.0 and len(a._lp_form().bases) == 1
-    assert support_value(a, (1.0, 2.0)) == 2.0 and len(a._lp_form().bases) == 1
+    assert support_value(b, (1.0, 2.0)) == 2.0 and len(a._lp_form().recorded[1]) == 1
+    assert support_value(a, (1.0, 2.0)) == 2.0 and len(a._lp_form().recorded[1]) == 1
     # The form is a cache: equality, copy and pickle do not see it.
     assert b == UNIT_SIMPLEX and copy.copy(b)._lp is None and pickle.loads(pickle.dumps(b))._lp is None
     # A form at another tol is replaced by the shared one; the left region
@@ -1069,7 +1081,7 @@ def test_a_region_with_its_own_form_at_that_tol_keeps_it():
     own = b._lp_form()
     assert support_value(b, (1.0, 1.0)) == 2.0
     assert find_subset_violation(a, b) is None
-    assert b._lp_form() is own and a._lp_form() is not own and len(own.bases) == 1
+    assert b._lp_form() is own and a._lp_form() is not own and len(own.recorded[1]) == 1
 
 
 def test_compare_returns_the_first_difference_of_each_kind():
