@@ -12,9 +12,7 @@ of the rate-splitting region (`hk_region`) and by direct facet enumeration
 from .channel import (
     ChannelSpec,
     InjectivityReport,
-    interference_of,
     load_channel,
-    output_of,
     save_channel,
     validate_injectivity,
 )
@@ -33,7 +31,6 @@ from .entropy import (
     EntropyTable,
     InputDistribution,
     build_entropy_table,
-    check_injectivity_identity,
     load_distribution,
     save_distribution,
 )
@@ -45,7 +42,7 @@ from .errors import (
     SchemeReductionError,
     UnboundedDirectionError,
 )
-from .hk_region import aggregate_projection_matrix, build_A1, project_to_aggregate
+from .hk_region import build_A1, project_to_aggregate
 from .polytope import (
     LinearInequality,
     Region,
@@ -63,7 +60,6 @@ from .polytope import (
 from .theorem_region import (
     FacetSpec,
     converse_complement_check,
-    enumerate_facet_specs,
     enumerate_facets,
     facet_inequality,
     facet_to_scheme,

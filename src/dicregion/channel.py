@@ -10,8 +10,10 @@ where the interference tuple lists the other users in increasing user index.
 Users are numbered 1..K throughout the public API.
 
 Interference alphabets are induced: the alphabet of v_j is exactly the image
-of g_j, never a declared superset.  Output tables are indexed by a
-mixed-radix code over those images (see :func:`decode_v_index`).
+of g_j, never a declared superset.  Row f_i[x] of an output table lists the
+outputs in the order of `ChannelSpec.v_tuples_for(i)`: entry r is the output
+for the tuple whose mixed-radix code is r, with each v_j ranked in the sorted
+image of g_j and the last position varying fastest.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import contextlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,10 +32,6 @@ from .errors import ChannelFormatError
 __all__ = [
     "ChannelSpec",
     "InjectivityReport",
-    "decode_v_index",
-    "encode_v_tuple",
-    "interference_of",
-    "output_of",
     "validate_injectivity",
     "load_channel",
     "save_channel",
@@ -50,7 +49,7 @@ class ChannelSpec:
         g_tables: g_tables[i-1][x] is the interference symbol of user i on
             input x.
         f_tables: f_tables[i-1][x][r] is receiver i's output for own input x
-            and interference tuple decoded from the mixed-radix index r.
+            and the r-th interference tuple of `v_tuples_for(i)`.
 
     Every field holds ints or numpy integers, never bools (ChannelFormatError
     otherwise), and is stored as plain ints.
@@ -130,48 +129,6 @@ class ChannelSpec:
         return itertools.product(*(self.v_images[j - 1] for j in self.other_users(i)))
 
 
-def encode_v_tuple(spec: ChannelSpec, i: int, v_tuple) -> int:
-    """Mixed-radix index of an interference tuple at receiver i.
-
-    The tuple lists users j != i in increasing j; the last position varies
-    fastest.  Each v value must be attainable (in the image of its g map).
-    """
-    _check_user(spec.K, i)
-    others = spec.other_users(i)
-    if len(v_tuple) != len(others):
-        raise ValueError(
-            f"receiver {i}: expected {len(others)} interference symbols, got {len(v_tuple)}"
-        )
-    r = 0
-    for j, v in zip(others, v_tuple):
-        image = spec.v_images[j - 1]
-        try:
-            rank = image.index(v)
-        except ValueError:
-            raise ValueError(
-                f"interference value {v} is not attainable for user {j} "
-                f"(image of g is {image})"
-            ) from None
-        r = r * len(image) + rank
-    return r
-
-
-def decode_v_index(spec: ChannelSpec, i: int, r: int) -> tuple[int, ...]:
-    """Inverse of :func:`encode_v_tuple`; r must index an attainable tuple."""
-    _check_user(spec.K, i)
-    others = spec.other_users(i)
-    n_tuples = math.prod(len(spec.v_images[j - 1]) for j in others)
-    if not 0 <= r < n_tuples:
-        raise ValueError(f"receiver {i}: interference index {r} out of range 0..{n_tuples - 1}")
-    ranks = []
-    for j in reversed(others):
-        size = len(spec.v_images[j - 1])
-        r, rank = divmod(r, size)
-        ranks.append(rank)
-    ranks.reverse()
-    return tuple(spec.v_images[j - 1][rank] for j, rank in zip(others, ranks))
-
-
 @dataclass(frozen=True)
 class InjectivityReport:
     """Outcome of the receiver-map injectivity check.
@@ -186,29 +143,6 @@ class InjectivityReport:
     def __post_init__(self):
         if self.is_injective != (len(self.violations) == 0):
             raise ValueError("is_injective must mirror an empty violation list")
-
-
-def interference_of(spec: ChannelSpec, i: int, x: int) -> int:
-    """Interference symbol g_i(x) caused by user i sending x."""
-    _check_user(spec.K, i)
-    if not 0 <= x < spec.x_alphabet_sizes[i - 1]:
-        raise ValueError(
-            f"input {x} out of range for user {i} "
-            f"(alphabet size {spec.x_alphabet_sizes[i - 1]})"
-        )
-    return spec.g_tables[i - 1][x]
-
-
-def output_of(spec: ChannelSpec, i: int, x_i: int, v_others) -> int:
-    """Receiver output f_i(x_i, v_others) for an attainable interference tuple."""
-    _check_user(spec.K, i)
-    if not 0 <= x_i < spec.x_alphabet_sizes[i - 1]:
-        raise ValueError(
-            f"input {x_i} out of range for receiver {i} "
-            f"(alphabet size {spec.x_alphabet_sizes[i - 1]})"
-        )
-    r = encode_v_tuple(spec, i, tuple(v_others))
-    return spec.f_tables[i - 1][x_i][r]
 
 
 def validate_injectivity(spec: ChannelSpec) -> InjectivityReport:
@@ -238,6 +172,11 @@ def _is_int(v) -> bool:
     """Is v an int or a numpy integer (never a bool)?  A plain int takes
     the one type test."""
     return type(v) is int or isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """Is v a real number (never a bool)?  A float takes the one type test."""
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _tuple(value, what: str, error=ChannelFormatError) -> tuple:

@@ -14,14 +14,13 @@ Entropies are in bits, double precision, with 0*log(0) taken as 0.
 from __future__ import annotations
 
 import math
-import numbers
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import (
-    ChannelSpec, _building, _check_user, _is_int, _read_document, _save_document, _tuple,
+    ChannelSpec, _building, _is_int, _is_real, _read_document, _save_document, _tuple,
 )
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "EntropyTable",
     "subset_rank",
     "build_entropy_table",
-    "check_injectivity_identity",
     "load_distribution",
     "save_distribution",
 ]
@@ -55,7 +53,7 @@ class InputDistribution:
         for i, row in enumerate(_tuple(self.probs, "probabilities", ValueError), start=1):
             row = _tuple(row, f"user {i}: probabilities", ValueError)
             for p in row:
-                if type(p) is not float and (not isinstance(p, numbers.Real) or isinstance(p, bool)):
+                if not _is_real(p):
                     raise ValueError(f"user {i}: probability entry {p!r} is not a real number")
             row = tuple(map(float, row))
             if not all(map(math.isfinite, row)):
@@ -144,11 +142,6 @@ class EntropyTable:
         """split_rhs[i-1, subset_rank(M)] = H(Y_i | V_{complement of M}), the
         rhs of split row (i, M): h with each row reversed, a read-only view."""
         return self.h[:, ::-1]
-
-    def h_y_given_v(self, i: int, T) -> float:
-        for user in (i, *T):
-            _check_user(self.K, user)
-        return float(self.h[i - 1, subset_rank(T)])
 
 
 def _entropy(p) -> float:
@@ -282,35 +275,6 @@ def _groups(v, y, place, n_v, block_codes):
 def _compact(indices):
     """The nonnegative indices in the smallest unsigned integer type."""
     return indices.astype(np.min_scalar_type(indices.max()))
-
-
-def check_injectivity_identity(spec: ChannelSpec, dist: InputDistribution, tol: float = 1e-9) -> bool:
-    """Entropy form of the injectivity condition.
-
-    True iff |H(Y_i|X_i) - sum_{j != i} H(V_j)| <= tol for every receiver i.
-    For an injective channel this holds under any product distribution; a
-    failure under a full-support distribution exhibits a non-injective
-    receiver map.  Both sides come from the channel and the pmf alone
-    (`_own_input_entropies`); no entropy table is built.
-    """
-    y_given_x, marginals = _own_input_entropies(spec, dist)
-    return all(
-        abs(h - math.fsum(marginals[j - 1] for j in spec.other_users(i))) <= tol
-        for i, h in enumerate(y_given_x, start=1)
-    )
-
-
-def _own_input_entropies(spec: ChannelSpec, dist: InputDistribution):
-    """(H(Y_i | X_i) per receiver i, H(V_j) per user j), in bits, with
-    H(Y_i | X_i) = H(X_i, Y_i) - H(X_i), clipped at 0, over `_cell_weights`."""
-    v_pmf, cell_weights = _cell_weights(spec, dist)
-    y_given_x = []
-    for p_i, table, weights in zip(dist.probs, spec.f_tables, cell_weights):
-        y = np.unique(table, return_inverse=True)[1].reshape(len(p_i), -1)
-        codes = y + (int(y.max()) + 1) * np.arange(len(p_i))[:, None]  # X_i major, then Y_i
-        h = _entropy(np.bincount(codes.ravel(), weights=weights)) - _entropy(np.asarray(p_i))
-        y_given_x.append(max(h, 0.0))
-    return tuple(y_given_x), tuple(_entropy(p) for p in v_pmf)
 
 
 def load_distribution(path) -> InputDistribution:

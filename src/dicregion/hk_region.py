@@ -44,9 +44,7 @@ from .polytope import (
 )
 
 __all__ = [
-    "aggregate_projection_matrix",
     "split_labels",
-    "aggregate_labels",
     "build_A1",
     "project_to_aggregate",
 ]
@@ -54,21 +52,8 @@ __all__ = [
 _FORMS = 16  # slices of the shared split rows kept for reuse
 
 
-def aggregate_projection_matrix(K: int) -> tuple[tuple[int, ...], ...]:
-    """K x 2K 0/1 matrix mapping split rates to aggregate rates.
-
-    Row i has ones exactly in the two columns of user i's private and
-    common rate, so (matrix @ split_vector)_i = R_ip + R_ic.
-    """
-    return tuple(tuple(int(k // 2 == i) for k in range(2 * K)) for i in range(K))
-
-
 def split_labels(K: int) -> tuple[str, ...]:
     return tuple(f"R{i}{part}" for i in range(1, K + 1) for part in "pc")
-
-
-def aggregate_labels(K: int) -> tuple[str, ...]:
-    return tuple(f"R{i}" for i in range(1, K + 1))
 
 
 @functools.cache

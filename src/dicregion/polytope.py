@@ -19,7 +19,9 @@ from itertools import combinations, compress
 import numpy as np
 
 from . import lp
-from .channel import _building, _is_int, _objects, _read_document, _save_document, _tuple
+from .channel import (
+    _building, _is_int, _is_real, _objects, _read_document, _save_document, _tuple,
+)
 from .errors import InfeasibleRegionError, UnboundedDirectionError
 
 __all__ = [
@@ -55,7 +57,10 @@ class LinearInequality:
         if type(self.coeffs) is not tuple or not set(map(type, self.coeffs)) <= {int}:
             coerced = []
             for c in self.coeffs:
-                ic = int(c)
+                try:
+                    ic = int(c)
+                except (OverflowError, ValueError):  # inf, nan
+                    ic = None
                 if ic != c:
                     raise ValueError(f"coefficient {c!r} is not an exact integer")
                 coerced.append(ic)
@@ -107,12 +112,15 @@ class Region:
             raise ValueError(f"labels must be strings, got {list(labels)}")
         if len(set(labels)) != dim:
             raise ValueError(f"duplicate labels in {list(labels)}")
-        for coeffs in lhs:
+        for k, coeffs in enumerate(lhs, start=1):
             if len(coeffs) != dim:
-                raise ValueError(f"inequality arity {len(coeffs)} does not match dim {dim}")
+                raise ValueError(f"inequality {k}: coeffs {list(coeffs)} have arity "
+                                 f"{len(coeffs)}, not dim {dim}")
         rhs = np.array(rhs, dtype=float)
-        if not np.isfinite(rhs).all():
-            raise ValueError("an inequality has a non-finite rhs")
+        finite = np.isfinite(rhs)
+        if not finite.all():
+            k = int(finite.argmin())
+            raise ValueError(f"inequality {k + 1}: non-finite rhs {rhs[k].item()}")
         rhs.flags.writeable = False
         fields = ("dim", int(dim)), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
         for name, value in fields:
@@ -573,16 +581,32 @@ def region_to_dict(region: Region) -> dict:
 
 def region_from_dict(data: dict) -> Region:
     """A region from its JSON document.  As in channel and distribution files,
-    a boolean or a string is not a number; `Region` checks the labels."""
-    with _building("region", data):  # OverflowError: a coefficient of inf
+    a boolean or a string is not a number; a faulty row reads "inequality <k>:
+    <fault>", with k from 1, and `Region` checks the labels."""
+    with _building("region", data):
         items = _objects(data["inequalities"], "inequalities", "inequality", ("coeffs", "rhs"))
-        rows = [(_tuple(coeffs, f"inequality {k}: coeffs"), rhs) for k, (coeffs, rhs) in items]
-        if any(isinstance(v, (bool, str)) for coeffs, rhs in rows for v in (*coeffs, rhs)):
-            raise TypeError("a coefficient or rhs is a boolean or a string, not a number")
-        ineqs = tuple(LinearInequality(coeffs, rhs) for coeffs, rhs in rows)
-        if any(abs(c) > 2**53 for q in ineqs for c in q.coeffs):
-            raise ValueError("a coefficient exceeds 2^53, beyond the integers a float holds exactly")
+        ineqs = [_document_row(k, coeffs, rhs) for k, (coeffs, rhs) in items]
         return Region(data["dim"], ineqs, data.get("labels"))
+
+
+def _document_row(k, coeffs, rhs) -> LinearInequality:
+    """Row k of a region document: real numbers, and coefficients that are
+    exact integers of at most 2^53 in magnitude, as a float holds them."""
+    where = f"inequality {k}: "
+    coeffs = _tuple(coeffs, f"{where}coeffs")
+    for field, value in [*(("coefficient", c) for c in coeffs), ("rhs", rhs)]:
+        if not _is_real(value):
+            raise TypeError(f"{where}{field} {value!r} is not a real number")
+    try:
+        row = LinearInequality(coeffs, rhs)
+    except (ValueError, OverflowError) as exc:  # OverflowError: an rhs beyond any float
+        raise ValueError(f"{where}{exc}") from None
+    for c in row.coeffs:
+        if abs(c) > 2**53:
+            shown = c if abs(c) < 2**64 else f"of {abs(c).bit_length()} bits"
+            raise ValueError(f"{where}coefficient {shown} exceeds 2^53, beyond the integers "
+                             "a float holds exactly")
+    return row
 
 
 def load_region(path) -> Region:

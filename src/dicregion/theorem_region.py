@@ -39,7 +39,6 @@ from .polytope import LinearInequality, Region, _nonneg_lhs, canonicalize, prune
 __all__ = [
     "FacetSpec",
     "facet_inequality",
-    "enumerate_facet_specs",
     "enumerate_facets",
     "enumerate_facets_bumped",
     "default_a_max",
@@ -110,36 +109,6 @@ def facet_inequality(fs: FacetSpec, table: EntropyTable) -> LinearInequality:
         table.split_rhs[i, subset_rank(M)] for i, subsets in enumerate(fs.S) for M in subsets
     )
     return LinearInequality(fs.a, rhs)
-
-
-def _assignments(K, a):
-    """Yield every subset assignment for weight vector `a` that meets the
-    counting constraint, as per-receiver subset tuples of non-decreasing
-    rank, in lexicographic order of the ranks.
-
-    Receiver i takes each multiset of a_i subsets whose users are all still
-    owed coverage; the walk goes on to receiver i + 1 only when no user is
-    covered beyond its weight and none is owed more than the slots left,
-    as a slot covers each user at most once.
-    """
-    members = [frozenset(m + 1 for m in range(K) if mask >> m & 1) for mask in range(1 << K)]
-
-    def walk(i, owed, slots_left):
-        if i == K:
-            yield ()
-            return
-        candidates = [M for M in members if all(owed[m - 1] for m in M)]
-        slots_left -= a[i]
-        for here in itertools.combinations_with_replacement(candidates, a[i]):
-            rest = list(owed)
-            for M in here:
-                for m in M:
-                    rest[m - 1] -= 1
-            if min(rest) >= 0 and max(rest) <= slots_left:
-                for tail in walk(i + 1, rest, slots_left):
-                    yield (here, *tail)
-
-    yield from walk(0, a, sum(a))
 
 
 def _smallest_rhs(split_rhs, a_max: int):
@@ -225,29 +194,6 @@ def _pairs(K, n, budget):
         del rest, digit
         yield a, b, starts
         lo = hi
-
-
-def enumerate_facet_specs(K: int, a_max: int, max_facets: int = DEFAULT_FACET_GUARD):
-    """All valid facet choices with 0 <= a_i <= a_max, a not all zero.
-
-    Raises EnumerationOverflowError when more than `max_facets` valid
-    choices are produced (nothing is silently truncated).
-    """
-    if not _is_int(K) or K < 1:
-        raise ValueError(f"K must be an integer >= 1, got {K!r}")
-    _check_limits(a_max, max_facets)
-    choices = (
-        FacetSpec(a, assignment)
-        for a in itertools.product(range(a_max + 1), repeat=K) if any(a)
-        for assignment in _assignments(K, a)
-    )
-    for count, fs in enumerate(choices, start=1):
-        if count > max_facets:
-            raise EnumerationOverflowError(
-                f"facet enumeration exceeded the size guard of {max_facets} "
-                f"facets; raise the guard to continue"
-            )
-        yield fs
 
 
 def default_a_max(K: int) -> int:

@@ -11,8 +11,8 @@ from scipy.optimize import linprog
 from dicregion.channel import ChannelSpec
 from dicregion.coeff_scheme import CoefficientScheme
 from dicregion.entropy import EntropyTable, InputDistribution
-from dicregion.hk_region import aggregate_projection_matrix
 from dicregion.polytope import support_value
+from reference import aggregate_projection_matrix
 
 
 def xor_channel() -> ChannelSpec:

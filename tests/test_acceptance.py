@@ -20,11 +20,7 @@ from dicregion.coeff_scheme import (
     step1_reduce,
     step2_reduce,
 )
-from dicregion.entropy import (
-    InputDistribution,
-    build_entropy_table,
-    check_injectivity_identity,
-)
+from dicregion.entropy import InputDistribution, build_entropy_table, subset_rank
 from dicregion.hk_region import build_A1, project_to_aggregate
 from dicregion.polytope import (
     LinearInequality,
@@ -39,7 +35,6 @@ from dicregion.polytope import (
 from dicregion.theorem_region import (
     FacetSpec,
     converse_complement_check,
-    enumerate_facet_specs,
     enumerate_facets,
     facet_inequality,
     facet_to_scheme,
@@ -57,6 +52,7 @@ from conftest import (
     random_scheme,
     xor_channel,
 )
+from reference import check_injectivity_identity, enumerate_facet_specs
 
 TOL = 1e-9
 
@@ -88,9 +84,9 @@ def test_criterion_1_xor_region():
     # Oracle: the 4-point joint pmf by hand.  (x1, x2) uniform; y1 = x1 ^ x2
     # is uniform given anything less than both interference symbols, and
     # determined given both.  All binding entropies are exactly 1 bit.
-    assert table.h_y_given_v(1, set()) == 1.0
-    assert table.h_y_given_v(1, {2}) == 1.0
-    assert table.h_y_given_v(1, {1, 2}) == 0.0
+    assert table.h[0, subset_rank(set())] == 1.0
+    assert table.h[0, subset_rank({2})] == 1.0
+    assert table.h[0, subset_rank({1, 2})] == 0.0
 
     expected = {((-1, 0), 0.0), ((0, -1), 0.0), ((1, 1), 1.0)}
     projected = project_to_aggregate(build_A1(spec, table), tol=TOL)

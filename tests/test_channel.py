@@ -12,18 +12,14 @@ from dicregion.channel import (
     InjectivityReport,
     channel_from_dict,
     channel_to_dict,
-    decode_v_index,
-    encode_v_tuple,
-    interference_of,
     load_channel,
-    output_of,
     save_channel,
     validate_injectivity,
 )
-from dicregion.entropy import InputDistribution, build_entropy_table, check_injectivity_identity
 from dicregion.errors import ChannelFormatError
 
 from conftest import parity3_channel, product_channel, random_full_support, xor_channel
+from reference import check_injectivity_identity
 
 
 def test_xor_channel_is_injective(xor):
@@ -44,10 +40,6 @@ def test_product_channel_injective(product):
     assert validate_injectivity(product).is_injective
 
 
-def test_interference_identity_map(xor):
-    assert interference_of(xor, 1, 1) == 1
-
-
 def test_interference_table_map():
     spec = ChannelSpec(
         K=2,
@@ -58,7 +50,8 @@ def test_interference_table_map():
             tuple(tuple(8 * x + v for v in (0, 1)) for x in range(2)),
         ),
     )
-    assert interference_of(spec, 1, 3) == 1
+    assert spec.g_tables[0] == (0, 0, 1, 1)
+    assert spec.v_images == ((0, 1), (0, 1))
 
 
 def test_interference_constant_map():
@@ -72,36 +65,8 @@ def test_interference_constant_map():
             tuple((x,) for x in (0, 1)),
         ),
     )
-    assert interference_of(spec, 1, 1) == 0
     assert spec.v_images[0] == (0,)
-
-
-def test_output_of_xor(xor):
-    assert output_of(xor, 1, 1, (1,)) == 0
-    assert output_of(xor, 1, 0, (1,)) == 1
-
-
-def test_output_of_product(product):
-    assert output_of(product, 1, 1, (0,)) == 2  # encodes the pair (1, 0)
-
-
-def test_output_rejects_an_input_out_of_range(xor):
-    for x in (2, -1):
-        with pytest.raises(ValueError) as info:
-            output_of(xor, 1, x, (0,))
-        assert str(info.value) == f"input {x} out of range for receiver 1 (alphabet size 2)"
-
-
-def test_output_rejects_unattainable_interference(xor):
-    with pytest.raises(ValueError, match="not attainable"):
-        output_of(xor, 1, 0, (2,))
-
-
-def test_interference_rejects_out_of_range(xor):
-    with pytest.raises(ValueError, match="out of range"):
-        interference_of(xor, 1, 5)
-    with pytest.raises(ValueError, match="out of range"):
-        interference_of(xor, 3, 0)
+    assert list(spec.v_tuples_for(2)) == [(0,)]
 
 
 XOR_F = (((0, 1), (1, 0)), ((0, 1), (1, 0)))
@@ -211,65 +176,38 @@ def test_v_alphabet_is_induced_image():
 
 
 def test_v_index_encoding_round_trip():
+    # Entry r of an output row belongs to the r-th tuple of v_tuples_for,
+    # whose mixed-radix code over the sorted images, last position fastest,
+    # is r: encoded here by Horner's rule.
     rng = random.Random(0)
     from conftest import random_injective_channel
 
     for _ in range(20):
         spec = random_injective_channel(rng, rng.choice([2, 3]), 4)
         for i in range(1, spec.K + 1):
-            for r, tup in enumerate(spec.v_tuples_for(i)):
-                assert encode_v_tuple(spec, i, tup) == r
-                assert decode_v_index(spec, i, r) == tup
-
-
-def test_v_index_encoding_needs_one_symbol_per_other_user(xor):
-    for v_tuple in ((), (0, 1)):
-        message = f"^receiver 2: expected 1 interference symbols, got {len(v_tuple)}$"
-        with pytest.raises(ValueError, match=message):
-            encode_v_tuple(xor, 2, v_tuple)
-
-
-def test_v_index_decoding_rejects_out_of_range_users_and_indices(xor):
-    # On XOR each receiver has two tuples: r = 2 used to decode as r = 0,
-    # r = -1 as (1,), and receiver 0 gave a 2-tuple.
-    assert [decode_v_index(xor, 1, r) for r in (0, 1)] == [(0,), (1,)]
-    for r in (2, -1):
-        with pytest.raises(ValueError, match=r"index -?\d out of range 0..1"):
-            decode_v_index(xor, 1, r)
-    for i in (0, 3):
-        with pytest.raises(ValueError, match="user index"):
-            decode_v_index(xor, i, 0)
+            images = [spec.v_images[j - 1] for j in spec.other_users(i)]
+            tuples = list(spec.v_tuples_for(i))
+            assert len(tuples) == len(spec.f_tables[i - 1][0])
+            for r, tup in enumerate(tuples):
+                code = 0
+                for image, v in zip(images, tup):
+                    code = code * len(image) + image.index(v)
+                assert code == r
 
 
 def test_v_index_encoding_and_tuples_reject_out_of_range_users(xor):
-    # Receiver 3 of XOR used to encode (0, 0) as 0, and receiver 5 had 4 tuples.
+    # Receiver 5 of XOR used to have 4 tuples.
     for i in (0, 3, 5):
-        with pytest.raises(ValueError, match="user index"):
-            encode_v_tuple(xor, i, (0, 0))
         with pytest.raises(ValueError, match="user index"):
             xor.v_tuples_for(i)
 
 
 def test_user_indices_must_be_integers(xor):
-    # v_tuples_for(1.5) returned all 4 tuples over both users, decode_v_index
-    # answered for 1.0, interference_of raised a raw TypeError and
-    # h_y_given_v an IndexError.
-    table = build_entropy_table(xor, InputDistribution.uniform(xor))
+    # v_tuples_for(1.5) returned all 4 tuples over both users.
     for i in (1.5, 1.0, True, "1", None):
-        calls = [
-            lambda: xor.v_tuples_for(i),
-            lambda: decode_v_index(xor, i, 0),
-            lambda: encode_v_tuple(xor, i, (0,)),
-            lambda: interference_of(xor, i, 0),
-            lambda: output_of(xor, i, 0, (0,)),
-            lambda: table.h_y_given_v(i, {2}),
-            lambda: table.h_y_given_v(1, {i}),
-        ]
-        for call in calls:
-            with pytest.raises(ValueError, match="user index .* is not an integer"):
-                call()
-    assert decode_v_index(xor, np.int64(1), 1) == (1,)
-    assert table.h_y_given_v(np.int64(1), {np.int64(2)}) == table.h_y_given_v(1, {2})
+        with pytest.raises(ValueError, match="user index .* is not an integer"):
+            xor.v_tuples_for(i)
+    assert list(xor.v_tuples_for(np.int64(1))) == [(0,), (1,)]
 
 
 def test_injectivity_report_verdict_mirrors_its_violations():
@@ -289,8 +227,8 @@ def test_injectivity_matches_definition_by_exhaustion():
         report = validate_injectivity(spec)
         for i in range(1, spec.K + 1):
             for x in range(spec.x_alphabet_sizes[i - 1]):
-                outs = [output_of(spec, i, x, t) for t in spec.v_tuples_for(i)]
-                assert len(set(outs)) == len(outs)
+                outs = dict(zip(spec.v_tuples_for(i), spec.f_tables[i - 1][x]))
+                assert len(set(outs.values())) == len(outs) == len(spec.f_tables[i - 1][x])
         assert report.is_injective
 
 

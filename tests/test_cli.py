@@ -143,11 +143,14 @@ def test_region_files_with_non_finite_rhs_are_parse_errors(tmp_path, capsys):
      ("labels", "ab", "malformed region document: labels must be a list of strings, got 'ab'"),
      ("labels", {"a": 0, "b": 1}, "malformed region document: labels must be a list of strings"),
      ("labels", "", "malformed region document: labels must be a list of strings, got ''"),
-     ("rhs", "2", "malformed region document: a coefficient or rhs is a boolean or a string"),
-     ("rhs", True, "malformed region document: a coefficient or rhs is a boolean or a string"),
-     ("coeffs", [True, 1], "malformed region document: a coefficient or rhs is a boolean")],
+     ("rhs", "2", "malformed region document: inequality 1: rhs '2' is not a real number"),
+     ("rhs", True, "malformed region document: inequality 1: rhs True is not a real number"),
+     ("coeffs", [True, 1],
+      "malformed region document: inequality 1: coefficient True is not a real number"),
+     ("coeffs", [None, 1],
+      "malformed region document: inequality 1: coefficient None is not a real number")],
     ids=["int-labels", "huge-int", "float-inf", "string-labels", "object-labels",
-         "empty-string-labels", "string-rhs", "bool-rhs", "bool-coefficient"],
+         "empty-string-labels", "string-rhs", "bool-rhs", "bool-coefficient", "null-coefficient"],
 )
 def test_region_files_with_bad_labels_or_coefficients_are_parse_errors(
     tmp_path, capsys, field, value, message
@@ -155,7 +158,8 @@ def test_region_files_with_bad_labels_or_coefficients_are_parse_errors(
     # The first three used to end in a traceback and exit 1: AttributeError
     # in plot, OverflowError in compare and plot.  The others used to load:
     # "ab" as the labels ('a', 'b'), an object as its keys, "" as no labels,
-    # "2" and true as the numbers 2 and 1.
+    # "2" and true as the numbers 2 and 1.  A null coefficient read in
+    # Python's words: "int() argument must be a string, ...".
     doc = region_to_dict(UNIT_SIMPLEX)
     (doc if field == "labels" else doc["inequalities"][0])[field] = value
     bad, good = tmp_path / "bad.json", tmp_path / "good.json"

@@ -88,15 +88,23 @@ CASES = {
         ({**SIMPLEX, "labels": [1, 2]}, "labels must be strings, got [1, 2]"),
         ({**SIMPLEX, "labels": ["u", "v", "w"]}, "3 labels for dimension 2"),
         ({**SIMPLEX, "labels": ["u", "u"]}, "duplicate labels in ['u', 'u']"),
-        (_first_row(rhs="1"), "a coefficient or rhs is a boolean or a string, not a number"),
-        (_first_row(coeffs=[True, 1]),
-         "a coefficient or rhs is a boolean or a string, not a number"),
-        (_first_row(coeffs=[2**53 + 1, 1]),
-         "a coefficient exceeds 2^53, beyond the integers a float holds exactly"),
-        (_first_row(coeffs=[1.5, 1]), "coefficient 1.5 is not an exact integer"),
-        (_first_row(coeffs=[float("inf"), 1]), "cannot convert float infinity to integer"),
-        (_first_row(rhs=float("nan")), "an inequality has a non-finite rhs"),
-        (_first_row(coeffs=[1, 1, 1]), "inequality arity 3 does not match dim 2"),
+        (_first_row(rhs="1"), "inequality 1: rhs '1' is not a real number"),
+        (_first_row(coeffs=[True, 1]), "inequality 1: coefficient True is not a real number"),
+        (_first_row(coeffs=[None, 1]), "inequality 1: coefficient None is not a real number"),
+        (_first_row(coeffs=[{}, 1]), "inequality 1: coefficient {} is not a real number"),
+        (_first_row(rhs=None), "inequality 1: rhs None is not a real number"),
+        (_first_row(rhs=[1]), "inequality 1: rhs [1] is not a real number"),
+        (_first_row(rhs={"b": 1}), "inequality 1: rhs {'b': 1} is not a real number"),
+        (_first_row(coeffs=[2**53 + 1, 1]), "inequality 1: coefficient 9007199254740993 "
+                                            "exceeds 2^53, beyond the integers a float holds exactly"),
+        (_first_row(coeffs=[1.5, 1]), "inequality 1: coefficient 1.5 is not an exact integer"),
+        (_first_row(coeffs=[float("inf"), 1]), "inequality 1: coefficient inf is not an exact integer"),
+        (_first_row(rhs=float("nan")), "inequality 1: non-finite rhs nan"),
+        (_first_row(coeffs=[1, 1, 1]), "inequality 1: coeffs [1, 1, 1] have arity 3, not dim 2"),
+        ({**SIMPLEX, "inequalities": [*SIMPLEX["inequalities"][:2], {"coeffs": [0], "rhs": 0}]},
+         "inequality 3: coeffs [0] have arity 1, not dim 2"),
+        ({**SIMPLEX, "inequalities": [*SIMPLEX["inequalities"], {"coeffs": [0, 1], "rhs": None}]},
+         "inequality 4: rhs None is not a real number"),
         ({**SIMPLEX, "dim": True}, "dim must be an integer >= 0, got True"),
         ({**SIMPLEX, "dim": 2.0}, "dim must be an integer >= 0, got 2.0"),
         ({**SIMPLEX, "dim": -1}, "dim must be an integer >= 0, got -1"),

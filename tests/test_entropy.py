@@ -15,9 +15,7 @@ from dicregion.channel import ChannelSpec, channel_from_dict, channel_to_dict
 from dicregion.entropy import (
     EntropyTable,
     InputDistribution,
-    _own_input_entropies,
     build_entropy_table,
-    check_injectivity_identity,
     load_distribution,
     save_distribution,
     subset_rank,
@@ -30,10 +28,14 @@ from conftest import (
     random_full_support,
     random_injective_channel,
 )
+from reference import check_injectivity_identity, own_input_entropies
 
 
 def joint_pmf(spec, dist):
     """Oracle: the joint pmf over (x tuple, v tuple, y tuple) by enumeration."""
+    # Entry r of an output row is the r-th tuple of v_tuples_for, an
+    # itertools.product; the package indexes the rows by numpy place values.
+    index = [{t: r for r, t in enumerate(spec.v_tuples_for(i))} for i in range(1, spec.K + 1)]
     out = []
     for x_tuple in itertools.product(*(range(n) for n in spec.x_alphabet_sizes)):
         p = 1.0
@@ -44,10 +46,7 @@ def joint_pmf(spec, dist):
         v = tuple(spec.g_tables[j][x] for j, x in enumerate(x_tuple))
         ys = []
         for i in range(1, spec.K + 1):
-            others = spec.other_users(i)
-            from dicregion.channel import encode_v_tuple
-
-            r = encode_v_tuple(spec, i, tuple(v[j - 1] for j in others))
+            r = index[i - 1][tuple(v[j - 1] for j in spec.other_users(i))]
             ys.append(spec.f_tables[i - 1][x_tuple[i - 1]][r])
         out.append((x_tuple, v, tuple(ys), p))
     return out
@@ -63,10 +62,10 @@ def entropy_of(groups):
 def test_xor_uniform_values(xor):
     dist = InputDistribution.uniform(xor)
     table = build_entropy_table(xor, dist)
-    assert table.h_y_given_v(1, {2}) == pytest.approx(1.0, abs=1e-12)
-    assert table.h_y_given_v(1, set()) == pytest.approx(1.0, abs=1e-12)
-    assert table.h_y_given_v(1, {1, 2}) == pytest.approx(0.0, abs=1e-12)
-    assert _own_input_entropies(xor, dist)[1][0] == pytest.approx(1.0, abs=1e-12)
+    assert table.h[0, subset_rank({2})] == pytest.approx(1.0, abs=1e-12)
+    assert table.h[0, subset_rank(set())] == pytest.approx(1.0, abs=1e-12)
+    assert table.h[0, subset_rank({1, 2})] == pytest.approx(0.0, abs=1e-12)
+    assert own_input_entropies(xor, dist)[1][0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_point_mass_all_zero(xor):
@@ -74,7 +73,7 @@ def test_point_mass_all_zero(xor):
     table = build_entropy_table(xor, dist)
     for h in table.h.ravel():
         assert h == pytest.approx(0.0, abs=1e-12)
-    assert all(h == 0.0 for h in _own_input_entropies(xor, dist)[1])
+    assert all(h == 0.0 for h in own_input_entropies(xor, dist)[1])
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (3, 4), (4,), (2, 4, 1)])
@@ -106,8 +105,8 @@ def test_table_array_is_a_read_only_copy(xor):
     source = np.arange(8.0).reshape(2, 4)
     table = EntropyTable(source)
     source[0, 0] = 99.0
-    assert table.h_y_given_v(1, set()) == 0.0
-    assert table.h_y_given_v(2, {1, 2}) == 7.0  # row 2, mask 0b11
+    assert table.h[0, subset_rank(set())] == 0.0
+    assert table.h[1, subset_rank({1, 2})] == 7.0  # row 2, mask 0b11
     built = build_entropy_table(xor, InputDistribution.uniform(xor))
     for t in (table, built):
         with pytest.raises(ValueError):
@@ -116,8 +115,8 @@ def test_table_array_is_a_read_only_copy(xor):
 
 def test_product_channel_values(product):
     table = build_entropy_table(product, InputDistribution.uniform(product))
-    assert table.h_y_given_v(1, {2}) == pytest.approx(1.0, abs=1e-12)
-    assert table.h_y_given_v(1, set()) == pytest.approx(2.0, abs=1e-12)
+    assert table.h[0, subset_rank({2})] == pytest.approx(1.0, abs=1e-12)
+    assert table.h[0, subset_rank(set())] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_identity_xor_uniform(xor):
@@ -127,7 +126,7 @@ def test_identity_xor_uniform(xor):
 def test_identity_fails_on_parity(parity3):
     # H(Y_1|X_1) = 1 bit but the interference entropies sum to 2 bits.
     dist = InputDistribution.uniform(parity3)
-    y_given_x, marginals = _own_input_entropies(parity3, dist)
+    y_given_x, marginals = own_input_entropies(parity3, dist)
     assert y_given_x[0] == pytest.approx(1.0, abs=1e-12)
     assert sum(marginals[j - 1] for j in (2, 3)) == pytest.approx(2.0, abs=1e-12)
     assert not check_injectivity_identity(parity3, dist, 1e-9)
@@ -152,7 +151,7 @@ def test_split_rhs_is_the_read_only_complement_view():
     for i in full:
         for mask in range(8):
             M = frozenset(m for m in full if mask >> (m - 1) & 1)
-            assert table.split_rhs[i - 1, subset_rank(M)] == table.h_y_given_v(i, full - M)
+            assert table.split_rhs[i - 1, subset_rank(M)] == table.h[i - 1, subset_rank(full - M)]
     with pytest.raises(ValueError):
         table.split_rhs[0, 0] = 1.0
 
@@ -170,7 +169,7 @@ def test_entropies_match_enumeration_oracle(xor):
         T = frozenset(j for j in (1, 2) if bits & (1 << (j - 1)))
         h_joint = entropy_of(((tuple(v[j - 1] for j in sorted(T)), y[0]), p) for _, v, y, p in pmf)
         h_T = entropy_of((tuple(v[j - 1] for j in sorted(T)), p) for _, v, _, p in pmf)
-        assert table.h_y_given_v(1, T) == pytest.approx(h_joint - h_T, abs=1e-12)
+        assert table.h[0, subset_rank(T)] == pytest.approx(h_joint - h_T, abs=1e-12)
 
 
 def reference_table(spec, dist):
@@ -224,7 +223,7 @@ def assert_matches_reference(table, spec, dist):
     assert len(cond) == table.h.size  # every array entry is compared below
     for (i, T), h in cond.items():
         assert table.h[i - 1, subset_rank(T)] == pytest.approx(h, abs=1e-12), (i, T)
-    own_y_given_x, own_marginals = _own_input_entropies(spec, dist)
+    own_y_given_x, own_marginals = own_input_entropies(spec, dist)
     assert own_marginals == pytest.approx(v_marginals, abs=1e-12)
     assert own_y_given_x == pytest.approx(y_given_x, abs=1e-12)
 
@@ -294,17 +293,6 @@ def test_table_spanning_several_blocks_matches_reference(monkeypatch, zeros):
     monkeypatch.setattr(entropy, "_groups", counted_groups)
     assert_matches_reference(build_entropy_table(spec, dist), spec, dist)
     assert len(blocks) == spec.K and min(blocks) > 1, blocks
-
-
-def test_table_accessors_reject_users_outside_1_to_K(xor):
-    # Index 0 used to read user K's entry through numpy's negative indexing;
-    # T = {3} raised IndexError and T = {0} "negative shift count".
-    table = build_entropy_table(xor, InputDistribution.uniform(xor))
-    for user in (0, -1, 3):
-        with pytest.raises(ValueError, match="out of range 1..2"):
-            table.h_y_given_v(user, {1})
-        with pytest.raises(ValueError, match="out of range 1..2"):
-            table.h_y_given_v(1, {2, user})
 
 
 def table_bytes(table):
@@ -461,8 +449,8 @@ def test_conditioning_monotonicity():
                     if extra in T:
                         continue
                     assert (
-                        table.h_y_given_v(i, T | {extra})
-                        <= table.h_y_given_v(i, T) + 1e-12
+                        table.h[i - 1, subset_rank(T | {extra})]
+                        <= table.h[i - 1, subset_rank(T)] + 1e-12
                     )
 
 
@@ -472,7 +460,7 @@ def test_independence_additivity():
     for _ in range(10):
         spec = random_injective_channel(rng, rng.choice([2, 3]), 3)
         dist = random_full_support(rng, spec)
-        marginals = _own_input_entropies(spec, dist)[1]
+        marginals = own_input_entropies(spec, dist)[1]
         pmf = joint_pmf(spec, dist)
         for bits in range(1, 1 << spec.K):
             S = [j for j in range(1, spec.K + 1) if bits & (1 << (j - 1))]

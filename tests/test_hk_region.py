@@ -13,15 +13,9 @@ from hypothesis import given, settings
 import dicregion.hk_region
 import dicregion.lp
 import dicregion.polytope
-from dicregion.entropy import InputDistribution, build_entropy_table
+from dicregion.entropy import InputDistribution, build_entropy_table, subset_rank
 from dicregion.errors import InfeasibleRegionError
-from dicregion.hk_region import (
-    aggregate_labels,
-    aggregate_projection_matrix,
-    build_A1,
-    project_to_aggregate,
-    split_labels,
-)
+from dicregion.hk_region import build_A1, project_to_aggregate, split_labels
 from dicregion.polytope import (
     LinearInequality,
     Region,
@@ -47,6 +41,7 @@ from conftest import (
     random_injective_channel,
     xor_channel,
 )
+from reference import aggregate_projection_matrix
 from test_entropy import with_zeros
 
 
@@ -93,7 +88,7 @@ def test_a1_rows_read_the_complement_entry(parity3):
             coeffs[2 * (i - 1)] = 1
             for m in M:
                 coeffs[2 * (m - 1) + 1] = 1
-            assert rhs_of[tuple(coeffs)] == table.h_y_given_v(i, full - M), (i, sorted(M))
+            assert rhs_of[tuple(coeffs)] == table.h[i - 1, subset_rank(full - M)], (i, sorted(M))
 
 
 @pytest.mark.parametrize("route,K,sizes", [
@@ -275,6 +270,22 @@ def test_projection_equals_enumeration(cases, a_max):
         assert is_subset(enumerated, projected, 1e-9)
 
 
+@pytest.mark.parametrize("K, seeds, a_max", [(2, 10, None), (3, 10, None), (4, 3, 3)])
+def test_routes_agree_under_point_mass_inputs(K, seeds, a_max):
+    # Every entropy is 0, so every row has rhs 0 and all rows meet at the
+    # origin: the prunes settle such ties by LP (`polytope._implied`), which
+    # every one of these 46 cases reaches.
+    for seed in range(seeds):
+        spec = random_injective_channel(random.Random(f"point-mass/{K}/{seed}"), K, 3)
+        for symbol in (0, 1):
+            symbols = [min(symbol, n - 1) for n in spec.x_alphabet_sizes]
+            table = build_entropy_table(spec, InputDistribution.point_mass(spec, symbols))
+            projected = project_to_aggregate(build_A1(spec, table))
+            enumerated = enumerate_facets(spec, table, a_max=a_max)
+            difference = dicregion.polytope.compare(projected, enumerated, random.Random(seed))
+            assert difference is None, (K, seed, symbol, difference)
+
+
 def test_split_labels_fixed_order():
     assert split_labels(2) == ("R1p", "R1c", "R2p", "R2c")
 
@@ -295,10 +306,9 @@ def test_elimination_order_invariance_on_split_system():
         standard = project_to_aggregate(a1)
 
         K = a1.dim // 2
-        from dicregion.hk_region import aggregate_labels
         from dicregion.polytope import LinearInequality
 
-        labels = a1.labels + aggregate_labels(K)
+        labels = a1.labels + tuple(f"R{i}" for i in range(1, K + 1))
         rows = [LinearInequality(q.coeffs + (0,) * K, q.rhs) for q in a1.inequalities]
         for i in range(K):
             c = [0] * (3 * K)
@@ -551,7 +561,7 @@ def _plain_projection(a1):
     unit = lambda k, s: tuple(s if j == k else 0 for j in range(2 * K))
     keep = [k for k in range(2 * K) if k >= K or {(unit(k, 1), 0.0), (unit(k, -1), 0.0)} - set(rows)]
     sliced = [(tuple(c[k] for k in keep), b) for c, b in rows]
-    labels = split_labels(K)[0::2] + aggregate_labels(K)
+    labels = split_labels(K)[0::2] + tuple(f"R{i}" for i in range(1, K + 1))
     work = Region(len(keep), [LinearInequality(c, b) for c, b in sliced if any(c)],
                   [labels[k] for k in keep])
     for label in work.labels[:-K]:

@@ -899,9 +899,9 @@ def test_region_labels_must_be_strings():
 def test_region_labels_and_rows_must_fit_the_dimension():
     with pytest.raises(ValueError, match="^3 labels for dimension 2$"):
         R(2, [((1, 1), 1.0)], labels=("u", "v", "w"))
-    with pytest.raises(ValueError, match="^inequality arity 3 does not match dim 2$"):
+    with pytest.raises(ValueError, match=r"^inequality 2: coeffs \[1, 0, 1\] have arity 3, not dim 2$"):
         R(2, [((1, 1), 1.0), ((1, 0, 1), 1.0)])
-    with pytest.raises(ValueError, match="^inequality arity 1 does not match dim 2$"):
+    with pytest.raises(ValueError, match=r"^inequality 1: coeffs \[1\] have arity 1, not dim 2$"):
         Region._from_rows(2, [(1,)], [1.0])
 
 
