@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,11 +181,15 @@ def _is_real(v) -> bool:
 
 
 def _tuple(value, what: str, error=ChannelFormatError) -> tuple:
-    """`value` as a tuple, the one list rule: `error` naming `what` when it is not a sequence."""
-    try:
-        return tuple(value)
-    except TypeError:
-        raise error(f"{what} must be a list, got {value!r}") from None
+    """`value` as a tuple, the one list rule: `error` naming `what` when it is
+    not iterable, or is a string, bytes or a mapping, whose characters or
+    keys would pass for items."""
+    if not isinstance(value, (str, bytes, Mapping)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise error(f"{what} must be a list, got {value!r}")
 
 
 def _object(value, where: str = "") -> dict:

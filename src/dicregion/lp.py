@@ -18,7 +18,9 @@ one gets the previous answer.  Bland's rule (smallest label,
 u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
-fast enough.
+fast enough.  The private stacked solver `_maximize_stacks` starts a stack
+of packing systems at their greedy vertices (J. Edmonds, 1970) instead of
+at the slack basis.
 """
 
 from __future__ import annotations
@@ -181,12 +183,17 @@ def _maximize_stacks(C, A, b, tol):
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
     C is (B, n), A is (B, m, n) and b is (B, m), float arrays the caller has
-    checked: every entry finite and b >= 0 (phase 2 starts from the slack
-    basis), such as rows gathered from a region.  Each member makes
-    `maximize`'s pivots with its arithmetic, so its x equals that of
-    `maximize(C[i], System(A[i], b[i], tol=tol))` bit for bit and its value
-    is C[i] @ x.  Stacks hold at most _BATCH_CELLS tableau cells.  Returns
-    (values, X), inf and nan for unbounded members.
+    checked: every entry finite and b >= 0 (no phase 1), such as rows
+    gathered from a region.  A stack starts from the slack basis, where
+    each member makes `maximize`'s pivots with its arithmetic, so its x
+    equals that of `maximize(C[i], System(A[i], b[i], tol=tol))` bit for
+    bit.  When every member of a stack is a packing system with one sign row
+    -x_j <= 0 per coordinate, the stack starts at each member's greedy
+    vertex instead (`_greedy_start`), usually optimal already; a member then
+    agrees with `maximize` in status and in value within tol, but may end at
+    another of tied optima.  The choice depends only on the input.  A
+    member's value is C[i] @ x.  Stacks hold at most _BATCH_CELLS tableau
+    cells.  Returns (values, X), inf and nan for unbounded members.
     """
     m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
@@ -205,14 +212,23 @@ def _stack_size(m, n) -> int:
 def _solve_stack(C, A, b, tol, unbounded, X):
     """`maximize`'s phase 2 on a stack of tableaus (no auxiliary column: with
     no phase 1 it stays zero), writing each member's flag and point as it
-    finishes; finished members leave the stack."""
+    finishes; finished members leave the stack.  The tableaus start at the
+    slack basis, or, when `_greedy_start` finds one for every member, at the
+    greedy vertex (`_vertex_tableaus`)."""
     (size, n), m = C.shape, b.shape[1]
-    T = np.zeros((size, m + 1, 2 * n + 1))
-    T[:, :m, :n], T[:, m, :n], T[:, :m, -1] = A, -C, b
-    T[:, :, n : 2 * n] = -T[:, :, :n]
-    basis = np.tile(np.arange(2 * n, 2 * n + m), (size, 1))
-    nonbasic = np.tile(np.arange(2 * n), (size, 1))
-    member = at = np.arange(size)  # each tableau's row in `unbounded` and `X`
+    start = _greedy_start(C, A, b)
+    if start is None:
+        T = np.zeros((size, m + 1, 2 * n + 1))
+        T[:, :m, :n], T[:, m, :n], T[:, :m, -1] = A, -C, b
+        T[:, :, n : 2 * n] = -T[:, :, :n]
+        basis = np.tile(np.arange(2 * n, 2 * n + m), (size, 1))
+        nonbasic = np.tile(np.arange(2 * n), (size, 1))
+        member = np.arange(size)  # each tableau's row in `unbounded` and `X`
+    elif (warm := _vertex_tableaus(C, A, tol, X, *start)) is None:
+        return  # every member is optimal at its greedy vertex
+    else:
+        T, basis, nonbasic, member = warm
+    at = np.arange(len(T))
     for _ in range(_MAX_PIVOTS):
         neg = T[:, -1, :-1] < -tol
         j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
@@ -233,15 +249,106 @@ def _solve_stack(C, A, b, tol, unbounded, X):
             at = np.arange(len(T))
         ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
         tied = pos & (ratios <= ratios.min(1, keepdims=True) + tol)
-        r = np.where(tied, basis, 2 * n + m).argmin(1)
-        p, pcol = T[at, r, j], T[at, :, j]  # `_pivot` on every tableau
-        pcol[at, r] = 0.0
-        T[at, :, j] = 0.0
-        T[at, r, j] = 1.0
-        T[at, r] = row = T[at, r] / p[:, None]
-        T -= pcol[:, :, None] * row[:, None, :]
-        basis[at, r], nonbasic[at, j] = nonbasic[at, j], basis[at, r]
+        _pivot_stack(T, basis, nonbasic, np.where(tied, basis, 2 * n + m).argmin(1), j, at)
     raise RuntimeError("simplex pivot limit exceeded")
+
+
+def _pivot_stack(T, basis, nonbasic, r, j, at):
+    """`_pivot` on every tableau of a stack: tableau i (at = arange(len(T)))
+    exchanges basic label basis[i, r[i]] with nonbasic label nonbasic[i, j[i]]."""
+    p, pcol = T[at, r, j], T[at, :, j]
+    pcol[at, r] = 0.0
+    T[at, :, j] = 0.0
+    T[at, r, j] = 1.0
+    T[at, r] = row = T[at, r] / p[:, None]
+    T -= pcol[:, :, None] * row[:, None, :]
+    basis[at, r], nonbasic[at, j] = nonbasic[at, j], basis[at, r]
+
+
+def _vertex_tableaus(C, A, tol, X, tight, x, slack):
+    """Tableaus at the vertices where the n rows `tight` of each member are
+    tight, x its point and slack its row slacks.  With B the tight block,
+    u is basic with the tight rows' slacks and w nonbasic: u's rows read
+    B⁻¹ over the tight slacks and -1 at w, the other slacks' rows -A B⁻¹,
+    and the objective row C B⁻¹.  A member whose objective row has no entry
+    below -tol is optimal there, as the pivot loop's first test would
+    find: X gets its x, and it gets no tableau.  Returns the others'
+    tableaus, basis and nonbasic labels, and their rows in X, or None when
+    every member is optimal."""
+    size, m, n = A.shape
+    inv = np.linalg.inv(A[np.arange(size)[:, None], tight])
+    cost = (C[:, None] @ inv)[:, 0]
+    done = (cost >= -tol).all(1)
+    X[done] = x[done]
+    member = np.flatnonzero(~done)
+    if not len(member):
+        return None
+    C, A, tight, x, slack, inv, cost = (v[member] for v in (C, A, tight, x, slack, inv, cost))
+    T = np.zeros((len(member), m + 1, 2 * n + 1))
+    T[:, :m, :n], T[:, m, :n], T[:, :m, -1], T[:, m, -1] = -(A @ inv), cost, slack, (C * x).sum(1)
+    i = np.arange(len(member))[:, None]  # row tight[i, k] holds u_k
+    T[i, tight, :n], T[i, tight, n + np.arange(n)], T[i, tight, -1] = inv, -1.0, x
+    basis = np.tile(np.arange(2 * n, 2 * n + m), (len(member), 1))
+    basis[i, tight] = np.arange(n)
+    nonbasic = np.concatenate([2 * n + tight, np.tile(np.arange(n, 2 * n), (len(member), 1))], 1)
+    return T, basis, nonbasic, member
+
+
+def _greedy_start(C, A, b):
+    """Each member's greedy vertex (`_greedy` over its own rows, C its
+    objective) as (tight rows, x, slacks), or None unless in every member
+    each row with a negative entry is a sign row -x_j <= 0 and each x_j has
+    exactly one: a packing system, bounded below.  A coordinate that rose
+    is tight at its blocking row, the others at their sign rows, in the
+    walk's order.  Each blocking row is at slack 0 and has no entry in the
+    columns that rise after it, so the n rows are distinct and their block
+    is triangular up to order, hence nonsingular."""
+    (size, n), m = C.shape, b.shape[1]
+    rows, j = np.divmod(np.flatnonzero(A < 0), n)  # rows numbered over the stack
+    negative = A.reshape(size * m, n)[rows]
+    if len(j) != size * n or (negative != -np.eye(n)[j]).any() or b.ravel()[rows].any():
+        return None
+    sign_row = np.full(size * n, -1)
+    sign_row[rows // m * n + j] = rows % m
+    if (sign_row < 0).any():  # some x_j has no sign row, another two
+        return None
+    slack = b.copy()
+    x, order, blocking = _greedy(A, slack, C)
+    if not np.isfinite(x).all():  # a coordinate no row bounds: unbounded
+        return None
+    i = np.arange(size)[:, None]
+    return np.where(x[i, order] > 0, blocking, sign_row.reshape(size, n)[i, order]), x, slack
+
+
+def _greedy(A, slack, C, step=1):
+    """Edmonds' greedy walk (exact on one polymatroid) for each objective
+    C[i] over A x <= slack[i], A of shape (m, n) shared or (len(C), m, n):
+    from the origin, each x_e with C[i, e] > 0 rises in turn, largest
+    C[i, e] first (ties by index, or by reversed index when step is -1), as
+    far as every row allows; only rows with a positive entry in column e
+    bound it, and with none x_e is inf.  `slack` is updated in place.  A
+    coordinate that rises by t > 0 leaves its blocking row (the first of
+    smallest ratio) at slack exactly 0, so rounding cannot let a later
+    coordinate rise through it.  Returns the points, the order of the
+    coordinates and, in that order, each one's blocking row (meaningful
+    where it rose)."""
+    size, n = C.shape
+    at = np.arange(size)
+    order = np.argsort(-C[:, ::step], axis=1, kind="stable")
+    order = order if step == 1 else n - 1 - order
+    rise = C[at[:, None], order] > 0
+    X, blocking = np.zeros((size, n)), np.zeros((size, n), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore"):  # ratios where col > 0 only
+        for k, e in enumerate(order.T[: rise.sum(1).max(initial=0)]):  # the rest stay 0
+            col = A.T[e] if A.ndim == 2 else A[at, :, e]
+            ratios = np.where(col > 0, slack / col, np.inf)
+            blocking[:, k] = r = ratios.argmin(1)
+            t = ratios[at, r]
+            up = rise[:, k] & (t > 0)
+            X[at, e] = t = np.where(up, t, 0.0)
+            slack -= t[:, None] * col
+            slack[at[up], r[up]] = 0.0
+    return X, order, blocking
 
 
 def _iterate(T, basis, nonbasic, tol, unused, m):

@@ -303,7 +303,10 @@ def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
     The rows come from a region, finite and here b >= 0, so they are not
-    checked again."""
+    checked again.  On a packing system whose sign rows cover every
+    coordinate, as in every prune of the projection, each LP starts at its
+    greedy vertex (`lp._maximize_stacks`): `_witnessed`'s walk, in
+    decreasing a_k order, over that LP's own rows."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
     return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)
@@ -311,26 +314,18 @@ def _capped(A, b, rows, tested, tol):
 
 def _witnessed(A, b, tested, tol):
     """The rows in `tested` that a greedy point proves needed (b >= 0).  For
-    each k, from the origin, each x_e with a_k[e] > 0 in turn, largest a_k[e]
-    first, rises as far as every row allows, row k capped at b_k + 1 as in
-    `_capped`: Edmonds' greedy algorithm, exact on one polymatroid.  k is
-    needed when the point exceeds b_k by over tol and no other row by over
-    tol, step A's test.  Ties go by index, then, over the misses, by reversed
-    index.  Only rows with a positive entry in column e bound x_e, so every
-    point is feasible up to rounding and the test keeps only rows the LP
-    over all other rows would keep."""
-    n, found = A.shape[1], []
+    each k, `lp._greedy` walks from the origin in a_k's order over every
+    row, row k capped at b_k + 1 as in `_capped`.  k is needed when the
+    point exceeds b_k by over tol and no other row by over tol, step A's
+    test.  Ties go by index, then, over the misses, by reversed index.
+    Only rows with a positive entry in column e bound x_e, so every point
+    is feasible up to rounding and the test keeps only rows the LP over
+    all other rows would keep."""
+    found = []
     for step in (1, -1):
         rows = np.arange(len(tested))
-        order = np.argsort(-A[tested][:, ::step], axis=1, kind="stable")
-        slack = b + (np.arange(len(b)) == tested[:, None])  # in place, as x rises
-        X = np.zeros((len(tested), n))
-        for e in (order if step == 1 else n - 1 - order).T:
-            col = A.T[e]
-            ratios = np.divide(slack, col, out=np.full(col.shape, np.inf), where=col > 0)
-            X[rows, e] = t = np.where(col[rows, tested] > 0, ratios.min(1), 0.0)
-            slack -= t[:, None] * col
-        excess = X @ A.T - b
+        slack = b + (np.arange(len(b)) == tested[:, None])
+        excess = lp._greedy(A, slack, A[tested], step)[0] @ A.T - b
         over = excess[rows, tested] > tol
         excess[rows, tested] = -np.inf
         hit = over & (excess.max(1) <= tol)
@@ -345,7 +340,9 @@ def _certify(A, b, sign, kept, dropped, tol):
     (every row but the sign rows in mask `sign` nonnegative), the rows that
     `_witnessed` finds are kept; elsewhere greedy points rarely find one.
     Each round of LPs is one `_capped` call, which runs every member to its
-    optimum; a round over all other rows decides every row it tests."""
+    optimum, from its greedy vertex on a packing system whose sign rows
+    cover every coordinate; a round over all other rows decides every row
+    it tests."""
     if ((A >= 0).all(1) | sign).all():
         kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
         if kept.all():
@@ -599,7 +596,10 @@ def _document_row(k, coeffs, rhs) -> LinearInequality:
             raise TypeError(f"{where}{field} {value!r} is not a real number")
     try:
         row = LinearInequality(coeffs, rhs)
-    except (ValueError, OverflowError) as exc:  # OverflowError: an rhs beyond any float
+    except OverflowError:  # an integer rhs beyond any float
+        bits = abs(rhs).bit_length()
+        raise ValueError(f"{where}rhs of {bits} bits is beyond the float range") from None
+    except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
     for c in row.coeffs:
         if abs(c) > 2**53:

@@ -66,6 +66,11 @@ CASES = {
         ({**XOR, "f": [[[0, 1], [1, 0.5]], XOR["f"][1]]},
          "receiver 1, input 1: non-integer output entry"),
         ([1, 2], "list, not an object"),
+        # A string or an object stands for no list: its characters or keys
+        # used to be read as the items.
+        ({**XOR, "x_alphabet_sizes": {"2": 0, "3": 1}},
+         "alphabet sizes must be a list, got {'2': 0, '3': 1}"),
+        ({**XOR, "g": ["01", [0, 1]]}, "user 1: interference table must be a list, got '01'"),
     ],
     "distribution": [
         ({}, "'p'"),
@@ -77,6 +82,8 @@ CASES = {
         ({"p": [[1.5, -0.5], [0.5, 0.5]]}, "user 1: negative probability entry"),
         ({"p": [[0.5, 0.5], [0.5, 0.4]]}, "user 2: probabilities sum to 0.9, not 1"),
         ([1, 2], "list, not an object"),
+        ({"p": "0.5"}, "probabilities must be a list, got '0.5'"),
+        ({"p": [[0.5, 0.5], {"0.5": 1}]}, "user 2: probabilities must be a list, got {'0.5': 1}"),
     ],
     "region": [
         (_without(SIMPLEX, "inequalities"), "'inequalities'"),
@@ -114,6 +121,13 @@ CASES = {
          "inequality 2: int, not an object"),
         ({"dim": 2, "inequalities": [{"coeffs": [1, 0], "rhs": 1}, {"rhs": 1}]},
          "inequality 2: missing 'coeffs'"),
+        (_first_row(coeffs="12"), "inequality 1: coeffs must be a list, got '12'"),
+        (_first_row(coeffs={"a": 1, "b": 2}),
+         "inequality 1: coeffs must be a list, got {'a': 1, 'b': 2}"),
+        ({**SIMPLEX, "inequalities": {"coeffs": [1, 1], "rhs": 1.0}},
+         "inequalities must be a list, got {'coeffs': [1, 1], 'rhs': 1.0}"),
+        (_first_row(rhs=10**400), "inequality 1: rhs of 1329 bits is beyond the float range"),
+        (_first_row(rhs=-(2**1024)), "inequality 1: rhs of 1025 bits is beyond the float range"),
     ],
     "facet": [
         (_without(FACET, "S"), "'S'"),
@@ -129,6 +143,8 @@ CASES = {
         ({**FACET, "S": [[[], [0, 2]], [[1]]]}, "receiver 1: subset [0, 2] not within 1..2"),
         ({**FACET, "S": [[[], [1.0]], [[1]]]}, "receiver 1: subset {1.0} has a non-integer member"),
         ([1, 2], "list, not an object"),
+        ({**FACET, "a": "21"}, "weights must be a list, got '21'"),
+        ({**FACET, "S": [[[], "12"], [[1]]]}, "receiver 1: subset must be a list, got '12'"),
     ],
     "scheme": [
         (_without(SCHEME, "c"), "'c'"),
@@ -146,6 +162,8 @@ CASES = {
         ({**SCHEME, "c": [[1, 2]]}, "entry 1: list, not an object"),
         ({**SCHEME, "c": [*SCHEME["c"], 5]}, "entry 2: int, not an object"),
         ({**SCHEME, "c": [*SCHEME["c"], {"i": 2, "M": [1]}]}, "entry 2: missing 'w'"),
+        ({**SCHEME, "c": SCHEME["c"][0]}, "entries must be a list, got {'i': 1, 'M': [1, 2], 'w': 2}"),
+        (_entry(M="12"), "receiver 1: subset must be a list, got '12'"),
     ],
 }
 

@@ -526,6 +526,36 @@ def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
     assert 0 < sum(members) <= 32
 
 
+@pytest.mark.parametrize("case, steps, pivots", [(_sweep_k4_x8, 9, 28), (_binary_k6, 3, 3)],
+                         ids=["k4-x8", "binary-k6"])
+def test_greedy_starts_pin_the_stacked_pivots(monkeypatch, case, steps, pivots):
+    # Every prune of the projection is a packing system with one sign row per
+    # coordinate, so each stacked LP starts at its greedy vertex: n tight rows
+    # per member, one per coordinate.  From the slack basis these projections
+    # took 42 stack pivot steps with 626 member pivots (k4-x8) and 7 with 62
+    # (binary-k6).
+    spec, dist = case()
+    a1 = build_A1(spec, table_for(spec, dist))
+    pivot_stack, greedy_start = dicregion.lp._pivot_stack, dicregion.lp._greedy_start
+    made, starts = [], []
+
+    def counting(T, *args):
+        made.append(len(T))
+        return pivot_stack(T, *args)
+
+    def recording(C, A, b):
+        starts.append((C.shape[1], greedy_start(C, A, b)))
+        return starts[-1][1]
+
+    monkeypatch.setattr(dicregion.lp, "_pivot_stack", counting)
+    monkeypatch.setattr(dicregion.lp, "_greedy_start", recording)
+    project_to_aggregate(a1)
+    assert (len(made), sum(made)) == (steps, pivots)
+    assert starts and all(start is not None for _, start in starts)
+    for n, (tight, _, _) in starts:
+        assert tight.shape[1] == n and all(len(set(rows)) == n for rows in tight.tolist())
+
+
 def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
     # Every binary user is pinned (H(Y_i | V_1..V_K) = 0), so no LP of the
     # projection runs over the 2K-dimensional split system.

@@ -610,6 +610,95 @@ def test_batch_members_finish_apart_and_one_is_unbounded():
     assert X[0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
 
 
+def _assert_greedy_start(C, A, b):
+    """`lp._greedy_start` on one stack: n distinct rows per member, each at
+    slack exactly 0 at the start's feasible point, with a nonsingular block."""
+    start = lp._greedy_start(C, A, b)
+    assert start is not None
+    tight, x, slack = start
+    size, m, n = A.shape
+    assert tight.shape == (size, n)
+    assert all(len(set(rows)) == n for rows in tight.tolist())  # one per coordinate
+    assert (np.take_along_axis(slack, tight, 1) == 0).all()
+    assert (A @ x[:, :, None] <= b[:, :, None] + 1e-12).all()
+    assert (np.linalg.matrix_rank(A[np.arange(size)[:, None], tight]) == n).all()
+    return start
+
+
+def test_a_degenerate_greedy_start_is_nonsingular():
+    # The capped LP of (3,3,1) . x <= 0.9 beside (3,3,3) . x <= 0.9 at tol 0,
+    # as `polytope._capped` poses it.  x1 rises to about 0.3, blocked by the
+    # first row, whose slack rounds to about 1e-16; unless that slack is set
+    # to 0, x2 rises through it by about 4e-17, blocked by the same row, and
+    # the tight block repeats a row and is singular.
+    A = np.array([[[3, 3, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1], [3, 3, 1]]], dtype=float)
+    b = np.array([[0.9, 0.0, 0.0, 0.0, 1.9]])
+    C = np.array([[3.0, 3.0, 1.0]])
+    assert 0.9 - 3 * (0.9 / 3) != 0  # the rounding this guards against
+    tight, x, _ = _assert_greedy_start(C, A, b)
+    assert tight.tolist() == [[0, 2, 3]] and x.tolist() == [[0.9 / 3, 0.0, 0.0]]
+    values, X = lp._maximize_stacks(C, A, b, 0.0)
+    res = _maximize(C[0], A[0], b[0], tol=0.0)
+    assert res.status == lp.OPTIMAL and values[0] == pytest.approx(res.value, abs=1e-15)
+
+
+def test_greedy_start_members_agree_with_maximize_on_packing_stacks():
+    # Packing stacks (nonnegative rows, b >= 0 with zeros, the sign rows
+    # -x_j <= 0 shuffled in) start at their greedy vertices.  Each member
+    # then ends where `maximize` on its own System does, up to ties among
+    # optima: the same status and the value within tol.  Half the stacks
+    # are `_capped`'s LPs, max a_k.x with row k capped at b_k + 1; the
+    # others maximize mixed-sign objectives under a bounding row of ones.
+    rng = np.random.default_rng(38)
+    warm = 0
+    for trial in range(150):
+        size, m, n = rng.integers(1, 9), rng.integers(1, 10), rng.integers(1, 6)
+        rows = rng.integers(0, 4, (size, m, n)) * (rng.random((size, m, n)) < 0.6)
+        b = rng.integers(0, 5, (size, m)) * rng.random((size, m)) ** (trial % 3)
+        if trial % 2:
+            C = rows[:, 0].astype(float)
+            b[:, 0] += 1
+        else:
+            C = rng.integers(-2, 4, (size, n)).astype(float)
+            rows[:, 0], b[:, 0] = 1, 10
+        A = np.concatenate([rows, np.tile(-np.eye(n, dtype=int), (size, 1, 1))], 1).astype(float)
+        b = np.concatenate([b, np.zeros((size, n))], 1)
+        for i in range(size):
+            shuffle = rng.permutation(m + n)
+            A[i], b[i] = A[i, shuffle], b[i, shuffle]
+        tol = (1e-9, 0.0)[trial % 5 == 0]
+        _assert_greedy_start(C, A, b)
+        values, X = lp._maximize_stacks(C, A, b, tol)
+        for i in range(size):
+            res = _maximize(C[i], A[i], b[i], tol=tol)
+            assert res.status == lp.OPTIMAL and np.isfinite(values[i])
+            assert values[i] == pytest.approx(res.value, abs=max(tol, 1e-12))
+            assert (A[i] @ X[i] <= b[i] + 1e-9).all()
+        warm += size
+    assert warm > 500
+
+
+def test_stacks_without_a_greedy_start_keep_the_slack_basis():
+    # A coordinate without a sign row, a second sign row for one coordinate,
+    # a row of mixed signs, a nonzero rhs on -x_j, and an objective no row
+    # bounds: each stack starts at the slack basis, so every member equals
+    # `maximize` bit for bit.
+    box = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
+    b = np.array([1.0, 2.0, 0.0, 0.0])
+    cases = [
+        (box[[0, 1, 2]], b[[0, 1, 2]]),
+        (box[[0, 1, 2, 3, 3]], b[[0, 1, 2, 3, 3]]),
+        (np.vstack([box, [1, -1]]), np.append(b, 1.0)),
+        (box, np.array([1.0, 2.0, 0.0, 0.5])),
+        (box[[0, 2, 3]], b[[0, 2, 3]]),
+    ]
+    for A, b_ in cases:
+        C = np.array([[1.0, 1.0], [2.0, -1.0]])
+        A, b_ = np.stack([A, A]), np.stack([b_, b_])
+        assert lp._greedy_start(C, A, b_) is None
+        _assert_batch_matches_maximize(C, A, b_)
+
+
 def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
     monkeypatch.setattr(lp, "_BATCH_CELLS", 3 * 5 * 2)  # two members of 3 x 5 cells
     rng = np.random.default_rng(6)
