@@ -17,12 +17,6 @@ The others go user by user: a redundancy prune, the substitution
 R_ic = R_i - R_ip in exact integers, and Fourier-Motzkin elimination of R_ip.
 Substituted only then, every row the prune sees but -x_j <= 0 is nonnegative
 (a packing system, whose rows greedy witnesses decide).
-
-A pinned rate is found among the rows with right-hand side exactly 0.  The
-slice depends only on the left-hand sides and on the kept columns.  Every
-`build_A1` region with this K shares its left-hand sides as `_a1_lhs(K)`,
-so its slices are cached by K and the kept columns; any other region's
-slice is computed afresh.
 """
 
 from __future__ import annotations
@@ -49,7 +43,7 @@ __all__ = [
     "project_to_aggregate",
 ]
 
-_FORMS = 16  # slices of the shared split rows kept for reuse
+_FORMS = 16  # slices of split rows kept for reuse
 
 
 def split_labels(K: int) -> tuple[str, ...]:
@@ -82,6 +76,7 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
 
 
+@functools.lru_cache(maxsize=_FORMS)
 def _sliced(lhs, keep: tuple[int, ...]):
     """The rows restricted to the columns `keep`: the nonzero restricted
     rows, their positions, and the positions of the zero ones."""
@@ -94,11 +89,6 @@ def _sliced(lhs, keep: tuple[int, ...]):
 def _pins(K: int) -> tuple[frozenset, ...]:
     """For each user i, the rows R_ip and -R_ip of a split region with K users."""
     return tuple(frozenset({e, tuple(-c for c in e)}) for e in _nonneg_lhs(2 * K)[0::2])
-
-
-@functools.lru_cache(maxsize=_FORMS)
-def _a1_sliced(K: int, keep: tuple[int, ...]):
-    return _sliced(_a1_lhs(K), keep)
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
@@ -123,9 +113,7 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     zero = {a1.lhs[r] for r in np.flatnonzero(rhs == 0.0).tolist()}
     free = [i for i, pin in enumerate(_pins(K), 1) if pin - zero]
     keep = tuple(2 * i - 2 for i in free) + tuple(range(1, 2 * K, 2))
-    # The length first, so that a foreign region does not build `_a1_lhs(K)`.
-    shared = len(a1.lhs) == K * (2**K + 2) and a1.lhs is _a1_lhs(K)
-    lhs, rows, zero_rows = _a1_sliced(K, keep) if shared else _sliced(a1.lhs, keep)
+    lhs, rows, zero_rows = _sliced(a1.lhs, keep)
     low = rhs[zero_rows] < -tol
     if low.any():
         raise InfeasibleRegionError(f"the system implies 0 <= {rhs[zero_rows][low][0].item()}")

@@ -18,9 +18,8 @@ one gets the previous answer.  Bland's rule (smallest label,
 u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
-fast enough.  The private stacked solver `_maximize_stacks` starts a stack
-of packing systems at their greedy vertices (J. Edmonds, 1970) instead of
-at the slack basis.
+fast enough.  The private stacked solver `_maximize_stacks` takes packing
+systems only, and starts each at its greedy vertex (J. Edmonds, 1970).
 """
 
 from __future__ import annotations
@@ -183,17 +182,15 @@ def _maximize_stacks(C, A, b, tol):
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
     C is (B, n), A is (B, m, n) and b is (B, m), float arrays the caller has
-    checked: every entry finite and b >= 0 (no phase 1), such as rows
-    gathered from a region.  A stack starts from the slack basis, where
-    each member makes `maximize`'s pivots with its arithmetic, so its x
-    equals that of `maximize(C[i], System(A[i], b[i], tol=tol))` bit for
-    bit.  When every member of a stack is a packing system with one sign row
-    -x_j <= 0 per coordinate, the stack starts at each member's greedy
-    vertex instead (`_greedy_start`), usually optimal already; a member then
-    agrees with `maximize` in status and in value within tol, but may end at
-    another of tied optima.  The choice depends only on the input.  A
-    member's value is C[i] @ x.  Stacks hold at most _BATCH_CELLS tableau
-    cells.  Returns (values, X), inf and nan for unbounded members.
+    checked: every entry finite, b >= 0 (no phase 1), each member a packing
+    system (every row nonnegative but one sign row -x_j <= 0 per coordinate)
+    in which a row with a positive entry bounds each x_j that C[i] weighs
+    positively, such as `polytope._capped`'s LPs.  Each member starts at its
+    greedy vertex (`_greedy_start`), usually optimal already, and agrees
+    with `maximize` on its own System in status and in value within tol, but
+    may end at another of tied optima.  A member's value is C[i] @ x.
+    Stacks hold at most _BATCH_CELLS tableau cells.  Returns (values, X),
+    inf and nan for unbounded members.
     """
     m, n = A.shape[1:]
     unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
@@ -210,24 +207,15 @@ def _stack_size(m, n) -> int:
 
 
 def _solve_stack(C, A, b, tol, unbounded, X):
-    """`maximize`'s phase 2 on a stack of tableaus (no auxiliary column: with
-    no phase 1 it stays zero), writing each member's flag and point as it
-    finishes; finished members leave the stack.  The tableaus start at the
-    slack basis, or, when `_greedy_start` finds one for every member, at the
-    greedy vertex (`_vertex_tableaus`)."""
-    (size, n), m = C.shape, b.shape[1]
-    start = _greedy_start(C, A, b)
-    if start is None:
-        T = np.zeros((size, m + 1, 2 * n + 1))
-        T[:, :m, :n], T[:, m, :n], T[:, :m, -1] = A, -C, b
-        T[:, :, n : 2 * n] = -T[:, :, :n]
-        basis = np.tile(np.arange(2 * n, 2 * n + m), (size, 1))
-        nonbasic = np.tile(np.arange(2 * n), (size, 1))
-        member = np.arange(size)  # each tableau's row in `unbounded` and `X`
-    elif (warm := _vertex_tableaus(C, A, tol, X, *start)) is None:
+    """`maximize`'s phase 2 on a stack of tableaus started at each member's
+    greedy vertex (`_greedy_start`, `_vertex_tableaus`), writing each
+    member's flag and point as it finishes; finished members leave the
+    stack."""
+    n, m = C.shape[1], b.shape[1]
+    warm = _vertex_tableaus(C, A, tol, X, *_greedy_start(C, A, b))
+    if warm is None:
         return  # every member is optimal at its greedy vertex
-    else:
-        T, basis, nonbasic, member = warm
+    T, basis, nonbasic, member = warm
     at = np.arange(len(T))
     for _ in range(_MAX_PIVOTS):
         neg = T[:, -1, :-1] < -tol
@@ -296,28 +284,16 @@ def _vertex_tableaus(C, A, tol, X, tight, x, slack):
 
 def _greedy_start(C, A, b):
     """Each member's greedy vertex (`_greedy` over its own rows, C its
-    objective) as (tight rows, x, slacks), or None unless in every member
-    each row with a negative entry is a sign row -x_j <= 0 and each x_j has
-    exactly one: a packing system, bounded below.  A coordinate that rose
-    is tight at its blocking row, the others at their sign rows, in the
-    walk's order.  Each blocking row is at slack 0 and has no entry in the
-    columns that rise after it, so the n rows are distinct and their block
-    is triangular up to order, hence nonsingular."""
-    (size, n), m = C.shape, b.shape[1]
-    rows, j = np.divmod(np.flatnonzero(A < 0), n)  # rows numbered over the stack
-    negative = A.reshape(size * m, n)[rows]
-    if len(j) != size * n or (negative != -np.eye(n)[j]).any() or b.ravel()[rows].any():
-        return None
-    sign_row = np.full(size * n, -1)
-    sign_row[rows // m * n + j] = rows % m
-    if (sign_row < 0).any():  # some x_j has no sign row, another two
-        return None
+    objective) as (tight rows, x, slacks), on the stacks `_maximize_stacks`
+    takes.  A coordinate that rose is tight at its blocking row, the others
+    at their sign rows, in the walk's order.  Each blocking row is at slack
+    0 and has no entry in the columns that rise after it, so the n rows are
+    distinct and their block is triangular up to order, hence nonsingular."""
+    sign_row = (A < 0).argmax(1)  # the one negative entry of each column
     slack = b.copy()
     x, order, blocking = _greedy(A, slack, C)
-    if not np.isfinite(x).all():  # a coordinate no row bounds: unbounded
-        return None
-    i = np.arange(size)[:, None]
-    return np.where(x[i, order] > 0, blocking, sign_row.reshape(size, n)[i, order]), x, slack
+    i = np.arange(len(C))[:, None]
+    return np.where(x[i, order] > 0, blocking, sign_row[i, order]), x, slack
 
 
 def _greedy(A, slack, C, step=1):

@@ -254,25 +254,27 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     Each certificate LP caps row k at b_k + 1, so `tol` must be at least 0
     and below 1.
 
-    When every b_i >= 0, certificates decide most rows, each round of LPs in
-    one `lp._maximize_stacks` call.  Kept rows (the above and certified keeps)
+    On a packing system (every b_i >= 0, every row but the sign rows
+    nonnegative, a sign row for every coordinate), such as every prune of
+    the projection, certificates decide most rows, each round of LPs in one
+    `lp._maximize_stacks` call.  Kept rows (the above and certified keeps)
     are alive at every turn and the alive rows are among all others, so a
     value <= b_k + tol over kept rows drops k, and > b_k + tol over all others
-    keeps it.  On a packing system (every row but the sign rows nonnegative),
-    a greedy point above b_k + tol that violates no other row by over tol
-    keeps k first, with no LP (`_witnessed`).  Step A: over the kept rows,
-    drop, or keep when the optimum violates no other row by over tol.  Step B:
-    the LP over all others, output-sensitively (Clarkson, FOCS 1994): the
-    working set gains the rows its optimum violates most, doubling by at least
-    5, until none is violated (keep) or the value is <= b_k + tol; a round that
-    fits one `_maximize_stacks` stack takes all others instead, and so decides
-    every row (`_capped`).  Step C: a row step B bounded is dropped when
-    every working row tight at its optimum ends kept (by complementary
-    slackness they bound a_k.x by the same value); the other bounded rows are
-    tested over the kept rows again and dropped when bounded.  Rows left open
-    (ties: scaled duplicates, two rows on one face of a lower-dimensional
-    region), and all rows when some b_i < 0 or the region has no coordinate,
-    take one LP over the rows alive at their turn, posed as region forms are (`_implied`).
+    keeps it.  A greedy point above b_k + tol that violates no other row by
+    over tol keeps k first, with no LP (`_witnessed`).  Step A: over the kept
+    rows, drop, or keep when the optimum violates no other row by over tol.
+    Step B: the LP over all others, output-sensitively (Clarkson, FOCS 1994):
+    the working set gains the rows its optimum violates most, doubling by at
+    least 5, until none is violated (keep) or the value is <= b_k + tol; a
+    round that fits one `_maximize_stacks` stack takes all others instead,
+    and so decides every row (`_capped`).  Step C: a row step B bounded is
+    dropped when every working row tight at its optimum ends kept (by
+    complementary slackness they bound a_k.x by the same value); the other
+    bounded rows are tested over the kept rows again and dropped when
+    bounded.  Rows left open (ties: scaled duplicates, two rows on one face
+    of a lower-dimensional region), and all rows of any other system, take
+    one LP over the rows alive at their turn, posed as region forms are
+    (`_implied`).
     """
     if not 0 <= tol < 1:
         raise ValueError(f"prune tolerance must be at least 0 and below 1, got {tol}")
@@ -283,8 +285,9 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     sign = _sign_rows(A, b)
     kept = sign | np.array([pair in facets for pair in best.items()], dtype=bool)
     dropped = np.zeros(len(lhs), dtype=bool)
-    if not kept.all() and b.min() >= 0 and region.dim > 0:
-        _certify(A, b, sign, kept, dropped, tol)
+    packing = b.min(initial=0) >= 0 and ((A >= 0).all(1) | sign).all() and (A[sign] != 0).any(0).all()
+    if not kept.all() and region.dim > 0 and packing:
+        _certify(A, b, kept, dropped, tol)
     if (kept | dropped).all():  # no open row: no turn changes the mask
         alive = ~dropped
     else:
@@ -302,11 +305,10 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
 def _capped(A, b, rows, tested, tol):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
-    The rows come from a region, finite and here b >= 0, so they are not
-    checked again.  On a packing system whose sign rows cover every
-    coordinate, as in every prune of the projection, each LP starts at its
-    greedy vertex (`lp._maximize_stacks`): `_witnessed`'s walk, in
-    decreasing a_k order, over that LP's own rows."""
+    The rows come from `_certify`'s packing system and include its sign
+    rows, so each LP is one `lp._maximize_stacks` takes: the capped row k
+    bounds every coordinate a_k weighs.  Each starts at its greedy vertex,
+    `_witnessed`'s walk, in decreasing a_k order, over that LP's own rows."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
     return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)
@@ -334,19 +336,15 @@ def _witnessed(A, b, tested, tol):
     return np.concatenate(found)
 
 
-def _certify(A, b, sign, kept, dropped, tol):
-    """Steps A-C of `prune_redundant` (every b_i >= 0): mark certified keeps
-    in `kept` and certified drops in `dropped`.  First, on a packing system
-    (every row but the sign rows in mask `sign` nonnegative), the rows that
-    `_witnessed` finds are kept; elsewhere greedy points rarely find one.
-    Each round of LPs is one `_capped` call, which runs every member to its
-    optimum, from its greedy vertex on a packing system whose sign rows
-    cover every coordinate; a round over all other rows decides every row
-    it tests."""
-    if ((A >= 0).all(1) | sign).all():
-        kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
-        if kept.all():
-            return
+def _certify(A, b, kept, dropped, tol):
+    """Steps A-C of `prune_redundant` on a packing system with a sign row per
+    coordinate: mark certified keeps in `kept` and certified drops in
+    `dropped`.  First the rows that `_witnessed` finds are kept.  Each round
+    of LPs is one `_capped` call, which runs every member to its optimum; a
+    round over all other rows decides every row it tests."""
+    kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
+    if kept.all():
+        return
     tested = np.flatnonzero(~kept)
     working = np.tile(kept, (len(tested), 1))  # step A: the kept rows
     bounded_rows, tight = [], []

@@ -485,6 +485,53 @@ def test_every_prune_of_the_projection_receives_a_packing_system(monkeypatch):
         assert (A[~dicregion.polytope._sign_rows(A, b)] >= 0).all()
 
 
+def _pool(name, sizes, count):
+    """A perfbench pool: channel and full-support input from the key name/k."""
+    pool = []
+    for k in range(count):
+        rng = random.Random(f"{name}/{k}")
+        spec = injective_channel_of_sizes(rng, sizes(rng))
+        pool.append((spec, random_full_support(rng, spec)))
+    return pool
+
+
+def test_every_stacked_lp_is_a_packing_system_with_one_sign_row_per_coordinate(monkeypatch):
+    # `lp._maximize_stacks` does not check its input: every member must be
+    # a packing system (b >= 0, every row nonnegative but the sign rows)
+    # with exactly one sign row per coordinate, and a row with a positive
+    # entry must bound each coordinate its objective weighs positively.
+    # `prune_redundant` certifies only such systems; this checks every
+    # stack of the benchmark pools and of seeded channels through both routes.
+    maximize_stacks, members = dicregion.lp._maximize_stacks, []
+
+    def checking(C, A, b, tol=1e-9):
+        sign = (b == 0) & ((A != 0).sum(2) == 1) & (A.sum(2) == -1)
+        assert (b >= 0).all() and (A[~sign] >= 0).all()
+        assert (((A != 0) & sign[:, :, None]).sum(1) == 1).all()
+        assert ((A > 0).any(1) | (C <= 0)).all()
+        members.append(len(C))
+        return maximize_stacks(C, A, b, tol=tol)
+
+    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", checking)
+    sweep = _sweep_k4_x8()[0]
+    for spec, dist in _pool("project-k6", lambda rng: [2] * 6, 6) + [
+        (sweep, random_full_support(random.Random(f"sweep-k4-x8/{k}"), sweep)) for k in range(16)
+    ]:
+        project_to_aggregate(build_A1(spec, table_for(spec, dist)))
+    both = _pool("certify-k3", lambda rng: [rng.randint(2, 4) for _ in range(3)], 9)
+    rng = random.Random(40)
+    for trial in range(120):
+        spec = random_injective_channel(rng, 2 + trial % 3, 4)
+        dist = (random_full_support(rng, spec), InputDistribution.uniform(spec), with_zeros(rng, spec),
+                InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes]))[trial % 4]
+        both.append((spec, dist))
+    for spec, dist in both:
+        table = table_for(spec, dist)
+        project_to_aggregate(build_A1(spec, table))
+        enumerate_facets(spec, table)
+    assert len(members) > 200 and sum(members) > 2000
+
+
 def test_greedy_witnesses_decide_the_k4_x8_prunes(monkeypatch):
     # With every user substituted before the first prune, this projection
     # sent 297 members through the stacked solver in 9 calls, and the
@@ -551,7 +598,7 @@ def test_greedy_starts_pin_the_stacked_pivots(monkeypatch, case, steps, pivots):
     monkeypatch.setattr(dicregion.lp, "_greedy_start", recording)
     project_to_aggregate(a1)
     assert (len(made), sum(made)) == (steps, pivots)
-    assert starts and all(start is not None for _, start in starts)
+    assert starts
     for n, (tight, _, _) in starts:
         assert tight.shape[1] == n and all(len(set(rows)) == n for rows in tight.tolist())
 
@@ -601,7 +648,12 @@ def _plain_projection(a1):
 
 
 def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
+    # The route's region is `_plain_projection`'s and its own with no facets
+    # carried, byte for byte, and the carried facets never add an LP.  The
+    # plain loop's prunes are not packing systems, so they take one LP per
+    # row and their count says nothing of the facets.
     maximize, maximize_stacks = dicregion.lp.maximize, dicregion.lp._maximize_stacks
+    prune = dicregion.hk_region.prune_redundant
     calls = []
 
     def counting(c, system):
@@ -627,17 +679,21 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
         route = project_to_aggregate(a1)
         route_calls = len(calls)
         del calls[:]
-        plain = _plain_projection(a1)
-        assert route.lhs == plain.lhs and route.labels == plain.labels
-        assert route.rhs.tobytes() == plain.rhs.tobytes()
-        assert route_calls <= len(calls)
-        fewer += route_calls < len(calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(dicregion.hk_region, "prune_redundant", lambda work, tol, facets=(): prune(work, tol=tol))
+            bare = project_to_aggregate(a1)
+        bare_calls = len(calls)
+        for other in (bare, _plain_projection(a1)):
+            assert route.lhs == other.lhs and route.labels == other.labels
+            assert route.rhs.tobytes() == other.rhs.tobytes()
+        assert route_calls <= bare_calls
+        fewer += route_calls < bare_calls
     assert fewer  # carried facets skipped LPs on some channel
 
 
 def test_projection_reads_the_same_rows_from_an_equal_unshared_lhs():
-    # The slices of the shared `_a1_lhs(K)` are cached by K and the kept
-    # columns; a region with equal rows of its own takes its slice afresh.
+    # Slices are cached by the value of the rows and the kept columns, so a
+    # region with equal rows of its own reads the slice of `_a1_lhs(K)`.
     rng = random.Random(8)
     for K, max_x in ((3, 3), (4, 2)):
         spec = random_injective_channel(rng, K, max_x)

@@ -564,58 +564,59 @@ def test_right_hand_side_must_match_the_rows():
         _maximize([1.0], [], [1.0, 2.0])
 
 
-def _stacks(C, A, b):
-    """`lp._maximize_stacks` on lists or arrays."""
-    return lp._maximize_stacks(*(np.asarray(v, dtype=float) for v in (C, A, b)), 1e-9)
+def _packing_stack(rng, size, m, n, capped, power=0):
+    """A seeded packing stack: m nonnegative rows per member with b >= 0 and
+    zeros (scaled by uniform draws to `power`), and the sign rows -x_j <= 0
+    shuffled in.  With `capped`, the objective is row 0 with b_0 raised by
+    1, as `polytope._capped` poses its LPs; else it is mixed-sign under a
+    bounding row 0 of ones."""
+    rows = rng.integers(0, 4, (size, m, n)) * (rng.random((size, m, n)) < 0.6)
+    b = rng.integers(0, 5, (size, m)) * rng.random((size, m)) ** power
+    if capped:
+        C = rows[:, 0].astype(float)
+        b[:, 0] += 1
+    else:
+        C = rng.integers(-2, 4, (size, n)).astype(float)
+        rows[:, 0], b[:, 0] = 1, 10
+    A = np.concatenate([rows, np.tile(-np.eye(n, dtype=int), (size, 1, 1))], 1).astype(float)
+    b = np.concatenate([b, np.zeros((size, n))], 1)
+    for i in range(size):
+        shuffle = rng.permutation(m + n)
+        A[i], b[i] = A[i, shuffle], b[i, shuffle]
+    return C, A, b
 
 
-def _assert_batch_matches_maximize(C, A, b):
-    values, X = _stacks(C, A, b)
-    unbounded = np.isinf(values)
+def _assert_stacks_agree_with_maximize(C, A, b, tol=1e-9):
+    """Each member of `lp._maximize_stacks` ends where `maximize` on its own
+    System does, up to ties among optima: optimal, the value within tol, and
+    a point that violates no row by over 1e-9.  Returns the points."""
+    values, X = lp._maximize_stacks(C, A, b, tol)
     for i in range(len(C)):
-        res = _maximize(C[i], A[i], b[i])
-        assert unbounded[i] == (res.status == lp.UNBOUNDED)
-        if res.status == lp.OPTIMAL:
-            assert np.array(res.x).tobytes() == X[i].tobytes()  # bit for bit
-            assert values[i] == res.value
-        else:
-            assert values[i] == np.inf and np.isnan(X[i]).all()
-    return unbounded
+        res = _maximize(C[i], A[i], b[i], tol=tol)
+        assert res.status == lp.OPTIMAL and np.isfinite(values[i])
+        assert values[i] == pytest.approx(res.value, abs=max(tol, 1e-12))
+        assert (A[i] @ X[i] <= b[i] + 1e-9).all()
+    return X
 
 
-def test_batch_members_equal_maximize_on_their_own_systems():
-    rng = np.random.default_rng(5)
-    flags = []
-    for trial in range(120):
-        n, m, size = rng.integers(1, 6), rng.integers(1, 14), rng.integers(1, 12)
-        shape = (m, n) if trial % 2 else (size, m, n)  # shared, then stacked
-        A = rng.integers(-3, 4, shape) if trial % 3 else rng.normal(size=shape)
-        A = np.broadcast_to(A, (size, m, n))  # a shared A is repeated per member
-        b = rng.integers(0, 6, (size, m)).astype(float) if trial % 4 else rng.random((size, m))
-        C = rng.integers(-3, 4, (size, n)).astype(float)
-        flags.extend(_assert_batch_matches_maximize(C, A, b))
-    assert any(flags) and not all(flags)
-
-
-def test_batch_members_finish_apart_and_one_is_unbounded():
-    # Beale's cycling LP (8 pivots), one member optimal at the slack basis,
-    # one unbounded along x1 once Beale's first row is replaced by 0 <= 0,
-    # and one optimal after a single pivot.
-    c, A, b = (np.array(v, dtype=float) for v in BEALE)
-    C = np.array([c, np.zeros(4), [1.0, 0.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0]])
-    A2 = np.stack([A, A, np.vstack([np.zeros(4), A[1:]]), A])
-    unbounded = _assert_batch_matches_maximize(C, A2, np.tile(b, (4, 1)))
-    assert unbounded.tolist() == [False, False, True, False]
-    X = _stacks(C[:1], A[None], b[None])[1]
-    assert X[0].tolist() == [1.0000000000000002, 0.0, 1.0, 0.0]
+def test_batch_members_finish_apart(monkeypatch):
+    # One packing system under three objectives: (2, 3, 1) takes two
+    # pivots from its greedy vertex, (1, 0, 1) one, and (1, 0, 0) none, so
+    # it leaves before the first pivot step and the stack shrinks 2, 1.
+    A = np.array([[3, 2, 2], [1, 3, 0], [2, 2, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
+    b = np.array([3.0, 2.0, 2.0, 0.0, 0.0, 0.0])
+    C = np.array([[2.0, 3.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    pivot_stack, sizes = lp._pivot_stack, []
+    monkeypatch.setattr(lp, "_pivot_stack", lambda T, *a: sizes.append(len(T)) or pivot_stack(T, *a))
+    X = _assert_stacks_agree_with_maximize(C, np.stack([A] * 3), np.tile(b, (3, 1)))
+    assert sizes == [2, 1]
+    assert X == pytest.approx(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), abs=1e-12)
 
 
 def _assert_greedy_start(C, A, b):
     """`lp._greedy_start` on one stack: n distinct rows per member, each at
     slack exactly 0 at the start's feasible point, with a nonsingular block."""
-    start = lp._greedy_start(C, A, b)
-    assert start is not None
-    tight, x, slack = start
+    tight, x, slack = start = lp._greedy_start(C, A, b)
     size, m, n = A.shape
     assert tight.shape == (size, n)
     assert all(len(set(rows)) == n for rows in tight.tolist())  # one per coordinate
@@ -643,71 +644,29 @@ def test_a_degenerate_greedy_start_is_nonsingular():
 
 
 def test_greedy_start_members_agree_with_maximize_on_packing_stacks():
-    # Packing stacks (nonnegative rows, b >= 0 with zeros, the sign rows
-    # -x_j <= 0 shuffled in) start at their greedy vertices.  Each member
-    # then ends where `maximize` on its own System does, up to ties among
-    # optima: the same status and the value within tol.  Half the stacks
-    # are `_capped`'s LPs, max a_k.x with row k capped at b_k + 1; the
-    # others maximize mixed-sign objectives under a bounding row of ones.
+    # Packing stacks start at their greedy vertices.  Each member then ends
+    # where `maximize` on its own System does, up to ties among optima.
+    # Half the stacks are `_capped`'s LPs, max a_k.x with row k capped at
+    # b_k + 1; the others maximize mixed-sign objectives under a bounding
+    # row of ones.
     rng = np.random.default_rng(38)
     warm = 0
     for trial in range(150):
         size, m, n = rng.integers(1, 9), rng.integers(1, 10), rng.integers(1, 6)
-        rows = rng.integers(0, 4, (size, m, n)) * (rng.random((size, m, n)) < 0.6)
-        b = rng.integers(0, 5, (size, m)) * rng.random((size, m)) ** (trial % 3)
-        if trial % 2:
-            C = rows[:, 0].astype(float)
-            b[:, 0] += 1
-        else:
-            C = rng.integers(-2, 4, (size, n)).astype(float)
-            rows[:, 0], b[:, 0] = 1, 10
-        A = np.concatenate([rows, np.tile(-np.eye(n, dtype=int), (size, 1, 1))], 1).astype(float)
-        b = np.concatenate([b, np.zeros((size, n))], 1)
-        for i in range(size):
-            shuffle = rng.permutation(m + n)
-            A[i], b[i] = A[i, shuffle], b[i, shuffle]
-        tol = (1e-9, 0.0)[trial % 5 == 0]
+        C, A, b = _packing_stack(rng, size, m, n, trial % 2, trial % 3)
         _assert_greedy_start(C, A, b)
-        values, X = lp._maximize_stacks(C, A, b, tol)
-        for i in range(size):
-            res = _maximize(C[i], A[i], b[i], tol=tol)
-            assert res.status == lp.OPTIMAL and np.isfinite(values[i])
-            assert values[i] == pytest.approx(res.value, abs=max(tol, 1e-12))
-            assert (A[i] @ X[i] <= b[i] + 1e-9).all()
+        _assert_stacks_agree_with_maximize(C, A, b, tol=(1e-9, 0.0)[trial % 5 == 0])
         warm += size
     assert warm > 500
 
 
-def test_stacks_without_a_greedy_start_keep_the_slack_basis():
-    # A coordinate without a sign row, a second sign row for one coordinate,
-    # a row of mixed signs, a nonzero rhs on -x_j, and an objective no row
-    # bounds: each stack starts at the slack basis, so every member equals
-    # `maximize` bit for bit.
-    box = np.array([[1, 0], [0, 1], [-1, 0], [0, -1]], dtype=float)
-    b = np.array([1.0, 2.0, 0.0, 0.0])
-    cases = [
-        (box[[0, 1, 2]], b[[0, 1, 2]]),
-        (box[[0, 1, 2, 3, 3]], b[[0, 1, 2, 3, 3]]),
-        (np.vstack([box, [1, -1]]), np.append(b, 1.0)),
-        (box, np.array([1.0, 2.0, 0.0, 0.5])),
-        (box[[0, 2, 3]], b[[0, 2, 3]]),
-    ]
-    for A, b_ in cases:
-        C = np.array([[1.0, 1.0], [2.0, -1.0]])
-        A, b_ = np.stack([A, A]), np.stack([b_, b_])
-        assert lp._greedy_start(C, A, b_) is None
-        _assert_batch_matches_maximize(C, A, b_)
-
-
 def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
-    monkeypatch.setattr(lp, "_BATCH_CELLS", 3 * 5 * 2)  # two members of 3 x 5 cells
-    rng = np.random.default_rng(6)
-    A = rng.integers(-2, 3, (5, 2, 2)).astype(float)
-    b = rng.integers(0, 4, (5, 2)).astype(float)
+    monkeypatch.setattr(lp, "_BATCH_CELLS", 5 * 5 * 2)  # two members of 5 x 5 cells
+    C, A, b = _packing_stack(np.random.default_rng(6), 5, 2, 2, capped=True)
     sizes = []
     solve = lp._solve_stack
     monkeypatch.setattr(lp, "_solve_stack", lambda C, *a: sizes.append(len(C)) or solve(C, *a))
-    _assert_batch_matches_maximize(rng.integers(-2, 3, (5, 2)).astype(float), A, b)
+    _assert_stacks_agree_with_maximize(C, A, b)
     assert sizes == [2, 2, 1]
 
 

@@ -212,17 +212,18 @@ def _prune_against_all_others(region, tol=1e-9):
     return [rows[j] for j in range(len(rows)) if alive[j]]
 
 
-def _packing_systems(rng, count):
-    """Seeded packing systems: nonnegative integer rows, b >= 0, with sign
-    rows, exact and scaled duplicates, zero-rhs rows putting two rows on one
-    face, and a coordinate that at most one row bounds."""
+def _packing_systems(rng, count, most=20):
+    """Seeded packing systems of 2 to `most` drawn rows: nonnegative integer
+    rows, b >= 0, with sign rows, exact and scaled duplicates, zero-rhs rows
+    putting two rows on one face, and a coordinate that at most one row
+    bounds."""
     systems = []
     for _ in range(count):
         dim = rng.randint(1, 4)
         free = rng.randrange(dim)  # no row but maybe rows[0] has a positive entry here
         rows = [
             (tuple(0 if j == free else rng.randint(0, 3) for j in range(dim)), float(rng.randint(0, 6)))
-            for _ in range(rng.randint(2, 20))
+            for _ in range(rng.randint(2, most))
         ]
         if rng.random() < 0.5:
             rows[0] = (tuple(rng.randint(1, 3) if j == free else c for j, c in enumerate(rows[0][0])), rows[0][1])
@@ -251,10 +252,9 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
     rng = random.Random(17)
     randoms = []
     for trial in range(600):
-        # From trial 500 on, 17 rows or more in 2-4 variables, so that step
-        # B's rounds over all other rows decide many rows.
+        # From trial 500 on, 17 rows or more in 2-4 variables.
         dim = rng.randint(1, 4) if trial < 500 else rng.randint(2, 4)
-        low = -3 if trial < 300 else 0  # then every b >= 0, so certificates decide rows
+        low = -3 if trial < 300 else 0  # then every b >= 0, but rows of mixed signs
         rows = [
             (tuple(rng.randint(-2, 3) for _ in range(dim)), float(rng.randint(low, 6)))
             for _ in range(rng.randint(2, 12) if trial < 500 else rng.randint(17, 40))
@@ -269,7 +269,9 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
             rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
         rng.shuffle(rows)
         randoms.append(R(dim, rows))
-    packing = _packing_systems(rng, 200)
+    # Certificates decide rows of the packing systems only; the large ones
+    # reach step B's rounds over all other rows.
+    packing = _packing_systems(rng, 200) + _packing_systems(rng, 100, most=40)
     implied, tested = polytope._implied, []
     witnessed, found = polytope._witnessed, []
 
@@ -278,7 +280,8 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
         return found[-1]
 
     def counting(A, b, *args):
-        tested.append(b.min() >= 0)
+        sign = polytope._sign_rows(A, b)
+        tested.append(b.min() >= 0 and (A[~sign] >= 0).all() and (A[sign] != 0).any(0).all())
         return implied(A, b, *args)
 
     monkeypatch.setattr(polytope, "_implied", counting)
@@ -291,10 +294,29 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
         assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
     # the random systems include empty, unbounded and bounded regions
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
-    # Certificates leave ties to the plain test: some b >= 0 rows reach it.
+    # Certificates leave ties to the plain test: some rows of packing
+    # systems with a sign row per coordinate reach it.
     assert any(tested) and not all(tested)
     # Greedy witnesses keep rows in some prunes and find none in others.
     assert any(f.size for f in found) and not all(f.size for f in found)
+
+
+def test_only_packing_systems_with_a_sign_row_per_coordinate_take_certificates(monkeypatch):
+    # Every b_i >= 0, but none of these is a packing system with a sign row
+    # -x_j <= 0 for every coordinate: one has a row of mixed signs, one no
+    # sign row for x2, and in one -2 x2 <= 0 is x2's only lower bound.
+    # Each takes the plain rule, with no stacked LP (a call would raise).
+    monkeypatch.setattr(lp, "_maximize_stacks", None)
+    box = [((1, 0), 1.0), ((0, 1), 1.0), ((1, 1), 2.0), ((2, 1), 3.0)]
+    for rows in (
+        box + [((1, -1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)],
+        box + [((-1, 0), 0.0)],
+        box + [((-1, 0), 0.0), ((0, -2), 0.0)],
+    ):
+        region = R(2, rows)
+        pruned = [(q.coeffs, q.rhs) for q in prune_redundant(region).inequalities]
+        assert pruned == _prune_against_all_others(region)
+        assert len(pruned) < len(rows)
 
 
 def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
