@@ -129,7 +129,7 @@ def cmd_region(args) -> int:
 
     if args.out:
         save_region(region, args.out)
-        print(f"wrote {len(region.lhs)} inequalities to {args.out}")
+        print(f"wrote {len(region.rhs)} inequalities to {args.out}")
     else:
         _write_document(region_to_dict(region), sys.stdout)
     return status

@@ -1,37 +1,38 @@
 """Rate-splitting achievable region and its aggregate-rate projection.
 
-The 2K-dimensional region lives in coordinates
-(R_1p, R_1c, ..., R_Kp, R_Kc): a private and a common rate per user.  For
-every receiver i and every user subset M (all 2^K of them) it contains
+The 2K-dimensional region lives in coordinates (R_1p, R_1c, ..., R_Kp,
+R_Kc): a private and a common rate per user.  For every receiver i and every
+user subset M (all 2^K of them) it contains
 
     R_ip + sum_{k in M} R_kc  <=  H(Y_i | V_{complement of M}),
 
-plus nonnegativity for every coordinate.  Redundant subset choices are
-harmless; the projection pipeline prunes them.
+plus nonnegativity for every coordinate.  Every split region of one K holds
+the one read-only int64 matrix of these left-hand sides (`_a1_lhs`) and one
+labels tuple; only the right-hand sides differ.  The projection prunes
+redundant subset choices.
 
 Aggregate rates are R_i = R_ip + R_ic.  The (i, M = {}) row bounds R_ip
 by H(Y_i | V_1..V_K), which is exactly 0 when user i's interference reveals
 its input (every binary user, for one); such a pinned rate is eliminated by
 dropping its column, an exact slice that needs no LP, and its R_ic is R_i.
 The others go user by user: a redundancy prune, the substitution
-R_ic = R_i - R_ip in exact integers, and Fourier-Motzkin elimination of R_ip.
-Substituted only then, every row the prune sees but -x_j <= 0 is nonnegative
-(a packing system, whose rows greedy witnesses decide).
+R_ic = R_i - R_ip (one integer column operation), and Fourier-Motzkin
+elimination of R_ip, which raises ValueError before a coefficient could pass
+2^53.  Substituted only then, every row the prune sees but -x_j <= 0 is
+nonnegative (a packing system, whose rows greedy witnesses decide).
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import compress
 
 import numpy as np
 
 from .channel import ChannelSpec
 from .entropy import EntropyTable
-from .errors import InfeasibleRegionError
 from .polytope import (
     Region,
-    _nonneg_lhs,
+    _nonzero,
     canonicalize,
     fm_eliminate,
     prune_redundant,
@@ -43,28 +44,23 @@ __all__ = [
     "project_to_aggregate",
 ]
 
-_FORMS = 16  # slices of split rows kept for reuse
 
-
+@functools.cache
 def split_labels(K: int) -> tuple[str, ...]:
     return tuple(f"R{i}{part}" for i in range(1, K + 1) for part in "pc")
 
 
 @functools.cache
-def _a1_lhs(K: int) -> tuple[tuple[int, ...], ...]:
-    """Left-hand sides of `build_A1`, shared by every call with this K: the
-    (receiver i, subset M) rows in i-major, M-ascending order, then the
-    nonnegativity rows."""
-    lhs = []
-    for i in range(K):
-        for M in range(1 << K):
-            coeffs = [0] * (2 * K)
-            coeffs[2 * i] = 1  # receiver's private rate
-            for k in range(K):
-                if M >> k & 1:
-                    coeffs[2 * k + 1] = 1  # common rates decoded jointly
-            lhs.append(tuple(coeffs))
-    return tuple(lhs) + _nonneg_lhs(2 * K)
+def _a1_lhs(K: int) -> np.ndarray:
+    """Left-hand sides of `build_A1`, one read-only matrix that every call
+    with this K shares: the (receiver i, subset M) rows in i-major,
+    M-ascending order, then the nonnegativity rows."""
+    A = np.zeros((K, 1 << K, 2 * K), dtype=np.int64)
+    A[:, :, 1::2] = np.arange(1 << K)[:, None] >> np.arange(K) & 1  # common rates decoded jointly
+    A[np.arange(K), :, 2 * np.arange(K)] = 1  # receiver's private rate
+    A = np.concatenate([A.reshape(-1, 2 * K), -np.eye(2 * K, dtype=np.int64)])  # then -x <= 0
+    A.flags.writeable = False
+    return A
 
 
 def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
@@ -72,23 +68,8 @@ def build_A1(spec: ChannelSpec, table: EntropyTable) -> Region:
     if table.K != spec.K:
         raise ValueError(f"entropy table is for {table.K} users, channel has {spec.K}")
     K = spec.K
-    rhs = table.split_rhs.ravel().tolist() + [0.0] * (2 * K)
+    rhs = np.concatenate([table.split_rhs.ravel(), np.zeros(2 * K)])
     return Region._from_rows(2 * K, _a1_lhs(K), rhs, split_labels(K))
-
-
-@functools.lru_cache(maxsize=_FORMS)
-def _sliced(lhs, keep: tuple[int, ...]):
-    """The rows restricted to the columns `keep`: the nonzero restricted
-    rows, their positions, and the positions of the zero ones."""
-    rows = [tuple(coeffs[k] for k in keep) for coeffs in lhs]
-    nonzero = np.array([any(coeffs) for coeffs in rows], dtype=bool)
-    return tuple(compress(rows, nonzero)), np.flatnonzero(nonzero), np.flatnonzero(~nonzero)
-
-
-@functools.cache
-def _pins(K: int) -> tuple[frozenset, ...]:
-    """For each user i, the rows R_ip and -R_ip of a split region with K users."""
-    return tuple(frozenset({e, tuple(-c for c in e)}) for e in _nonneg_lhs(2 * K)[0::2])
 
 
 def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
@@ -109,29 +90,27 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
 
     # R_ip <= 0 and -R_ip <= 0 pin R_ip to 0, so its projection is the
     # slice R_ip = 0: drop the column, with no prune and no cross rows.
-    rhs = a1.rhs
-    zero = {a1.lhs[r] for r in np.flatnonzero(rhs == 0.0).tolist()}
-    free = [i for i, pin in enumerate(_pins(K), 1) if pin - zero]
-    keep = tuple(2 * i - 2 for i in free) + tuple(range(1, 2 * K, 2))
-    lhs, rows, zero_rows = _sliced(a1.lhs, keep)
-    low = rhs[zero_rows] < -tol
-    if low.any():
-        raise InfeasibleRegionError(f"the system implies 0 <= {rhs[zero_rows][low][0].item()}")
+    A, rhs = a1.A, a1.rhs
+    units = A[(rhs == 0.0) & ((A != 0).sum(1) == 1), 0::2]  # private columns of unit rows at 0
+    free = (np.flatnonzero(~((units == 1).any(0) & (units == -1).any(0))) + 1).tolist()
+    A = A[:, [2 * i - 2 for i in free] + list(range(1, 2 * K, 2))]
+    rows = _nonzero(A, rhs, tol)
     labels = [f"R{i}p" for i in free] + [f"R{i}c" if i in free else f"R{i}" for i in range(1, K + 1)]
-    work = Region._from_rows(len(keep), lhs, rhs[rows], labels)
+    work = Region._from_rows(A.shape[1], A[rows], rhs[rows], labels)
 
     # R_ip is column 0, and c_p R_ip + c_c R_ic = (c_p - c_c) R_ip + c_c R_i.  A kept
     # row free of R_ip stays needed: its witness point meets every other kept
     # row, hence each row of the next system (a kept row or a sum of two).
-    facets = set()
+    facets = ()
     for i in free:
         work = prune_redundant(work, tol=tol, facets=facets)
         c = work.labels.index(f"R{i}c")
-        lhs = [(coeffs[0] - coeffs[c],) + coeffs[1:] for coeffs in work.lhs]
-        facets = {(coeffs[1:], b) for coeffs, b in zip(lhs, work.rhs.tolist()) if not coeffs[0]}
+        A = np.column_stack([work.A[:, 0] - work.A[:, c], work.A[:, 1:]])
+        carried = A[:, 0] == 0
+        facets = zip(A[carried, 1:], work.rhs[carried])
         labels = work.labels[:c] + (f"R{i}",) + work.labels[c + 1 :]
-        work = fm_eliminate(Region._from_rows(work.dim, lhs, work.rhs, labels), 0, tol=tol)
+        work = fm_eliminate(Region._from_rows(work.dim, A, work.rhs, labels), 0, tol=tol)
 
-    lhs, rhs = work.lhs + _nonneg_lhs(K), work.rhs.tolist() + [0.0] * K
-    work = Region._from_rows(K, lhs, rhs, work.labels)
+    A = np.concatenate([work.A, -np.eye(K, dtype=np.int64)])  # then -R_i <= 0
+    work = Region._from_rows(K, A, np.concatenate([work.rhs, np.zeros(K)]), work.labels)
     return canonicalize(prune_redundant(work, tol=tol), tol=tol)

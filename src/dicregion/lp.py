@@ -185,19 +185,19 @@ def _maximize_stacks(C, A, b, tol):
     checked: every entry finite, b >= 0 (no phase 1), each member a packing
     system (every row nonnegative but one sign row -x_j <= 0 per coordinate)
     in which a row with a positive entry bounds each x_j that C[i] weighs
-    positively, such as `polytope._capped`'s LPs.  Each member starts at its
-    greedy vertex (`_greedy_start`), usually optimal already, and agrees
-    with `maximize` on its own System in status and in value within tol, but
-    may end at another of tied optima.  A member's value is C[i] @ x.
-    Stacks hold at most _BATCH_CELLS tableau cells.  Returns (values, X),
-    inf and nan for unbounded members.
+    positively, such as `polytope._capped`'s LPs; so no member is unbounded,
+    and one that is raises RuntimeError, as the pivot limit does.  Each
+    member starts at its greedy vertex (`_greedy_start`), usually optimal
+    already, and ends at `maximize`'s value on its own System within tol,
+    maybe at another of tied optima.  Stacks hold at most _BATCH_CELLS
+    tableau cells.  Returns (values, X), a member's value C[i] @ x.
     """
     m, n = A.shape[1:]
-    unbounded, X = np.zeros(len(C), dtype=bool), np.full(C.shape, np.nan)
+    X = np.empty(C.shape)
     step = max(1, _stack_size(m, n))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A[s], b[s], tol, unbounded[s], X[s])
-    return np.where(unbounded, np.inf, (C[:, None, :] @ X[:, :, None])[:, 0, 0]), X
+        _solve_stack(C[s], A[s], b[s], tol, X[s])
+    return (C[:, None, :] @ X[:, :, None])[:, 0, 0], X
 
 
 def _stack_size(m, n) -> int:
@@ -206,11 +206,10 @@ def _stack_size(m, n) -> int:
     return _BATCH_CELLS // ((m + 1) * (2 * n + 1))
 
 
-def _solve_stack(C, A, b, tol, unbounded, X):
+def _solve_stack(C, A, b, tol, X):
     """`maximize`'s phase 2 on a stack of tableaus started at each member's
     greedy vertex (`_greedy_start`, `_vertex_tableaus`), writing each
-    member's flag and point as it finishes; finished members leave the
-    stack."""
+    member's point as it finishes; finished members leave the stack."""
     n, m = C.shape[1], b.shape[1]
     warm = _vertex_tableaus(C, A, tol, X, *_greedy_start(C, A, b))
     if warm is None:
@@ -222,13 +221,13 @@ def _solve_stack(C, A, b, tol, unbounded, X):
         j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
         col = T[at, :-1, j]
         pos = col > tol
-        point = ~neg.any(1)  # optimal
-        done = point | ~pos.any(1)
+        done = ~neg.any(1)  # optimal
+        if not (done | pos.any(1)).all():
+            raise RuntimeError("stacked LP unbounded: its system is not a packing system")
         if done.any():
-            unbounded[member[done & ~point]] = True
-            z = np.zeros((point.sum(), 2 * n + m))
-            z[np.arange(len(z))[:, None], basis[point]] = T[point, :-1, -1]
-            X[member[point]] = z[:, :n] - z[:, n : 2 * n]
+            z = np.zeros((done.sum(), 2 * n + m))
+            z[np.arange(len(z))[:, None], basis[done]] = T[done, :-1, -1]
+            X[member[done]] = z[:, :n] - z[:, n : 2 * n]
             if done.all():
                 return
             T, basis, nonbasic, member, j, col, pos = (

@@ -1,20 +1,18 @@
 """Half-space regions, Fourier-Motzkin projection, and LP-backed pruning.
 
-A region is a finite list of inequalities coeffs . x <= rhs with exact
-integer coefficients and real right-hand sides.  Variable elimination uses
-integer cross-multiplication, so left-hand sides never accumulate floating
-error; only the right-hand sides (entropy values downstream) are floats.
-
-Elimination keeps raw combined rows (no per-row rescaling) so that callers
-can recognize specific integer combinations verbatim; `canonicalize` divides
-rows by their gcd for presentation-quality output.
+A region is a system A x <= rhs with an exact integer matrix A and real
+right-hand sides.  Variable elimination uses integer cross-multiplication,
+so left-hand sides never accumulate floating error; only the right-hand
+sides (entropy values downstream) are floats.  Elimination keeps raw
+combined rows (no per-row rescaling); `canonicalize` divides rows by their
+gcd for presentation-quality output.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -69,37 +67,37 @@ class LinearInequality:
 
 
 class Region:
-    """Polyhedron {x : coeffs . x <= rhs for every inequality}.
+    """Polyhedron {x : A x <= rhs}.
 
-    Stored compactly, since callers keep many regions: `lhs` holds each
-    row's coefficient tuple as given (regions built from shared tuples
-    share them) and `rhs` is one read-only float array.  `inequalities`
-    builds the row objects on each access; the package itself reads these
-    two fields and builds regions with `_from_rows`.  Immutable; the LP form
-    that support and containment queries build on first use is a cache and
-    takes no part in equality, hashing, `copy` or `pickle`.  A region with
-    the same rows and right-hand sides as another may hold that region's
-    form (`find_subset_violation` shares it), so its queries reuse the bases
-    the other recorded.  Labels are a
-    list or tuple of distinct strings, one per dimension (TypeError for any
-    other type); None or empty means x1..xn.
+    `A` is one C-contiguous, read-only int64 matrix of shape (rows, dim),
+    kept as given, so regions built from one matrix share it, and `rhs` one
+    read-only float array.  A coefficient beyond 2^53 in magnitude, past
+    which a float no longer holds every integer, raises ValueError naming
+    its row.  `lhs` (coefficient tuples) and `inequalities` (row objects)
+    are built on each access.  Immutable; the LP form that support and
+    containment queries build on first use is a cache, no part of equality,
+    hashing, `copy` or `pickle`; a region with the same rows and rhs as
+    another may hold that region's form (`find_subset_violation` shares it)
+    and reuse the bases it recorded.  Labels are a list or tuple of distinct
+    strings, one per dimension (TypeError otherwise); None or empty means
+    x1..xn.
     """
 
-    __slots__ = ("dim", "lhs", "rhs", "labels", "_lp")
+    __slots__ = ("dim", "A", "rhs", "labels", "_lp")
 
     def __init__(self, dim: int, inequalities, labels=()):
         rows = tuple(inequalities)
-        self._fill(dim, tuple(q.coeffs for q in rows), [q.rhs for q in rows], labels)
+        self._fill(dim, [q.coeffs for q in rows], [q.rhs for q in rows], labels)
 
     @classmethod
-    def _from_rows(cls, dim: int, lhs, rhs, labels=()) -> "Region":
-        """Package-private: build from coefficient tuples (kept as given, so a
-        shared tuple stays shared) and their right-hand sides."""
+    def _from_rows(cls, dim: int, A, rhs, labels=()) -> "Region":
+        """Package-private: build from an int64 matrix A, kept as given and made
+        read-only, or from coefficient tuples, and the right-hand sides."""
         region = object.__new__(cls)
-        region._fill(dim, tuple(lhs), rhs, labels)
+        region._fill(dim, A, rhs, labels)
         return region
 
-    def _fill(self, dim, lhs, rhs, labels):
+    def _fill(self, dim, A, rhs, labels):
         # Before dim, so a region file with both wrong reads as malformed (TypeError).
         if labels is not None and not isinstance(labels, (list, tuple)):
             raise TypeError(f"labels must be a list of strings, got {labels!r}")
@@ -112,17 +110,23 @@ class Region:
             raise ValueError(f"labels must be strings, got {list(labels)}")
         if len(set(labels)) != dim:
             raise ValueError(f"duplicate labels in {list(labels)}")
-        for k, coeffs in enumerate(lhs, start=1):
-            if len(coeffs) != dim:
-                raise ValueError(f"inequality {k}: coeffs {list(coeffs)} have arity "
-                                 f"{len(coeffs)}, not dim {dim}")
-        rhs = np.array(rhs, dtype=float)
+        if not isinstance(A, np.ndarray):  # coefficient tuples
+            for k, coeffs in enumerate(A, start=1):
+                if len(coeffs) != dim:
+                    raise ValueError(f"inequality {k}: coeffs {list(coeffs)} have arity "
+                                     f"{len(coeffs)}, not dim {dim}")
+                _exact(k, coeffs)
+            A = np.array(A, dtype=np.int64).reshape(len(A), dim)
+        elif A.size and (A.max() > 2**53 or A.min() < -(2**53)):
+            k = int(((A > 2**53) | (A < -(2**53))).any(1).argmax())
+            _exact(k + 1, A[k].tolist())
+        A, rhs = np.ascontiguousarray(A, dtype=np.int64), np.array(rhs, dtype=float)
         finite = np.isfinite(rhs)
         if not finite.all():
             k = int(finite.argmin())
             raise ValueError(f"inequality {k + 1}: non-finite rhs {rhs[k].item()}")
-        rhs.flags.writeable = False
-        fields = ("dim", int(dim)), ("lhs", lhs), ("rhs", rhs), ("labels", labels), ("_lp", None)
+        A.flags.writeable = rhs.flags.writeable = False
+        fields = ("dim", int(dim)), ("A", A), ("rhs", rhs), ("labels", labels), ("_lp", None)
         for name, value in fields:
             object.__setattr__(self, name, value)
 
@@ -130,7 +134,7 @@ class Region:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable Region")
 
     def __reduce__(self):  # copy and pickle rebuild through _fill
-        return Region._from_rows, (self.dim, self.lhs, self.rhs.tolist(), self.labels)
+        return Region._from_rows, (self.dim, self.A, self.rhs, self.labels)
 
     def _lp_form(self, tol: float = 1e-9) -> lp.System:
         """The region as `_system` poses it at `tol`, kept until another tol is asked for."""
@@ -139,11 +143,15 @@ class Region:
         return self._lp
 
     @property
+    def lhs(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.A.tolist()))
+
+    @property
     def inequalities(self) -> tuple[LinearInequality, ...]:
         return tuple(map(LinearInequality, self.lhs, self.rhs.tolist()))
 
-    def _key(self):
-        return self.dim, self.labels, self.lhs, tuple(self.rhs.tolist())
+    def _key(self):  # + 0.0 reads -0.0 as 0.0, which it equals
+        return self.dim, self.labels, self.A.tobytes(), (self.rhs + 0.0).tobytes()
 
     def __eq__(self, other):
         return self._key() == other._key() if isinstance(other, Region) else NotImplemented
@@ -156,7 +164,7 @@ class Region:
 
     def matrix(self):
         """(A, b) as float arrays."""
-        return np.array(self.lhs, dtype=float).reshape(len(self.lhs), self.dim), self.rhs.copy()
+        return self.A.astype(float), self.rhs.copy()
 
     def var_index(self, var) -> int:
         if isinstance(var, str):
@@ -172,14 +180,18 @@ class Region:
         return idx
 
 
-def _nonneg_lhs(dim: int) -> tuple[tuple[int, ...], ...]:
-    """Left-hand sides of -x_i <= 0 for every variable."""
-    return tuple(tuple(-1 if k == i else 0 for k in range(dim)) for i in range(dim))
+def _exact(k, coeffs):
+    """ValueError naming inequality k for a coefficient beyond 2^53 in magnitude."""
+    for c in coeffs:
+        if abs(c) > 2**53:
+            shown = c if abs(c) < 2**64 else f"of {abs(c).bit_length()} bits"
+            raise ValueError(f"inequality {k}: coefficient {shown} exceeds 2^53, beyond the "
+                             "integers a float holds exactly")
 
 
 def nonneg_inequalities(dim: int) -> list[LinearInequality]:
     """-x_i <= 0 for every variable."""
-    return [LinearInequality(coeffs, 0.0) for coeffs in _nonneg_lhs(dim)]
+    return [LinearInequality(tuple(coeffs), 0.0) for coeffs in (-np.eye(dim, dtype=int)).tolist()]
 
 
 def _sign_rows(A, b):
@@ -193,55 +205,56 @@ def _system(A, b, tol: float) -> lp.System:
     return lp.System(A[~sign], b[~sign], np.nonzero(A[sign])[1], tol)
 
 
-def _tightest(rows) -> dict:
-    """{lhs: rhs} over (lhs, rhs) pairs: the tightest rhs of each left-hand
-    side, in first-seen order."""
-    best = {}
-    for coeffs, rhs in rows:
-        if coeffs not in best or rhs < best[coeffs]:
-            best[coeffs] = rhs
-    return best
+def _tightest(A, b):
+    """Indices of the rows of (A, b) with the tightest rhs of each left-hand
+    side, the first of equal ones, in first-seen order: the head of each run
+    of one stable sort by left-hand side, then b."""
+    order = np.lexsort((b, *A.T[::-1]))
+    s = A[order]
+    start = np.ones(len(A), dtype=bool)
+    start[1:] = (s[1:] != s[:-1]).any(1)
+    first = np.minimum.reduceat(order, np.flatnonzero(start))
+    return order[start][np.argsort(first)]
 
 
-def _nonzero_rows(rows, tol: float):
-    """The (lhs, rhs) pairs with a nonzero left-hand side.  A zero row
-    0 <= rhs holds trivially when rhs >= -tol and is dropped; below that it
+def _nonzero(A, b, tol: float):
+    """Mask of the rows of (A, b) with a nonzero left-hand side.  A zero row
+    0 <= b holds trivially when b >= -tol and is dropped; below that it
     proves the region empty and raises InfeasibleRegionError."""
-    for coeffs, rhs in rows:
-        if any(coeffs):
-            yield coeffs, rhs
-        elif rhs < -tol:
-            raise InfeasibleRegionError(f"the system implies 0 <= {rhs}")
+    nonzero = A.any(1)
+    low = ~nonzero & (b < -tol)
+    if low.any():
+        raise InfeasibleRegionError(f"the system implies 0 <= {b[low.argmax()].item()}")
+    return nonzero
 
 
 def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
     """Project out one variable by Fourier-Motzkin elimination.
 
-    Every (positive, negative) coefficient pair is combined with exact
-    integer cross-multiplication; rows not mentioning the variable carry
-    over.  Zero rows follow `_nonzero_rows`: dropped when trivially true,
-    InfeasibleRegionError when rhs < -tol.
+    Rows not mentioning the variable carry over, then every (positive,
+    negative) pair is combined by exact integer cross-multiplication
+    (ValueError first when a coefficient could exceed 2^53 in magnitude).
+    Zero rows follow `_nonzero`; each left-hand side keeps its tightest rhs.
 
     `var` may be a column index or a variable label.
     """
     idx = region.var_index(var)
-    pos, neg, out = [], [], []
-    for coeffs, rhs in zip(region.lhs, region.rhs.tolist()):
-        c = coeffs[idx]
-        if c:
-            (pos if c > 0 else neg).append((coeffs, rhs))
-        else:
-            out.append((coeffs[:idx] + coeffs[idx + 1 :], rhs))
-    for p, p_rhs in pos:
-        a = p[idx]
-        for q, q_rhs in neg:
-            bmul = -q[idx]
-            coeffs = tuple(bmul * pc + a * qc for k, (pc, qc) in enumerate(zip(p, q)) if k != idx)
-            out.append((coeffs, bmul * p_rhs + a * q_rhs))
-
-    best = _tightest(_nonzero_rows(out, tol))
+    A, b, col = region.A, region.rhs, region.A[:, idx]
+    rest = np.concatenate([A[:, :idx], A[:, idx + 1 :]], axis=1)
+    zero, pos, neg = col == 0, col > 0, col < 0
+    P, N, a, m = rest[pos], rest[neg], col[pos], -col[neg]
+    top = [int(np.abs(v).max(initial=0)) for v in (m, P, a, N)]  # 0s when no pair forms
+    reach = top[0] * top[1] + top[2] * top[3]  # at least every |m_q p + a_p q|
+    if reach > 2**53:
+        raise ValueError(f"eliminating {region.labels[idx]}: combined coefficients may reach "
+                         f"{reach}, beyond 2^53, the integers a float holds exactly")
+    pairs = (m[:, None] * P[:, None] + a[:, None, None] * N).reshape(len(a) * len(m), region.dim - 1)
+    lhs = np.concatenate([rest[zero], pairs])
+    rhs = np.concatenate([b[zero], (m * b[pos][:, None] + a[:, None] * b[neg]).ravel()])
+    keep = np.flatnonzero(_nonzero(lhs, rhs, tol))
+    keep = keep[_tightest(lhs[keep], rhs[keep])]
     labels = region.labels[:idx] + region.labels[idx + 1 :]
-    return Region._from_rows(region.dim - 1, best, list(best.values()), labels)
+    return Region._from_rows(region.dim - 1, lhs[keep], rhs[keep], labels)
 
 
 def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) -> Region:
@@ -278,28 +291,38 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     """
     if not 0 <= tol < 1:
         raise ValueError(f"prune tolerance must be at least 0 and below 1, got {tol}")
-    best = _tightest(zip(region.lhs, region.rhs.tolist()))
-    lhs = list(best)
-    A = np.array(lhs, dtype=float).reshape(len(lhs), region.dim)
-    b = np.array(list(best.values()), dtype=float)
+    keep = _tightest(region.A, region.rhs)
+    lhs, b = region.A[keep], region.rhs[keep]
+    A = lhs.astype(float)
     sign = _sign_rows(A, b)
-    kept = sign | np.array([pair in facets for pair in best.items()], dtype=bool)
-    dropped = np.zeros(len(lhs), dtype=bool)
+    kept = sign | _among(lhs, b, facets)
+    dropped = np.zeros(len(b), dtype=bool)
     packing = b.min(initial=0) >= 0 and ((A >= 0).all(1) | sign).all() and (A[sign] != 0).any(0).all()
     if not kept.all() and region.dim > 0 and packing:
         _certify(A, b, kept, dropped, tol)
     if (kept | dropped).all():  # no open row: no turn changes the mask
         alive = ~dropped
     else:
-        alive = np.ones(len(lhs), dtype=bool)
-        for k in sorted(
-            range(len(lhs)),
-            key=lambda k: (-sum(1 for c in lhs[k] if c != 0), -sum(map(abs, lhs[k])), lhs[k]),
-        ):
+        alive = np.ones(len(b), dtype=bool)
+        for k in np.lexsort((*lhs.T[::-1], -np.abs(lhs).sum(1), -(lhs != 0).sum(1))).tolist():
             if not kept[k]:
                 alive[k] = False  # k is tested against the others
                 alive[k] = not dropped[k] and not _implied(A, b, k, alive, tol)
-    return Region._from_rows(region.dim, compress(lhs, alive), b[alive], region.labels)
+    return Region._from_rows(region.dim, lhs[alive], b[alive], region.labels)
+
+
+def _among(lhs, b, pairs):
+    """Mask of the distinct rows (lhs, b) that are among the (coefficients, rhs) pairs."""
+    pairs = list(pairs)
+    if not pairs:
+        return np.zeros(len(b), dtype=bool)
+    F = np.array([coeffs for coeffs, _ in pairs], dtype=np.int64).reshape(len(pairs), lhs.shape[1])
+    rhs = np.concatenate([[r for _, r in pairs], b]) + 0.0  # -0.0 reads 0.0, which it equals
+    rows = np.column_stack([np.concatenate([F, lhs]), rhs.view(np.int64)])  # rhs joins as its bits
+    heads = _tightest(rows, np.zeros(len(rows)))  # a pair equal to a row heads its run
+    among = np.ones(len(b), dtype=bool)
+    among[heads[heads >= len(F)] - len(F)] = False
+    return among
 
 
 def _capped(A, b, rows, tested, tol):
@@ -404,25 +427,28 @@ def find_subset_violation(a: Region, b: Region, tol: float = 1e-9):
     side) whose tightest rhs in `a` is at most b's rhs + tol, `a` is a subset
     and no LP runs.  Otherwise each row of `b` in turn takes one support LP
     over `a`.  When the two regions have the same rows and byte-identical
-    right-hand sides, `b` adopts `a`'s LP form at `tol` unless it has its own
-    at that tol, so its later queries reuse the bases `a` recorded.
+    right-hand sides, `a` is a subset, and `b` adopts `a`'s LP form at `tol`
+    unless it has its own at that tol, so its later queries reuse the bases
+    `a` recorded.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     form = a._lp_form(tol)
     if not form.feasible:  # also when `b` has no row to test
         raise InfeasibleRegionError("support value of an empty region")
-    same = b.lhs == a.lhs and b.rhs.tobytes() == a.rhs.tobytes()
-    if same and (b._lp is None or b._lp.tol != tol):
-        object.__setattr__(b, "_lp", form)
-    rows = list(zip(b.lhs, b.rhs.tolist()))
-    best = _tightest(zip(a.lhs, a.rhs.tolist()))
-    if all(best.get(coeffs, math.inf) <= bound + tol for coeffs, bound in rows):
+    if np.array_equal(b.A, a.A) and b.rhs.tobytes() == a.rhs.tobytes():
+        if b._lp is None or b._lp.tol != tol:
+            object.__setattr__(b, "_lp", form)
         return None
-    for coeffs, bound in rows:
+    # A row of `a` with a rhs at most b's + tol sorts before that row of b, which
+    # then heads no run: the tightest rows are all a's exactly when rows decide.
+    heads = _tightest(np.concatenate([a.A, b.A]), np.concatenate([a.rhs, b.rhs + tol]))
+    if (heads < len(a.rhs)).all():
+        return None
+    for coeffs, bound in zip(b.A, b.rhs.tolist()):
         value = _support(a, coeffs, tol)
         if value is None or value > bound + tol:
-            return (LinearInequality(coeffs, bound), value)
+            return (LinearInequality(tuple(coeffs.tolist()), bound), value)
     return None
 
 
@@ -501,7 +527,7 @@ def contains_point(region: Region, point, tol: float = 1e-9) -> bool:
         raise ValueError(f"point {point} is not {region.dim} finite numbers (region dimension)")
     return not any(
         sum(c * x for c, x in zip(coeffs, point)) > bound + tol
-        for coeffs, bound in zip(region.lhs, region.rhs.tolist())
+        for coeffs, bound in zip(region.A.tolist(), region.rhs.tolist())
     )
 
 
@@ -516,8 +542,8 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
     """
     if region.dim > 3:
         raise ValueError(f"vertex enumeration supports dim <= 3, got {region.dim}")
-    if region.dim == 0:  # every row is 0 <= b, which `_nonzero_rows` checks
-        list(_nonzero_rows(zip(region.lhs, region.rhs.tolist()), tol))
+    if region.dim == 0:  # every row is 0 <= b, which `_nonzero` checks
+        _nonzero(region.A, region.rhs, tol)
         return [()]
     for i in range(region.dim):
         for orient, name in ((1.0, "+"), (-1.0, "-")):
@@ -530,7 +556,7 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
 
     A, b = region.matrix()
     candidates: list[tuple[float, ...]] = []
-    for rows in combinations(range(len(region.lhs)), region.dim):
+    for rows in combinations(range(len(region.rhs)), region.dim):
         sub = A[list(rows), :]
         rhs = b[list(rows)]
         try:
@@ -551,16 +577,14 @@ def vertices(region: Region, tol: float = 1e-9) -> list[tuple[float, ...]]:
 
 
 def canonicalize(region: Region, tol: float = 1e-9) -> Region:
-    """Presentation cleanup: zero rows dropped (`_nonzero_rows`), each row
-    divided by the gcd of its coefficients, tightest rhs per row, sorted."""
-    def primitive(coeffs, rhs):
-        g = math.gcd(*coeffs)
-        return (tuple(c // g for c in coeffs), rhs / g) if g > 1 else (coeffs, rhs)
-
-    rows = _nonzero_rows(zip(region.lhs, region.rhs.tolist()), tol)
-    best = _tightest(primitive(coeffs, rhs) for coeffs, rhs in rows)
-    lhs = sorted(best)
-    return Region._from_rows(region.dim, lhs, [best[coeffs] for coeffs in lhs], region.labels)
+    """Presentation cleanup: zero rows dropped (`_nonzero`), each row divided
+    by the gcd of its coefficients, tightest rhs per row, rows sorted."""
+    keep = _nonzero(region.A, region.rhs, tol)
+    g = np.gcd.reduce(region.A[keep], axis=1)
+    A, b = region.A[keep] // g[:, None], region.rhs[keep] / g
+    keep = _tightest(A, b)
+    keep = keep[np.lexsort((b[keep], *A[keep].T[::-1]))]  # rows in lexicographic order
+    return Region._from_rows(region.dim, A[keep], b[keep], region.labels)
 
 
 def region_to_dict(region: Region) -> dict:
@@ -568,8 +592,8 @@ def region_to_dict(region: Region) -> dict:
         "dim": region.dim,
         "labels": list(region.labels),
         "inequalities": [
-            {"coeffs": list(coeffs), "rhs": rhs}
-            for coeffs, rhs in zip(region.lhs, region.rhs.tolist())
+            {"coeffs": coeffs, "rhs": rhs}
+            for coeffs, rhs in zip(region.A.tolist(), region.rhs.tolist())
         ],
     }
 
@@ -599,11 +623,7 @@ def _document_row(k, coeffs, rhs) -> LinearInequality:
         raise ValueError(f"{where}rhs of {bits} bits is beyond the float range") from None
     except ValueError as exc:
         raise ValueError(f"{where}{exc}") from None
-    for c in row.coeffs:
-        if abs(c) > 2**53:
-            shown = c if abs(c) < 2**64 else f"of {abs(c).bit_length()} bits"
-            raise ValueError(f"{where}coefficient {shown} exceeds 2^53, beyond the integers "
-                             "a float holds exactly")
+    _exact(k, row.coeffs)
     return row
 
 

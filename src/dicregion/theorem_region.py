@@ -34,7 +34,7 @@ from .channel import ChannelSpec, _building, _is_int, _objects, _read_document, 
 from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import EnumerationOverflowError
-from .polytope import LinearInequality, Region, _nonneg_lhs, canonicalize, prune_redundant
+from .polytope import LinearInequality, Region, canonicalize, prune_redundant
 
 __all__ = [
     "FacetSpec",
@@ -267,9 +267,9 @@ def _facet_region(f, g, tol):
     K = f.ndim
     keep = f < g - tol
     keep.flat[0] = False
-    lhs = [tuple(a) for a in np.argwhere(keep).tolist()] + list(_nonneg_lhs(K))
-    rhs = f[keep].tolist() + [0.0] * K
-    region = Region._from_rows(K, lhs, rhs, tuple(f"R{i}" for i in range(1, K + 1)))
+    A = np.concatenate([np.argwhere(keep), -np.eye(K, dtype=np.int64)])  # then -R_i <= 0
+    rhs = np.concatenate([f[keep], np.zeros(K)])
+    region = Region._from_rows(K, A, rhs, tuple(f"R{i}" for i in range(1, K + 1)))
     return canonicalize(prune_redundant(region, tol=tol), tol=tol)
 
 

@@ -3,9 +3,11 @@
 Each lists or recomputes by brute force what the package obtains another
 way: every facet choice of a weight box (the facet route's DP never lists
 them), the injectivity identity from the channel and the pmf alone (no
-entropy table), and the matrix that maps split rates to aggregate rates
-(the projection substitutes instead).  None is reached from the CLI or the
-routes, so they live here, with the tests.
+entropy table), the matrix that maps split rates to aggregate rates (the
+projection substitutes instead), and Fourier-Motzkin elimination, the
+tightest rhs per row and `canonicalize` written over coefficient tuples
+(the package works on one integer matrix).  None is reached from the CLI
+or the routes, so they live here, with the tests.
 """
 
 import itertools
@@ -14,6 +16,8 @@ import math
 import numpy as np
 
 from dicregion.entropy import _cell_weights, _entropy
+from dicregion.errors import InfeasibleRegionError
+from dicregion.polytope import Region
 from dicregion.theorem_region import FacetSpec
 
 
@@ -93,3 +97,59 @@ def aggregate_projection_matrix(K):
     common rate, so (matrix @ split_vector)_i = R_ip + R_ic.
     """
     return tuple(tuple(int(k // 2 == i) for k in range(2 * K)) for i in range(K))
+
+
+def tightest(rows) -> dict:
+    """{lhs: rhs} over (lhs, rhs) pairs: the tightest rhs of each left-hand
+    side, in first-seen order."""
+    best = {}
+    for coeffs, rhs in rows:
+        if coeffs not in best or rhs < best[coeffs]:
+            best[coeffs] = rhs
+    return best
+
+
+def nonzero_rows(rows, tol):
+    """The (lhs, rhs) pairs with a nonzero left-hand side.  A zero row
+    0 <= rhs holds trivially when rhs >= -tol and is dropped; below that it
+    proves the region empty and raises InfeasibleRegionError."""
+    for coeffs, rhs in rows:
+        if any(coeffs):
+            yield coeffs, rhs
+        elif rhs < -tol:
+            raise InfeasibleRegionError(f"the system implies 0 <= {rhs}")
+
+
+def fm_eliminate(region, idx, tol=1e-9):
+    """Fourier-Motzkin elimination of column idx: the rows free of it first,
+    then every (positive, negative) pair by exact integer
+    cross-multiplication, zero rows by `nonzero_rows`, then `tightest`."""
+    pos, neg, out = [], [], []
+    for coeffs, rhs in zip(region.lhs, region.rhs.tolist()):
+        c = coeffs[idx]
+        if c:
+            (pos if c > 0 else neg).append((coeffs, rhs))
+        else:
+            out.append((coeffs[:idx] + coeffs[idx + 1 :], rhs))
+    for p, p_rhs in pos:
+        a = p[idx]
+        for q, q_rhs in neg:
+            bmul = -q[idx]
+            coeffs = tuple(bmul * pc + a * qc for k, (pc, qc) in enumerate(zip(p, q)) if k != idx)
+            out.append((coeffs, bmul * p_rhs + a * q_rhs))
+    best = tightest(nonzero_rows(out, tol))
+    labels = region.labels[:idx] + region.labels[idx + 1 :]
+    return Region._from_rows(region.dim - 1, tuple(best), list(best.values()), labels)
+
+
+def canonicalize(region, tol=1e-9):
+    """Zero rows dropped (`nonzero_rows`), each row divided by the gcd of its
+    coefficients, tightest rhs per row, rows sorted."""
+    def primitive(coeffs, rhs):
+        g = math.gcd(*coeffs)
+        return (tuple(c // g for c in coeffs), rhs / g) if g > 1 else (coeffs, rhs)
+
+    rows = nonzero_rows(zip(region.lhs, region.rhs.tolist()), tol)
+    best = tightest(primitive(coeffs, rhs) for coeffs, rhs in rows)
+    lhs = sorted(best)
+    return Region._from_rows(region.dim, lhs, [best[coeffs] for coeffs in lhs], region.labels)

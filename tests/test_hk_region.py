@@ -7,6 +7,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -692,16 +693,16 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
 
 
 def test_projection_reads_the_same_rows_from_an_equal_unshared_lhs():
-    # Slices are cached by the value of the rows and the kept columns, so a
-    # region with equal rows of its own reads the slice of `_a1_lhs(K)`.
+    # A split region with an equal matrix of its own, not the shared one,
+    # projects to the same region, byte for byte.
     rng = random.Random(8)
     for K, max_x in ((3, 3), (4, 2)):
         spec = random_injective_channel(rng, K, max_x)
         a1 = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
-        copy = Region._from_rows(a1.dim, list(a1.lhs), a1.rhs.tolist(), a1.labels)
-        assert copy.lhs is not a1.lhs
-        shared = project_to_aggregate(a1)
-        assert project_to_aggregate(copy) == shared == project_to_aggregate(a1)
+        copy = Region._from_rows(a1.dim, a1.A.copy(), a1.rhs, a1.labels)
+        assert copy.A is not a1.A and copy == a1
+        shared, unshared = project_to_aggregate(a1), project_to_aggregate(copy)
+        assert (unshared.lhs, unshared.rhs.tobytes()) == (shared.lhs, shared.rhs.tobytes())
 
 
 def test_a_zero_row_below_minus_tol_makes_the_projection_infeasible():
@@ -714,13 +715,19 @@ def test_a_zero_row_below_minus_tol_makes_the_projection_infeasible():
     assert project_to_aggregate(slack) == project_to_aggregate(a1)
 
 
-def test_a1_shares_its_coefficient_tuples_across_calls():
+def test_a1_shares_its_coefficient_matrix_across_calls():
+    # Every split region of one K holds the one cached matrix, which nothing
+    # can write, and one labels tuple; perfbench keeps every outcome, so a
+    # copy per region would grow its peak RSS with the instances run.
     spec = random_injective_channel(random.Random(3), 3, 3)
     rng = random.Random(4)
     first = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
     second = build_A1(spec, table_for(spec, random_full_support(rng, spec)))
     assert first != second
-    assert all(a is b for a, b in zip(first.lhs, second.lhs, strict=True))
+    assert first.A is second.A and first.labels is second.labels
+    assert first.A.dtype == np.int64 and first.A.flags.c_contiguous and not first.A.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first.A[0, 0] = 2
 
 
 def test_projection_rejects_tolerance_of_one_or_more(xor):

@@ -613,6 +613,19 @@ def test_batch_members_finish_apart(monkeypatch):
     assert X == pytest.approx(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), abs=1e-12)
 
 
+def test_an_unbounded_stacked_member_breaks_the_contract_and_raises():
+    # x1 - x2 <= 1 has a negative entry besides the sign rows, so it is not
+    # a packing system: from the greedy vertex (1, 0) x1 rises with x2
+    # without bound.  The packing member beside it alone comes back.
+    sign = [[-1.0, 0.0], [0.0, -1.0]]
+    A = np.array([sign + [[1.0, -1.0]], sign + [[1.0, 1.0]]])
+    b, C = np.array([[0.0, 0.0, 1.0]] * 2), np.array([[1.0, 0.0]] * 2)
+    with pytest.raises(RuntimeError, match="^stacked LP unbounded: its system is not a packing system$"):
+        lp._maximize_stacks(C, A, b, 1e-9)
+    values, X = lp._maximize_stacks(C[1:], A[1:], b[1:], 1e-9)
+    assert values.tolist() == [1.0] and X.tolist() == [[1.0, 0.0]]
+
+
 def _assert_greedy_start(C, A, b):
     """`lp._greedy_start` on one stack: n distinct rows per member, each at
     slack exactly 0 at the start's feasible point, with a nonsingular block."""

@@ -43,6 +43,7 @@ from dicregion.polytope import (
     vertices,
 )
 
+import reference
 from conftest import random_full_support, random_injective_channel
 
 
@@ -95,6 +96,11 @@ def test_prune_dominated_single_bounds():
     assert kept == {((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)}
     # A facet pair matches only with its exact rhs: (1, 0) <= 1 is still tested.
     assert prune_redundant(region, facets={((1, 0), 2.0)}) == pruned
+    # It matches by value, as a set of pairs does: rhs 0.0 names a row at -0.0.
+    corner = R(2, [((1, 0), 0.0), ((0, 1), 0.0), ((1, 1), -0.0), ((-1, 0), 0.0), ((0, -1), 0.0)])
+    assert prune_redundant(corner).lhs == ((1, 0), (0, 1), (-1, 0), (0, -1))
+    carried = prune_redundant(corner, facets={((1, 1), 0.0)})
+    assert (carried.lhs, carried.rhs.tobytes()) == (((1, 1), (-1, 0), (0, -1)), np.array([-0.0, 0.0, 0.0]).tobytes())
 
 
 def test_prune_same_lhs_keeps_tightest():
@@ -330,10 +336,10 @@ def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
     ]
     witnesses = 0
     for region in _packing_systems(rng, 300) + mixed:
-        best = polytope._tightest(zip(region.lhs, region.rhs.tolist()))
-        A, b = np.array(list(best), dtype=float).reshape(len(best), region.dim), np.array(list(best.values()))
-        rows = np.array([not _plain_sign_row(*pair) for pair in best.items()])
-        lhs = list(best)
+        best = polytope._tightest(region.A, region.rhs)
+        lhs, b = list(map(tuple, region.A[best].tolist())), region.rhs[best]
+        A = region.A[best].astype(float)
+        rows = np.array([not _plain_sign_row(*pair) for pair in zip(lhs, b.tolist())])
         found = {(lhs[k], b[k]) for k in polytope._witnessed(A, b, np.flatnonzero(rows), 1e-9).tolist()}
         assert found <= set(_prune_against_all_others(region))
         witnesses += len(found)
@@ -960,6 +966,87 @@ def test_region_document_coefficients_stop_at_two_to_the_53():
             region_from_dict(doc)
 
 
+def test_every_region_stops_coefficients_at_two_to_the_53():
+    # Python ints used to grow without bound, and the float LP then tested
+    # another row than the region's.
+    message = r"^inequality {}: coefficient {} exceeds 2\^53, beyond the integers a float holds exactly$"
+    with pytest.raises(ValueError, match=message.format(1, 2**53 + 1)):
+        Region(2, [LinearInequality((2**53 + 1, 0), 1.0)])
+    with pytest.raises(ValueError, match=message.format(2, "of 1329 bits")):
+        Region(2, [LinearInequality((1, 0), 1.0), LinearInequality((0, -(10**400)), 1.0)])
+    with pytest.raises(ValueError, match=message.format(2, -(2**53) - 1)):
+        Region._from_rows(2, np.array([[1, 0], [0, -(2**53) - 1]]), [1.0, 1.0])
+    edge = ((2**53, -(2**53)),)
+    assert Region(2, [LinearInequality(edge[0], 1.0)]).lhs == edge
+    assert Region._from_rows(2, np.array(edge), [1.0]).lhs == edge
+
+
+def test_elimination_stops_before_a_coefficient_beyond_two_to_the_53():
+    # Each pair multiplies coefficients, so they outgrow int64 within a few
+    # eliminations; the bound is tested before any product is taken.
+    message = (r"^eliminating {}: combined coefficients may reach {}, beyond 2\^53, "
+               r"the integers a float holds exactly$")
+    for rows, label, reach in (
+        ([((1, 2**52 + 1), 1.0), ((-1, 2**52), 1.0)], "x1", 2**53 + 1),
+        ([((2**27, 2**27), 1.0), ((-(2**27), 1), 1.0)], "x1", 2**54 + 2**27),
+        ([((1, 2**40), 1.0), ((2**40, -1), 1.0)], "x2", 2**80 + 1),
+    ):
+        with pytest.raises(ValueError, match=message.format(label, reach)):
+            fm_eliminate(R(2, rows), label)
+    # A combined coefficient of exactly 2^53 is still exact.
+    out = fm_eliminate(R(2, [((1, 2**52), 1.0), ((-1, 2**52), 1.0)]), "x1")
+    assert (out.lhs, out.rhs.tolist()) == (((2**53,),), [2.0])
+
+
+# Rows of the kernel test: right-hand sides with -0.0 beside 0.0 and zero
+# rows on both sides of -tol.
+KERNEL_RHS = st.sampled_from([-1.0, -1e-10, -0.0, 0.0, 0.5, 1.0, 2.5]) | st.floats(-3, 3)
+
+
+@st.composite
+def kernel_regions(draw):
+    """Regions with mixed-sign columns, rows repeated at their rhs or another,
+    and zero rows at rhs -1, -1e-10, -0.0, 0.0 or 1, in any order."""
+    dim = draw(st.integers(1, 4))
+    coeffs = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(tuple)
+    rows = draw(st.lists(st.tuples(coeffs, KERNEL_RHS), max_size=12))
+    rows += [(c, draw(st.sampled_from([r, -r, r + 1.0, -0.0, 0.0]))) for c, r in rows if draw(st.booleans())]
+    zeros = draw(st.lists(st.sampled_from([-1.0, -1e-10, -0.0, 0.0, 1.0]), max_size=2))
+    rows = draw(st.permutations(rows + [((0,) * dim, r) for r in zeros]))
+    return Region._from_rows(dim, [c for c, _ in rows], [r for _, r in rows])
+
+
+def _same_bytes_or_error(run, reference_run):
+    """run() gives reference_run()'s region byte for byte (lhs, rhs bytes,
+    labels), or raises the InfeasibleRegionError it raises."""
+    try:
+        want = reference_run()
+    except InfeasibleRegionError as exc:
+        with pytest.raises(InfeasibleRegionError, match=f"^{re.escape(str(exc))}$"):
+            run()
+        return
+    got = run()
+    assert (got.lhs, got.rhs.tobytes(), got.labels) == (want.lhs, want.rhs.tobytes(), want.labels)
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_regions())
+@example(R(2, [((1, -1), 1.0), ((1, -1), 1.0), ((1, -1), 0.5), ((-1, 2), -0.0), ((-1, 2), 0.0),
+               ((2, 1), 0.0), ((0, 0), 0.0), ((-1, 0), -0.0), ((0, -1), 0.0), ((0, -1), -0.0)]))
+@example(R(2, [((1, 1), -0.0), ((-1, 1), -0.0), ((0, 2), 0.0), ((0, 0), -1e-10), ((2, -3), 1.0)]))
+@example(R(2, [((1, 0), 1.0), ((-1, 0), -1.0), ((0, 1), 2.0), ((0, 0), 0.0)]))  # a pair sums to 0 <= 0
+@example(R(2, [((1, 3), 1.0), ((-1, 0), -2.0), ((0, 0), -1e-10), ((0, 0), -1.0)]))  # 0 <= -1
+def test_the_matrix_kernel_matches_the_tuple_reference_byte_for_byte(region):
+    lhs = region.lhs
+    best = reference.tightest(zip(lhs, region.rhs.tolist()))
+    keep = polytope._tightest(region.A, region.rhs).tolist()
+    assert [lhs[k] for k in keep] == list(best)
+    assert region.rhs[keep].tobytes() == np.array(list(best.values()), dtype=float).tobytes()
+    for idx in range(region.dim):
+        _same_bytes_or_error(lambda: fm_eliminate(region, idx), lambda: reference.fm_eliminate(region, idx))
+    _same_bytes_or_error(lambda: canonicalize(region), lambda: reference.canonicalize(region))
+
+
 def test_variables_are_labels_or_integer_indices():
     # 1.7 and True were truncated to index 1 and eliminated x2.
     for var in (1.7, True, np.float64(1.0), None):
@@ -1030,7 +1117,8 @@ def test_a_seeded_compare_makes_a_pinned_number_of_pivots(monkeypatch):
 
 def _count_maximize(monkeypatch):
     calls, maximize = [], lp.maximize
-    monkeypatch.setattr(lp, "maximize", lambda *a: calls.append(a[0]) or maximize(*a))
+    # Each objective as a tuple: a row of a region's matrix reads as its coefficients.
+    monkeypatch.setattr(lp, "maximize", lambda *a: calls.append(tuple(np.asarray(a[0]).tolist())) or maximize(*a))
     return calls
 
 
