@@ -19,7 +19,7 @@ u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
 fast enough.  The private stacked solver `_maximize_stacks` takes packing
-systems only, and starts each at its greedy vertex (J. Edmonds, 1970).
+systems only, and starts each at a greedy vertex (J. Edmonds, 1970).
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def maximize(c, system: System) -> LPResult:
     return res
 
 
-def _maximize_stacks(C, A, b, tol):
+def _maximize_stacks(C, A, b, tol, start=None):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
@@ -187,16 +187,17 @@ def _maximize_stacks(C, A, b, tol):
     in which a row with a positive entry bounds each x_j that C[i] weighs
     positively, such as `polytope._capped`'s LPs; so no member is unbounded,
     and one that is raises RuntimeError, as the pivot limit does.  Each
-    member starts at its greedy vertex (`_greedy_start`), usually optimal
-    already, and ends at `maximize`'s value on its own System within tol,
-    maybe at another of tied optima.  Stacks hold at most _BATCH_CELLS
-    tableau cells.  Returns (values, X), a member's value C[i] @ x.
+    member starts at its vertex in `start`, given as `_greedy_start` gives
+    them, else at its greedy vertex; either is usually optimal already.  It
+    ends at `maximize`'s value on its own System within tol, maybe at
+    another of tied optima.  Stacks hold at most _BATCH_CELLS tableau
+    cells.  Returns (values, X), a member's value C[i] @ x.
     """
     m, n = A.shape[1:]
     X = np.empty(C.shape)
     step = max(1, _stack_size(m, n))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A[s], b[s], tol, X[s])
+        _solve_stack(C[s], A[s], b[s], tol, X[s], start and [v[s] for v in start])
     return (C[:, None, :] @ X[:, :, None])[:, 0, 0], X
 
 
@@ -206,14 +207,14 @@ def _stack_size(m, n) -> int:
     return _BATCH_CELLS // ((m + 1) * (2 * n + 1))
 
 
-def _solve_stack(C, A, b, tol, X):
-    """`maximize`'s phase 2 on a stack of tableaus started at each member's
-    greedy vertex (`_greedy_start`, `_vertex_tableaus`), writing each
+def _solve_stack(C, A, b, tol, X, start=None):
+    """`maximize`'s phase 2 on a stack of tableaus started at `start`, else
+    at each member's greedy vertex (`_vertex_tableaus`), writing each
     member's point as it finishes; finished members leave the stack."""
     n, m = C.shape[1], b.shape[1]
-    warm = _vertex_tableaus(C, A, tol, X, *_greedy_start(C, A, b))
+    warm = _vertex_tableaus(C, A, tol, X, *(start or _greedy_start(C, A, b)))
     if warm is None:
-        return  # every member is optimal at its greedy vertex
+        return  # every member is optimal at its start
     T, basis, nonbasic, member = warm
     at = np.arange(len(T))
     for _ in range(_MAX_PIVOTS):
@@ -284,46 +285,44 @@ def _vertex_tableaus(C, A, tol, X, tight, x, slack):
 def _greedy_start(C, A, b):
     """Each member's greedy vertex (`_greedy` over its own rows, C its
     objective) as (tight rows, x, slacks), on the stacks `_maximize_stacks`
-    takes.  A coordinate that rose is tight at its blocking row, the others
-    at their sign rows, in the walk's order.  Each blocking row is at slack
-    0 and has no entry in the columns that rise after it, so the n rows are
-    distinct and their block is triangular up to order, hence nonsingular."""
-    sign_row = (A < 0).argmax(1)  # the one negative entry of each column
+    takes.  Each blocking row is at slack 0 and has no entry in the columns
+    that rise after it, so the n rows are distinct and their block is
+    triangular up to order, hence nonsingular."""
     slack = b.copy()
-    x, order, blocking = _greedy(A, slack, C)
-    i = np.arange(len(C))[:, None]
-    return np.where(x[i, order] > 0, blocking, sign_row[i, order]), x, slack
+    x, tight = _greedy(A, slack, C)
+    return tight, x, slack
 
 
-def _greedy(A, slack, C, step=1):
+def _greedy(A, slack, C):
     """Edmonds' greedy walk (exact on one polymatroid) for each objective
     C[i] over A x <= slack[i], A of shape (m, n) shared or (len(C), m, n):
     from the origin, each x_e with C[i, e] > 0 rises in turn, largest
-    C[i, e] first (ties by index, or by reversed index when step is -1), as
-    far as every row allows; only rows with a positive entry in column e
-    bound it, and with none x_e is inf.  `slack` is updated in place.  A
-    coordinate that rises by t > 0 leaves its blocking row (the first of
-    smallest ratio) at slack exactly 0, so rounding cannot let a later
-    coordinate rise through it.  Returns the points, the order of the
-    coordinates and, in that order, each one's blocking row (meaningful
-    where it rose)."""
+    C[i, e] first (ties by index), as far as every row allows; only rows
+    with a positive entry in column e bound it, and with none x_e is inf.
+    `slack` is updated in place.  A coordinate that rises by t > 0 leaves
+    its blocking row (the first of smallest ratio) at slack exactly 0, so
+    rounding cannot let a later coordinate rise through it.  Returns the
+    points and, in the walk's order, each coordinate's tight row: its
+    blocking row where it rose, else its sign row (the first row with a
+    negative entry in its column)."""
     size, n = C.shape
     at = np.arange(size)
-    order = np.argsort(-C[:, ::step], axis=1, kind="stable")
-    order = order if step == 1 else n - 1 - order
+    order = np.argsort(-C, axis=1, kind="stable")
     rise = C[at[:, None], order] > 0
-    X, blocking = np.zeros((size, n)), np.zeros((size, n), dtype=int)
+    X = np.zeros((size, n))
+    tight = np.broadcast_to((A < 0).argmax(-2), C.shape)[at[:, None], order]
     with np.errstate(divide="ignore", invalid="ignore"):  # ratios where col > 0 only
         for k, e in enumerate(order.T[: rise.sum(1).max(initial=0)]):  # the rest stay 0
             col = A.T[e] if A.ndim == 2 else A[at, :, e]
             ratios = np.where(col > 0, slack / col, np.inf)
-            blocking[:, k] = r = ratios.argmin(1)
+            r = ratios.argmin(1)
             t = ratios[at, r]
             up = rise[:, k] & (t > 0)
             X[at, e] = t = np.where(up, t, 0.0)
             slack -= t[:, None] * col
             slack[at[up], r[up]] = 0.0
-    return X, order, blocking
+            tight[up, k] = r[up]
+    return X, tight
 
 
 def _iterate(T, basis, nonbasic, tol, unused, m):

@@ -274,13 +274,15 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     are alive at every turn and the alive rows are among all others, so a
     value <= b_k + tol over kept rows drops k, and > b_k + tol over all others
     keeps it.  A greedy point above b_k + tol that violates no other row by
-    over tol keeps k first, with no LP (`_witnessed`).  Step A: over the kept
-    rows, drop, or keep when the optimum violates no other row by over tol.
-    Step B: the LP over all others, output-sensitively (Clarkson, FOCS 1994):
-    the working set gains the rows its optimum violates most, doubling by at
-    least 5, until none is violated (keep) or the value is <= b_k + tol; a
-    round that fits one `_maximize_stacks` stack takes all others instead,
-    and so decides every row (`_capped`).  Step C: a row step B bounded is
+    over tol keeps k first, with no LP (`_witnessed`).  When the other open
+    rows fit one `_maximize_stacks` stack, one round over all others decides
+    them, each LP started at its greedy point's vertex.  Else, step A: over
+    the kept rows, drop, or keep when the optimum violates no other row by
+    over tol.  Step B: the LP over all others, output-sensitively (Clarkson,
+    FOCS 1994): the working set gains the rows its optimum violates most,
+    doubling by at least 5, until none is violated (keep) or the value is
+    <= b_k + tol; a round that fits one stack takes all others instead, and
+    so decides every row (`_capped`).  Step C: a row a round bounded is
     dropped when every working row tight at its optimum ends kept (by
     complementary slackness they bound a_k.x by the same value); the other
     bounded rows are tested over the kept rows again and dropped when
@@ -325,38 +327,38 @@ def _among(lhs, b, pairs):
     return among
 
 
-def _capped(A, b, rows, tested, tol):
+def _capped(A, b, rows, tested, tol, start=None):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
     The rows come from `_certify`'s packing system and include its sign
     rows, so each LP is one `lp._maximize_stacks` takes: the capped row k
-    bounds every coordinate a_k weighs.  Each starts at its greedy vertex,
-    `_witnessed`'s walk, in decreasing a_k order, over that LP's own rows."""
+    bounds every coordinate a_k weighs.  Each starts at its greedy vertex
+    over its own rows, row k last, or at `start`, `_witnessed`'s vertices,
+    where `rows` holds every row but k, posed as the walk posed it."""
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
+    if start is not None:  # every row in place, row k capped where it stands
+        every = np.broadcast_to(A, (len(tested), *A.shape))
+        return lp._maximize_stacks(A[tested], every, b + ~others, tol, start)
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
     return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)
 
 
 def _witnessed(A, b, tested, tol):
-    """The rows in `tested` that a greedy point proves needed (b >= 0).  For
-    each k, `lp._greedy` walks from the origin in a_k's order over every
-    row, row k capped at b_k + 1 as in `_capped`.  k is needed when the
-    point exceeds b_k by over tol and no other row by over tol, step A's
-    test.  Ties go by index, then, over the misses, by reversed index.
-    Only rows with a positive entry in column e bound x_e, so every point
-    is feasible up to rounding and the test keeps only rows the LP over
-    all other rows would keep."""
-    found = []
-    for step in (1, -1):
-        rows = np.arange(len(tested))
-        slack = b + (np.arange(len(b)) == tested[:, None])
-        excess = lp._greedy(A, slack, A[tested], step)[0] @ A.T - b
-        over = excess[rows, tested] > tol
-        excess[rows, tested] = -np.inf
-        hit = over & (excess.max(1) <= tol)
-        found.append(tested[hit])
-        tested = tested[~hit]
-    return np.concatenate(found)
+    """Greedy points for the rows in `tested` (b >= 0): for each k,
+    `lp._greedy` walks from the origin in a_k's order over every row, row
+    k capped at b_k + 1 as in `_capped`.  Returns the mask of the k it
+    proves needed, whose point exceeds b_k by over tol and no other row by
+    over tol (every round's keep test), and each k's vertex (tight rows,
+    point, slacks) as `_capped` takes a start.  Only rows with a positive
+    entry in column e bound x_e, so every point is feasible up to rounding
+    and the test keeps only rows the LP over all other rows would keep."""
+    slack = b + (np.arange(len(b)) == tested[:, None])
+    x, tight = lp._greedy(A, slack, A[tested])
+    excess = x @ A.T - b
+    rows = np.arange(len(tested))
+    over = excess[rows, tested] > tol
+    excess[rows, tested] = -np.inf
+    return over & (excess.max(1) <= tol), (tight, x, slack)
 
 
 def _certify(A, b, kept, dropped, tol):
@@ -364,15 +366,20 @@ def _certify(A, b, kept, dropped, tol):
     coordinate: mark certified keeps in `kept` and certified drops in
     `dropped`.  First the rows that `_witnessed` finds are kept.  Each round
     of LPs is one `_capped` call, which runs every member to its optimum; a
-    round over all other rows decides every row it tests."""
-    kept[_witnessed(A, b, np.flatnonzero(~kept), tol)] = True
+    round over all other rows decides every row it tests, and is the first,
+    from the walk's vertices, when it fits one stack, else step A is."""
+    tested = np.flatnonzero(~kept)
+    hit, start = _witnessed(A, b, tested, tol)
+    kept[tested[hit]] = True
     if kept.all():
         return
-    tested = np.flatnonzero(~kept)
-    working = np.tile(kept, (len(tested), 1))  # step A: the kept rows
+    tested = tested[~hit]
+    fits = len(tested) <= lp._stack_size(len(b), A.shape[1])
+    working = (kept | fits) & (np.arange(len(b)) != tested[:, None])  # all others, else step A's kept
+    start = [v[~hit] for v in start] if fits else None
     bounded_rows, tight = [], []
     while tested.size:
-        values, X = _capped(A, b, working, tested, tol)
+        values, X = _capped(A, b, working, tested, tol, start)  # a start's round decides all
         bounded = values <= b[tested] + tol
         excess = X @ A.T - b
         bounded_rows.append(tested[bounded])

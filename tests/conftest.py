@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 from dicregion.channel import ChannelSpec
 from dicregion.coeff_scheme import CoefficientScheme
 from dicregion.entropy import EntropyTable, InputDistribution
-from dicregion.polytope import support_value
+from dicregion.polytope import _witnessed, support_value
 from reference import aggregate_projection_matrix
 
 
@@ -93,6 +93,26 @@ def random_full_support(rng: random.Random, spec: ChannelSpec) -> InputDistribut
     return InputDistribution(tuple(rows))
 
 
+def benchmark_pools():
+    """The perfbench pools as (channel, full-support input) pairs, each drawn
+    from its key name/k: project-k6 and sweep-k4-x8, whose instances run the
+    projection, then certify-k3, whose instances run both routes."""
+
+    def pool(name, sizes, count):
+        pairs = []
+        for k in range(count):
+            rng = random.Random(f"{name}/{k}")
+            spec = injective_channel_of_sizes(rng, sizes(rng))
+            pairs.append((spec, random_full_support(rng, spec)))
+        return pairs
+
+    sweep = injective_channel_of_sizes(random.Random("sweep-k4-x8/channel"), [8] * 4)
+    projected = pool("project-k6", lambda rng: [2] * 6, 6) + [
+        (sweep, random_full_support(random.Random(f"sweep-k4-x8/{k}"), sweep)) for k in range(16)
+    ]
+    return projected, pool("certify-k3", lambda rng: [rng.randint(2, 4) for _ in range(3)], 9)
+
+
 def random_entropy_table(rng: random.Random, K: int) -> EntropyTable:
     """Entropy table with independent random entries, tied to no channel."""
     h = [[rng.uniform(0.0, 3.0) for _mask in range(1 << K)] for _i in range(K)]
@@ -139,6 +159,13 @@ def assert_support_values_match_highs(a1, region, directions):
         ref = linprog(-(d @ P), A_ub=A, b_ub=b, bounds=(None, None), method="highs")
         assert ref.status == 0
         assert support_value(region, d) == pytest.approx(-ref.fun, abs=1e-7)
+
+
+def witnessing_nothing(A, b, tested, tol):
+    """`polytope._witnessed` that proves no row needed: the same walk vertices
+    as starts, with no hit, so every open row reaches the LP rounds."""
+    hit, start = _witnessed(A, b, tested, tol)
+    return hit & False, start
 
 
 @pytest.fixture

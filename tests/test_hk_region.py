@@ -34,12 +34,14 @@ from dicregion.theorem_region import enumerate_facets
 
 from conftest import (
     assert_support_values_match_highs,
+    benchmark_pools,
     channels_with_distributions,
     injective_channel_of_sizes,
     product_channel,
     random_entropy_table,
     random_full_support,
     random_injective_channel,
+    witnessing_nothing,
     xor_channel,
 )
 from reference import aggregate_projection_matrix
@@ -374,9 +376,9 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
         rows.append(len(system))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         rows.append(len(C) * len(b[0]))  # each member's rows
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
@@ -405,33 +407,36 @@ def _mixed_k3():
 
 
 @pytest.mark.parametrize("case, n_rows, most_calls, witnesses",
-                         [(_binary_k6, 50, 3, True), (_sweep_k4_x8, 23, 10, False)],
+                         [(_binary_k6, 50, 2, True), (_sweep_k4_x8, 23, 5, False)],
                          ids=["binary-k6", "k4-x8"])
 def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls, witnesses):
     # One batch call is one round of certificate LPs.  Doubling the
     # working sets until no row was violated, then testing every row step B
-    # bounded over the kept rows again, took 5 and 18 calls on these inputs.
-    # Each of the five k4-x8 prunes takes two because step B takes every
-    # other row in the first round that fits one stack.  Its greedy witnesses
-    # are off: with them, step A decides every row and step B never runs.
+    # bounded over the kept rows again, took 5 and 18 calls on these inputs,
+    # and starting from step A over the kept rows took 1 and 10.  Now the
+    # first round of each prune takes every other row when it fits one stack
+    # and so decides every open row: binary-k6 takes that round and one of
+    # step C, and each of the five k4-x8 prunes, with its greedy witnesses
+    # off so that all its open rows reach the LPs, one.
     spec, dist = case()
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, calls = dicregion.lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         calls.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     if not witnesses:
-        monkeypatch.setattr(dicregion.polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+        monkeypatch.setattr(dicregion.polytope, "_witnessed", witnessing_nothing)
     assert len(project_to_aggregate(a1).inequalities) == n_rows
     assert len(calls) <= most_calls
 
 
 def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypatch):
     # With a stack cut to 2^15 tableau cells, the 63 members of the one prune
-    # here keep doubling (6, 12, 24 rows) until few enough are left to take
+    # here do not fit one stack, so step A starts them at the kept rows, and
+    # they keep doubling (6, 12, 24 rows) until few enough are left to take
     # every other row; the region is the same.  On the K=10 facet route,
     # 284 members taking 966 rows each made the final prune 40% slower.
     # The prune is of a packing system, so steps B and C are reached here
@@ -441,25 +446,26 @@ def test_step_b_takes_every_other_row_only_in_rounds_that_fit_one_stack(monkeypa
     region = project_to_aggregate(a1)
     capped, rounds = dicregion.polytope._capped, []
 
-    def recording(A, b, rows, tested, tol):
-        if rows.ndim == 2:  # steps A and B
+    def recording(A, b, rows, tested, tol, start=None):
+        if rows.ndim == 2:  # steps A and B, or the first round from the walk's vertices
             size = rows[0].sum()
             rounds.append((size, len(tested) * (len(b) + 1) * (2 * A.shape[1] + 1)))
-        return capped(A, b, rows, tested, tol)
+        return capped(A, b, rows, tested, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_BATCH_CELLS", 2**15)
     monkeypatch.setattr(dicregion.polytope, "_capped", recording)
     with monkeypatch.context() as patch:
-        patch.setattr(dicregion.polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+        patch.setattr(dicregion.polytope, "_witnessed", witnessing_nothing)
         assert project_to_aggregate(a1) == region
         jumps = [cells for (was, _), (size, cells) in zip(rounds, rounds[1:]) if size > 2 * max(5, was)]
         assert [size for size, _ in rounds[:3]] == [6, 12, 24]
         assert jumps and max(jumps) <= 2**15
-    # With them, 43 of the 63 are kept before step A, whose one round over
-    # the 49 kept rows (the 6 sign rows too) decides every other row.
+    # With them, 42 of the 63 are kept first (43 when a second walk broke
+    # ties by reversed index), and the other 21 fit one stack: one round over
+    # all 68 other rows, from the walk's vertices, decides each of them.
     rounds.clear()
     assert project_to_aggregate(a1) == region
-    assert [size for size, _ in rounds] == [49]
+    assert [size for size, _ in rounds] == [68]
 
 
 def test_every_prune_of_the_projection_receives_a_packing_system(monkeypatch):
@@ -486,16 +492,6 @@ def test_every_prune_of_the_projection_receives_a_packing_system(monkeypatch):
         assert (A[~dicregion.polytope._sign_rows(A, b)] >= 0).all()
 
 
-def _pool(name, sizes, count):
-    """A perfbench pool: channel and full-support input from the key name/k."""
-    pool = []
-    for k in range(count):
-        rng = random.Random(f"{name}/{k}")
-        spec = injective_channel_of_sizes(rng, sizes(rng))
-        pool.append((spec, random_full_support(rng, spec)))
-    return pool
-
-
 def test_every_stacked_lp_is_a_packing_system_with_one_sign_row_per_coordinate(monkeypatch):
     # `lp._maximize_stacks` does not check its input: every member must be
     # a packing system (b >= 0, every row nonnegative but the sign rows)
@@ -505,21 +501,18 @@ def test_every_stacked_lp_is_a_packing_system_with_one_sign_row_per_coordinate(m
     # stack of the benchmark pools and of seeded channels through both routes.
     maximize_stacks, members = dicregion.lp._maximize_stacks, []
 
-    def checking(C, A, b, tol=1e-9):
+    def checking(C, A, b, tol, start=None):
         sign = (b == 0) & ((A != 0).sum(2) == 1) & (A.sum(2) == -1)
         assert (b >= 0).all() and (A[~sign] >= 0).all()
         assert (((A != 0) & sign[:, :, None]).sum(1) == 1).all()
         assert ((A > 0).any(1) | (C <= 0)).all()
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", checking)
-    sweep = _sweep_k4_x8()[0]
-    for spec, dist in _pool("project-k6", lambda rng: [2] * 6, 6) + [
-        (sweep, random_full_support(random.Random(f"sweep-k4-x8/{k}"), sweep)) for k in range(16)
-    ]:
+    projected, both = benchmark_pools()
+    for spec, dist in projected:
         project_to_aggregate(build_A1(spec, table_for(spec, dist)))
-    both = _pool("certify-k3", lambda rng: [rng.randint(2, 4) for _ in range(3)], 9)
     rng = random.Random(40)
     for trial in range(120):
         spec = random_injective_channel(rng, 2 + trial % 3, 4)
@@ -536,71 +529,76 @@ def test_every_stacked_lp_is_a_packing_system_with_one_sign_row_per_coordinate(m
 def test_greedy_witnesses_decide_the_k4_x8_prunes(monkeypatch):
     # With every user substituted before the first prune, this projection
     # sent 297 members through the stacked solver in 9 calls, and the
-    # witnesses kept none of the 64 open rows of its first prune.
+    # witnesses kept none of the 64 open rows of its first prune.  The one
+    # walk per row keeps as many as two walks did; the members went 122 ->
+    # 124 when the first round took every other row instead of step A.
     spec, dist = _sweep_k4_x8()
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, witnessed = dicregion.lp._maximize_stacks, dicregion.polytope._witnessed
     members, keeps = [], []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     def counting_keeps(A, b, tested, tol):
-        found = witnessed(A, b, tested, tol)
-        keeps.append((len(found), len(tested)))
-        return found
+        hit, start = witnessed(A, b, tested, tol)
+        keeps.append((hit.sum(), len(tested)))
+        return hit, start
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     monkeypatch.setattr(dicregion.polytope, "_witnessed", counting_keeps)
     assert len(project_to_aggregate(a1).inequalities) == 23
-    assert (len(members), sum(members)) == (5, 122)
-    assert keeps[0] == (62, 64)
+    assert (len(members), sum(members)) == (5, 124)
+    assert keeps == [(62, 64), (4, 83), (10, 30), (6, 17), (17, 29)]
 
 
 def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
     # Before the greedy witnesses, this prune sent 128 members through the
-    # stacked solver in 3 calls.
+    # stacked solver in 3 calls.  It sends 21 in its first round and 2 more
+    # in step C.
     spec, dist = _binary_k6()
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, members = dicregion.lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     assert len(project_to_aggregate(a1).inequalities) == 50
     assert 0 < sum(members) <= 32
 
 
-@pytest.mark.parametrize("case, steps, pivots", [(_sweep_k4_x8, 9, 28), (_binary_k6, 3, 3)],
+@pytest.mark.parametrize("case, steps, pivots", [(_sweep_k4_x8, 9, 31), (_binary_k6, 3, 4)],
                          ids=["k4-x8", "binary-k6"])
 def test_greedy_starts_pin_the_stacked_pivots(monkeypatch, case, steps, pivots):
     # Every prune of the projection is a packing system with one sign row per
-    # coordinate, so each stacked LP starts at its greedy vertex: n tight rows
-    # per member, one per coordinate.  From the slack basis these projections
-    # took 42 stack pivot steps with 626 member pivots (k4-x8) and 7 with 62
-    # (binary-k6).
+    # coordinate, so each stacked LP starts at a greedy vertex, the witness
+    # walk's in a first round that fits one stack: n tight rows per member,
+    # one per coordinate.  From the slack basis these projections took 42
+    # stack pivot steps with 626 member pivots (k4-x8) and 7 with 62
+    # (binary-k6); starting from step A at its own greedy vertices, 9 with
+    # 28 and 3 with 3.
     spec, dist = case()
     a1 = build_A1(spec, table_for(spec, dist))
-    pivot_stack, greedy_start = dicregion.lp._pivot_stack, dicregion.lp._greedy_start
+    pivot_stack, vertex_tableaus = dicregion.lp._pivot_stack, dicregion.lp._vertex_tableaus
     made, starts = [], []
 
     def counting(T, *args):
         made.append(len(T))
         return pivot_stack(T, *args)
 
-    def recording(C, A, b):
-        starts.append((C.shape[1], greedy_start(C, A, b)))
-        return starts[-1][1]
+    def recording(C, A, tol, X, tight, x, slack):
+        starts.append((C.shape[1], tight))
+        return vertex_tableaus(C, A, tol, X, tight, x, slack)
 
     monkeypatch.setattr(dicregion.lp, "_pivot_stack", counting)
-    monkeypatch.setattr(dicregion.lp, "_greedy_start", recording)
+    monkeypatch.setattr(dicregion.lp, "_vertex_tableaus", recording)
     project_to_aggregate(a1)
     assert (len(made), sum(made)) == (steps, pivots)
     assert starts
-    for n, (tight, _, _) in starts:
+    for n, tight in starts:
         assert tight.shape[1] == n and all(len(set(rows)) == n for rows in tight.tolist())
 
 
@@ -617,9 +615,9 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
         widths.append(len(c))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         widths.extend(len(c) for c in C)
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
@@ -661,9 +659,9 @@ def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
         calls.append(1)
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         calls.extend([1] * len(C))  # one LP per member
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)

@@ -44,7 +44,7 @@ from dicregion.polytope import (
 )
 
 import reference
-from conftest import random_full_support, random_injective_channel
+from conftest import benchmark_pools, random_full_support, random_injective_channel, witnessing_nothing
 
 
 def R(dim, rows, labels=()):
@@ -275,15 +275,15 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
             rows += [(q.coeffs, q.rhs) for q in nonneg_inequalities(dim)]
         rng.shuffle(rows)
         randoms.append(R(dim, rows))
-    # Certificates decide rows of the packing systems only; the large ones
-    # reach step B's rounds over all other rows.
+    # Certificates decide rows of the packing systems only.
     packing = _packing_systems(rng, 200) + _packing_systems(rng, 100, most=40)
     implied, tested = polytope._implied, []
     witnessed, found = polytope._witnessed, []
 
     def recording(A, b, rows, tol):
-        found.append(witnessed(A, b, rows, tol))
-        return found[-1]
+        hit, start = witnessed(A, b, rows, tol)
+        found.append(hit.any())
+        return hit, start
 
     def counting(A, b, *args):
         sign = polytope._sign_rows(A, b)
@@ -292,19 +292,40 @@ def test_prune_matches_testing_against_all_others(monkeypatch):
 
     monkeypatch.setattr(polytope, "_implied", counting)
     monkeypatch.setattr(polytope, "_witnessed", recording)
-    statuses = set()
+    statuses, plain = set(), []
     for region in fixed + randoms + packing:
         A, b = region.matrix()
         statuses.add(lp.maximize([1.0] * region.dim, lp.System(A, b)).status)
         pruned = prune_redundant(region)
-        assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == _prune_against_all_others(region)
+        plain.append(_prune_against_all_others(region))
+        assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == plain[-1]
     # the random systems include empty, unbounded and bounded regions
     assert statuses == {lp.OPTIMAL, lp.UNBOUNDED, lp.INFEASIBLE}
     # Certificates leave ties to the plain test: some rows of packing
     # systems with a sign row per coordinate reach it.
     assert any(tested) and not all(tested)
     # Greedy witnesses keep rows in some prunes and find none in others.
-    assert any(f.size for f in found) and not all(f.size for f in found)
+    assert any(found) and not all(found)
+    # With stacks of 2^7 tableau cells, the first round of most packing
+    # prunes does not fit one stack, so step A starts from the kept rows
+    # and step B grows the working sets, taking every other row in the
+    # rounds that fit.  The regions are the same, byte for byte.
+    capped, rounds = polytope._capped, []
+
+    def counting_rounds(A, b, rows, tested, tol, start=None):
+        if rows.ndim == 2:  # not step C
+            rounds.append("walk" if start is not None else "all" if rows[0].sum() == len(b) - 1 else "grow")
+        return capped(A, b, rows, tested, tol, start)
+
+    monkeypatch.setattr(lp, "_BATCH_CELLS", 2**7)
+    monkeypatch.setattr(polytope, "_capped", counting_rounds)
+    for region, rows in zip(packing, plain[-len(packing):]):
+        pruned = prune_redundant(region)
+        assert pruned.lhs == tuple(coeffs for coeffs, _ in rows)
+        assert pruned.rhs.tobytes() == np.array([rhs for _, rhs in rows]).tobytes()
+    # 85 first rounds still fit, 206 rounds are step A's or grow working
+    # sets, and 38 take every other row.
+    assert rounds.count("walk") > 40 and rounds.count("grow") > 100 and rounds.count("all") > 20
 
 
 def test_only_packing_systems_with_a_sign_row_per_coordinate_take_certificates(monkeypatch):
@@ -340,7 +361,9 @@ def test_greedy_witnesses_are_rows_the_plain_rule_keeps():
         lhs, b = list(map(tuple, region.A[best].tolist())), region.rhs[best]
         A = region.A[best].astype(float)
         rows = np.array([not _plain_sign_row(*pair) for pair in zip(lhs, b.tolist())])
-        found = {(lhs[k], b[k]) for k in polytope._witnessed(A, b, np.flatnonzero(rows), 1e-9).tolist()}
+        tested = np.flatnonzero(rows)
+        hit, _ = polytope._witnessed(A, b, tested, 1e-9)
+        found = {(lhs[k], b[k]) for k in tested[hit].tolist()}
         assert found <= set(_prune_against_all_others(region))
         witnesses += len(found)
     assert witnesses > 300
@@ -358,55 +381,151 @@ def test_a_greedy_point_above_another_row_witnesses_nothing():
     assert len(pruned.lhs) == 4
 
 
+def _assert_walk_round_agrees(monkeypatch, A, b, tested, start, tol=1e-9):
+    """`_certify`'s first round on (A, b), the open rows `tested` started at
+    `start` = (tight rows, x, slacks).  Each start is a vertex: n distinct
+    rows at slack exactly 0, with a nonsingular block B.  Each member agrees
+    with `_capped`'s LP over every other row started at its own greedy
+    vertex, row k last: a finite value within tol of it, at a point that
+    violates no row (row k capped) by over 1e-9.  A member whose B is an
+    optimal basis (every reduced cost a_k B⁻¹ at least -tol) builds no
+    tableau and ends at its walk point.  Returns how many members were
+    optimal at their walk vertex."""
+    tight, x, slack = start
+    n = A.shape[1]
+    assert all(len(set(rows)) == n for rows in tight.tolist())
+    assert (np.take_along_axis(slack, tight, 1) == 0).all()
+    assert (np.linalg.matrix_rank(A[tight]) == n).all()
+    every = np.arange(len(b)) != tested[:, None]
+    vertex_tableaus, built = lp._vertex_tableaus, []
+
+    def recording(*args):
+        warm = vertex_tableaus(*args)
+        built.extend([] if warm is None else warm[3].tolist())
+        return warm
+
+    assert len(tested) <= lp._stack_size(len(b), A.shape[1])  # one stack: `built` indexes tested
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_vertex_tableaus", recording)
+        values, X = polytope._capped(A, b, every, tested, tol, start)
+    assert np.isfinite(values).all()
+    assert values == pytest.approx(polytope._capped(A, b, every, tested, tol)[0], abs=tol)
+    assert (X @ A.T <= b + ~every + 1e-9).all()
+    at_vertex = ((A[tested][:, None] @ np.linalg.inv(A[tight]))[:, 0] >= -tol).all(1)
+    assert not set(np.flatnonzero(at_vertex).tolist()) & set(built)
+    assert (X[at_vertex] == x[at_vertex]).all()
+    return at_vertex.sum()
+
+
+def test_walk_started_rounds_agree_with_the_lp_over_all_others(monkeypatch):
+    # When the open rows of a packing prune fit one stack, `_certify`'s first
+    # round starts each LP over every other row at the vertex `_witnessed`'s
+    # walk reached, posed in place.  This checks that round on every prune
+    # of the benchmark pools (both routes) and of seeded packing systems:
+    # 3,444 members, 2,059 of them optimal at their walk vertex.  A start
+    # with one tight row per member swapped for a row with slack fails the
+    # check; value and feasibility alone catch 67 of the 253 such rounds.
+    certify, rounds = polytope._certify, []
+
+    def recording(A, b, kept, dropped, tol):
+        rounds.append((A, b, kept.copy()))
+        return certify(A, b, kept, dropped, tol)
+
+    monkeypatch.setattr(polytope, "_certify", recording)
+    projected, both = benchmark_pools()
+    for spec, dist in projected + both:
+        table = build_entropy_table(spec, dist)
+        project_to_aggregate(build_A1(spec, table))
+        if (spec, dist) in both:
+            enumerate_facets(spec, table)
+    for region in _packing_systems(random.Random(42), 200):
+        prune_redundant(region)
+    members = optimal = mutated = 0
+    for A, b, kept in rounds:
+        tested = np.flatnonzero(~kept)
+        hit, start = polytope._witnessed(A, b, tested, 1e-9)
+        tested, (tight, x, slack) = tested[~hit], [v[~hit] for v in start]
+        if not tested.size or len(tested) > lp._stack_size(len(b), A.shape[1]):
+            continue
+        optimal += _assert_walk_round_agrees(monkeypatch, A, b, tested, (tight, x, slack))
+        members += len(tested)
+        # A mutant start: in each member, the first tight row swapped for a
+        # row with slack, the block kept nonsingular.
+        mutant = tight.copy()
+        for i in range(len(tested)):
+            for k in np.flatnonzero(slack[i] > 1e-6):
+                swapped = np.concatenate([[k], tight[i, 1:]])
+                if np.linalg.matrix_rank(A[swapped]) == A.shape[1]:
+                    mutant[i] = swapped
+                    break
+        if (mutant != tight).any():
+            mutated += 1
+            with pytest.raises(AssertionError):
+                _assert_walk_round_agrees(monkeypatch, A, b, tested, (mutant, x, slack))
+    assert members > 3000 and optimal > 1500 and mutated > 200
+
+
 def test_rows_bounded_at_kept_rows_skip_the_step_c_lp(monkeypatch):
-    # In the box, x1 + x2 <= 2 is bounded in step B at (1, 1), where only
-    # x1 <= 1 and x2 <= 1 are tight, and both end kept: no step-C batch runs.
+    # In the box, x1 + x2 <= 2 is bounded at (1, 1), where only x1 <= 1 and
+    # x2 <= 1 are tight, and both end kept: no step-C batch runs.
     # 2x1 + x2 <= 3 is tight there too but is dropped, so with it both
     # bounded rows take the step-C LP over the kept rows.
-    # The box is a packing system, so steps B and C are reached here with
-    # greedy witnesses that witness nothing.
+    # The box is a packing system.  With greedy witnesses that witness
+    # nothing, every row reaches the LPs: one round over every other row
+    # when the open rows fit one stack, else (a stack of one tableau cell)
+    # steps A and B.
     maximize_stacks, members = lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol=1e-9):
+    def counting_batch(C, A, b, tol, start=None):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol=tol)
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
     box = [((1, 0), 1.0), ((0, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)]
+    extras = [[((1, 1), 2.0)], [((1, 1), 2.0), ((2, 1), 3.0)]]
+
+    def batches(cells):
+        rounds = []
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "_BATCH_CELLS", cells)
+            for extra in extras:
+                members.clear()
+                pruned = prune_redundant(R(2, box + extra))
+                assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
+                rounds.append(members[:])
+        return rounds
+
     with monkeypatch.context() as patch:
-        patch.setattr(polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
-        for extra, batches in [([((1, 1), 2.0)], [3, 1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [4, 3, 2])]:
-            members.clear()
-            pruned = prune_redundant(R(2, box + extra))
-            assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
-            assert members == batches
-    # With them, x1 <= 1 and x2 <= 1 are kept before step A, whose one round
-    # over the kept rows bounds every other row at kept rows alone.
-    for extra, batches in [([((1, 1), 2.0)], [1]), ([((1, 1), 2.0), ((2, 1), 3.0)], [2])]:
-        members.clear()
-        pruned = prune_redundant(R(2, box + extra))
-        assert [(q.coeffs, q.rhs) for q in pruned.inequalities] == box
-        assert members == batches
+        patch.setattr(polytope, "_witnessed", witnessing_nothing)
+        assert batches(lp._BATCH_CELLS) == [[3], [4, 2]]
+        assert batches(1) == [[3, 1], [4, 3, 2]]
+    # With them, x1 <= 1 and x2 <= 1 are kept first.  Step A's round over
+    # the kept rows bounds every other row at kept rows alone; the round
+    # over every other row finds 2x1 + x2 <= 3 tight at x1 + x2 <= 2's
+    # optimum, and the reverse, so both take the step-C LP.
+    assert batches(lp._BATCH_CELLS) == [[1], [2, 2]]
+    assert batches(1) == [[1], [2]]
 
 
 def test_step_b_takes_every_other_row_once_that_round_fits_one_stack(monkeypatch):
     # 39 tangents to a disk in the positive quadrant, all facets, and the two
-    # sign rows, the only rows kept before step A.  Over those, each tangent's
-    # optimum violates others, so all 39 stay open.  Their round over all
-    # other rows fits one stack, so it comes next, though the working set
-    # holds 2 of the 40 other rows; doubling would have added only 5.
+    # sign rows, the only rows kept before the LPs.  Over those, each
+    # tangent's optimum violates others, so step A would leave all 39 open.
+    # Their round over all other rows fits one stack, so it comes first, from
+    # the witness walk's vertices; doubling from the 2 kept rows would have
+    # added only 5.
     maximize_stacks, rows = lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol=1e-9):
-        rows.append(A.shape[:2])
-        return maximize_stacks(C, A, b, tol=tol)
+    def counting_batch(C, A, b, tol, start=None):
+        rows.append((*A.shape[:2], start is not None))
+        return maximize_stacks(C, A, b, tol, start)
 
     monkeypatch.setattr(lp, "_maximize_stacks", counting_batch)
-    monkeypatch.setattr(polytope, "_witnessed", lambda A, b, tested, tol: tested[:0])
+    monkeypatch.setattr(polytope, "_witnessed", witnessing_nothing)
     tangents = [((k, 40 - k), 10 * math.hypot(k, 40 - k)) for k in range(1, 40)]
     region = R(2, tangents + [((-1, 0), 0.0), ((0, -1), 0.0)])
     assert prune_redundant(region) == region
-    assert rows[:2] == [(39, 3), (39, 41)]  # each member's rows and its cap
+    assert rows == [(39, 41, True)]  # each member's rows and its cap
 
 
 def test_is_subset_examples():
