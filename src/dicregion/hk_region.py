@@ -98,16 +98,11 @@ def project_to_aggregate(a1: Region, tol: float = 1e-9) -> Region:
     labels = [f"R{i}p" for i in free] + [f"R{i}c" if i in free else f"R{i}" for i in range(1, K + 1)]
     work = Region._from_rows(A.shape[1], A[rows], rhs[rows], labels)
 
-    # R_ip is column 0, and c_p R_ip + c_c R_ic = (c_p - c_c) R_ip + c_c R_i.  A kept
-    # row free of R_ip stays needed: its witness point meets every other kept
-    # row, hence each row of the next system (a kept row or a sum of two).
-    facets = ()
+    # R_ip is column 0, and c_p R_ip + c_c R_ic = (c_p - c_c) R_ip + c_c R_i.
     for i in free:
-        work = prune_redundant(work, tol=tol, facets=facets)
+        work = prune_redundant(work, tol=tol)
         c = work.labels.index(f"R{i}c")
         A = np.column_stack([work.A[:, 0] - work.A[:, c], work.A[:, 1:]])
-        carried = A[:, 0] == 0
-        facets = zip(A[carried, 1:], work.rhs[carried])
         labels = work.labels[:c] + (f"R{i}",) + work.labels[c + 1 :]
         work = fm_eliminate(Region._from_rows(work.dim, A, work.rhs, labels), 0, tol=tol)
 

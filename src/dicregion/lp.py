@@ -19,7 +19,7 @@ u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
 fast enough.  The private stacked solver `_maximize_stacks` takes packing
-systems only, and starts each at a greedy vertex (J. Edmonds, 1970).
+systems only, each at the greedy vertex its caller gives (J. Edmonds, 1970).
 """
 
 from __future__ import annotations
@@ -177,27 +177,27 @@ def maximize(c, system: System) -> LPResult:
     return res
 
 
-def _maximize_stacks(C, A, b, tol, start=None):
+def _maximize_stacks(C, A, tol, start):
     """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
     paying numpy's per-call overhead per pivot step of a stack, not per LP.
 
-    C is (B, n), A is (B, m, n) and b is (B, m), float arrays the caller has
-    checked: every entry finite, b >= 0 (no phase 1), each member a packing
-    system (every row nonnegative but one sign row -x_j <= 0 per coordinate)
-    in which a row with a positive entry bounds each x_j that C[i] weighs
-    positively, such as `polytope._capped`'s LPs; so no member is unbounded,
-    and one that is raises RuntimeError, as the pivot limit does.  Each
-    member starts at its vertex in `start`, given as `_greedy_start` gives
-    them, else at its greedy vertex; either is usually optimal already.  It
-    ends at `maximize`'s value on its own System within tol, maybe at
-    another of tied optima.  Stacks hold at most _BATCH_CELLS tableau
-    cells.  Returns (values, X), a member's value C[i] @ x.
+    C is (B, n) and A is (B, m, n), float arrays the caller has checked:
+    every entry finite, each member a packing system (every row nonnegative
+    but one sign row -x_j <= 0 per coordinate) in which a row with a
+    positive entry bounds each x_j that C[i] weighs positively, such as
+    `polytope._capped`'s LPs; so no member is unbounded, and one that is
+    raises RuntimeError, as the pivot limit does.  Each member starts at its
+    vertex in `start`, (tight rows, x, slacks) as `_greedy` walks them from
+    b[i] >= 0 (no phase 1), usually optimal already.  It ends at
+    `maximize`'s value on its own System within tol, maybe at another of
+    tied optima.  Stacks hold at most _BATCH_CELLS tableau cells.  Returns
+    (values, X), a member's value C[i] @ x.
     """
     m, n = A.shape[1:]
     X = np.empty(C.shape)
     step = max(1, _stack_size(m, n))
     for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
-        _solve_stack(C[s], A[s], b[s], tol, X[s], start and [v[s] for v in start])
+        _solve_stack(C[s], A[s], tol, X[s], [v[s] for v in start])
     return (C[:, None, :] @ X[:, :, None])[:, 0, 0], X
 
 
@@ -207,12 +207,12 @@ def _stack_size(m, n) -> int:
     return _BATCH_CELLS // ((m + 1) * (2 * n + 1))
 
 
-def _solve_stack(C, A, b, tol, X, start=None):
-    """`maximize`'s phase 2 on a stack of tableaus started at `start`, else
-    at each member's greedy vertex (`_vertex_tableaus`), writing each
-    member's point as it finishes; finished members leave the stack."""
-    n, m = C.shape[1], b.shape[1]
-    warm = _vertex_tableaus(C, A, tol, X, *(start or _greedy_start(C, A, b)))
+def _solve_stack(C, A, tol, X, start):
+    """`maximize`'s phase 2 on a stack of tableaus started at the vertices in
+    `start` (`_vertex_tableaus`), writing each member's point as it
+    finishes; finished members leave the stack."""
+    n, m = C.shape[1], A.shape[1]
+    warm = _vertex_tableaus(C, A, tol, X, *start)
     if warm is None:
         return  # every member is optimal at its start
     T, basis, nonbasic, member = warm
@@ -282,17 +282,6 @@ def _vertex_tableaus(C, A, tol, X, tight, x, slack):
     return T, basis, nonbasic, member
 
 
-def _greedy_start(C, A, b):
-    """Each member's greedy vertex (`_greedy` over its own rows, C its
-    objective) as (tight rows, x, slacks), on the stacks `_maximize_stacks`
-    takes.  Each blocking row is at slack 0 and has no entry in the columns
-    that rise after it, so the n rows are distinct and their block is
-    triangular up to order, hence nonsingular."""
-    slack = b.copy()
-    x, tight = _greedy(A, slack, C)
-    return tight, x, slack
-
-
 def _greedy(A, slack, C):
     """Edmonds' greedy walk (exact on one polymatroid) for each objective
     C[i] over A x <= slack[i], A of shape (m, n) shared or (len(C), m, n):
@@ -304,7 +293,9 @@ def _greedy(A, slack, C):
     rounding cannot let a later coordinate rise through it.  Returns the
     points and, in the walk's order, each coordinate's tight row: its
     blocking row where it rose, else its sign row (the first row with a
-    negative entry in its column)."""
+    negative entry in its column).  Each blocking row is at slack 0 and has
+    no entry in the columns that rise after it, so the n rows are distinct
+    and their block is triangular up to order, hence nonsingular."""
     size, n = C.shape
     at = np.arange(size)
     order = np.argsort(-C, axis=1, kind="stable")

@@ -257,20 +257,19 @@ def fm_eliminate(region: Region, var, tol: float = 1e-9) -> Region:
     return Region._from_rows(region.dim - 1, lhs[keep], rhs[keep], labels)
 
 
-def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) -> Region:
+def prune_redundant(region: Region, tol: float = 1e-9) -> Region:
     """Drop inequalities implied by the rest of the system.
 
     Rows take turns busy combinations first, so that simple facets survive;
     row k is dropped when the rows alive at its turn bound a_k.x by b_k + tol
-    or admit no point.  Sign rows (-x_i <= 0, `_sign_rows`) and the (lhs, rhs)
-    pairs in `facets`, which the caller has proven irredundant, are kept.
-    Each certificate LP caps row k at b_k + 1, so `tol` must be at least 0
+    or admit no point.  Sign rows (-x_i <= 0, `_sign_rows`) are kept.  Each
+    certificate LP caps row k at b_k + 1, so `tol` must be at least 0
     and below 1.
 
     On a packing system (every b_i >= 0, every row but the sign rows
     nonnegative, a sign row for every coordinate), such as every prune of
     the projection, certificates decide most rows, each round of LPs in one
-    `lp._maximize_stacks` call.  Kept rows (the above and certified keeps)
+    `lp._maximize_stacks` call.  Kept rows (sign rows and certified keeps)
     are alive at every turn and the alive rows are among all others, so a
     value <= b_k + tol over kept rows drops k, and > b_k + tol over all others
     keeps it.  A greedy point above b_k + tol that violates no other row by
@@ -297,7 +296,7 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     lhs, b = region.A[keep], region.rhs[keep]
     A = lhs.astype(float)
     sign = _sign_rows(A, b)
-    kept = sign | _among(lhs, b, facets)
+    kept = sign.copy()
     dropped = np.zeros(len(b), dtype=bool)
     packing = b.min(initial=0) >= 0 and ((A >= 0).all(1) | sign).all() and (A[sign] != 0).any(0).all()
     if not kept.all() and region.dim > 0 and packing:
@@ -313,34 +312,23 @@ def prune_redundant(region: Region, tol: float = 1e-9, *, facets=frozenset()) ->
     return Region._from_rows(region.dim, lhs[alive], b[alive], region.labels)
 
 
-def _among(lhs, b, pairs):
-    """Mask of the distinct rows (lhs, b) that are among the (coefficients, rhs) pairs."""
-    pairs = list(pairs)
-    if not pairs:
-        return np.zeros(len(b), dtype=bool)
-    F = np.array([coeffs for coeffs, _ in pairs], dtype=np.int64).reshape(len(pairs), lhs.shape[1])
-    rhs = np.concatenate([[r for _, r in pairs], b]) + 0.0  # -0.0 reads 0.0, which it equals
-    rows = np.column_stack([np.concatenate([F, lhs]), rhs.view(np.int64)])  # rhs joins as its bits
-    heads = _tightest(rows, np.zeros(len(rows)))  # a pair equal to a row heads its run
-    among = np.ones(len(b), dtype=bool)
-    among[heads[heads >= len(F)] - len(F)] = False
-    return among
-
-
 def _capped(A, b, rows, tested, tol, start=None):
     """(values, points) of max a_k.x over the rows in mask `rows` (shared, or
     one per k) but k, plus a_k.x <= b_k + 1 (never unbounded), for each k.
     The rows come from `_certify`'s packing system and include its sign
     rows, so each LP is one `lp._maximize_stacks` takes: the capped row k
-    bounds every coordinate a_k weighs.  Each starts at its greedy vertex
-    over its own rows, row k last, or at `start`, `_witnessed`'s vertices,
-    where `rows` holds every row but k, posed as the walk posed it."""
+    bounds every coordinate a_k weighs.  Given `start`, `_witnessed`'s
+    vertices, `rows` holds every row but k, and each LP is posed as the walk
+    posed it: every row in place, row k capped where it stands.  Else each
+    LP gathers its rows, row k last, and starts at its greedy vertex over
+    them, all members in one `lp._greedy` walk."""
+    if start is not None:
+        return lp._maximize_stacks(A[tested], np.broadcast_to(A, (len(tested), *A.shape)), tol, start)
     others = rows & (np.arange(len(b)) != tested[:, None])  # equal counts per k
-    if start is not None:  # every row in place, row k capped where it stands
-        every = np.broadcast_to(A, (len(tested), *A.shape))
-        return lp._maximize_stacks(A[tested], every, b + ~others, tol, start)
     idx = np.column_stack([np.nonzero(others)[1].reshape(len(tested), -1), tested])
-    return lp._maximize_stacks(A[tested], A[idx], b[idx] + (idx == tested[:, None]), tol)
+    C, gathered, slack = A[tested], A[idx], b[idx] + (idx == tested[:, None])
+    x, tight = lp._greedy(gathered, slack, C)
+    return lp._maximize_stacks(C, gathered, tol, (tight, x, slack))
 
 
 def _witnessed(A, b, tested, tol):

@@ -376,9 +376,9 @@ def test_projection_lp_rows_stay_output_sensitive(monkeypatch, seed, K, max_x, n
         rows.append(len(system))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol, start=None):
-        rows.append(len(C) * len(b[0]))  # each member's rows
-        return maximize_stacks(C, A, b, tol, start)
+    def counting_batch(C, A, tol, start):
+        rows.append(len(C) * A.shape[1])  # each member's rows
+        return maximize_stacks(C, A, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
@@ -422,9 +422,9 @@ def test_prune_rounds_stop_doubling_early(monkeypatch, case, n_rows, most_calls,
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, calls = dicregion.lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol, start=None):
+    def counting_batch(C, A, tol, start):
         calls.append(len(C))
-        return maximize_stacks(C, A, b, tol, start)
+        return maximize_stacks(C, A, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     if not witnesses:
@@ -476,9 +476,9 @@ def test_every_prune_of_the_projection_receives_a_packing_system(monkeypatch):
     # R_ip - R_i <= 0.
     prune, systems = dicregion.hk_region.prune_redundant, []
 
-    def recording(region, tol=1e-9, *, facets=frozenset()):
+    def recording(region, tol=1e-9):
         systems.append(region.matrix())
-        return prune(region, tol=tol, facets=facets)
+        return prune(region, tol=tol)
 
     monkeypatch.setattr(dicregion.hk_region, "prune_redundant", recording)
     cases, rng = [_sweep_k4_x8(), _mixed_k3()], random.Random(13)
@@ -497,17 +497,23 @@ def test_every_stacked_lp_is_a_packing_system_with_one_sign_row_per_coordinate(m
     # a packing system (b >= 0, every row nonnegative but the sign rows)
     # with exactly one sign row per coordinate, and a row with a positive
     # entry must bound each coordinate its objective weighs positively.
+    # b is not passed: each member's start (tight rows, x, slacks) gives it
+    # as slack + Ax, which is >= 0 when x and the slacks are, and is 0 on a
+    # sign row exactly when that row's slack is its coordinate of x.
     # `prune_redundant` certifies only such systems; this checks every
     # stack of the benchmark pools and of seeded channels through both routes.
     maximize_stacks, members = dicregion.lp._maximize_stacks, []
 
-    def checking(C, A, b, tol, start=None):
-        sign = (b == 0) & ((A != 0).sum(2) == 1) & (A.sum(2) == -1)
-        assert (b >= 0).all() and (A[~sign] >= 0).all()
+    def checking(C, A, tol, start):
+        tight, x, slack = start
+        sign = ((A != 0).sum(2) == 1) & (A.sum(2) == -1)
+        assert (A[~sign] >= 0).all() and (x >= 0).all() and (slack >= 0).all()  # so b = slack + Ax >= 0
+        assert (slack[sign] == np.take_along_axis(x, (A != 0).argmax(2), 1)[sign]).all()  # b = 0 there
+        assert (np.take_along_axis(slack, tight, 1) == 0).all()  # a vertex of n tight rows
         assert (((A != 0) & sign[:, :, None]).sum(1) == 1).all()
         assert ((A > 0).any(1) | (C <= 0)).all()
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol, start)
+        return maximize_stacks(C, A, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", checking)
     projected, both = benchmark_pools()
@@ -531,15 +537,17 @@ def test_greedy_witnesses_decide_the_k4_x8_prunes(monkeypatch):
     # sent 297 members through the stacked solver in 9 calls, and the
     # witnesses kept none of the 64 open rows of its first prune.  The one
     # walk per row keeps as many as two walks did; the members went 122 ->
-    # 124 when the first round took every other row instead of step A.
+    # 124 when the first round took every other row instead of step A.  With
+    # no rows carried over from the previous prune as known facets, the walk
+    # tests more rows and keeps nearly all that carrying used to skip.
     spec, dist = _sweep_k4_x8()
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, witnessed = dicregion.lp._maximize_stacks, dicregion.polytope._witnessed
     members, keeps = [], []
 
-    def counting_batch(C, A, b, tol, start=None):
+    def counting_batch(C, A, tol, start):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol, start)
+        return maximize_stacks(C, A, tol, start)
 
     def counting_keeps(A, b, tested, tol):
         hit, start = witnessed(A, b, tested, tol)
@@ -550,7 +558,7 @@ def test_greedy_witnesses_decide_the_k4_x8_prunes(monkeypatch):
     monkeypatch.setattr(dicregion.polytope, "_witnessed", counting_keeps)
     assert len(project_to_aggregate(a1).inequalities) == 23
     assert (len(members), sum(members)) == (5, 124)
-    assert keeps == [(62, 64), (4, 83), (10, 30), (6, 17), (17, 29)]
+    assert keeps == [(62, 64), (36, 115), (30, 50), (22, 33), (17, 29)]
 
 
 def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
@@ -561,9 +569,9 @@ def test_greedy_witnesses_leave_few_members_to_the_binary_k6_prune(monkeypatch):
     a1 = build_A1(spec, table_for(spec, dist))
     maximize_stacks, members = dicregion.lp._maximize_stacks, []
 
-    def counting_batch(C, A, b, tol, start=None):
+    def counting_batch(C, A, tol, start):
         members.append(len(C))
-        return maximize_stacks(C, A, b, tol, start)
+        return maximize_stacks(C, A, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
     assert len(project_to_aggregate(a1).inequalities) == 50
@@ -615,9 +623,9 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
         widths.append(len(c))
         return maximize(c, system)
 
-    def counting_batch(C, A, b, tol, start=None):
+    def counting_batch(C, A, tol, start):
         widths.extend(len(c) for c in C)
-        return maximize_stacks(C, A, b, tol, start)
+        return maximize_stacks(C, A, tol, start)
 
     monkeypatch.setattr(dicregion.lp, "maximize", counting)
     monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
@@ -626,9 +634,9 @@ def test_pinned_private_rates_leave_only_aggregate_lps(monkeypatch):
 
 
 def _plain_projection(a1):
-    """project_to_aggregate written as a plain prune/eliminate loop, with no
-    facets carried: substitute R_ic = R_i - R_ip, drop every pinned private
-    column, prune before each elimination, add nonnegativity, prune again."""
+    """project_to_aggregate written as a plain prune/eliminate loop:
+    substitute R_ic = R_i - R_ip, drop every pinned private column, prune
+    before each elimination, add nonnegativity, prune again."""
     K = a1.dim // 2
     rows = []
     for coeffs, rhs in zip(a1.lhs, a1.rhs.tolist()):
@@ -646,48 +654,21 @@ def _plain_projection(a1):
     return canonicalize(prune_redundant(work))
 
 
-def test_carried_facets_leave_the_projection_byte_identical(monkeypatch):
-    # The route's region is `_plain_projection`'s and its own with no facets
-    # carried, byte for byte, and the carried facets never add an LP.  The
-    # plain loop's prunes are not packing systems, so they take one LP per
-    # row and their count says nothing of the facets.
-    maximize, maximize_stacks = dicregion.lp.maximize, dicregion.lp._maximize_stacks
-    prune = dicregion.hk_region.prune_redundant
-    calls = []
-
-    def counting(c, system):
-        calls.append(1)
-        return maximize(c, system)
-
-    def counting_batch(C, A, b, tol, start=None):
-        calls.extend([1] * len(C))  # one LP per member
-        return maximize_stacks(C, A, b, tol, start)
-
-    monkeypatch.setattr(dicregion.lp, "maximize", counting)
-    monkeypatch.setattr(dicregion.lp, "_maximize_stacks", counting_batch)
+def test_the_projection_is_the_plain_prune_and_eliminate_loop():
+    # The route's region is `_plain_projection`'s, byte for byte, on the
+    # sweep-k4-x8 channel, a mixed K=3 channel and seeded channels with
+    # full-support, zero-entry and point-mass inputs.
     cases = [_sweep_k4_x8(), _mixed_k3()]
     for seed, K, max_x in [(3, 3, 3), (9, 3, 4), UNPINNED_K4, (6, 4, 3)]:
         rng = random.Random(seed)
         spec = random_injective_channel(rng, K, max_x)
         cases += [(spec, random_full_support(rng, spec)), (spec, with_zeros(rng, spec)),
                   (spec, InputDistribution.point_mass(spec, [n - 1 for n in spec.x_alphabet_sizes]))]
-    fewer = 0
     for spec, dist in cases:
         a1 = build_A1(spec, table_for(spec, dist))
-        del calls[:]
-        route = project_to_aggregate(a1)
-        route_calls = len(calls)
-        del calls[:]
-        with monkeypatch.context() as patch:
-            patch.setattr(dicregion.hk_region, "prune_redundant", lambda work, tol, facets=(): prune(work, tol=tol))
-            bare = project_to_aggregate(a1)
-        bare_calls = len(calls)
-        for other in (bare, _plain_projection(a1)):
-            assert route.lhs == other.lhs and route.labels == other.labels
-            assert route.rhs.tobytes() == other.rhs.tobytes()
-        assert route_calls <= bare_calls
-        fewer += route_calls < bare_calls
-    assert fewer  # carried facets skipped LPs on some channel
+        route, plain = project_to_aggregate(a1), _plain_projection(a1)
+        assert route.lhs == plain.lhs and route.labels == plain.labels
+        assert route.rhs.tobytes() == plain.rhs.tobytes()
 
 
 def test_projection_reads_the_same_rows_from_an_equal_unshared_lhs():

@@ -586,11 +586,20 @@ def _packing_stack(rng, size, m, n, capped, power=0):
     return C, A, b
 
 
+def _greedy_start(C, A, b):
+    """Each member's greedy vertex over its own rows, as (tight rows, x,
+    slacks): the start `polytope._capped` gives its gathered LPs."""
+    slack = b.copy()
+    x, tight = lp._greedy(A, slack, C)
+    return tight, x, slack
+
+
 def _assert_stacks_agree_with_maximize(C, A, b, tol=1e-9):
-    """Each member of `lp._maximize_stacks` ends where `maximize` on its own
-    System does, up to ties among optima: optimal, the value within tol, and
-    a point that violates no row by over 1e-9.  Returns the points."""
-    values, X = lp._maximize_stacks(C, A, b, tol)
+    """Each member of `lp._maximize_stacks`, started at its greedy vertex,
+    ends where `maximize` on its own System does, up to ties among optima:
+    optimal, the value within tol, and a point that violates no row by over
+    1e-9.  Returns the points."""
+    values, X = lp._maximize_stacks(C, A, tol, _greedy_start(C, A, b))
     for i in range(len(C)):
         res = _maximize(C[i], A[i], b[i], tol=tol)
         assert res.status == lp.OPTIMAL and np.isfinite(values[i])
@@ -621,15 +630,15 @@ def test_an_unbounded_stacked_member_breaks_the_contract_and_raises():
     A = np.array([sign + [[1.0, -1.0]], sign + [[1.0, 1.0]]])
     b, C = np.array([[0.0, 0.0, 1.0]] * 2), np.array([[1.0, 0.0]] * 2)
     with pytest.raises(RuntimeError, match="^stacked LP unbounded: its system is not a packing system$"):
-        lp._maximize_stacks(C, A, b, 1e-9)
-    values, X = lp._maximize_stacks(C[1:], A[1:], b[1:], 1e-9)
+        lp._maximize_stacks(C, A, 1e-9, _greedy_start(C, A, b))
+    values, X = lp._maximize_stacks(C[1:], A[1:], 1e-9, _greedy_start(C[1:], A[1:], b[1:]))
     assert values.tolist() == [1.0] and X.tolist() == [[1.0, 0.0]]
 
 
 def _assert_greedy_start(C, A, b):
-    """`lp._greedy_start` on one stack: n distinct rows per member, each at
+    """`_greedy_start` on one stack: n distinct rows per member, each at
     slack exactly 0 at the start's feasible point, with a nonsingular block."""
-    tight, x, slack = start = lp._greedy_start(C, A, b)
+    tight, x, slack = start = _greedy_start(C, A, b)
     size, m, n = A.shape
     assert tight.shape == (size, n)
     assert all(len(set(rows)) == n for rows in tight.tolist())  # one per coordinate
@@ -649,9 +658,9 @@ def test_a_degenerate_greedy_start_is_nonsingular():
     b = np.array([[0.9, 0.0, 0.0, 0.0, 1.9]])
     C = np.array([[3.0, 3.0, 1.0]])
     assert 0.9 - 3 * (0.9 / 3) != 0  # the rounding this guards against
-    tight, x, _ = _assert_greedy_start(C, A, b)
+    tight, x, _ = start = _assert_greedy_start(C, A, b)
     assert tight.tolist() == [[0, 2, 3]] and x.tolist() == [[0.9 / 3, 0.0, 0.0]]
-    values, X = lp._maximize_stacks(C, A, b, 0.0)
+    values, X = lp._maximize_stacks(C, A, 0.0, start)
     res = _maximize(C[0], A[0], b[0], tol=0.0)
     assert res.status == lp.OPTIMAL and values[0] == pytest.approx(res.value, abs=1e-15)
 
