@@ -27,14 +27,12 @@ import math
 import os
 import random
 import sys
-from xml.sax.saxutils import escape
 
-from . import hk_region, theorem_region
+from . import hk_region
 from .channel import _write_document, load_channel, validate_injectivity
 from .entropy import build_entropy_table, load_distribution
 from .errors import ChannelFormatError, DicRegionError
 from .polytope import compare, is_subset, load_region, region_to_dict, save_region, vertices
-from .theorem_region import facet_to_dict, presets
 
 __all__ = ["main"]
 
@@ -110,8 +108,11 @@ def cmd_region(args) -> int:
     if args.method == "hk-project":
         region = hk_region.project_to_aggregate(hk_region.build_A1(spec, table), tol=args.tol)
     else:
+        from . import theorem_region
+
         a_max = args.a_max or theorem_region.default_a_max(spec.K)
-        limits = dict(a_max=a_max, max_facets=args.guard, tol=args.tol)
+        guard = args.guard or theorem_region.DEFAULT_FACET_GUARD
+        limits = dict(a_max=a_max, max_facets=guard, tol=args.tol)
         if not args.check_a_max:
             region = theorem_region.enumerate_facets(spec, table, **limits)
         else:
@@ -182,6 +183,8 @@ def cmd_plot(args) -> int:
 
 
 def cmd_presets(args) -> int:
+    from .theorem_region import facet_to_dict, presets
+
     specs = presets(args.k)
     _write_document([facet_to_dict(fs) for fs in specs], sys.stdout)
     return 0
@@ -189,6 +192,8 @@ def cmd_presets(args) -> int:
 
 def _polygon_svg(points, labels, size: int = 420, margin: int = 50) -> str:
     """Polygon through the vertices, walked counterclockwise, with axes."""
+    from xml.sax.saxutils import escape  # its import chain is slow; only plot needs it
+
     if points:
         cx = sum(p[0] for p in points) / len(points)
         cy = sum(p[1] for p in points) / len(points)
@@ -258,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --method theorem: re-enumerate at a_max+1 and report whether the region changed",
     )
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--guard", type=_positive_int, default=theorem_region.DEFAULT_FACET_GUARD)
+    # None: theorem_region.DEFAULT_FACET_GUARD, read only when the theorem route runs.
+    p.add_argument("--guard", type=_positive_int, default=None)
     p.add_argument("--out", default=None, help="write region JSON here instead of stdout")
     p.add_argument(
         "--force",

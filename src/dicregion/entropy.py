@@ -180,11 +180,13 @@ def build_entropy_table(spec: ChannelSpec, dist: InputDistribution) -> EntropyTa
             # Only codes of positive weight, so that the exact-zero test sees
             # only the positive-weight cells; zero weights add exact zeros.
             positive = p > 0.0
-            p, key = p[positive], key[positive]
+            if not positive.all():
+                p, key = p[positive], key[positive]
             row, masks = key // n_v, slice(lo, lo + n)
             h = np.bincount(row, weights=-p * np.log2(p), minlength=n) - joint_v[masks]
             # Exactly 0.0, which pins a private rate, if no two codes share V_T.
-            mixed = np.bincount(row[1:], weights=key[1:] == key[:-1], minlength=n) > 0
+            mixed = np.zeros(n, dtype=bool)
+            mixed[row[1:][key[1:] == key[:-1]]] = True
             entropies[i, masks] = np.where(mixed, np.maximum(h, 0.0), 0.0)
     return EntropyTable(entropies)
 

@@ -27,14 +27,17 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelSpec, _building, _is_int, _objects, _read_document, _save_document, _tuple
-from .coeff_scheme import CoefficientScheme, de_of
 from .entropy import EntropyTable, _user_subset, subset_rank
 from .errors import EnumerationOverflowError
 from .polytope import LinearInequality, Region, canonicalize, prune_redundant
+
+if TYPE_CHECKING:  # the facet algebra loads only inside the two conversions
+    from .coeff_scheme import CoefficientScheme
 
 __all__ = [
     "FacetSpec",
@@ -362,6 +365,8 @@ def scheme_to_facet(scheme: CoefficientScheme) -> FacetSpec:
 
     Raises ValueError when the scheme's totals are unbalanced.
     """
+    from .coeff_scheme import de_of
+
     de = de_of(scheme)
     if not de.balanced():
         raise ValueError(f"scheme is not balanced: d={de.d}, e={de.e}")
@@ -372,6 +377,8 @@ def scheme_to_facet(scheme: CoefficientScheme) -> FacetSpec:
 
 def facet_to_scheme(fs: FacetSpec) -> CoefficientScheme:
     """Multiplicity counts of a facet choice as a coefficient scheme."""
+    from .coeff_scheme import CoefficientScheme
+
     weights = Counter((i, M) for i, subsets in enumerate(fs.S, start=1) for M in subsets)
     return CoefficientScheme.from_weights(fs.K, weights)
 
