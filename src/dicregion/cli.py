@@ -192,7 +192,8 @@ def cmd_presets(args) -> int:
 
 def _polygon_svg(points, labels, size: int = 420, margin: int = 50) -> str:
     """Polygon through the vertices, walked counterclockwise, with axes."""
-    from xml.sax.saxutils import escape  # its import chain is slow; only plot needs it
+    def escape(text):  # xml.sax.saxutils.escape, whose import chain is slow
+        return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
     if points:
         cx = sum(p[0] for p in points) / len(points)

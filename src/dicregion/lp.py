@@ -19,7 +19,8 @@ u and w before every slack) picks every pivot, so the method cannot cycle;
 everything is double precision with a single tolerance.  The LPs have up
 to a few thousand rows and a handful of variables, so a dense tableau is
 fast enough.  The private stacked solver `_maximize_stacks` takes packing
-systems only, each at the greedy vertex its caller gives (J. Edmonds, 1970).
+systems only, each at the greedy vertex its caller gives (J. Edmonds, 1970),
+builds their tableaus a stack at a time and pivots each through `_iterate`.
 """
 
 from __future__ import annotations
@@ -178,8 +179,9 @@ def maximize(c, system: System) -> LPResult:
 
 
 def _maximize_stacks(C, A, tol, start):
-    """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i at once,
-    paying numpy's per-call overhead per pivot step of a stack, not per LP.
+    """Maximize C[i].x over {x : A[i] x <= b[i]} for each member i: the
+    members' starting tableaus are built a stack at a time, and each member
+    not optimal at its start pivots through `_iterate`, as `maximize` does.
 
     C is (B, n) and A is (B, m, n), float arrays the caller has checked:
     every entry finite, each member a packing system (every row nonnegative
@@ -208,49 +210,20 @@ def _stack_size(m, n) -> int:
 
 
 def _solve_stack(C, A, tol, X, start):
-    """`maximize`'s phase 2 on a stack of tableaus started at the vertices in
-    `start` (`_vertex_tableaus`), writing each member's point as it
-    finishes; finished members leave the stack."""
+    """`maximize`'s phase 2 from the vertices in `start`: `_vertex_tableaus`
+    builds the stack's tableaus, `_iterate` pivots each member that is not
+    optimal at its start, and every point is read out in one step."""
     n, m = C.shape[1], A.shape[1]
     warm = _vertex_tableaus(C, A, tol, X, *start)
     if warm is None:
         return  # every member is optimal at its start
     T, basis, nonbasic, member = warm
-    at = np.arange(len(T))
-    for _ in range(_MAX_PIVOTS):
-        neg = T[:, -1, :-1] < -tol
-        j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
-        col = T[at, :-1, j]
-        pos = col > tol
-        done = ~neg.any(1)  # optimal
-        if not (done | pos.any(1)).all():
+    for t, t_basis, t_nonbasic in zip(T, basis, nonbasic):  # views: pivots update T, basis
+        if _iterate(t, t_basis, t_nonbasic, tol, 2 * n + m, m) == UNBOUNDED:
             raise RuntimeError("stacked LP unbounded: its system is not a packing system")
-        if done.any():
-            z = np.zeros((done.sum(), 2 * n + m))
-            z[np.arange(len(z))[:, None], basis[done]] = T[done, :-1, -1]
-            X[member[done]] = z[:, :n] - z[:, n : 2 * n]
-            if done.all():
-                return
-            T, basis, nonbasic, member, j, col, pos = (
-                v[~done] for v in (T, basis, nonbasic, member, j, col, pos)
-            )
-            at = np.arange(len(T))
-        ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
-        tied = pos & (ratios <= ratios.min(1, keepdims=True) + tol)
-        _pivot_stack(T, basis, nonbasic, np.where(tied, basis, 2 * n + m).argmin(1), j, at)
-    raise RuntimeError("simplex pivot limit exceeded")
-
-
-def _pivot_stack(T, basis, nonbasic, r, j, at):
-    """`_pivot` on every tableau of a stack: tableau i (at = arange(len(T)))
-    exchanges basic label basis[i, r[i]] with nonbasic label nonbasic[i, j[i]]."""
-    p, pcol = T[at, r, j], T[at, :, j]
-    pcol[at, r] = 0.0
-    T[at, :, j] = 0.0
-    T[at, r, j] = 1.0
-    T[at, r] = row = T[at, r] / p[:, None]
-    T -= pcol[:, :, None] * row[:, None, :]
-    basis[at, r], nonbasic[at, j] = nonbasic[at, j], basis[at, r]
+    z = np.zeros((len(T), 2 * n + m))
+    z[np.arange(len(z))[:, None], basis] = T[:, :-1, -1]
+    X[member] = z[:, :n] - z[:, n : 2 * n]
 
 
 def _vertex_tableaus(C, A, tol, X, tight, x, slack):
@@ -259,7 +232,7 @@ def _vertex_tableaus(C, A, tol, X, tight, x, slack):
     u is basic with the tight rows' slacks and w nonbasic: u's rows read
     B⁻¹ over the tight slacks and -1 at w, the other slacks' rows -A B⁻¹,
     and the objective row C B⁻¹.  A member whose objective row has no entry
-    below -tol is optimal there, as the pivot loop's first test would
+    below -tol is optimal there, as `_iterate`'s first test would
     find: X gets its x, and it gets no tableau.  Returns the others'
     tableaus, basis and nonbasic labels, and their rows in X, or None when
     every member is optimal."""

@@ -6,7 +6,9 @@ them), the injectivity identity from the channel and the pmf alone (no
 entropy table), the matrix that maps split rates to aggregate rates (the
 projection substitutes instead), and Fourier-Motzkin elimination, the
 tightest rhs per row and `canonicalize` written over coefficient tuples
-(the package works on one integer matrix).  None is reached from the CLI
+(the package works on one integer matrix), and the stacked simplex loop
+that pivoted every member of a stack in one numpy step (the package
+pivots each member through `lp._iterate`).  None is reached from the CLI
 or the routes, so they live here, with the tests.
 """
 
@@ -16,6 +18,7 @@ import math
 import numpy as np
 
 from dicregion.entropy import _cell_weights, _entropy
+from dicregion.lp import _MAX_PIVOTS, _stack_size, _vertex_tableaus
 from dicregion.errors import InfeasibleRegionError
 from dicregion.polytope import Region
 from dicregion.theorem_region import FacetSpec
@@ -153,3 +156,60 @@ def canonicalize(region, tol=1e-9):
     best = tightest(primitive(coeffs, rhs) for coeffs, rhs in rows)
     lhs = sorted(best)
     return Region._from_rows(region.dim, lhs, [best[coeffs] for coeffs in lhs], region.labels)
+
+
+def maximize_stacks(C, A, tol, start):
+    """`lp._maximize_stacks` with each stack's members pivoted together by
+    `solve_stack`: the same splitting into stacks, starts and readout."""
+    m, n = A.shape[1:]
+    X = np.empty(C.shape)
+    step = max(1, _stack_size(m, n))
+    for s in (slice(lo, lo + step) for lo in range(0, len(C), step)):
+        solve_stack(C[s], A[s], tol, X[s], [v[s] for v in start])
+    return (C[:, None, :] @ X[:, :, None])[:, 0, 0], X
+
+
+def solve_stack(C, A, tol, X, start):
+    """`maximize`'s phase 2 on a stack of tableaus started at the vertices in
+    `start` (`_vertex_tableaus`), writing each member's point as it
+    finishes; finished members leave the stack."""
+    n, m = C.shape[1], A.shape[1]
+    warm = _vertex_tableaus(C, A, tol, X, *start)
+    if warm is None:
+        return  # every member is optimal at its start
+    T, basis, nonbasic, member = warm
+    at = np.arange(len(T))
+    for _ in range(_MAX_PIVOTS):
+        neg = T[:, -1, :-1] < -tol
+        j = np.where(neg, nonbasic, 2 * n + m).argmin(1)
+        col = T[at, :-1, j]
+        pos = col > tol
+        done = ~neg.any(1)  # optimal
+        if not (done | pos.any(1)).all():
+            raise RuntimeError("stacked LP unbounded: its system is not a packing system")
+        if done.any():
+            z = np.zeros((done.sum(), 2 * n + m))
+            z[np.arange(len(z))[:, None], basis[done]] = T[done, :-1, -1]
+            X[member[done]] = z[:, :n] - z[:, n : 2 * n]
+            if done.all():
+                return
+            T, basis, nonbasic, member, j, col, pos = (
+                v[~done] for v in (T, basis, nonbasic, member, j, col, pos)
+            )
+            at = np.arange(len(T))
+        ratios = np.divide(T[:, :-1, -1], col, out=np.full(col.shape, np.inf), where=pos)
+        tied = pos & (ratios <= ratios.min(1, keepdims=True) + tol)
+        pivot_stack(T, basis, nonbasic, np.where(tied, basis, 2 * n + m).argmin(1), j, at)
+    raise RuntimeError("simplex pivot limit exceeded")
+
+
+def pivot_stack(T, basis, nonbasic, r, j, at):
+    """`_pivot` on every tableau of a stack: tableau i (at = arange(len(T)))
+    exchanges basic label basis[i, r[i]] with nonbasic label nonbasic[i, j[i]]."""
+    p, pcol = T[at, r, j], T[at, :, j]
+    pcol[at, r] = 0.0
+    T[at, :, j] = 0.0
+    T[at, r, j] = 1.0
+    T[at, r] = row = T[at, r] / p[:, None]
+    T -= pcol[:, :, None] * row[:, None, :]
+    basis[at, r], nonbasic[at, j] = nonbasic[at, j], basis[at, r]

@@ -495,12 +495,18 @@ def test_plot_3d_writes_each_vertex_of_a_cut_cube(tmp_path):
 
 
 def test_plot_svg_escapes_labels(tmp_path):
+    from xml.sax.saxutils import escape
+
+    labels = ("R<1", "a&b>c<&d")
     region_path = tmp_path / "simplex.json"
-    save_region(R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)], ("R<1", "R&2")), region_path)
+    save_region(R(2, [((1, 1), 1.0), ((-1, 0), 0.0), ((0, -1), 0.0)], labels), region_path)
     out = tmp_path / "plot.svg"
     assert main(["plot", str(region_path), "--out", str(out)]) == 0
     texts = ElementTree.fromstring(out.read_text()).iter("{http://www.w3.org/2000/svg}text")
-    assert [t.text for t in texts][:2] == ["R<1", "R&2"]
+    assert [t.text for t in texts][:2] == list(labels)
+    svg = out.read_bytes()
+    for label in labels:  # the bytes xml.sax.saxutils.escape gives
+        assert f'font-size="14">{escape(label)}</text>'.encode() in svg
 
 
 def test_plot_csv_quotes_labels(tmp_path):

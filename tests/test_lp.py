@@ -10,7 +10,13 @@ import pytest
 from scipy.optimize import linprog
 
 from dicregion import lp
+from dicregion.entropy import build_entropy_table
+from dicregion.hk_region import build_A1, project_to_aggregate
 from dicregion.polytope import LinearInequality, Region, support_value
+from dicregion.theorem_region import enumerate_facets
+
+import reference
+from conftest import benchmark_pools
 
 
 def _maximize(c, A, b, tol=1e-9):
@@ -611,14 +617,27 @@ def _assert_stacks_agree_with_maximize(C, A, b, tol=1e-9):
 def test_batch_members_finish_apart(monkeypatch):
     # One packing system under three objectives: (2, 3, 1) takes two
     # pivots from its greedy vertex, (1, 0, 1) one, and (1, 0, 0) none, so
-    # it leaves before the first pivot step and the stack shrinks 2, 1.
+    # it gets no tableau; the other two pivot through `_iterate` apart.
     A = np.array([[3, 2, 2], [1, 3, 0], [2, 2, 3], [-1, 0, 0], [0, -1, 0], [0, 0, -1]], dtype=float)
     b = np.array([3.0, 2.0, 2.0, 0.0, 0.0, 0.0])
     C = np.array([[2.0, 3.0, 1.0], [1.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
-    pivot_stack, sizes = lp._pivot_stack, []
-    monkeypatch.setattr(lp, "_pivot_stack", lambda T, *a: sizes.append(len(T)) or pivot_stack(T, *a))
-    X = _assert_stacks_agree_with_maximize(C, np.stack([A] * 3), np.tile(b, (3, 1)))
-    assert sizes == [2, 1]
+    iterate, pivot, pivots = lp._iterate, lp._pivot, []
+
+    def counting_iterate(*args):
+        pivots.append(0)
+        return iterate(*args)
+
+    def counting_pivot(*args):
+        pivots[-1] += 1
+        return pivot(*args)
+
+    A, b = np.stack([A] * 3), np.tile(b, (3, 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_iterate", counting_iterate)
+        patch.setattr(lp, "_pivot", counting_pivot)
+        lp._maximize_stacks(C, A, 1e-9, _greedy_start(C, A, b))
+    assert pivots == [2, 1]
+    X = _assert_stacks_agree_with_maximize(C, A, b)
     assert X == pytest.approx(np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]), abs=1e-12)
 
 
@@ -680,6 +699,43 @@ def test_greedy_start_members_agree_with_maximize_on_packing_stacks():
         _assert_stacks_agree_with_maximize(C, A, b, tol=(1e-9, 0.0)[trial % 5 == 0])
         warm += size
     assert warm > 500
+
+
+def test_stacked_members_match_the_stacked_reference(monkeypatch):
+    # The reference pivots every member of a stack in one numpy step with
+    # `_iterate`'s Bland rule and `_pivot`'s rank-one update, so from the
+    # same starts both give the same values and points, bit for bit: on
+    # seeded packing stacks of both objective kinds at tol 1e-9 and 0, and
+    # on every stack one round of the benchmark pools makes through both
+    # routes.
+    maximize_stacks, pivot, members, pivots = lp._maximize_stacks, lp._pivot, [], []
+
+    def comparing(C, A, tol, start):
+        values, X = maximize_stacks(C, A, tol, start)
+        want_values, want_X = reference.maximize_stacks(C, A, tol, start)
+        assert np.array_equal(values, want_values) and np.array_equal(X, want_X)
+        members.append(len(C))
+        return values, X
+
+    def counting(*args):
+        pivots.append(1)
+        return pivot(*args)
+
+    monkeypatch.setattr(lp, "_maximize_stacks", comparing)
+    monkeypatch.setattr(lp, "_pivot", counting)
+    rng = np.random.default_rng(46)
+    for trial in range(200):
+        size, m, n = rng.integers(1, 9), rng.integers(1, 10), rng.integers(1, 6)
+        C, A, b = _packing_stack(rng, size, m, n, trial % 2, trial % 3)
+        lp._maximize_stacks(C, A, (1e-9, 0.0)[trial % 4 > 1], _greedy_start(C, A, b))
+    assert sum(members) > 800 and len(pivots) > 300
+    projected, both = benchmark_pools()
+    for spec, dist in projected + both:
+        table = build_entropy_table(spec, dist)
+        project_to_aggregate(build_A1(spec, table))
+        if (spec, dist) in both:
+            enumerate_facets(spec, table)
+    assert sum(members) > 3000
 
 
 def test_batch_is_split_into_stacks_of_bounded_size(monkeypatch):
